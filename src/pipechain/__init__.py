@@ -15,7 +15,6 @@ from .ledger import (
     Transaction,
     block_hash,
     cc_index,
-    portion_index,
     syntactic_check,
     transaction_id,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "leaf_hash",
     "min_committees",
     "node_hash",
-    "portion_index",
     "provision_after_doubling",
     "provision_minimal",
     "report_lines",

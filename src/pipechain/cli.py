@@ -112,14 +112,17 @@ def _parse_probe(text: str) -> tuple[int, int]:
 def _run_simulation(args, *, audit: bool) -> int:
     cfg = resolve_config(args)
     probe = _parse_probe(args.interleave_probe) if args.interleave_probe else None
-    sim = Simulation(
-        cfg,
-        balanced_workload=args.balanced,
-        audit_proofs=audit,
-        expired_injection_rate=args.expired_injection,
-        drop_confirmed_round=args.drop_confirmed_round,
-        interleave_probe=probe,
-    )
+    try:
+        sim = Simulation(
+            cfg,
+            balanced_workload=args.balanced,
+            audit_proofs=audit,
+            expired_injection_rate=args.expired_injection,
+            drop_confirmed_round=args.drop_confirmed_round,
+            interleave_probe=probe,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = sim.run()
     lines = report_lines(result)
     if args.report:

@@ -1,19 +1,21 @@
 """Deterministic round engine wiring committees, pipeline, storage, clients.
 
-Everything advances in lockstep rounds.  Messages produced in round i are
-delivered in round i+1 through per-destination queues; the only broadcast is
-the newly emitted block.  Within a round the stages run in dependency order
-(deliver, storage apply, client submissions, confirmation, leaf folds, inner
-tiers bottom-up, block emission), which is observationally equivalent to the
-committees running concurrently since all cross-committee data crosses the
-round boundary through the queues.
+Everything advances in lockstep rounds.  Messages produced in round i go to
+a next-round outbox keyed by destination and are delivered in round i+1; the
+only broadcast is the newly emitted block.  Within a round the stages run in
+dependency order (storage apply, client submissions, confirmation, oracle,
+routing, leaf folds and inner tiers bottom-up, block emission), which is
+observationally equivalent to the committees running concurrently since all
+cross-committee data crosses the round boundary through the outbox.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
 
 from .committee import ConfirmationCommittee
 from .ledger import (
@@ -23,10 +25,13 @@ from .ledger import (
     Transaction,
     cc_index,
 )
-from .merkle import DEFAULT_DIGESTS, PathNotMaterialized, build_pruned, verify_proof
+from .merkle import build_pruned, verify_proof
 from .oracle import LedgerOracle, NonNegativityViolation
 from .pipeline import InnerRpc, LeafRpc, build_topology, fold_digests, next_block
 from .storage import StateDivergence, StorageNode
+
+# served proofs re-verified end to end per storage node and audited round
+AUDIT_SAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,9 @@ class SimConfig:
             raise ValueError("leaf_count too large for the address space")
         if self.initial_accounts > (1 << self.address_bits):
             raise ValueError("initial_accounts exceeds the address space")
+        # each round's f transfers touch up to 2f distinct accounts
+        if 2 * self.f > (1 << self.address_bits):
+            raise ValueError("2 * f exceeds the address space")
         if not isinstance(self.oracle_enabled, bool):
             raise ValueError("oracle_enabled must be a boolean")
         return self
@@ -100,6 +108,40 @@ class _Meter:
     discarded: int = 0
 
 
+# -- messages besides Transaction (client -> cc) and Block (to everyone) ---
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One committee's confirmed transfers of one entry round touching one
+    portion; the leaf committee and every storage replica get this copy."""
+
+    entry: int
+    committee: int
+    txs: tuple
+
+    def __len__(self) -> int:
+        return len(self.txs)
+
+
+@dataclass(frozen=True)
+class ChildDigest:
+    """A child's digest latched into an inner committee at its fold slot."""
+
+    ordinal: int
+    digest: bytes
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """One committee's spine digests for one storage node: (pos, entry, digest)."""
+
+    items: tuple
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
 @dataclass
 class SimResult:
     config: SimConfig
@@ -120,25 +162,6 @@ def report_lines(result: SimResult):
     yield json.dumps({"summary": result.summary}, sort_keys=True, separators=(",", ":"))
 
 
-class _Bus:
-    """In-flight messages keyed by delivery round and destination."""
-
-    def __init__(self) -> None:
-        self._queues: dict[int, dict] = {}
-        self.pending = 0
-
-    def send(self, deliver_round: int, dest, payload) -> None:
-        self._queues.setdefault(deliver_round, {}).setdefault(dest, []).append(payload)
-        self.pending += 1
-
-    def pop_round(self, round_index: int) -> dict:
-        for stale in [r for r in self._queues if r < round_index]:
-            raise RuntimeError(f"undelivered messages for round {stale}")
-        inbox = self._queues.pop(round_index, {})
-        self.pending -= sum(len(v) for v in inbox.values())
-        return inbox
-
-
 class Simulation:
     def __init__(
         self,
@@ -146,7 +169,6 @@ class Simulation:
         *,
         balanced_workload: bool = False,
         audit_proofs: bool = False,
-        audit_sample: int = 4,
         expired_injection_rate: int = 0,
         drop_confirmed_round: int | None = None,
         interleave_probe: tuple[int, int] | None = None,
@@ -154,10 +176,13 @@ class Simulation:
         cfg = config.validated()
         if balanced_workload and cfg.f % cfg.n_c:
             raise ValueError("balanced workload needs n_c | f")
+        if expired_injection_rate < 0:
+            raise ValueError("expired_injection_rate must be >= 0")
+        if interleave_probe and min(interleave_probe) < 0:
+            raise ValueError("interleave_probe counts must be >= 0")
         self.config = cfg
         self.balanced_workload = balanced_workload
         self.audit_proofs = audit_proofs
-        self.audit_sample = audit_sample
         self.expired_injection_rate = expired_injection_rate
         self.drop_confirmed_round = drop_confirmed_round
 
@@ -170,18 +195,11 @@ class Simulation:
         genesis_entries = [
             (i * stride, cfg.initial_balance) for i in range(cfg.initial_accounts)
         ]
-        genesis_tree = build_pruned(genesis_entries, cfg.address_bits)
-        self.genesis_root = genesis_tree.root_hash()
+        self.genesis_root = build_pruned(genesis_entries, cfg.address_bits).root_hash()
         self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
         self.latest_block = self.genesis_block
         self.history = BlockHistory(2)
         self.history.push(self.genesis_block)
-
-        def tree_digest(level: int, index: int) -> bytes:
-            try:
-                return genesis_tree.digest_at(level, index)
-            except PathNotMaterialized:
-                return DEFAULT_DIGESTS[level]
 
         by_portion: dict[int, list] = {m: [] for m in range(cfg.leaf_count)}
         for account, balance in genesis_entries:
@@ -194,6 +212,11 @@ class Simulation:
         self.leaf_rpcs = [
             LeafRpc(topo, m, by_portion[m]) for m in range(cfg.leaf_count)
         ]
+        # genesis digests by level above the portion roots, bottom first
+        leaf_digests = [leaf.last_digest for leaf in self.leaf_rpcs]
+        levels = [leaf_digests] + fold_digests(leaf_digests)[1]
+        if levels[-1][0] != self.genesis_root:
+            raise RuntimeError("pipeline genesis fold disagrees with genesis tree")
         self.inner_rpcs = {
             (t, p): InnerRpc(topo, t, p)
             for t, tier in enumerate(topo.tiers)
@@ -205,21 +228,23 @@ class Simulation:
                 m,
                 r,
                 by_portion[m],
-                [(pos, tree_digest(*pos)) for pos in topo.spine_positions(m)],
+                [
+                    (pos, levels[t][pos[1]])
+                    for t, pos in enumerate(topo.spine_positions(m))
+                ],
                 self.genesis_block,
             )
             for m in range(cfg.leaf_count)
             for r in range(cfg.rho)
         }
+        # per storage node: entry round -> ([Batch], {position: digest})
         self._storage_buffers = {key: {} for key in self.storage}
 
         # which storage nodes need each published spine digest
         self._spine_need: dict[tuple[int, int], list] = {}
-        for m in range(cfg.leaf_count):
+        for m, r in self.storage:
             for pos in topo.spine_positions(m):
-                self._spine_need.setdefault(pos, []).extend(
-                    ("storage", m, r) for r in range(cfg.rho)
-                )
+                self._spine_need.setdefault(pos, []).append(("storage", m, r))
 
         self.committee_ids = (
             [("cc", k) for k in range(cfg.n_c)]
@@ -227,20 +252,15 @@ class Simulation:
             + [("inner",) + key for key in sorted(self.inner_rpcs)]
             + [("storage",) + key for key in sorted(self.storage)]
         )
+        self._committee_names = [
+            "-".join(str(part) for part in cid) for cid in self.committee_ids
+        ]
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
-        self.bus = _Bus()
-        level_digests = [leaf.last_digest for leaf in self.leaf_rpcs]
+        self.outbox: dict[tuple, list] = {}
         for t, tier in enumerate(topo.tiers):
-            tops = []
-            for p in range(tier.count):
-                group = level_digests[p * tier.child_count : (p + 1) * tier.child_count]
-                for ordinal, digest in enumerate(group):
-                    self.bus.send(1, ("inner", t, p), ("digest", ordinal, digest))
-                tops.append(fold_digests(group)[0])
-            level_digests = tops
-        if level_digests[0] != self.genesis_root:
-            raise RuntimeError("pipeline genesis fold disagrees with genesis tree")
+            for index, digest in enumerate(levels[tier.base_level]):
+                self._send_up(t, index, digest)
 
         # -- clients and oracle --------------------------------------------
         self.client_view = dict(genesis_entries)
@@ -253,13 +273,13 @@ class Simulation:
             raise RuntimeError("oracle genesis root disagrees with genesis tree")
         self.supply0 = cfg.initial_accounts * cfg.initial_balance
         self._nonce = 0
-        self._cc_of: dict[int, int] = {}
+        self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
         self.accepted_counts: dict[int, int] = {}
         self.emitted_for_entry: dict[int, int] = {}
         self.injected_ids: set[bytes] = set()
-        self.injected_outcomes: dict[str, int] = {}
+        self.injected_outcomes: Counter = Counter()
         self._proof_pool: deque = deque(maxlen=4)
 
         self._probe_rounds: set[int] = set()
@@ -275,20 +295,21 @@ class Simulation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _committee_of(self, account: int) -> int:
-        got = self._cc_of.get(account)
-        if got is None:
-            got = cc_index(account, self.config.n_c)
-            self._cc_of[account] = got
-        return got
+    def _send(self, dest, msg) -> None:
+        """Queue a message for delivery next round."""
+        self.outbox.setdefault(dest, []).append(msg)
+
+    def _send_up(self, tier: int, index: int, digest: bytes) -> None:
+        """Latch the index-th digest below a tier into the committee folding it."""
+        parent, ordinal = divmod(index, self.topology.tiers[tier].child_count)
+        self._send(("inner", tier, parent), ChildDigest(ordinal, digest))
 
     def _serve_proof(self, account: int, meters):
         node_key = (self.topology.portion_of(account), 0)
-        node = self.storage[node_key]
         meter = meters[("storage",) + node_key]
         meter.msgs_in += 1
         meter.msgs_out += 1
-        return node.serve_proof(account)
+        return self.storage[node_key].serve_proof(account)
 
     def _generate_workload(self, entry_round: int, meters):
         cfg = self.config
@@ -321,8 +342,12 @@ class Simulation:
             involved.add(dst)
             src_proof = self._serve_proof(src, meters)
             dst_proof = self._serve_proof(dst, meters)
-            assert src_proof.balance == view[src], "client view out of sync"
-            assert dst_proof.balance == view.get(dst, 0), "client view out of sync"
+            for account, proof in ((src, src_proof), (dst, dst_proof)):
+                if proof.balance != view.get(account, 0):
+                    raise StateDivergence(
+                        f"client view of account {account} is {view.get(account, 0)},"
+                        f" storage proves {proof.balance}"
+                    )
             amount = rng.randint(1, src_proof.balance)
             self._nonce += 1
             txs.append(
@@ -370,78 +395,25 @@ class Simulation:
                 del queues[pick]
         return merged
 
-    def _probe_interleavings(self, round_index: int, per_committee, expected: bytes):
-        cfg = self.config
-        checks = mismatches = 0
-        base = self._probe_fork
+    def _probe_mismatches(self, round_index: int, per_committee, base, expected) -> int:
+        """Replays random interleavings from the pre-round oracle `base`;
+        returns how many miss the expected root or overdraw."""
+        mismatches = 0
         for i in range(self._probe_per_round):
-            rng = random.Random(f"{cfg.seed}:probe:{round_index}:{i}")
-            order = self._interleave(per_committee, rng)
-            trial = base.fork()
-            checks += 1
+            rng = random.Random(f"{self.config.seed}:probe:{round_index}:{i}")
             try:
-                got = trial.apply_sequence(order)
+                got = base.fork().apply_sequence(self._interleave(per_committee, rng))
             except NonNegativityViolation:
-                mismatches += 1
-                continue
-            if got != expected:
-                mismatches += 1
-        return checks, mismatches
+                got = None
+            mismatches += got != expected
+        return mismatches
 
-    # -- the round ----------------------------------------------------------
+    # -- the run -------------------------------------------------------------
 
     def run(self) -> SimResult:
         cfg = self.config
-        reports = []
-        totals = {
-            "accepted": 0,
-            "received": 0,
-            "discard_reasons": {},
-            "proof_disagreements": 0,
-            "conservative_rejections": 0,
-            "truncated_rounds": 0,
-            "audit_checked": 0,
-            "audit_failed": 0,
-            "oracle_matches": 0,
-            "oracle_mismatches": 0,
-            "interleave_checks": 0,
-            "interleave_mismatches": 0,
-            "probe_rounds": 0,
-            "supply_min": self.supply0,
-            "supply_max": self.supply0,
-            "leaf_failed_rounds": 0,
-        }
-        peaks = {"cc_tx": 0, "rpc_hashes": 0, "committee_msgs": 0, "backlog": 0}
-        fatal = None
-        diverged = False
-        rounds_run = 0
-
-        for round_index in range(1, cfg.rounds + 1):
-            try:
-                row = self._round(round_index, totals, peaks)
-            except StateDivergence as exc:
-                fatal = f"storage divergence: {exc}"
-                diverged = True
-                break
-            except NonNegativityViolation as exc:
-                fatal = f"non-negativity violation: {exc}"
-                diverged = True
-                break
-            rounds_run += 1
-            reports.append(row)
-            if row["oracle"] == "mismatch":
-                diverged = True
-                fatal = f"oracle divergence at height {row['block_height']}"
-                break
-
-        latency_checked = latency_violations = 0
-        for entry, height in self.emitted_for_entry.items():
-            count = self.accepted_counts.get(entry, 0)
-            latency_checked += count
-            if count and height != entry + self.stages - 1:
-                latency_violations += count
-
-        summary = {
+        # running totals, updated in place by the stages
+        self.summary = summary = {
             "config": cfg.to_json_dict(),
             "stages": self.stages,
             "rpc_levels": self.topology.rpc_levels,
@@ -451,153 +423,177 @@ class Simulation:
                 "inner": self.topology.inner_count,
                 "storage": cfg.leaf_count * cfg.rho,
             },
-            "rounds_run": rounds_run,
-            "blocks_emitted": rounds_run,
-            "block_bytes": len(self.latest_block.to_bytes()),
-            "accepted_total": totals["accepted"],
-            "received_total": totals["received"],
-            "discard_reasons": totals["discard_reasons"],
-            "proof_disagreements": totals["proof_disagreements"],
-            "conservative_rejections": totals["conservative_rejections"],
-            "workload_truncated_rounds": totals["truncated_rounds"],
-            "leaf_failed_rounds": totals["leaf_failed_rounds"],
-            "supply": {
-                "initial": self.supply0,
-                "min": totals["supply_min"],
-                "max": totals["supply_max"],
-            },
-            "latency": {
-                "checked": latency_checked,
-                "violations": latency_violations,
-            },
-            "audit": {
-                "checked": totals["audit_checked"],
-                "failed": totals["audit_failed"],
-            },
-            "oracle": {
-                "enabled": cfg.oracle_enabled,
-                "matches": totals["oracle_matches"],
-                "mismatches": totals["oracle_mismatches"],
-            },
-            "interleave": {
-                "rounds": totals["probe_rounds"],
-                "checks": totals["interleave_checks"],
-                "mismatches": totals["interleave_mismatches"],
-            },
-            "injected": {
+            "rounds_run": 0,
+            "accepted_total": 0,
+            "received_total": 0,
+            "discard_reasons": Counter(),
+            "proof_disagreements": 0,
+            "conservative_rejections": 0,
+            "workload_truncated_rounds": 0,
+            "leaf_failed_rounds": 0,
+            "supply": dict.fromkeys(("initial", "min", "max"), self.supply0),
+            "audit": {"checked": 0, "failed": 0},
+            "oracle": {"enabled": cfg.oracle_enabled, "matches": 0, "mismatches": 0},
+            "interleave": {"rounds": 0, "checks": 0, "mismatches": 0},
+            "peaks": {"cc_tx": 0, "rpc_hashes": 0, "committee_msgs": 0, "backlog": 0},
+            "fatal": None,
+        }
+        reports = []
+        for round_index in range(1, cfg.rounds + 1):
+            try:
+                row = self._round(round_index)
+            except StateDivergence as exc:
+                summary["fatal"] = f"storage divergence: {exc}"
+                break
+            except NonNegativityViolation as exc:
+                summary["fatal"] = f"non-negativity violation: {exc}"
+                break
+            summary["rounds_run"] += 1
+            reports.append(row)
+            if row["oracle"] == "mismatch":
+                summary["fatal"] = f"oracle divergence at height {row['block_height']}"
+                break
+
+        latency_checked = latency_violations = 0
+        for entry, height in self.emitted_for_entry.items():
+            count = self.accepted_counts.get(entry, 0)
+            latency_checked += count
+            if count and height != entry + self.stages - 1:
+                latency_violations += count
+
+        summary.update(
+            blocks_emitted=summary["rounds_run"],
+            block_bytes=len(self.latest_block.to_bytes()),
+            latency={"checked": latency_checked, "violations": latency_violations},
+            injected={
                 "count": len(self.injected_ids),
                 "outcomes": self.injected_outcomes,
             },
-            "peaks": peaks,
-            "diverged": diverged,
-            "fatal": fatal,
-        }
+            diverged=summary["fatal"] is not None,
+        )
         return SimResult(cfg, reports, summary)
 
-    def _round(self, round_index: int, totals, peaks) -> dict:
-        cfg = self.config
-        topo = self.topology
+    def _round(self, round_index: int) -> dict:
+        """Deliver last round's outbox, run the stages in dependency order and
+        return the report row.  A stage takes the round index, its input (the
+        inbox or an earlier stage's output) and the meters it charges."""
+        inbox, self.outbox = self.outbox, {}
         meters = {cid: _Meter() for cid in self.committee_ids}
-        inbox = self.bus.pop_round(round_index)
-        # per-item accounting: batched payloads count one message per item
-        for cid, payloads in inbox.items():
-            meter = meters.get(cid)
-            if meter is None:
-                continue
-            for payload in payloads:
-                kind = payload[0]
-                if kind == "seq":
-                    meter.msgs_in += len(payload[2])
-                elif kind == "stxs":
-                    meter.msgs_in += len(payload[3])
-                elif kind == "frontier":
-                    meter.msgs_in += len(payload[1])
-                else:
-                    meter.msgs_in += 1
+        # per-item accounting: batched messages count one message per item
+        for cid, msgs in inbox.items():
+            meters[cid].msgs_in += sum(
+                len(msg) if isinstance(msg, (Batch, Frontier)) else 1 for msg in msgs
+            )
 
-        # block emitted last round enters every validator's history
-        if self.latest_block.height == round_index - 1 and round_index > 1:
-            self.history.push(self.latest_block)
-        consumed_entry = round_index - self.stages
-        for tx in self.accepted_by_entry.pop(consumed_entry, ()):
-            view = self.client_view
-            view[tx.src] = view.get(tx.src, 0) - tx.amount
-            view[tx.dst] = view.get(tx.dst, 0) + tx.amount
+        audit = self._storage_stage(round_index, inbox, meters)
+        truncated = self._client_stage(round_index, meters)
+        confirmed, discards = self._confirm_stage(round_index, inbox, meters)
+        supply = self._oracle_stage(round_index, confirmed, discards)
+        self._route_stage(round_index, self.accepted_by_entry[round_index], meters)
+        state_root = self._fold_stage(round_index, inbox, meters)
+        block, verdict = self._emit_stage(round_index, state_root, meters)
 
-        # -- storage: apply the newest block's confirmed data ---------------
+        peaks = self.summary["peaks"]
+        per_committee = []
+        for cid, name in zip(self.committee_ids, self._committee_names):
+            meter = meters[cid]
+            per_committee.append({"id": name, **vars(meter)})
+            peaks["committee_msgs"] = max(
+                peaks["committee_msgs"], meter.msgs_in + meter.msgs_out
+            )
+            if cid[0] in ("leaf", "inner"):
+                peaks["rpc_hashes"] = max(peaks["rpc_hashes"], meter.hashes)
+        backlog = sum(len(msgs) for msgs in self.outbox.values())
+        peaks["backlog"] = max(peaks["backlog"], backlog)
+
+        return {
+            "round": round_index,
+            "block_height": block.height,
+            "state_root": block.state_root.hex(),
+            "oracle": verdict,
+            "supply": supply,
+            "backlog": backlog,
+            "audit": audit,
+            "truncated": truncated,
+            "per_committee": per_committee,
+        }
+
+    def _storage_stage(self, round_index: int, inbox, meters) -> dict:
+        """Storage nodes buffer transfers and frontier digests by entry round,
+        apply one when its block arrives and audit; returns the audit counts."""
         audit_checked = audit_failed = 0
         for key in sorted(self.storage):
             node = self.storage[key]
             cid = ("storage",) + key
             buffers = self._storage_buffers[key]
             block = None
-            for payload in inbox.get(cid, ()):
-                kind = payload[0]
-                if kind == "stxs":
-                    _, entry, committee, txs = payload
-                    buffers.setdefault(entry, {"txs": [], "frontier": {}})[
-                        "txs"
-                    ].append((committee, txs))
-                elif kind == "frontier":
-                    for pos, entry, digest in payload[1]:
-                        buffers.setdefault(entry, {"txs": [], "frontier": {}})[
-                            "frontier"
-                        ][pos] = digest
-                elif kind == "block":
-                    block = payload[1]
-            if block is not None:
-                entry = block.height - self.stages + 1
-                parts = buffers.pop(entry, {"txs": [], "frontier": {}})
-                txs = [
-                    tx
-                    for _, batch in sorted(parts["txs"], key=lambda item: item[0])
-                    for tx in batch
-                ]
-                before = node.counters.total()
-                node.apply_confirmed(txs, parts["frontier"], block)
-                meter = meters[cid]
-                meter.processed += len(txs)
-                meter.hashes += node.counters.total() - before
-                if self.audit_proofs:
-                    checked, failed = node.audit_stored()
-                    stored = node.stored_accounts()
-                    offset = (round_index * self.audit_sample) % max(1, len(stored))
-                    sample = stored[offset:][: self.audit_sample]
-                    for account in sample:
-                        proof = node.serve_proof(account)
-                        checked += 1
-                        if not verify_proof(proof, node.latest_block.state_root):
-                            failed += 1
-                    audit_checked += checked
-                    audit_failed += failed
-        totals["audit_checked"] += audit_checked
-        totals["audit_failed"] += audit_failed
+            for msg in inbox.get(cid, ()):
+                if isinstance(msg, Batch):
+                    buffers.setdefault(msg.entry, ([], {}))[0].append(msg)
+                elif isinstance(msg, Frontier):
+                    for pos, entry, digest in msg.items:
+                        buffers.setdefault(entry, ([], {}))[1][pos] = digest
+                else:
+                    block = msg
+            if block is None:
+                continue
+            batches, frontier = buffers.pop(block.height - self.stages + 1, ([], {}))
+            txs = [
+                tx
+                for batch in sorted(batches, key=attrgetter("committee"))
+                for tx in batch.txs
+            ]
+            before = node.counters.total()
+            node.apply_confirmed(txs, frontier, block)
+            meter = meters[cid]
+            meter.processed += len(txs)
+            meter.hashes += node.counters.total() - before
+            if self.audit_proofs:
+                checked, failed = node.audit_stored()
+                stored = node.stored_accounts()
+                offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
+                for account in stored[offset : offset + AUDIT_SAMPLE]:
+                    proof = node.serve_proof(account)
+                    checked += 1
+                    if not verify_proof(proof, node.latest_block.state_root):
+                        failed += 1
+                audit_checked += checked
+                audit_failed += failed
+        totals = self.summary["audit"]
+        totals["checked"] += audit_checked
+        totals["failed"] += audit_failed
+        return {"checked": audit_checked, "failed": audit_failed}
 
-        # -- clients: fetch proofs and submit for entry round i+1 -----------
-        truncated = False
-        if round_index < cfg.rounds:
-            entry_round = round_index + 1
-            submissions, truncated = self._generate_workload(entry_round, meters)
-            if self.expired_injection_rate and round_index >= 3:
-                submissions.extend(
-                    self._inject_expired(round_index, entry_round, meters)
-                )
-            for tx in submissions:
-                committee = self._committee_of(tx.src)
-                self.bus.send(round_index + 1, ("cc", committee), ("tx", tx))
-            if truncated:
-                totals["truncated_rounds"] += 1
+    def _client_stage(self, round_index: int, meters) -> bool:
+        """Clients settle the entry round leaving the pipeline into their view
+        and submit for entry round i+1; returns whether the workload fell short."""
+        view = self.client_view
+        for tx in self.accepted_by_entry.pop(round_index - self.stages, ()):
+            view[tx.src] = view.get(tx.src, 0) - tx.amount
+            view[tx.dst] = view.get(tx.dst, 0) + tx.amount
+        if round_index == self.config.rounds:
+            return False
+        entry_round = round_index + 1
+        submissions, truncated = self._generate_workload(entry_round, meters)
+        if self.expired_injection_rate and round_index >= 3:
+            submissions.extend(self._inject_expired(round_index, entry_round, meters))
+        for tx in submissions:
+            self._send(("cc", self._committee_of(tx.src)), tx)
+        self.summary["workload_truncated_rounds"] += truncated
+        return truncated
 
-        # -- confirmation committees ----------------------------------------
-        merged: list[Transaction] = []
-        per_committee_accepted = []
+    def _confirm_stage(self, round_index: int, inbox, meters):
+        """Returns each committee's accepted sequence and the round's discards."""
+        # the block emitted last round enters every validator's history
+        if round_index > 1:
+            self.history.push(self.latest_block)
+        totals = self.summary
+        confirmed = []
         round_discards = []
         for committee in self.ccs:
             cid = ("cc", committee.index)
             incoming = [
-                payload[1]
-                for payload in inbox.get(cid, ())
-                if payload[0] == "tx"
+                msg for msg in inbox.get(cid, ()) if isinstance(msg, Transaction)
             ]
             seq, discards, stats = committee.confirm_round(
                 incoming, round_index, self.history
@@ -607,142 +603,121 @@ class Simulation:
             meter.accepted += stats.accepted
             meter.discarded += len(discards)
             meter.hashes += stats.hashes
-            totals["received"] += stats.received
-            totals["accepted"] += stats.accepted
+            totals["received_total"] += stats.received
+            totals["accepted_total"] += stats.accepted
             totals["proof_disagreements"] += stats.proof_disagreements
-            for reason, count in stats.discard_reasons.items():
-                totals["discard_reasons"][reason] = (
-                    totals["discard_reasons"].get(reason, 0) + count
-                )
-            peaks["cc_tx"] = max(peaks["cc_tx"], stats.received)
-            merged.extend(seq.txs)
-            per_committee_accepted.append(seq.txs)
+            totals["discard_reasons"].update(stats.discard_reasons)
+            totals["peaks"]["cc_tx"] = max(totals["peaks"]["cc_tx"], stats.received)
+            confirmed.append(seq.txs)
             round_discards.extend(discards)
-            for tx, reason in discards:
-                if tx.txid in self.injected_ids:
-                    self.injected_outcomes[reason] = (
-                        self.injected_outcomes.get(reason, 0) + 1
-                    )
+            self.injected_outcomes.update(
+                reason for tx, reason in discards if tx.txid in self.injected_ids
+            )
 
-        self.accepted_by_entry[round_index] = tuple(merged)
+        merged = tuple(tx for txs in confirmed for tx in txs)
+        self.accepted_by_entry[round_index] = merged
         self.accepted_counts[round_index] = len(merged)
+        return confirmed, round_discards
 
-        # -- oracle bookkeeping for this entry round -------------------------
-        supply = None
-        if self.oracle is not None:
-            for tx, reason in round_discards:
-                if reason == "insufficient" and self.oracle.balance(tx.src) >= tx.amount:
-                    totals["conservative_rejections"] += 1
-            probing = round_index in self._probe_rounds
-            if probing:
-                self._probe_fork = self.oracle.fork()
-            expected = self.oracle.apply_sequence(merged)
-            self.expected_roots[round_index] = expected
-            if probing:
-                checks, mismatches = self._probe_interleavings(
-                    round_index, per_committee_accepted, expected
-                )
-                totals["probe_rounds"] += 1
-                totals["interleave_checks"] += checks
-                totals["interleave_mismatches"] += mismatches
-                del self._probe_fork
-            supply = self.oracle.total_supply()
-            totals["supply_min"] = min(totals["supply_min"], supply)
-            totals["supply_max"] = max(totals["supply_max"], supply)
+    def _oracle_stage(self, round_index: int, confirmed, discards) -> int | None:
+        """Replays the entry round and records the root its block must carry;
+        returns the total supply (None with the oracle off)."""
+        oracle = self.oracle
+        if oracle is None:
+            return None
+        totals = self.summary
+        for tx, reason in discards:
+            if reason == "insufficient" and oracle.balance(tx.src) >= tx.amount:
+                totals["conservative_rejections"] += 1
+        probing = round_index in self._probe_rounds
+        base = oracle.fork() if probing else None
+        expected = oracle.apply_sequence(self.accepted_by_entry[round_index])
+        self.expected_roots[round_index] = expected
+        if probing:
+            probe = totals["interleave"]
+            probe["rounds"] += 1
+            probe["checks"] += self._probe_per_round
+            probe["mismatches"] += self._probe_mismatches(
+                round_index, confirmed, base, expected
+            )
+        supply = oracle.total_supply()
+        totals["supply"]["min"] = min(totals["supply"]["min"], supply)
+        totals["supply"]["max"] = max(totals["supply"]["max"], supply)
+        return supply
 
-        # -- route confirmed transactions downstream -------------------------
-        routed = merged
+    def _route_stage(self, round_index: int, merged, meters) -> None:
+        """Sends one batch per committee and touched portion to the portion's
+        leaf committee and storage replicas."""
         if self.drop_confirmed_round == round_index and merged:
             # fault hook: downstream copy silently loses one confirmed tx
-            routed = merged[1:]
+            merged = merged[1:]
         leaf_batches: dict[int, dict[int, list]] = {}
-        for tx in routed:
+        for tx in merged:
             for account in {tx.src, tx.dst}:
-                portion = topo.portion_of(account)
+                portion = self.topology.portion_of(account)
                 leaf_batches.setdefault(portion, {}).setdefault(
                     self._committee_of(tx.src), []
                 ).append(tx)
         for portion in sorted(leaf_batches):
-            for committee in sorted(leaf_batches[portion]):
-                batch = tuple(dict.fromkeys(leaf_batches[portion][committee]))
-                self.bus.send(
-                    round_index + 1, ("leaf", portion), ("seq", committee, batch)
-                )
-                meters[("cc", committee)].msgs_out += len(batch)
-                for rep in range(cfg.rho):
-                    self.bus.send(
-                        round_index + 1,
-                        ("storage", portion, rep),
-                        ("stxs", round_index, committee, batch),
-                    )
-                # identical copy to every replica: one multicast per item
-                meters[("cc", committee)].msgs_out += len(batch)
+            by_committee = leaf_batches[portion]
+            for committee in sorted(by_committee):
+                txs = tuple(dict.fromkeys(by_committee[committee]))
+                batch = Batch(round_index, committee, txs)
+                self._send(("leaf", portion), batch)
+                for rep in range(self.config.rho):
+                    self._send(("storage", portion, rep), batch)
+                # the leaf copy, plus one multicast per item to the replicas
+                meters[("cc", committee)].msgs_out += 2 * len(batch)
 
-        # -- leaf committees fold the previous entry round --------------------
+    def _fold_stage(self, round_index: int, inbox, meters) -> bytes:
+        """Leaves fold the previous entry round, inner tiers fold bottom-up and
+        spine digests go to storage; returns the last digest folded, which is
+        the state root (the single tier-top, or the only leaf's digest)."""
+        topo = self.topology
         frontier_out = []  # (position, entry, digest, owner id)
-        state_root = None
+        top = b""
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
             batches = sorted(
-                (payload for payload in inbox.get(cid, ()) if payload[0] == "seq"),
-                key=lambda payload: payload[1],
+                (msg for msg in inbox.get(cid, ()) if isinstance(msg, Batch)),
+                key=attrgetter("committee"),
             )
-            incoming = [tx for _, _, batch in batches for tx in batch]
+            incoming = [tx for batch in batches for tx in batch.txs]
             before = leaf.counters.total()
-            digest, ok = leaf.process_round(incoming)
+            top, ok = leaf.process_round(incoming)
             meter = meters[cid]
             meter.processed += len(incoming)
             meter.hashes += leaf.counters.total() - before
             if not ok:
-                totals["leaf_failed_rounds"] += 1
+                self.summary["leaf_failed_rounds"] += 1
             if topo.tiers:
-                tier0 = topo.tiers[0]
-                parent = leaf.portion // tier0.child_count
-                ordinal = leaf.portion % tier0.child_count
-                self.bus.send(
-                    round_index + 1, ("inner", 0, parent), ("digest", ordinal, digest)
-                )
+                self._send_up(0, leaf.portion, top)
                 meter.msgs_out += 1
                 frontier_out.append(
-                    ((topo.portion_bits, leaf.portion), round_index - 1, digest, cid)
+                    ((topo.portion_bits, leaf.portion), round_index - 1, top, cid)
                 )
-            else:
-                state_root = digest
 
-        # -- inner tiers, bottom-up -------------------------------------------
         for t, tier in enumerate(topo.tiers):
             for p in range(tier.count):
                 cid = ("inner", t, p)
                 rpc = self.inner_rpcs[(t, p)]
-                digests = [
-                    payload[2]
-                    for payload in sorted(
-                        (pl for pl in inbox.get(cid, ()) if pl[0] == "digest"),
-                        key=lambda payload: payload[1],
-                    )
-                ]
-                assert len(digests) == tier.child_count, "pipeline latch underfilled"
+                children = sorted(
+                    (msg for msg in inbox.get(cid, ()) if isinstance(msg, ChildDigest)),
+                    key=attrgetter("ordinal"),
+                )
                 before = rpc.counters.total()
-                top, computed = rpc.fold_round(digests)
+                top, computed = rpc.fold_round([child.digest for child in children])
                 meter = meters[cid]
-                meter.processed += len(digests)
+                meter.processed += len(children)
                 meter.hashes += rpc.counters.total() - before
                 entry = round_index - 2 - t
                 for pos, digest in computed.items():
                     if pos in self._spine_need:
                         frontier_out.append((pos, entry, digest, cid))
                 if t + 1 < len(topo.tiers):
-                    nxt = topo.tiers[t + 1]
-                    self.bus.send(
-                        round_index + 1,
-                        ("inner", t + 1, p // nxt.child_count),
-                        ("digest", p % nxt.child_count, top),
-                    )
+                    self._send_up(t + 1, p, top)
                     meter.msgs_out += 1
-                else:
-                    state_root = top
 
-        # -- frontier digests to the storage nodes that need them -------------
         frontier_msgs: dict[tuple, list] = {}
         for pos, entry, digest, owner in frontier_out:
             dests = self._spine_need.get(pos, ())
@@ -752,57 +727,25 @@ class Simulation:
             for dest in dests:
                 frontier_msgs.setdefault((owner, dest), []).append((pos, entry, digest))
         for (owner, dest), items in sorted(frontier_msgs.items()):
-            self.bus.send(round_index + 1, dest, ("frontier", tuple(items)))
+            self._send(dest, Frontier(tuple(items)))
+        return top
 
-        # -- block emission ----------------------------------------------------
-        assert state_root is not None
+    def _emit_stage(self, round_index: int, state_root: bytes, meters):
+        """Broadcasts the next block; returns it with the oracle's verdict."""
         block = next_block(self.latest_block, state_root)
         self.latest_block = block
-        emitter = ("inner", len(topo.tiers) - 1, 0) if topo.tiers else ("leaf", 0)
+        tiers = self.topology.tiers
+        emitter = ("inner", len(tiers) - 1, 0) if tiers else ("leaf", 0)
         meters[emitter].msgs_out += 1  # one multicast: the only broadcast
         for cid in self.committee_ids:
-            self.bus.send(round_index + 1, cid, ("block", block))
+            self._send(cid, block)
         entry = block.height - self.stages + 1
         self.emitted_for_entry[entry] = block.height
-
-        verdict = "n/a"
-        if self.oracle is not None:
-            expected = self.expected_roots.pop(entry, self.genesis_root)
-            if block.state_root == expected:
-                verdict = "match"
-                totals["oracle_matches"] += 1
-            else:
-                verdict = "mismatch"
-                totals["oracle_mismatches"] += 1
-
-        per_committee = []
-        for cid in self.committee_ids:
-            meter = meters[cid]
-            per_committee.append(
-                {
-                    "id": "-".join(str(part) for part in cid),
-                    "msgs_in": meter.msgs_in,
-                    "msgs_out": meter.msgs_out,
-                    "hashes": meter.hashes,
-                    "processed": meter.processed,
-                    "accepted": meter.accepted,
-                    "discarded": meter.discarded,
-                }
-            )
-            total_msgs = meter.msgs_in + meter.msgs_out
-            peaks["committee_msgs"] = max(peaks["committee_msgs"], total_msgs)
-            if cid[0] in ("leaf", "inner"):
-                peaks["rpc_hashes"] = max(peaks["rpc_hashes"], meter.hashes)
-        peaks["backlog"] = max(peaks["backlog"], self.bus.pending)
-
-        return {
-            "round": round_index,
-            "block_height": block.height,
-            "state_root": block.state_root.hex(),
-            "oracle": verdict,
-            "supply": supply,
-            "backlog": self.bus.pending,
-            "audit": {"checked": audit_checked, "failed": audit_failed},
-            "truncated": truncated,
-            "per_committee": per_committee,
-        }
+        if self.oracle is None:
+            return block, "n/a"
+        oracle = self.summary["oracle"]
+        if block.state_root == self.expected_roots.pop(entry, self.genesis_root):
+            oracle["matches"] += 1
+            return block, "match"
+        oracle["mismatches"] += 1
+        return block, "mismatch"

@@ -120,13 +120,6 @@ def cc_index(src: int, committee_count: int) -> int:
     return int.from_bytes(digest[:8], "big") % committee_count
 
 
-def portion_index(account: int, address_bits: int, leaf_count: int) -> int:
-    """Leaf committee owning an address: contiguous equal address portions."""
-    if leaf_count & (leaf_count - 1):
-        raise ValueError("leaf_count must be a power of two")
-    return account >> (address_bits - (leaf_count.bit_length() - 1))
-
-
 def syntactic_failure(tx: Transaction, round_index: int, history: BlockHistory):
     """First admission failure for tx, plus how many proof folds were done.
 

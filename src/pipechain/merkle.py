@@ -176,15 +176,6 @@ class PrunedTree:
     def materialized_accounts(self):
         return self.leaves.keys()
 
-    def node_kind(self, level: int, index: int) -> str | None:
-        if level == 0 and index in self.leaves:
-            return "leaf"
-        if (level, index) in self.inner:
-            return "inner"
-        if (level, index) in self.placeholders:
-            return "placeholder"
-        return None
-
     def structure(self):
         """Canonical content snapshot (ignores the digest cache)."""
         return (

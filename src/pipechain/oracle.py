@@ -36,7 +36,6 @@ class LedgerOracle:
                 raise ValueError(f"account {account} out of range")
             if balance < 0:
                 raise ValueError(f"negative initial balance for {account}")
-        self.supply = sum(self.balances.values())
         heap: list[bytes] = [b""] * (1 << (address_bits + 1))
         for level in range(address_bits + 1):
             start = 1 << (address_bits - level)
@@ -96,6 +95,5 @@ class LedgerOracle:
         dup = LedgerOracle.__new__(LedgerOracle)
         dup.address_bits = self.address_bits
         dup.balances = dict(self.balances)
-        dup.supply = self.supply
         dup.heap = list(self.heap)
         return dup

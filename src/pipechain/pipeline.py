@@ -20,7 +20,7 @@ from .merkle import (
     build_pruned,
     node_hash,
 )
-from .provisioning import fold_levels
+from .provisioning import tier_levels
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,6 @@ class RpcTopology:
             for t in range(self.portion_levels)
         )
 
-    def wnode_owner(self, level: int, index: int):
-        """Committee computing the digest at a global position at or above
-        the portion roots: ("leaf", portion) or ("inner", tier, index)."""
-        above = level - self.portion_bits
-        if above == 0:
-            return ("leaf", index)
-        if above < 0 or above > self.portion_levels:
-            raise ValueError(f"position ({level}, {index}) not owned by the pipeline")
-        for t, tier in enumerate(self.tiers):
-            if tier.base_level < above <= tier.base_level + tier.owned_levels:
-                top = tier.base_level + tier.owned_levels
-                return ("inner", t, index >> (top - above))
-        raise ValueError(f"no tier owns level offset {above}")
-
-    def children_of(self, tier_index: int, index: int) -> tuple[tuple, ...]:
-        """Ids of the committees feeding one inner committee, in fold order."""
-        tier = self.tiers[tier_index]
-        first = index * tier.child_count
-        if tier_index == 0:
-            return tuple(("leaf", first + c) for c in range(tier.child_count))
-        return tuple(("inner", tier_index - 1, first + c) for c in range(tier.child_count))
-
 
 def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcTopology:
     if leaf_count < 1 or leaf_count & (leaf_count - 1):
@@ -92,11 +70,9 @@ def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcT
     portion_levels = leaf_count.bit_length() - 1
     if portion_levels >= address_bits:
         raise ValueError("every portion needs at least one address bit")
-    per_tier = fold_levels(hash_budget)
     tiers = []
     base = 0
-    while base < portion_levels:
-        owned = min(per_tier, portion_levels - base)
+    for owned in tier_levels(leaf_count, hash_budget):
         tiers.append(
             TierSpec(
                 count=1 << (portion_levels - base - owned),

@@ -21,12 +21,13 @@ def fold_capacity(hash_budget: int) -> int:
     return (1 << fold_levels(hash_budget)) - 1
 
 
-def _leaf_rpcs_needed(changes_per_round: int, leaf_capacity: int) -> int:
-    # smallest power of two L with L * leaf_capacity >= changes_per_round
-    exp = 0
-    while (leaf_capacity << exp) < changes_per_round:
-        exp += 1
-    return 1 << exp
+def tier_levels(leaf_count: int, hash_budget: int) -> tuple[int, ...]:
+    """Tree levels each inner tier folds above leaf_count portion roots,
+    bottom-up: full folds of fold_levels(hash_budget), any remainder on top.
+    One leaf committee needs no tier."""
+    per_tier = fold_levels(hash_budget)
+    full, rest = divmod(leaf_count.bit_length() - 1, per_tier)
+    return (per_tier,) * full + ((rest,) if rest else ())
 
 
 def min_committees(
@@ -36,7 +37,8 @@ def min_committees(
     within per-committee capacity under a uniform workload."""
     if changes_per_round < 1 or leaf_capacity < 1:
         raise ValueError("workload and capacity must be >= 1")
-    leaf = _leaf_rpcs_needed(changes_per_round, leaf_capacity)
+    # smallest power of two L with L * leaf_capacity >= changes_per_round
+    leaf = 1 << (-(-changes_per_round // leaf_capacity) - 1).bit_length()
     inner = -(-(leaf - 1) // fold_capacity(hash_budget))
     return leaf, inner
 
@@ -59,6 +61,23 @@ class Provisioning:
         return self.cc_count + self.leaf_rpcs + self.inner_rpcs
 
 
+def _provisioning(m, e, j, leaf, inner, cc_count) -> Provisioning:
+    """The deployment of leaf and inner committees folded as tier_levels says."""
+    rpc_levels = 1 + len(tier_levels(leaf, j))
+    return Provisioning(
+        changes_per_round=m,
+        leaf_capacity=e,
+        hash_budget=j,
+        fold_levels=fold_levels(j),
+        fold_capacity=fold_capacity(j),
+        leaf_rpcs=leaf,
+        inner_rpcs=inner,
+        cc_count=cc_count,
+        rpc_levels=rpc_levels,
+        stages=rpc_levels + 1,
+    )
+
+
 def provision_after_doubling(
     changes_per_round: int, leaf_capacity: int, hash_budget: int, cc_count: int = 0
 ) -> Provisioning:
@@ -72,24 +91,8 @@ def provision_after_doubling(
     if rem or ratio & (ratio - 1):
         raise ValueError("changes/capacity must be a power of two after doubling")
     leaf = 2 * ratio
-    cap = fold_capacity(hash_budget)
-    inner = -(-leaf // cap)
-    levels = fold_levels(hash_budget)
-    tree_levels = leaf.bit_length() - 1
-    tiers = -(-tree_levels // levels) if tree_levels else 0
-    rpc_levels = 1 + tiers
-    return Provisioning(
-        changes_per_round=m,
-        leaf_capacity=e,
-        hash_budget=hash_budget,
-        fold_levels=levels,
-        fold_capacity=cap,
-        leaf_rpcs=leaf,
-        inner_rpcs=inner,
-        cc_count=cc_count,
-        rpc_levels=rpc_levels,
-        stages=rpc_levels + 1,
-    )
+    inner = -(-leaf // fold_capacity(hash_budget))
+    return _provisioning(m, e, hash_budget, leaf, inner, cc_count)
 
 
 def provision_minimal(
@@ -97,21 +100,8 @@ def provision_minimal(
 ) -> Provisioning:
     """Smallest deployment that absorbs the stated steady workload."""
     leaf, inner = min_committees(changes_per_round, leaf_capacity, hash_budget)
-    levels = fold_levels(hash_budget)
-    tree_levels = leaf.bit_length() - 1
-    tiers = -(-tree_levels // levels) if tree_levels else 0
-    rpc_levels = 1 + tiers
-    return Provisioning(
-        changes_per_round=changes_per_round,
-        leaf_capacity=leaf_capacity,
-        hash_budget=hash_budget,
-        fold_levels=levels,
-        fold_capacity=fold_capacity(hash_budget),
-        leaf_rpcs=leaf,
-        inner_rpcs=inner,
-        cc_count=cc_count,
-        rpc_levels=rpc_levels,
-        stages=rpc_levels + 1,
+    return _provisioning(
+        changes_per_round, leaf_capacity, hash_budget, leaf, inner, cc_count
     )
 
 
@@ -165,9 +155,9 @@ def scale_experiment(base_config, alphas, *, rounds=None, progress=None):
         )
         if rounds is not None:
             cfg = replace(cfg, rounds=rounds)
-        prov = provision_after_doubling(2 * cfg.f, cfg.e, cfg.j, cfg.n_c)
         result = Simulation(cfg, balanced_workload=True).run()
         peaks = result.summary["peaks"]
+        committees = result.summary["committees"]
         oracle_ok = result.ok and result.summary["oracle"]["mismatches"] == 0
         well = (
             oracle_ok
@@ -179,10 +169,10 @@ def scale_experiment(base_config, alphas, *, rounds=None, progress=None):
                 alpha=alpha,
                 config=cfg,
                 cc_count=cfg.n_c,
-                leaf_rpcs=prov.leaf_rpcs,
-                inner_rpcs=prov.inner_rpcs,
-                stages=prov.stages,
-                committees_total=prov.total_committees,
+                leaf_rpcs=committees["leaf"],
+                inner_rpcs=committees["inner"],
+                stages=result.summary["stages"],
+                committees_total=sum(committees[k] for k in ("cc", "leaf", "inner")),
                 peak_cc_tx=peaks["cc_tx"],
                 peak_rpc_hashes=peaks["rpc_hashes"],
                 peak_msgs=peaks["committee_msgs"],

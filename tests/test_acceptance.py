@@ -5,6 +5,7 @@ Every check prints one PASS/FAIL line so a tee'd pytest log doubles as the
 acceptance record.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -256,6 +257,15 @@ def test_criterion_08_determinism(default_runs, capsys, tmp_path):
         8,
         ok,
         f"equal-seed report files byte-identical ({path_a.stat().st_size} bytes)",
+    )
+
+
+def test_acceptance_report_bytes_pinned(default_runs):
+    # the acceptance run's report bytes, as `pipechain run --report` writes them
+    result, _ = default_runs[1]
+    data = "".join(line + "\n" for line in report_lines(result)).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "6b763e4fb68529617fe458c983b70ef470ba86c01b71a3c3948cf55a7b0ef3eb"
     )
 
 

@@ -107,12 +107,31 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
-def test_drop_fault_exits_3(config_path, capsys):
+@pytest.mark.parametrize("oracle_enabled", [True, False])
+def test_drop_fault_exits_3(oracle_enabled, tmp_path, capsys):
+    # with the oracle off, the clients' view check is the detector that fires
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
     code = cli.main(
-        ["run", "--config", config_path, "--drop-confirmed-round", "5"]
+        ["run", "--config", str(path), "--drop-confirmed-round", "5"]
     )
     assert code == 3
     assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--expired-injection", "-1"],
+        ["--interleave-probe=-1,5"],
+        ["--balanced"],  # n_c = 4 does not divide f = 18
+    ],
+)
+def test_bad_fault_flags_exit_2(flags, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "f": 18}))
+    assert cli.main(["run", "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_seed_env_overrides_flag(config_path, monkeypatch, capsys):

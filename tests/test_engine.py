@@ -1,9 +1,13 @@
 """End-to-end engine runs: oracle agreement, conservation, determinism."""
 
+import ast
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import pipechain
 from pipechain.engine import SimConfig, Simulation, report_lines
 from pipechain.oracle import full_tree_root
 
@@ -53,6 +57,12 @@ def test_config_rejects_bad_types_and_values():
     with pytest.raises(ValueError):
         # no address bits left for the portion subtrees
         SimConfig.from_mapping({**base, "address_bits": 2})
+    with pytest.raises(ValueError, match="2 \\* f"):
+        # 2f fresh addresses per round cannot fit in 2**3
+        SimConfig.from_mapping(
+            {**base, "address_bits": 3, "f": 8, "n_c": 1, "leaf_count": 1,
+             "initial_accounts": 8}
+        )
 
 
 def test_genesis_agrees_with_brute_force():
@@ -223,3 +233,54 @@ def test_summary_peaks_are_maxima():
                 hashes = max(hashes, entry["hashes"])
     assert peaks["committee_msgs"] == msgs
     assert peaks["rpc_hashes"] == hashes
+
+
+# pinned report hashes: a refactor that changes no behaviour keeps every one
+GOLDEN_REPORTS = [
+    # two inner tiers, storage replicas and the proof audit
+    (
+        dict(leaf_count=16, rho=2),
+        dict(audit_proofs=True),
+        "f5540702a579db57a69e354a2eebfc6839ee267f801a100af41a2b0973f2b68b",
+    ),
+    # a single leaf committee emits the block, with the oracle off
+    (
+        dict(leaf_count=1, oracle_enabled=False),
+        {},
+        "bb60f439d35642b64329de6ead288ef58ae2e869179bf5562547c2b8faed13c7",
+    ),
+    # every non-fatal fault hook
+    (
+        {},
+        dict(balanced_workload=True, interleave_probe=(4, 3), expired_injection_rate=2),
+        "88f9cbbf9fae420e9e7ad22dc5ad708e254e9af13856e7c004b1b14bc1991bf6",
+    ),
+    # the fatal path
+    (
+        {},
+        dict(drop_confirmed_round=5),
+        "5582a61459ebf90fba137b63303e07c5b44745780f9a54a4f282a84993604871",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, options, digest",
+    GOLDEN_REPORTS,
+    ids=["tiers-replicas-audit", "single-leaf", "faults", "fatal"],
+)
+def test_report_bytes_pinned(overrides, options, digest):
+    result = Simulation(_config(rounds=20, **overrides), **options).run()
+    # the report bytes exactly as `pipechain run --report` writes them
+    data = "".join(line + "\n" for line in report_lines(result)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so no invariant of the library may be one
+    found = []
+    for path in sorted(Path(pipechain.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

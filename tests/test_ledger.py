@@ -12,7 +12,6 @@ from pipechain.ledger import (
     Transaction,
     block_hash,
     cc_index,
-    portion_index,
     syntactic_check,
     syntactic_failure,
     transaction_id,
@@ -76,13 +75,6 @@ def test_cc_index_spreads_uniformly():
     sigma = (n * (1 / committees) * (1 - 1 / committees)) ** 0.5
     for count in counts:
         assert abs(count - mean) <= 3 * sigma
-
-
-def test_portion_index_uses_top_bits():
-    assert portion_index(0b110101, 6, 4) == 0b11
-    assert portion_index(5, 6, 1) == 0
-    with pytest.raises(ValueError):
-        portion_index(5, 6, 3)
 
 
 def _chain(roots):

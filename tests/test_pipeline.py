@@ -11,7 +11,7 @@ from pipechain.pipeline import (
     fold_digests,
     next_block,
 )
-from pipechain.provisioning import min_committees
+from pipechain.provisioning import min_committees, provision_minimal, tier_levels
 
 
 def test_topology_single_tier():
@@ -57,6 +57,11 @@ def test_topology_inner_total_matches_min_committees():
             # the closed form counts exactly the committees the tree packs
             expected = min_committees(leaf, 1, budget)[1]
             assert topo.inner_count == expected, (leaf, budget)
+            # and the dimensioning tiers are the ones the engine builds
+            levels = tuple(t.owned_levels for t in topo.tiers)
+            assert levels == tier_levels(leaf, budget), (leaf, budget)
+            prov = provision_minimal(leaf, 1, budget)
+            assert (prov.rpc_levels, prov.stages) == (topo.rpc_levels, topo.stages)
 
 
 def test_topology_validation():
@@ -68,9 +73,12 @@ def test_topology_validation():
 
 def test_portion_geometry():
     topo = build_topology(4, 7, address_bits=6)
-    assert topo.portion_of(0b110101) == 0b11
+    assert topo.portion_of(0b110101) == 0b11  # the top log2(leaf_count) bits
     assert topo.portion_range(2) == (32, 48)
     assert topo.spine_positions(0b10) == ((4, 0b11), (5, 0b0))
+    assert build_topology(1, 7, address_bits=6).portion_of(5) == 0
+    with pytest.raises(ValueError):
+        build_topology(3, 7, address_bits=6)
 
 
 def test_fold_digests_counts():

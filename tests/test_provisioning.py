@@ -129,6 +129,10 @@ def test_scale_experiment_shapes():
     assert [run.alpha for run in runs] == [1, 2]
     assert [run.cc_count for run in runs] == [2, 4]
     assert [run.leaf_rpcs for run in runs] == [8, 16]
+    # the inner committees the runs simulated: one 8-ary tier at alpha 1;
+    # two 8-ary rpcs under one 2-ary root at alpha 2
+    assert [run.inner_rpcs for run in runs] == [1, 3]
+    assert [run.committees_total for run in runs] == [2 + 8 + 1, 4 + 16 + 3]
     assert all(run.block_bytes == 72 for run in runs)
     # doubling the leaves deepens the tree; budget 7 owns 3 levels per tier,
     # so the fourth level forces one more pipeline stage
