@@ -17,6 +17,7 @@ from pipechain.ledger import (
     transaction_id,
 )
 from pipechain.merkle import build_pruned
+from pipechain.pipeline import build_topology
 
 
 def test_transaction_id_preimage():
@@ -75,6 +76,14 @@ def test_cc_index_spreads_uniformly():
     sigma = (n * (1 / committees) * (1 - 1 / committees)) ** 0.5
     for count in counts:
         assert abs(count - mean) <= 3 * sigma
+
+
+def test_portion_index_uses_top_bits():
+    # routing an account to its portion is the topology's job
+    assert build_topology(4, 7, address_bits=6).portion_of(0b110101) == 0b11
+    assert build_topology(1, 7, address_bits=6).portion_of(5) == 0
+    with pytest.raises(ValueError):
+        build_topology(3, 7, address_bits=6)
 
 
 def _chain(roots):

