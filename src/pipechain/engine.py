@@ -189,6 +189,10 @@ class Simulation:
         topo = build_topology(cfg.leaf_count, cfg.j, cfg.address_bits)
         self.topology = topo
         self.stages = topo.stages
+        # entry round 1 is empty; a later loss would settle after the run
+        drop, last_drop = drop_confirmed_round, cfg.rounds - topo.stages
+        if drop is not None and not 2 <= drop <= last_drop:
+            raise ValueError(f"drop_confirmed_round must be in 2..{last_drop}")
 
         # -- genesis state ------------------------------------------------
         stride = (1 << cfg.address_bits) // cfg.initial_accounts
@@ -276,8 +280,6 @@ class Simulation:
         self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
-        self.accepted_counts: dict[int, int] = {}
-        self.emitted_for_entry: dict[int, int] = {}
         self.injected_ids: set[bytes] = set()
         self.injected_outcomes: Counter = Counter()
         self._proof_pool: deque = deque(maxlen=4)
@@ -311,11 +313,10 @@ class Simulation:
         meter.msgs_out += 1
         return self.storage[node_key].serve_proof(account)
 
-    def _generate_workload(self, entry_round: int, meters):
+    def _generate_workload(self, entry_round: int, funded, meters):
         cfg = self.config
         rng = random.Random(f"{cfg.seed}:workload:{entry_round}")
         view = self.client_view
-        funded = [a for a in sorted(view) if view[a] > 0]
         truncated = False
         if self.balanced_workload:
             per_cc = cfg.f // cfg.n_c
@@ -355,13 +356,11 @@ class Simulation:
             )
         return txs, truncated
 
-    def _inject_expired(self, current_round: int, entry_round: int, meters):
+    def _inject_expired(self, current_round: int, entry_round: int, funded, meters):
         """Craft submissions whose source proofs are already outside the
         truncated history at admission time (base = entry_round - 4)."""
         cfg = self.config
         rng = random.Random(f"{cfg.seed}:inject:{current_round}")
-        view = self.client_view
-        funded = [a for a in sorted(view) if view[a] > 0]
         sample = rng.sample(funded, min(self.expired_injection_rate, len(funded)))
         self._proof_pool.append(
             (current_round, [(a, self._serve_proof(a, meters)) for a in sample])
@@ -431,6 +430,7 @@ class Simulation:
             "conservative_rejections": 0,
             "workload_truncated_rounds": 0,
             "leaf_failed_rounds": 0,
+            "latency": {"checked": 0, "violations": 0},
             "supply": dict.fromkeys(("initial", "min", "max"), self.supply0),
             "audit": {"checked": 0, "failed": 0},
             "oracle": {"enabled": cfg.oracle_enabled, "matches": 0, "mismatches": 0},
@@ -454,17 +454,9 @@ class Simulation:
                 summary["fatal"] = f"oracle divergence at height {row['block_height']}"
                 break
 
-        latency_checked = latency_violations = 0
-        for entry, height in self.emitted_for_entry.items():
-            count = self.accepted_counts.get(entry, 0)
-            latency_checked += count
-            if count and height != entry + self.stages - 1:
-                latency_violations += count
-
         summary.update(
             blocks_emitted=summary["rounds_run"],
             block_bytes=len(self.latest_block.to_bytes()),
-            latency={"checked": latency_checked, "violations": latency_violations},
             injected={
                 "count": len(self.injected_ids),
                 "outcomes": self.injected_outcomes,
@@ -565,22 +557,43 @@ class Simulation:
         return {"checked": audit_checked, "failed": audit_failed}
 
     def _client_stage(self, round_index: int, meters) -> bool:
-        """Clients settle the entry round leaving the pipeline into their view
-        and submit for entry round i+1; returns whether the workload fell short."""
+        """Clients settle the entry round leaving the pipeline into their view,
+        check it against storage and submit for entry round i+1; returns
+        whether the workload fell short."""
         view = self.client_view
-        for tx in self.accepted_by_entry.pop(round_index - self.stages, ()):
+        settled = self.accepted_by_entry.pop(round_index - self.stages, ())
+        for tx in settled:
             view[tx.src] = view.get(tx.src, 0) - tx.amount
             view[tx.dst] = view.get(tx.dst, 0) + tx.amount
+        self._check_settled(settled)
         if round_index == self.config.rounds:
             return False
         entry_round = round_index + 1
-        submissions, truncated = self._generate_workload(entry_round, meters)
+        funded = [a for a in sorted(view) if view[a] > 0]
+        submissions, truncated = self._generate_workload(entry_round, funded, meters)
         if self.expired_injection_rate and round_index >= 3:
-            submissions.extend(self._inject_expired(round_index, entry_round, meters))
+            submissions.extend(
+                self._inject_expired(round_index, entry_round, funded, meters)
+            )
         for tx in submissions:
             self._send(("cc", self._committee_of(tx.src)), tx)
         self.summary["workload_truncated_rounds"] += truncated
         return truncated
+
+    def _check_settled(self, txs) -> None:
+        """Storage applied the settled entry this round: every account it
+        touched must hold the clients' balance in each replica (a read that
+        charges no meter)."""
+        view = self.client_view
+        for account in (a for tx in txs for a in (tx.src, tx.dst)):
+            portion = self.topology.portion_of(account)
+            for rep in range(self.config.rho):
+                stored = self.storage[(portion, rep)].balance_of(account)
+                if stored != view.get(account, 0):
+                    raise StateDivergence(
+                        f"client view of account {account} is {view.get(account, 0)},"
+                        f" storage {portion}/{rep} holds {stored}"
+                    )
 
     def _confirm_stage(self, round_index: int, inbox, meters):
         """Returns each committee's accepted sequence and the round's discards."""
@@ -616,7 +629,6 @@ class Simulation:
 
         merged = tuple(tx for txs in confirmed for tx in txs)
         self.accepted_by_entry[round_index] = merged
-        self.accepted_counts[round_index] = len(merged)
         return confirmed, round_discards
 
     def _oracle_stage(self, round_index: int, confirmed, discards) -> int | None:
@@ -731,7 +743,9 @@ class Simulation:
         return top
 
     def _emit_stage(self, round_index: int, state_root: bytes, meters):
-        """Broadcasts the next block; returns it with the oracle's verdict."""
+        """Broadcasts the next block; returns it with the oracle's verdict.
+        Latency law: block h carries entry round h - q + 1, whose transfers
+        are checked here and violations when the oracle rejects the block."""
         block = next_block(self.latest_block, state_root)
         self.latest_block = block
         tiers = self.topology.tiers
@@ -740,7 +754,8 @@ class Simulation:
         for cid in self.committee_ids:
             self._send(cid, block)
         entry = block.height - self.stages + 1
-        self.emitted_for_entry[entry] = block.height
+        carried = len(self.accepted_by_entry.get(entry, ()))
+        self.summary["latency"]["checked"] += carried
         if self.oracle is None:
             return block, "n/a"
         oracle = self.summary["oracle"]
@@ -748,4 +763,5 @@ class Simulation:
             oracle["matches"] += 1
             return block, "match"
         oracle["mismatches"] += 1
+        self.summary["latency"]["violations"] += carried
         return block, "mismatch"

@@ -156,13 +156,8 @@ class PrunedTree:
 
     # -- inspection ---------------------------------------------------------
 
-    def account_range(self) -> tuple[int, int]:
-        lo = self.root_index << self.root_level
-        return lo, lo + (1 << self.root_level)
-
     def covers(self, account: int) -> bool:
-        lo, hi = self.account_range()
-        return lo <= account < hi
+        return account >> self.root_level == self.root_index
 
     def has_leaf(self, account: int) -> bool:
         return account in self.leaves
@@ -274,12 +269,17 @@ class PrunedTree:
 
     def ensure_path(self, account: int) -> None:
         """Materialize account's leaf, treating pruned default territory as
-        zero balances."""
+        zero balances.  Raises PathNotMaterialized when the leaf itself is a
+        non-default placeholder, since its balance is not known here."""
         self._need_cover(account)
         self.ensure_node(0, account)
         pos = (0, account)
         held = self.placeholders.get(pos)
         if held is not None:
+            if held != DEFAULT_DIGESTS[0]:
+                raise PathNotMaterialized(
+                    f"cannot expand non-default placeholder at {pos}"
+                )
             del self.placeholders[pos]
             self.leaves[account] = 0
             self._digests[pos] = held
@@ -321,14 +321,14 @@ class PrunedTree:
         )
         return BalanceProof(account, self.leaves[account], base_height, siblings)
 
-    def merge_proof(self, proof: BalanceProof, prefer_existing: bool = False) -> None:
+    def merge_proof(self, proof: BalanceProof) -> None:
         """Graft a verified proof's path into this tree.
 
         The proof must be sized for this subtree (root_level siblings).
         Everywhere the proof overlaps content already held, digests must
-        agree; with prefer_existing a materialized leaf keeps its (newer)
-        balance instead of raising.  Digests never change here, so caches
-        stay valid and merging the same proof twice is a no-op.
+        agree and a materialized leaf must hold the proof's balance.  Digests
+        never change here, so caches stay valid and merging the same proof
+        twice is a no-op.
         """
         account = proof.account
         self._need_cover(account)
@@ -351,7 +351,7 @@ class PrunedTree:
                     entry_level = level
                     break
         if entry_level is None:
-            if not prefer_existing and self.leaves[account] != proof.balance:
+            if self.leaves[account] != proof.balance:
                 raise ConflictingPlaceholder(
                     f"balance mismatch for materialized account {account}"
                 )

@@ -8,7 +8,6 @@ one constant-size block per round, lagging entry by the pipeline depth.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .ledger import Block, block_hash
@@ -50,10 +49,6 @@ class RpcTopology:
 
     def portion_of(self, account: int) -> int:
         return account >> self.portion_bits
-
-    def portion_range(self, portion: int) -> tuple[int, int]:
-        lo = portion << self.portion_bits
-        return lo, lo + (1 << self.portion_bits)
 
     def spine_positions(self, portion: int) -> tuple[tuple[int, int], ...]:
         """Global (level, index) of every pruned sibling a node storing this
@@ -118,15 +113,15 @@ class LeafRpc:
 
     Each round it receives the newest confirmed transactions touching its
     portion (each carrying verified balance proofs), grafts proofs for
-    addresses it has never materialized, replays its retained window for
-    those fresh paths, applies the round's transfers, and returns the new
-    portion digest.
+    addresses it has never materialized, applies the round's transfers, and
+    returns the new portion digest.  A leaf never prunes an address, so a
+    proof is only grafted for an address no earlier round touched, whose
+    proven balance is therefore still current.
     """
 
     def __init__(self, topology: RpcTopology, portion: int, genesis_entries) -> None:
         self.topology = topology
         self.portion = portion
-        self.range = topology.portion_range(portion)
         self.counters = HashCounter()
         self.tree = build_pruned(
             genesis_entries,
@@ -136,54 +131,30 @@ class LeafRpc:
             counters=self.counters,
         )
         self.last_digest = self.tree.root_hash()
-        # the newest `stages` past inputs, oldest first; replayed only for
-        # freshly grafted paths (whose proofs are based before this window)
-        self.window: deque[tuple] = deque([()] * topology.stages, maxlen=topology.stages)
-        self.failed_rounds = 0
-
-    def in_range(self, account: int) -> bool:
-        lo, hi = self.range
-        return lo <= account < hi
 
     def _advance(self, incoming) -> bytes:
         tree = self.tree
-        fresh: set[int] = set()
         for tx in incoming:
             for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
-                if self.in_range(account) and not tree.has_leaf(account):
-                    sub = replace(proof, siblings=proof.siblings[: tree.root_level])
-                    tree.merge_proof(sub, prefer_existing=True)
-                    fresh.add(account)
-        if fresh:
-            # catch freshly grafted balances up to the present: their proofs
-            # are based before this window (healthy runs: no-op, since any
-            # address touched in-window is already materialized)
-            for past in self.window:
-                for tx in past:
-                    if tx.src in fresh:
-                        tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
-                    if tx.dst in fresh:
-                        tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
+                if tree.covers(account) and not tree.has_leaf(account):
+                    tree.merge_proof(
+                        replace(proof, siblings=proof.siblings[: tree.root_level])
+                    )
         for tx in incoming:
-            if self.in_range(tx.src):
+            if tree.covers(tx.src):
                 tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
-            if self.in_range(tx.dst):
+            if tree.covers(tx.dst):
                 tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
         return tree.root_hash()
 
     def process_round(self, incoming) -> tuple[bytes, bool]:
         """Returns (portion digest, ok). On missing/conflicting proof
         material the round is flagged and the previous digest stands."""
-        ok = True
         try:
-            digest = self._advance(incoming)
+            self.last_digest = self._advance(incoming)
         except (PathNotMaterialized, ConflictingPlaceholder):
-            self.failed_rounds += 1
-            ok = False
-            digest = self.last_digest
-        self.window.append(tuple(incoming))
-        self.last_digest = digest
-        return digest, ok
+            return self.last_digest, False
+        return self.last_digest, True
 
 
 class InnerRpc:

@@ -35,7 +35,6 @@ class StorageNode:
         self.topology = topology
         self.portion = portion
         self.replica = replica
-        self.range = topology.portion_range(portion)
         self.counters = HashCounter()
         tree = PrunedTree(topology.address_bits, counters=self.counters)
         if topology.portion_levels:
@@ -51,8 +50,7 @@ class StorageNode:
         self.latest_block = genesis_block
 
     def in_range(self, account: int) -> bool:
-        lo, hi = self.range
-        return lo <= account < hi
+        return self.topology.portion_of(account) == self.portion
 
     def apply_confirmed(self, txs, frontier, new_block) -> None:
         """Apply one block's worth of relevant transactions plus the frontier
@@ -82,6 +80,10 @@ class StorageNode:
             raise NotStored(f"account {account} outside stored range")
         self.tree.ensure_path(account)
         return self.tree.make_proof(account, self.latest_block.height)
+
+    def balance_of(self, account: int) -> int:
+        """Stored balance of an in-range account (0 if never touched)."""
+        return self.tree.leaves.get(account, 0)
 
     def stored_accounts(self):
         return sorted(self.tree.materialized_accounts())

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,14 +113,30 @@ def test_missing_config_exits_2(tmp_path):
 
 @pytest.mark.parametrize("oracle_enabled", [True, False])
 def test_drop_fault_exits_3(oracle_enabled, tmp_path, capsys):
-    # with the oracle off, the clients' view check is the detector that fires
+    # with the oracle off, the clients' settled-balance check is the detector
+    # that fires; round 7 is the last whose entry settles within 10 rounds
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
-    code = cli.main(
-        ["run", "--config", str(path), "--drop-confirmed-round", "5"]
+    for drop_round in ("5", "7"):
+        code = cli.main(
+            ["run", "--config", str(path), "--drop-confirmed-round", drop_round]
+        )
+        assert code == 3
+        assert "divergence" in capsys.readouterr().err
+
+
+def test_drop_fault_exits_3_under_optimize(tmp_path):
+    # python -O strips asserts: the detectors must not be asserts
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": False}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pipechain.cli", "run", "--config", str(path),
+         "--drop-confirmed-round", "5", "--report", str(tmp_path / "report.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    assert code == 3
-    assert "divergence" in capsys.readouterr().err
+    assert proc.returncode == 3, proc.stderr
+    assert "divergence" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -125,6 +145,10 @@ def test_drop_fault_exits_3(oracle_enabled, tmp_path, capsys):
         ["--expired-injection", "-1"],
         ["--interleave-probe=-1,5"],
         ["--balanced"],  # n_c = 4 does not divide f = 18
+        # 10 rounds, 3 stages: a loss is only detectable in rounds 2..7
+        ["--drop-confirmed-round", "0"],
+        ["--drop-confirmed-round", "8"],
+        ["--drop-confirmed-round", "1"],
     ],
 )
 def test_bad_fault_flags_exit_2(flags, tmp_path, capsys):

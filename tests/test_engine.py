@@ -86,6 +86,11 @@ def test_run_matches_oracle_every_round():
     assert all(row["oracle"] == "match" for row in result.reports)
 
 
+def _cc_accepted(row) -> int:
+    """Transfers the confirmation committees accepted in one report row."""
+    return sum(e["accepted"] for e in row["per_committee"] if e["id"].startswith("cc-"))
+
+
 def test_supply_conserved_and_latency_exact():
     sim = Simulation(_config(rounds=20))
     result = sim.run()
@@ -93,11 +98,12 @@ def test_supply_conserved_and_latency_exact():
     assert supply["min"] == supply["max"] == supply["initial"]
     latency = result.summary["latency"]
     assert latency["violations"] == 0
-    # blocks for the last stages-1 entry rounds emit after the run ends
+    # round r accepts entry round r; blocks for the last stages-1 entry
+    # rounds emit after the run ends
     settled = sum(
-        count
-        for entry, count in sim.accepted_counts.items()
-        if entry + sim.stages - 1 <= 20
+        _cc_accepted(row)
+        for row in result.reports
+        if row["round"] + sim.stages - 1 <= 20
     )
     assert latency["checked"] == settled > 0
 
@@ -197,6 +203,9 @@ def test_drop_fault_diverges_at_emission():
     assert result.summary["fatal"] == f"oracle divergence at height {expected_height}"
     assert result.reports[-1]["oracle"] == "mismatch"
     assert all(row["oracle"] == "match" for row in result.reports[:-1])
+    # the diverged block carries entry round 5: its transfers broke the law
+    dropped_entry = _cc_accepted(result.reports[drop_round - 1])
+    assert result.summary["latency"]["violations"] == dropped_entry > 0
 
 
 def test_interleave_probe_matches():
@@ -259,7 +268,7 @@ GOLDEN_REPORTS = [
     (
         {},
         dict(drop_confirmed_round=5),
-        "5582a61459ebf90fba137b63303e07c5b44745780f9a54a4f282a84993604871",
+        "69774464440414441f4bc377101996b0593311609d4d7f04b32b90a515dcb758",
     ),
 ]
 

@@ -167,8 +167,8 @@ def test_scoped_tree_matches_global_subtree():
     entries = [(i, i + 1) for i in range(8, 16)]
     whole = build_pruned([(2, 77)] + entries, 6)
     scoped = build_pruned(entries, 6, root_level=3, root_index=1)
-    assert scoped.account_range() == (8, 16)
-    assert scoped.covers(8) and not scoped.covers(16)
+    assert scoped.covers(8) and scoped.covers(15)
+    assert not scoped.covers(7) and not scoped.covers(16)
     assert scoped.root_hash() == whole.digest_at(3, 1)
     with pytest.raises(NotStored):
         build_pruned([(2, 77)], 6, root_level=3, root_index=1)  # out of range
@@ -229,7 +229,6 @@ def test_merge_balance_conflict():
     stale = replace(proof, balance=10)
     with pytest.raises(ConflictingPlaceholder):
         tree.merge_proof(stale)
-    tree.merge_proof(stale, prefer_existing=True)  # tolerated, existing wins
     assert tree.balance_of(1) == 55
 
 
@@ -270,6 +269,21 @@ def test_ensure_node_stops_at_foreign_placeholder():
     tree.set_placeholder(4, 0, bytes(32))
     with pytest.raises(PathNotMaterialized):
         tree.ensure_node(3, 0)  # cannot expand an unknown digest
+
+
+def test_ensure_path_stops_at_foreign_leaf_placeholder():
+    source = build_pruned([(2, 10), (3, 7)], 4)
+    tree = PrunedTree(4)
+    tree.set_placeholder(4, 0, source.root_hash())
+    tree.merge_proof(source.make_proof(2, base_height=1))
+    # leaf 3 is now a placeholder holding leaf_hash(3, 7): its balance is
+    # unknown here, so it must not be materialized as 0
+    snapshot = tree.structure()
+    with pytest.raises(PathNotMaterialized):
+        tree.ensure_path(3)
+    assert tree.structure() == snapshot
+    with pytest.raises(NotStored):
+        tree.balance_of(3)
 
 
 def test_update_work_is_path_bounded():

@@ -14,8 +14,9 @@ def _world(balances, address_bits=5, leaf_count=2):
     genesis = Block(0, GENESIS_PREV_HASH, tree.root_hash())
     nodes = {}
     for portion in range(leaf_count):
-        lo, hi = topo.portion_range(portion)
-        entries = [(a, b) for a, b in sorted(balances.items()) if lo <= a < hi]
+        entries = [
+            (a, b) for a, b in sorted(balances.items()) if topo.portion_of(a) == portion
+        ]
         spine = [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(portion)]
         nodes[portion] = StorageNode(topo, portion, 0, entries, spine, genesis)
     return topo, tree, genesis, nodes
