@@ -19,7 +19,6 @@ from .ledger import (
     transaction_id,
 )
 from .merkle import (
-    DIGEST_BYTES,
     BalanceProof,
     ConflictingPlaceholder,
     HashCounter,
@@ -56,7 +55,6 @@ __all__ = [
     "CommitteeRoundStats",
     "ConfirmationCommittee",
     "ConflictingPlaceholder",
-    "DIGEST_BYTES",
     "GENESIS_PREV_HASH",
     "HashCounter",
     "InnerRpc",

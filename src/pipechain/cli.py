@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 from .engine import SimConfig, Simulation, report_lines
@@ -99,6 +100,17 @@ def _cmd_dimension(args) -> int:
     return EXIT_OK
 
 
+def _open_output(path):
+    """The stream to write to: stdout, or path opened up front so that an
+    unwritable path is a config error before anything is simulated."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_probe(text: str) -> tuple[int, int]:
     try:
         rounds, per_round = (int(part) for part in text.split(","))
@@ -123,15 +135,10 @@ def _run_simulation(args, *, audit: bool) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = sim.run()
-    lines = report_lines(result)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
+    with _open_output(args.report) as handle:
+        result = sim.run()
+        for line in report_lines(result):
+            handle.write(line + "\n")
     summary = result.summary
     print(
         f"rounds={summary['rounds_run']}/{cfg.rounds}"
@@ -175,36 +182,27 @@ def _cmd_scale(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        runs = scale_experiment(cfg, alphas, progress=progress)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    rows = [
-        {
-            "alpha": run.alpha,
-            "n_c": run.cc_count,
-            "leaf_rpcs": run.leaf_rpcs,
-            "inner_rpcs": run.inner_rpcs,
-            "q": run.stages,
-            "peak_cc_tx": run.peak_cc_tx,
-            "peak_rpc_hashes": run.peak_rpc_hashes,
-            "peak_msgs": run.peak_msgs,
-            "verdict": "well-provisioned" if run.well_provisioned else "overloaded",
-        }
-        for run in runs
-    ]
-    if args.csv:
-        handle = open(args.csv, "w", encoding="utf-8", newline="")
-    else:
-        handle = sys.stdout
-    try:
+    with _open_output(args.csv) as handle:
+        try:
+            runs = scale_experiment(cfg, alphas, progress=progress)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         writer = csv.DictWriter(handle, fieldnames=SCALE_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            handle.close()
+        writer.writerows(
+            {
+                "alpha": run.alpha,
+                "n_c": run.cc_count,
+                "leaf_rpcs": run.leaf_rpcs,
+                "inner_rpcs": run.inner_rpcs,
+                "q": run.stages,
+                "peak_cc_tx": run.peak_cc_tx,
+                "peak_rpc_hashes": run.peak_rpc_hashes,
+                "peak_msgs": run.peak_msgs,
+                "verdict": "well-provisioned" if run.well_provisioned else "overloaded",
+            }
+            for run in runs
+        )
     return (
         EXIT_OK
         if all(run.well_provisioned for run in runs)

@@ -40,9 +40,6 @@ def roll_forward_balance(account: int, base_balance: int, window) -> int:
 class CommitteeRoundStats:
     received: int = 0
     accepted: int = 0
-    discarded_syntax: int = 0
-    discarded_duplicate: int = 0
-    discarded_rule: int = 0
     proof_disagreements: int = 0
     hashes: int = 0
     discard_reasons: dict = field(default_factory=dict)
@@ -76,9 +73,6 @@ class ConfirmationCommittee:
             stats.hashes += folds * proof_cost
             if reason is None and tx.txid in seen:
                 reason = "duplicate"
-                stats.discarded_duplicate += 1
-            elif reason is not None:
-                stats.discarded_syntax += 1
             if reason is not None:
                 stats.discard_reasons[reason] = stats.discard_reasons.get(reason, 0) + 1
                 discards.append((tx, reason))
@@ -111,7 +105,6 @@ class ConfirmationCommittee:
                 running[tx.dst] += tx.amount
                 accepted.append(tx)
             else:
-                stats.discarded_rule += 1
                 stats.discard_reasons["insufficient"] = (
                     stats.discard_reasons.get("insufficient", 0) + 1
                 )

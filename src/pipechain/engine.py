@@ -74,6 +74,9 @@ class SimConfig:
         # each round's f transfers touch up to 2f distinct accounts
         if 2 * self.f > (1 << self.address_bits):
             raise ValueError("2 * f exceeds the address space")
+        # balances hash as 8-byte fields, and one account may end up with all
+        if self.initial_accounts * self.initial_balance > 2**64 - 1:
+            raise ValueError("total supply exceeds 2**64 - 1")
         if not isinstance(self.oracle_enabled, bool):
             raise ValueError("oracle_enabled must be a boolean")
         return self
@@ -180,6 +183,8 @@ class Simulation:
             raise ValueError("expired_injection_rate must be >= 0")
         if interleave_probe and min(interleave_probe) < 0:
             raise ValueError("interleave_probe counts must be >= 0")
+        if interleave_probe and not cfg.oracle_enabled:
+            raise ValueError("interleave_probe needs the oracle")
         self.config = cfg
         self.balanced_workload = balanced_workload
         self.audit_proofs = audit_proofs
@@ -286,7 +291,7 @@ class Simulation:
 
         self._probe_rounds: set[int] = set()
         self._probe_per_round = 0
-        if interleave_probe and cfg.oracle_enabled:
+        if interleave_probe:
             count, per_round = interleave_probe
             rng = random.Random(f"{cfg.seed}:probe")
             candidates = range(2, cfg.rounds + 1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .merkle import BalanceProof, verify_proof
 
@@ -42,16 +42,6 @@ class Transaction:
                 transaction_id(self.src, self.dst, self.amount, self.entry_round, self.nonce),
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "amount": self.amount,
-            "entry_round": self.entry_round,
-            "nonce": self.nonce,
-            "id": self.txid.hex(),
-        }
-
 
 @dataclass(frozen=True)
 class AcceptedSeq:
@@ -72,13 +62,6 @@ class Block:
 
     def to_bytes(self) -> bytes:
         return self.height.to_bytes(8, "big") + self.prev_hash + self.state_root
-
-    def to_json_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "prev_hash": self.prev_hash.hex(),
-            "state_root": self.state_root.hex(),
-        }
 
 
 def block_hash(block: Block) -> bytes:

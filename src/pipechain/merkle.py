@@ -17,9 +17,6 @@ import hashlib
 from dataclasses import dataclass, replace
 
 
-DIGEST_BYTES = 32
-
-
 class MerkleError(Exception):
     pass
 
@@ -168,9 +165,6 @@ class PrunedTree:
         except KeyError:
             raise NotStored(f"account {account} not materialized") from None
 
-    def materialized_accounts(self):
-        return self.leaves.keys()
-
     def structure(self):
         """Canonical content snapshot (ignores the digest cache)."""
         return (
@@ -227,6 +221,20 @@ class PrunedTree:
 
     def root_hash(self) -> bytes:
         return self._digest(self.root_level, self.root_index)
+
+    def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
+        """Re-fold the tree from its leaf balances and placeholders without
+        the digest cache, charging a throwaway counter.  Returns the re-folded
+        root and the positions whose cached digest disagrees with it."""
+        fresh = PrunedTree.__new__(PrunedTree)
+        # the same leaves, inner and placeholders maps; a fresh cache
+        vars(fresh).update(vars(self), counters=HashCounter(), _digests={})
+        root = fresh.root_hash()
+        stale = [
+            pos for pos, digest in self._digests.items()
+            if fresh._digests.get(pos) != digest
+        ]
+        return root, sorted(stale)
 
     def _invalidate_path(self, account: int) -> None:
         pop = self._digests.pop

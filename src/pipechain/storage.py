@@ -8,14 +8,7 @@ checks its recomputed root against the block it just received.
 
 from __future__ import annotations
 
-from .merkle import (
-    BalanceProof,
-    HashCounter,
-    NotStored,
-    PrunedTree,
-    leaf_digest,
-    node_hash,
-)
+from .merkle import BalanceProof, HashCounter, NotStored, PrunedTree
 
 
 class StateDivergence(Exception):
@@ -86,25 +79,15 @@ class StorageNode:
         return self.tree.leaves.get(account, 0)
 
     def stored_accounts(self):
-        return sorted(self.tree.materialized_accounts())
+        return sorted(self.tree.leaves)
 
     def audit_stored(self) -> tuple[int, int]:
-        """Re-derive every stored account's proof chain against the newest
-        block root; returns (checked, failed).  Same math as serve_proof +
-        verify_proof, folded in place."""
-        tree = self.tree
-        root = self.latest_block.state_root
-        digest_at = tree.digest_at
-        checked = failed = 0
-        for account in self.stored_accounts():
-            digest = leaf_digest(account, tree.balance_of(account))
-            for level in range(tree.root_level):
-                sibling = digest_at(level, (account >> level) ^ 1)
-                if (account >> level) & 1:
-                    digest = node_hash(sibling, digest)
-                else:
-                    digest = node_hash(digest, sibling)
-            checked += 1
-            if digest != root:
-                failed += 1
-        return checked, failed
+        """Re-fold the stored tree without its digest cache and check it
+        against the cache and the newest block root; returns (checked,
+        failed).  Every stored account is checked, and all of them fail
+        when any cached digest or the root disagrees.  No counter is
+        charged."""
+        root, stale = self.tree.refold()
+        checked = len(self.tree.leaves)
+        ok = not stale and root == self.latest_block.state_root
+        return checked, 0 if ok else checked

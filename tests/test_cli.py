@@ -158,6 +158,23 @@ def test_bad_fault_flags_exit_2(flags, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("run", "--report"), ("verify", "--report"), ("scale", "--csv")]
+)
+def test_unwritable_output_exits_2_before_running(
+    command, flag, config_path, tmp_path, monkeypatch, capsys
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated before the output was opened")
+
+    monkeypatch.setattr(cli.Simulation, "run", must_not_run)
+    monkeypatch.setattr(cli, "scale_experiment", must_not_run)
+    missing = tmp_path / "missing" / "out"
+    argv = [command, "--config", config_path, flag, str(missing)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 def test_seed_env_overrides_flag(config_path, monkeypatch, capsys):
     cli.main(["run", "--config", config_path, "--seed", "3"])
     with_flag = capsys.readouterr().out

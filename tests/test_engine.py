@@ -63,6 +63,15 @@ def test_config_rejects_bad_types_and_values():
             {**base, "address_bits": 3, "f": 8, "n_c": 1, "leaf_count": 1,
              "initial_accounts": 8}
         )
+    with pytest.raises(ValueError, match="total supply"):
+        # balances hash as 8-byte fields
+        SimConfig.from_mapping({**base, "initial_accounts": 1, "initial_balance": 2**64})
+    with pytest.raises(ValueError, match="total supply"):
+        # each balance fits, but one account can come to hold all four
+        SimConfig.from_mapping(
+            {**base, "address_bits": 3, "f": 2, "n_c": 1, "leaf_count": 2,
+             "initial_accounts": 4, "initial_balance": 2**63, "rounds": 200}
+        )
 
 
 def test_genesis_agrees_with_brute_force():
@@ -229,6 +238,9 @@ def test_oracle_disabled_still_runs():
     assert result.summary["oracle"]["enabled"] is False
     assert all(row["oracle"] == "n/a" for row in result.reports)
     assert all(row["supply"] is None for row in result.reports)
+    # the interleave probe replays the oracle, so it cannot run without one
+    with pytest.raises(ValueError, match="oracle"):
+        Simulation(_config(oracle_enabled=False), interleave_probe=(4, 5))
 
 
 def test_summary_peaks_are_maxima():

@@ -311,6 +311,18 @@ def test_cached_root_costs_nothing():
     assert counters.total() == before
 
 
+def test_refold_reports_stale_cached_digests():
+    counters = HashCounter()
+    tree = build_pruned([(5, 10), (9, 4)], 6, counters=counters)
+    root = tree.root_hash()
+    before = counters.total()
+    assert tree.refold() == (root, [])
+    assert counters.total() == before  # the re-fold charges a throwaway counter
+    tree._digests[(2, 1)] = bytes(32)  # an inner node on account 5's path
+    tree._digests[(0, 9)] = leaf_hash(9, 5)
+    assert tree.refold() == (root, [(0, 9), (2, 1)])
+
+
 def test_copy_is_independent():
     tree = build_pruned([(5, 10)], 4)
     dup = tree.copy()

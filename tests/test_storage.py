@@ -3,7 +3,7 @@
 import pytest
 
 from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
-from pipechain.merkle import NotStored, build_pruned, verify_proof
+from pipechain.merkle import NotStored, build_pruned, leaf_hash, verify_proof
 from pipechain.pipeline import build_topology
 from pipechain.storage import StateDivergence, StorageNode
 
@@ -113,10 +113,27 @@ def test_replicas_identical():
 
 def test_audit_stored():
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
-    checked, failed = nodes[0].audit_stored()
+    node = nodes[0]
+    cache, hashes = dict(node.tree._digests), node.counters.total()
+    checked, failed = node.audit_stored()
     assert failed == 0
-    assert checked == len(nodes[0].stored_accounts())
-    assert set(nodes[0].stored_accounts()) == {3, 4}
+    assert checked == len(node.stored_accounts())
+    assert set(node.stored_accounts()) == {3, 4}
+    # the audit is a read: no hash is charged and the cache is as it was
+    assert node.counters.total() == hashes
+    assert node.tree._digests == cache
+    # a tree that does not fold to the newest block's root fails every account
+    node.latest_block = Block(1, block_hash(genesis), bytes(32))
+    assert node.audit_stored() == (2, 2)
+
+
+def test_audit_detects_corrupt_cached_digest():
+    topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
+    node = nodes[0]
+    # leaf 2 is a placeholder, so no served proof of a stored account reads
+    # leaf 3's cached digest; the balances stay as they are
+    node.tree._digests[(0, 3)] = leaf_hash(3, 51)
+    assert node.audit_stored() == (2, 2)
 
 
 def test_single_portion_storage_has_no_spine():
