@@ -12,6 +12,7 @@ cross-committee data crosses the round boundary through the outbox.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from functools import cache
@@ -273,6 +274,9 @@ class Simulation:
 
         # -- clients and oracle --------------------------------------------
         self.client_view = dict(genesis_entries)
+        # the view's accounts with a positive balance, ascending; kept up to
+        # date by _update_funded as entries settle
+        self.funded = [a for a in sorted(self.client_view) if self.client_view[a] > 0]
         self.oracle = (
             LedgerOracle(cfg.address_bits, dict(genesis_entries))
             if cfg.oracle_enabled
@@ -570,11 +574,12 @@ class Simulation:
         for tx in settled:
             view[tx.src] = view.get(tx.src, 0) - tx.amount
             view[tx.dst] = view.get(tx.dst, 0) + tx.amount
+        self._update_funded(a for tx in settled for a in (tx.src, tx.dst))
         self._check_settled(settled)
         if round_index == self.config.rounds:
             return False
         entry_round = round_index + 1
-        funded = [a for a in sorted(view) if view[a] > 0]
+        funded = self.funded
         submissions, truncated = self._generate_workload(entry_round, funded, meters)
         if self.expired_injection_rate and round_index >= 3:
             submissions.extend(
@@ -584,6 +589,19 @@ class Simulation:
             self._send(("cc", self._committee_of(tx.src)), tx)
         self.summary["workload_truncated_rounds"] += truncated
         return truncated
+
+    def _update_funded(self, accounts) -> None:
+        """Insert or drop each account whose balance in the view crossed zero."""
+        funded = self.funded
+        view = self.client_view
+        for account in accounts:
+            at = bisect_left(funded, account)
+            listed = at < len(funded) and funded[at] == account
+            if view[account] > 0:
+                if not listed:
+                    funded.insert(at, account)
+            elif listed:
+                del funded[at]
 
     def _check_settled(self, txs) -> None:
         """Storage applied the settled entry this round: every account it

@@ -14,7 +14,7 @@ a tree may be scoped to the subtree rooted at any such position.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class MerkleError(Exception):
@@ -174,18 +174,6 @@ class PrunedTree:
             tuple(sorted(self.inner)),
             tuple(sorted(self.placeholders.items())),
         )
-
-    def copy(self) -> "PrunedTree":
-        dup = PrunedTree.__new__(PrunedTree)
-        dup.address_bits = self.address_bits
-        dup.root_level = self.root_level
-        dup.root_index = self.root_index
-        dup.counters = replace(self.counters)
-        dup.leaves = dict(self.leaves)
-        dup.inner = set(self.inner)
-        dup.placeholders = dict(self.placeholders)
-        dup._digests = dict(self._digests)
-        return dup
 
     # -- digests ------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Independent full-state replayer used to cross-check every emitted block.
 
 Deliberately shares no tree machinery with the pipeline it checks: balances
-live in a plain map and digests in a flat heap-indexed array over the whole
-address space, rehashed only along changed root paths.
+live in a plain map and digests in a map from heap index (root 1, children of
+i at 2i and 2i + 1, leaves from 2**address_bits) to digest, rehashed only
+along changed root paths. The map holds only the positions a rehash has
+written; every other position is the all-zero subtree of its level, so memory
+grows with the accounts touched times address_bits, not with 2**address_bits.
 """
 
 from __future__ import annotations
@@ -36,11 +39,7 @@ class LedgerOracle:
                 raise ValueError(f"account {account} out of range")
             if balance < 0:
                 raise ValueError(f"negative initial balance for {account}")
-        heap: list[bytes] = [b""] * (1 << (address_bits + 1))
-        for level in range(address_bits + 1):
-            start = 1 << (address_bits - level)
-            heap[start : start * 2] = [DEFAULT_DIGESTS[level]] * start
-        self.heap = heap
+        self.heap: dict[int, bytes] = {}
         if self.balances:
             self._rehash(self.balances.keys())
 
@@ -51,16 +50,21 @@ class LedgerOracle:
         for account in accounts:
             heap[base + account] = leaf_digest(account, self.balances.get(account, 0))
             nodes.add((base + account) >> 1)
+        level = 0
         while nodes:
+            default = DEFAULT_DIGESTS[level]  # children of this pass sit at `level`
             parents = set()
             for i in nodes:
-                heap[i] = node_hash(heap[2 * i], heap[2 * i + 1])
+                heap[i] = node_hash(
+                    heap.get(2 * i, default), heap.get(2 * i + 1, default)
+                )
                 if i > 1:
                     parents.add(i >> 1)
             nodes = parents
+            level += 1
 
     def root(self) -> bytes:
-        return self.heap[1]
+        return self.heap.get(1, DEFAULT_DIGESTS[self.address_bits])
 
     def balance(self, account: int) -> int:
         return self.balances.get(account, 0)
@@ -85,15 +89,16 @@ class LedgerOracle:
         if pending:
             balances.update(pending)
             self._rehash(pending.keys())
-        return self.heap[1]
+        return self.root()
 
     def total_supply(self) -> int:
         return sum(self.balances.values())
 
     def fork(self) -> "LedgerOracle":
-        """Independent copy sharing no mutable state (digest bytes shared)."""
+        """Independent copy: the balance and digest maps are copied (their
+        size grows with the accounts touched), the digest bytes are shared."""
         dup = LedgerOracle.__new__(LedgerOracle)
         dup.address_bits = self.address_bits
         dup.balances = dict(self.balances)
-        dup.heap = list(self.heap)
+        dup.heap = dict(self.heap)
         return dup

@@ -269,6 +269,13 @@ def test_acceptance_report_bytes_pinned(default_runs):
     )
 
 
+def test_oracle_matches_at_widest_address_space():
+    # the oracle's memory follows the accounts touched, so A=40 runs with it on
+    result = Simulation(replace(ACCEPTANCE_CONFIG, address_bits=40, rounds=10)).run()
+    assert result.ok
+    assert result.summary["oracle"] == {"enabled": True, "matches": 10, "mismatches": 0}
+
+
 def test_criterion_09_interleave_independence(capsys):
     result = Simulation(ACCEPTANCE_CONFIG, interleave_probe=(50, 5)).run()
     probe = result.summary["interleave"]

@@ -323,15 +323,6 @@ def test_refold_reports_stale_cached_digests():
     assert tree.refold() == (root, [(0, 9), (2, 1)])
 
 
-def test_copy_is_independent():
-    tree = build_pruned([(5, 10)], 4)
-    dup = tree.copy()
-    dup.apply_update(5, 11)
-    assert tree.balance_of(5) == 10
-    assert dup.balance_of(5) == 11
-    assert tree.root_hash() != dup.root_hash()
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.dictionaries(

@@ -1,11 +1,14 @@
 """Reference ledger: brute-force roots, sequential application, forking."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pipechain
 from pipechain.ledger import Transaction
 from pipechain.merkle import build_pruned, default_digests
 from pipechain.oracle import LedgerOracle, NonNegativityViolation, full_tree_root
@@ -97,3 +100,72 @@ def test_root_always_matches_brute_force(transfers):
         balances[tx.dst] = balances.get(tx.dst, 0) + tx.amount
     assert root == full_tree_root(balances, 5)
     assert oracle.total_supply() == 800
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_root_matches_brute_force_and_forks_are_independent(data):
+    bits = data.draw(st.integers(min_value=1, max_value=8), label="address_bits")
+    last = (1 << bits) - 1
+    # the edges of the address space get drawn as often as everything else
+    position = st.one_of(st.just(0), st.just(last), st.integers(0, last))
+    genesis = data.draw(
+        st.dictionaries(position, st.integers(min_value=1, max_value=10**6), max_size=8),
+        label="balances",
+    )
+    oracle = LedgerOracle(bits, genesis)
+    model = dict(genesis)
+    assert oracle.root() == full_tree_root(model, bits)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="sequences")):
+        after = dict(model)
+        txs = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            funded = sorted(a for a, balance in after.items() if balance > 0)
+            if not funded:
+                break
+            src = data.draw(st.sampled_from(funded))
+            dst = data.draw(position)
+            if dst == src:
+                continue
+            # draining the whole balance returns the leaf to the default digest
+            amount = data.draw(st.one_of(st.just(after[src]), st.integers(1, after[src])))
+            txs.append(_tx(src, dst, amount))
+            after[src] -= amount
+            after[dst] = after.get(dst, 0) + amount
+        root_before, balances_before = oracle.root(), dict(oracle.balances)
+        fork_root = oracle.fork().apply_sequence(txs)
+        assert oracle.root() == root_before
+        assert oracle.balances == balances_before
+        assert oracle.apply_sequence(txs) == fork_root == full_tree_root(after, bits)
+        assert oracle.root() == fork_root
+        assert oracle.total_supply() == sum(genesis.values())
+        model = after
+
+
+def test_oracle_runs_at_widest_address_space():
+    bits = 40
+    last = (1 << bits) - 1
+    oracle = LedgerOracle(bits, {0: 500, 1 << 39: 300, last: 200})
+    oracle.apply_sequence(
+        [_tx(0, 12345, 500), _tx(last, 0, 50), _tx(1 << 39, last - 1, 300)]
+    )
+    live = sorted((a, b) for a, b in oracle.balances.items() if b > 0)
+    assert oracle.root() == build_pruned(live, bits).root_hash()
+    # one leaf and one digest per level for each account ever touched
+    assert len(oracle.heap) <= len(oracle.balances) * (bits + 1)
+
+
+def test_oracle_imports_only_digest_primitives():
+    # the oracle checks the tree code, so it must not share it
+    path = Path(pipechain.__file__).parent / "oracle.py"
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] == "pipechain":
+                names = sorted(a.name for a in node.names)
+                imports.append((node.level, node.module, names))
+        elif isinstance(node, ast.Import):
+            imports.extend(
+                (0, a.name, []) for a in node.names if a.name.split(".")[0] == "pipechain"
+            )
+    assert imports == [(1, "merkle", ["DEFAULT_DIGESTS", "leaf_digest", "node_hash"])]
