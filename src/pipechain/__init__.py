@@ -15,7 +15,6 @@ from .ledger import (
     Transaction,
     block_hash,
     cc_index,
-    syntactic_check,
     transaction_id,
 )
 from .merkle import (
@@ -27,13 +26,14 @@ from .merkle import (
     PathNotMaterialized,
     PrunedTree,
     build_pruned,
-    default_digests,
     leaf_hash,
     node_hash,
     verify_proof,
 )
 from .oracle import LedgerOracle, NonNegativityViolation, full_tree_root
-from .pipeline import InnerRpc, LeafRpc, RpcTopology, build_topology, fold_digests
+from .pipeline import (
+    InnerRpc, LeafRpc, PipelineFault, RpcTopology, build_topology, fold_digests
+)
 from .provisioning import (
     Provisioning,
     ScaleRun,
@@ -64,6 +64,7 @@ __all__ = [
     "NonNegativityViolation",
     "NotStored",
     "PathNotMaterialized",
+    "PipelineFault",
     "Provisioning",
     "PrunedTree",
     "RpcTopology",
@@ -78,7 +79,6 @@ __all__ = [
     "build_pruned",
     "build_topology",
     "cc_index",
-    "default_digests",
     "fold_capacity",
     "fold_digests",
     "fold_levels",
@@ -91,7 +91,6 @@ __all__ = [
     "report_lines",
     "roll_forward_balance",
     "scale_experiment",
-    "syntactic_check",
     "transaction_id",
     "verify_proof",
 ]

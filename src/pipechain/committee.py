@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .ledger import AcceptedSeq, Transaction, syntactic_failure
+from .ledger import Transaction, syntactic_failure
 
 
 def order_canonically(txs) -> list[Transaction]:
@@ -59,9 +59,9 @@ class ConfirmationCommittee:
     def confirm_round(self, incoming, round_index: int, history):
         """One confirmation round over the submissions routed here.
 
-        Returns (accepted sequence, [(tx, reason) discards], stats).  The
-        committee processes everything it receives; capacity is accounted
-        for by the metrics layer, never enforced here.
+        Returns (the accepted transfers in order, [(tx, reason) discards],
+        stats).  The committee processes everything it receives; capacity is
+        accounted for by the metrics layer, never enforced here.
         """
         stats = CommitteeRoundStats(received=len(incoming))
         proof_cost = self.address_bits + 1
@@ -111,5 +111,6 @@ class ConfirmationCommittee:
                 discards.append((tx, "insufficient"))
 
         stats.accepted = len(accepted)
-        self.window.append(tuple(accepted))
-        return AcceptedSeq(self.index, round_index, tuple(accepted)), discards, stats
+        output = tuple(accepted)
+        self.window.append(output)
+        return output, discards, stats

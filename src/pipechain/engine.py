@@ -28,7 +28,9 @@ from .ledger import (
 )
 from .merkle import build_pruned, verify_proof
 from .oracle import LedgerOracle, NonNegativityViolation
-from .pipeline import InnerRpc, LeafRpc, build_topology, fold_digests, next_block
+from .pipeline import (
+    InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
+)
 from .storage import StateDivergence, StorageNode
 
 # served proofs re-verified end to end per storage node and audited round
@@ -457,6 +459,9 @@ class Simulation:
             except NonNegativityViolation as exc:
                 summary["fatal"] = f"non-negativity violation: {exc}"
                 break
+            except PipelineFault as exc:
+                summary["fatal"] = f"pipeline fault: {exc}"
+                break
             summary["rounds_run"] += 1
             reports.append(row)
             if row["oracle"] == "mismatch":
@@ -631,7 +636,7 @@ class Simulation:
             incoming = [
                 msg for msg in inbox.get(cid, ()) if isinstance(msg, Transaction)
             ]
-            seq, discards, stats = committee.confirm_round(
+            accepted, discards, stats = committee.confirm_round(
                 incoming, round_index, self.history
             )
             meter = meters[cid]
@@ -644,7 +649,7 @@ class Simulation:
             totals["proof_disagreements"] += stats.proof_disagreements
             totals["discard_reasons"].update(stats.discard_reasons)
             totals["peaks"]["cc_tx"] = max(totals["peaks"]["cc_tx"], stats.received)
-            confirmed.append(seq.txs)
+            confirmed.append(accepted)
             round_discards.extend(discards)
             self.injected_outcomes.update(
                 reason for tx, reason in discards if tx.txid in self.injected_ids

@@ -44,15 +44,6 @@ class Transaction:
 
 
 @dataclass(frozen=True)
-class AcceptedSeq:
-    """One committee's confirmed, ordered output for one entry round."""
-
-    committee: int
-    round_index: int
-    txs: tuple[Transaction, ...]
-
-
-@dataclass(frozen=True)
 class Block:
     """Constant-size block: 8-byte height plus two digests (72 bytes)."""
 
@@ -87,15 +78,6 @@ class BlockHistory:
     def get(self, height: int) -> Block | None:
         return self._blocks.get(height)
 
-    def heights(self) -> tuple[int, ...]:
-        return tuple(sorted(self._blocks))
-
-    def newest(self) -> Block:
-        return self._blocks[max(self._blocks)]
-
-    def __contains__(self, height: int) -> bool:
-        return height in self._blocks
-
 
 def cc_index(src: int, committee_count: int) -> int:
     """Confirmation committee responsible for a source account."""
@@ -126,7 +108,3 @@ def syntactic_failure(tx: Transaction, round_index: int, history: BlockHistory):
         if not verify_proof(proof, base.state_root):
             return "bad_proof", folds
     return None, folds
-
-
-def syntactic_check(tx: Transaction, round_index: int, history: BlockHistory) -> bool:
-    return syntactic_failure(tx, round_index, history)[0] is None

@@ -4,11 +4,15 @@ Global state is a complete binary tree whose 2**address_bits leaves hold
 account balances.  Trees here are *pruned*: only the root paths of accounts
 of interest are materialized, and every pruned sibling is a placeholder
 carrying the digest of the missing subtree.  All-zero subtrees share one
-well-known digest per level, so an empty tree costs nothing and untouched
-addresses still have provable (zero) balances.
+well-known digest per level, so an empty tree costs nothing, untouched
+addresses still have provable (zero) balances and a default placeholder
+needs no storage.
 
-Node coordinates are global ``(level, index)`` pairs with leaves at level 0;
-a tree may be scoped to the subtree rooted at any such position.
+Positions are global ``(level, index)`` pairs with leaves at level 0; a tree
+may be scoped to the subtree rooted at any such position.  Inside a tree a
+node is keyed by its heap index ``(1 << (address_bits - level)) + index``
+(root 1, children of k at 2k and 2k + 1), so every key at a level is larger
+than every key at the levels above it.
 """
 
 from __future__ import annotations
@@ -45,32 +49,21 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(b"N" + left + right).digest()
 
 
-class _DefaultDigests:
-    """Digests of all-zero subtrees, one per level, grown on demand.
+def _all_zero_digests(levels: int) -> tuple[bytes, ...]:
+    """Digests of all-zero subtrees, one per level 0..levels.
 
     Level 0 is the canonical zero leaf.  Zero balances always hash as
     leaf_hash(0, 0) regardless of position, which keeps this table
     position-independent and lets empty subtrees at equal height share
     a digest.
     """
-
-    def __init__(self) -> None:
-        self._levels = [leaf_hash(0, 0)]
-
-    def __getitem__(self, level: int) -> bytes:
-        levels = self._levels
-        while len(levels) <= level:
-            top = levels[-1]
-            levels.append(node_hash(top, top))
-        return levels[level]
+    table = [leaf_hash(0, 0)]
+    while len(table) <= levels:
+        table.append(node_hash(table[-1], table[-1]))
+    return tuple(table)
 
 
-DEFAULT_DIGESTS = _DefaultDigests()
-
-
-def default_digests(address_bits: int) -> tuple[bytes, ...]:
-    """The all-zero-subtree digest for every level 0..address_bits."""
-    return tuple(DEFAULT_DIGESTS[level] for level in range(address_bits + 1))
+DEFAULT_DIGESTS = _all_zero_digests(64)  # accounts are 8-byte integers
 
 
 def leaf_digest(account: int, balance: int) -> bytes:
@@ -116,13 +109,19 @@ def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
 class PrunedTree:
     """Pruned view of the balance tree, optionally scoped to one subtree.
 
-    The tree rooted at ``(root_level, root_index)`` covers accounts
-    ``[root_index << root_level, (root_index + 1) << root_level)``.
-    Materialized internal nodes always have both children present; a
-    placeholder has no descendants.  Digests are cached per node and
-    invalidated along the root path on every balance change, so a
-    root_hash() after n updates costs at most n * root_level internal
-    hashes.
+    The tree's top ``(root_level, root_index)`` covers accounts
+    ``[root_index << root_level, (root_index + 1) << root_level)``.  A node
+    is *materialized* exactly when its heap key is in the digest map, which
+    holds one digest per materialized leaf or internal node; ``leaves`` holds
+    the balances of the materialized leaves.  The top and every child of a
+    materialized node are *present*; a present node that is not materialized
+    is a placeholder.  Only non-default placeholder digests are stored: a
+    placeholder without an entry holds its level's all-zero digest.
+
+    A balance change marks its leaf stale and a placeholder change marks its
+    parent stale.  root_hash(), make_proof() and digest_at() first rehash
+    every stale node and each ancestor once, bottom-up, so a root after n
+    updates costs at most n * (root_level + 1) hashes.
     """
 
     def __init__(
@@ -132,8 +131,8 @@ class PrunedTree:
         root_index: int = 0,
         counters: HashCounter | None = None,
     ) -> None:
-        if address_bits < 1:
-            raise ValueError("address_bits must be >= 1")
+        if not 0 < address_bits < len(DEFAULT_DIGESTS):
+            raise ValueError(f"address_bits must be in 1..{len(DEFAULT_DIGESTS) - 1}")
         if root_level is None:
             root_level = address_bits
         if not 0 < root_level <= address_bits:
@@ -145,11 +144,11 @@ class PrunedTree:
         self.root_index = root_index
         self.counters = counters if counters is not None else HashCounter()
         self.leaves: dict[int, int] = {}
-        self.inner: set[tuple[int, int]] = set()
-        self.placeholders: dict[tuple[int, int], bytes] = {
-            (root_level, root_index): DEFAULT_DIGESTS[root_level]
-        }
-        self._digests: dict[tuple[int, int], bytes] = {}
+        self._top = (1 << (address_bits - root_level)) + root_index
+        self._base = 1 << address_bits  # key of leaf 0
+        self._digests: dict[int, bytes] = {}
+        self._placeholders: dict[int, bytes] = {}  # non-default digests only
+        self._stale: set[int] = set()
 
     # -- inspection ---------------------------------------------------------
 
@@ -165,73 +164,86 @@ class PrunedTree:
         except KeyError:
             raise NotStored(f"account {account} not materialized") from None
 
-    def structure(self):
-        """Canonical content snapshot (ignores the digest cache)."""
-        return (
-            self.root_level,
-            self.root_index,
-            tuple(sorted(self.leaves.items())),
-            tuple(sorted(self.inner)),
-            tuple(sorted(self.placeholders.items())),
-        )
+    def snapshot(self) -> tuple[dict[int, int], dict[tuple[int, int], bytes]]:
+        """The tree's content: leaf balances by account, and the digest of
+        every non-default placeholder by global (level, index)."""
+        return dict(self.leaves), {
+            self._position(key): digest for key, digest in self._placeholders.items()
+        }
+
+    def _position(self, key: int) -> tuple[int, int]:
+        width = key.bit_length() - 1
+        return self.address_bits - width, key - (1 << width)
+
+    def _present_key(self, level: int, index: int) -> int:
+        span = self.root_level - level
+        if 0 <= span <= self.root_level and index >> span == self.root_index:
+            key = (1 << (self.address_bits - level)) + index
+            if key == self._top or key >> 1 in self._digests:
+                return key
+        raise PathNotMaterialized(f"node ({level}, {index}) is not present")
 
     # -- digests ------------------------------------------------------------
 
-    def _digest(self, level: int, index: int) -> bytes:
-        pos = (level, index)
-        cached = self._digests.get(pos)
-        if cached is not None:
-            return cached
-        held = self.placeholders.get(pos)
-        if held is not None:
-            return held
-        if level == 0:
-            balance = self.leaves.get(index)
-            if balance is None:
-                raise PathNotMaterialized(f"leaf {index} is pruned")
+    def _fold(self, keys, out: dict[int, bytes], counters: HashCounter) -> None:
+        """Digest every key in `keys` and each of its ancestors up to the top
+        once, bottom-up, into `out`.  A node's materialized children are
+        read from `out`, its placeholders from the tree."""
+        rows: dict[int, set[int]] = {}
+        for key in keys:
+            rows.setdefault(key.bit_length(), set()).add(key)
+        leaves, base, widest = self.leaves, self._base, self.address_bits + 1
+        row = rows.pop(widest, ())
+        for key in row:
+            balance = leaves[key - base]
             if balance:
-                self.counters.leaf += 1
-            digest = leaf_digest(index, balance)
-        else:
-            if pos not in self.inner:
-                raise PathNotMaterialized(f"node {pos} is pruned")
-            digest = node_hash(
-                self._digest(level - 1, index * 2),
-                self._digest(level - 1, index * 2 + 1),
-            )
-            self.counters.internal += 1
-        self._digests[pos] = digest
-        return digest
+                counters.leaf += 1
+            out[key] = leaf_digest(key - base, balance)
+        get, held = out.get, self._placeholders.get
+        for level in range(1, self.root_level + 1):
+            row = {key >> 1 for key in row}
+            row.update(rows.get(widest - level, ()))
+            default = DEFAULT_DIGESTS[level - 1]
+            for key in row:
+                left, right = 2 * key, 2 * key + 1
+                out[key] = node_hash(
+                    get(left) or held(left) or default,
+                    get(right) or held(right) or default,
+                )
+            counters.internal += len(row)
+
+    def _flush(self) -> None:
+        if self._stale:
+            stale, self._stale = self._stale, set()
+            self._fold(stale, self._digests, self.counters)
+
+    def _held(self, key: int, level: int) -> bytes:
+        """Digest of a present node."""
+        held = self._digests.get(key) or self._placeholders.get(key)
+        return held or DEFAULT_DIGESTS[level]
 
     def digest_at(self, level: int, index: int) -> bytes:
         """Digest of any present node (placeholder or materialized)."""
-        return self._digest(level, index)
+        key = self._present_key(level, index)
+        self._flush()
+        return self._held(key, level)
 
     def root_hash(self) -> bytes:
-        return self._digest(self.root_level, self.root_index)
+        self._flush()
+        return self._held(self._top, self.root_level)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
-        """Re-fold the tree from its leaf balances and placeholders without
-        the digest cache, charging a throwaway counter.  Returns the re-folded
-        root and the positions whose cached digest disagrees with it."""
-        fresh = PrunedTree.__new__(PrunedTree)
-        # the same leaves, inner and placeholders maps; a fresh cache
-        vars(fresh).update(vars(self), counters=HashCounter(), _digests={})
-        root = fresh.root_hash()
-        stale = [
-            pos for pos, digest in self._digests.items()
-            if fresh._digests.get(pos) != digest
-        ]
+        """Re-fold the tree from its leaf balances and placeholders into a
+        fresh map, charging a throwaway counter, once pending rehashes are
+        done.  Returns the re-folded root and the positions whose kept
+        digest disagrees with it."""
+        self._flush()
+        fresh: dict[int, bytes] = {}
+        self._fold(self._digests, fresh, HashCounter())
+        kept = self._digests.items()
+        stale = [self._position(key) for key, digest in kept if fresh[key] != digest]
+        root = fresh.get(self._top) or self._held(self._top, self.root_level)
         return root, sorted(stale)
-
-    def _invalidate_path(self, account: int) -> None:
-        pop = self._digests.pop
-        for level in range(self.root_level + 1):
-            pop((level, account >> level), None)
-
-    def _need_cover(self, account: int) -> None:
-        if not self.covers(account):
-            raise NotStored(f"account {account} outside stored range")
 
     # -- materialization ------------------------------------------------------
 
@@ -242,77 +254,74 @@ class PrunedTree:
         when a non-default placeholder blocks the way, since its children
         cannot be reconstructed."""
         span = self.root_level - level
-        if span < 0 or (index >> span) != self.root_index:
+        if not 0 <= span <= self.root_level or index >> span != self.root_index:
             raise NotStored(f"node ({level}, {index}) outside stored subtree")
+        key = (1 << (self.address_bits - level)) + index
+        digests = self._digests
+        if key == self._top or key >> 1 in digests:
+            return
         for lvl in range(self.root_level, level, -1):
-            pos = (lvl, index >> (lvl - level))
-            if pos in self.inner:
+            node = key >> (lvl - level)
+            if node in digests:
                 continue
-            held = self.placeholders.get(pos)
-            if held is None:
-                raise PathNotMaterialized(f"node {pos} is pruned")
-            if held != DEFAULT_DIGESTS[lvl]:
+            if node in self._placeholders:
                 raise PathNotMaterialized(
-                    f"cannot expand non-default placeholder at {pos}"
+                    f"cannot expand non-default placeholder at {self._position(node)}"
                 )
-            del self.placeholders[pos]
-            self.inner.add(pos)
-            self._digests[pos] = held
-            child_level = lvl - 1
-            left = (index >> (lvl - level)) * 2
-            self.placeholders[(child_level, left)] = DEFAULT_DIGESTS[child_level]
-            self.placeholders[(child_level, left + 1)] = DEFAULT_DIGESTS[child_level]
+            digests[node] = DEFAULT_DIGESTS[lvl]
 
     def ensure_path(self, account: int) -> None:
         """Materialize account's leaf, treating pruned default territory as
         zero balances.  Raises PathNotMaterialized when the leaf itself is a
         non-default placeholder, since its balance is not known here."""
-        self._need_cover(account)
+        if account in self.leaves:
+            return
         self.ensure_node(0, account)
-        pos = (0, account)
-        held = self.placeholders.get(pos)
-        if held is not None:
-            if held != DEFAULT_DIGESTS[0]:
-                raise PathNotMaterialized(
-                    f"cannot expand non-default placeholder at {pos}"
-                )
-            del self.placeholders[pos]
-            self.leaves[account] = 0
-            self._digests[pos] = held
+        key = self._base + account
+        if key in self._placeholders:
+            raise PathNotMaterialized(f"cannot expand non-default leaf {account}")
+        self._digests[key] = DEFAULT_DIGESTS[0]
+        self.leaves[account] = 0
 
     def set_placeholder(self, level: int, index: int, digest: bytes) -> None:
         """Replace the digest of an existing placeholder (a pruned subtree
         whose content is maintained elsewhere)."""
-        pos = (level, index)
-        if pos not in self.placeholders:
-            raise PathNotMaterialized(f"no placeholder at {pos}")
-        if self.placeholders[pos] == digest:
+        key = self._present_key(level, index)
+        if key in self._digests:
+            raise PathNotMaterialized(f"no placeholder at ({level}, {index})")
+        default = DEFAULT_DIGESTS[level]
+        if (self._placeholders.get(key) or default) == digest:
             return
-        self.placeholders[pos] = digest
-        pop = self._digests.pop
-        for lvl in range(level + 1, self.root_level + 1):
-            pop((lvl, index >> (lvl - level)), None)
+        self._placeholders.pop(key, None)
+        if digest != default:
+            self._placeholders[key] = digest
+        if key != self._top:
+            self._stale.add(key >> 1)
 
     # -- updates --------------------------------------------------------------
 
     def apply_update(self, account: int, new_balance: int) -> None:
-        self._need_cover(account)
-        if account not in self.leaves:
+        leaves = self.leaves
+        if account not in leaves:
+            if not self.covers(account):
+                raise NotStored(f"account {account} outside stored range")
             raise PathNotMaterialized(f"leaf {account} is pruned")
         if new_balance < 0:
             raise ValueError(f"negative balance for account {account}")
-        if self.leaves[account] == new_balance:
-            return
-        self.leaves[account] = new_balance
-        self._invalidate_path(account)
+        if leaves[account] != new_balance:
+            leaves[account] = new_balance
+            self._stale.add(self._base + account)
 
     # -- proofs ---------------------------------------------------------------
 
     def make_proof(self, account: int, base_height: int) -> BalanceProof:
-        if not self.covers(account) or account not in self.leaves:
+        if account not in self.leaves:
             raise NotStored(f"no proof material for account {account}")
+        self._flush()
+        key = self._base + account
+        get, held, defaults = self._digests.get, self._placeholders.get, DEFAULT_DIGESTS
         siblings = tuple(
-            self._digest(level, (account >> level) ^ 1)
+            get((key >> level) ^ 1) or held((key >> level) ^ 1) or defaults[level]
             for level in range(self.root_level)
         )
         return BalanceProof(account, self.leaves[account], base_height, siblings)
@@ -322,65 +331,56 @@ class PrunedTree:
 
         The proof must be sized for this subtree (root_level siblings).
         Everywhere the proof overlaps content already held, digests must
-        agree and a materialized leaf must hold the proof's balance.  Digests
-        never change here, so caches stay valid and merging the same proof
-        twice is a no-op.
+        agree and a materialized leaf must hold the proof's balance.  No
+        digest changes here, so nothing turns stale and merging the same
+        proof twice is a no-op.
         """
-        account = proof.account
-        self._need_cover(account)
-        if len(proof.siblings) != self.root_level:
+        account, siblings = proof.account, proof.siblings
+        if not self.covers(account):
+            raise NotStored(f"account {account} outside stored range")
+        if len(siblings) != self.root_level:
             raise ValueError(
-                f"proof has {len(proof.siblings)} siblings, tree needs {self.root_level}"
+                f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
-        entry_level = None
-        if (self.root_level, self.root_index) in self.placeholders:
-            entry_level = self.root_level
-        else:
-            for level in range(self.root_level - 1, -1, -1):
-                sib_pos = (level, (account >> level) ^ 1)
-                held = self.placeholders.get(sib_pos)
-                if held is not None and held != proof.siblings[level]:
-                    raise ConflictingPlaceholder(
-                        f"sibling digest mismatch at {sib_pos}"
-                    )
-                if (level, account >> level) in self.placeholders:
-                    entry_level = level
-                    break
-        if entry_level is None:
-            if self.leaves[account] != proof.balance:
+        digests, held, defaults = self._digests, self._placeholders, DEFAULT_DIGESTS
+        leaf = self._base + account
+        # walk down the materialized path to the placeholder the proof enters
+        for entry_level in range(self.root_level, -1, -1):
+            if leaf >> entry_level not in digests:
+                break
+            if entry_level == 0:
+                if self.leaves[account] != proof.balance:
+                    raise ConflictingPlaceholder(f"balance mismatch for {account}")
+                return
+            level, sibling = entry_level - 1, (leaf >> (entry_level - 1)) ^ 1
+            kept = held.get(sibling) or defaults[level]
+            if sibling not in digests and kept != siblings[level]:
                 raise ConflictingPlaceholder(
-                    f"balance mismatch for materialized account {account}"
+                    f"sibling digest mismatch at {self._position(sibling)}"
                 )
-            return
 
-        # Fold the proof up to the entry point and check it against the
-        # digest already held for that pruned subtree.
+        # fold the proof up to the entry and check it against the digest held
         path = [leaf_digest(account, proof.balance)]
         if proof.balance:
             self.counters.leaf += 1
         for level in range(entry_level):
-            below = path[level]
-            sibling = proof.siblings[level]
+            below, sibling = path[level], siblings[level]
             if (account >> level) & 1:
                 path.append(node_hash(sibling, below))
             else:
                 path.append(node_hash(below, sibling))
-            self.counters.internal += 1
-        entry_pos = (entry_level, account >> entry_level)
-        if path[entry_level] != self.placeholders[entry_pos]:
-            raise ConflictingPlaceholder(f"proof contradicts placeholder {entry_pos}")
+        self.counters.internal += entry_level
+        entry = leaf >> entry_level
+        if path[entry_level] != (held.get(entry) or defaults[entry_level]):
+            raise ConflictingPlaceholder(f"proof contradicts {self._position(entry)}")
 
-        del self.placeholders[entry_pos]
+        held.pop(entry, None)
         for level in range(entry_level, 0, -1):
-            idx = account >> level
-            self.inner.add((level, idx))
-            self._digests[(level, idx)] = path[level]
-            child_level = level - 1
-            self.placeholders[(child_level, (account >> child_level) ^ 1)] = (
-                proof.siblings[child_level]
-            )
+            digests[leaf >> level] = path[level]
+            if siblings[level - 1] != defaults[level - 1]:
+                held[(leaf >> (level - 1)) ^ 1] = siblings[level - 1]
         self.leaves[account] = proof.balance
-        self._digests[(0, account)] = path[0]
+        digests[leaf] = path[0]
 
 
 def build_pruned(

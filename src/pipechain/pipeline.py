@@ -22,6 +22,10 @@ from .merkle import (
 from .provisioning import tier_levels
 
 
+class PipelineFault(Exception):
+    """An inner committee did not get exactly one digest from each child."""
+
+
 @dataclass(frozen=True)
 class TierSpec:
     """One tier of inner committees, counted bottom-up from the leaves."""
@@ -172,7 +176,7 @@ class InnerRpc:
         node this committee computed this round)."""
         spec = self.spec
         if len(child_digests) != spec.child_count:
-            raise ValueError(
+            raise PipelineFault(
                 f"tier {self.tier_index} rpc {self.index} expects "
                 f"{spec.child_count} child digests, got {len(child_digests)}"
             )

@@ -82,10 +82,10 @@ class StorageNode:
         return sorted(self.tree.leaves)
 
     def audit_stored(self) -> tuple[int, int]:
-        """Re-fold the stored tree without its digest cache and check it
-        against the cache and the newest block root; returns (checked,
+        """Re-fold the stored tree without its kept digests and check it
+        against them and the newest block root; returns (checked,
         failed).  Every stored account is checked, and all of them fail
-        when any cached digest or the root disagrees.  No counter is
+        when any kept digest or the root disagrees.  No counter is
         charged."""
         root, stale = self.tree.refold()
         checked = len(self.tree.leaves)

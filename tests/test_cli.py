@@ -125,6 +125,27 @@ def test_drop_fault_exits_3(oracle_enabled, tmp_path, capsys):
         assert "divergence" in capsys.readouterr().err
 
 
+def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys):
+    # a leaf's digest sent up in round 5 never arrives: the inner committee
+    # folding it in round 6 names the fault instead of raising a traceback
+    send_up = cli.Simulation._send_up
+    dropped = []
+
+    def lossy(sim, tier, index, digest):
+        # rounds_run counts the rounds completed before the current one
+        if getattr(sim, "summary", {}).get("rounds_run") == 4 and not dropped:
+            dropped.append((tier, index))
+            return
+        send_up(sim, tier, index, digest)
+
+    monkeypatch.setattr(cli.Simulation, "_send_up", lossy)
+    assert cli.main(["run", "--config", config_path]) == 3
+    assert dropped == [(0, 0)]
+    err = capsys.readouterr().err
+    assert "rounds=5/10" in err
+    assert "fatal=pipeline fault: tier 0 rpc 0 expects 4 child digests, got 3" in err
+
+
 def test_drop_fault_exits_3_under_optimize(tmp_path):
     # python -O strips asserts: the detectors must not be asserts
     path = tmp_path / "config.json"

@@ -76,7 +76,7 @@ class _Harness:
         )
         # the chain advances every round; the tree root only changes when a
         # test applies confirmed transfers itself (pipeline lag is q rounds)
-        prev = self.history.newest()
+        prev = self.history.get(self.entry_round - 1)
         self.history.push(
             Block(self.entry_round, block_hash(prev), self.tree.root_hash())
         )
@@ -88,7 +88,7 @@ def test_accepts_within_balance():
     h = _Harness({1: 50, 2: 30})
     seq, discards, stats = h.confirm([h.tx(1, 9, 20), h.tx(2, 1, 30)])
     assert stats.received == 2 and stats.accepted == 2 and not discards
-    assert {t.src for t in seq.txs} == {1, 2}
+    assert {t.src for t in seq} == {1, 2}
 
 
 def test_rejects_insufficient_sequentially():
@@ -98,7 +98,7 @@ def test_rejects_insufficient_sequentially():
     # canonical order decides which of the two conflicting spends survives
     assert stats.accepted == 1
     assert [reason for _, reason in discards] == ["insufficient"]
-    assert seq.txs[0].txid == min(t.txid for t in txs)
+    assert seq[0].txid == min(t.txid for t in txs)
 
 
 def test_credit_then_spend_same_round():
@@ -108,9 +108,9 @@ def test_credit_then_spend_same_round():
     # the committee must apply its own order, not submission order
     seq, _, _ = h.confirm([second, first])
     if first.txid < second.txid:
-        assert len(seq.txs) == 2
+        assert len(seq) == 2
     else:
-        assert [t.txid for t in seq.txs] == [first.txid]
+        assert [t.txid for t in seq] == [first.txid]
 
 
 def test_duplicate_txid_discarded():
@@ -120,18 +120,18 @@ def test_duplicate_txid_discarded():
     assert stats.accepted == 1
     assert stats.discard_reasons == {"duplicate": 1}
     assert [reason for _, reason in discards] == ["duplicate"]
-    assert len(seq.txs) == 1
+    assert len(seq) == 1
 
 
 def test_window_roll_forward_blocks_double_spend():
     h = _Harness({1: 50})
     spend = h.tx(1, 9, 40)
     seq, _, _ = h.confirm([spend])
-    assert len(seq.txs) == 1
+    assert len(seq) == 1
     # same base, same balance proof: the window must charge the prior spend
     retry = h.tx(1, 8, 40, base=h.entry_round - 2)
     seq, discards, _ = h.confirm([retry])
-    assert not seq.txs
+    assert not seq
     assert [reason for _, reason in discards] == ["insufficient"]
 
 
@@ -140,7 +140,7 @@ def test_window_credits_are_visible():
     h.confirm([h.tx(1, 2, 35)])
     spend = h.tx(2, 9, 30)  # proof still shows 0, window shows +35
     seq, _, stats = h.confirm([spend])
-    assert len(seq.txs) == 1
+    assert len(seq) == 1
     assert stats.accepted == 1
 
 
@@ -153,7 +153,7 @@ def test_base_choice_does_not_double_count():
     # (state of height 5 stops at entry 5 - q + 1), so both roll to 35
     old = h.tx(2, 9, 35, base=5)
     seq, discards, stats = h.confirm([old])
-    assert len(seq.txs) == 1 and not discards
+    assert len(seq) == 1 and not discards
 
 
 def test_mixed_bases_agree_after_roll_forward():
@@ -171,7 +171,7 @@ def test_syntactic_discards_counted():
     good = h.tx(2, 9, 10)
     seq, discards, stats = h.confirm([bad_amount, good])
     assert stats.discard_reasons == {"amount": 1}
-    assert len(seq.txs) == 1
+    assert len(seq) == 1
     assert stats.hashes > 0  # proof folds were metered
 
 
@@ -212,11 +212,11 @@ def test_safety_against_brute_force_replay():
         for tx in entry_log.get(entry - stages, ()):
             tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
             tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
-        prev = history.newest()
+        prev = history.get(entry - 2)
         history.push(Block(entry - 1, block_hash(prev), tree.root_hash()))
         seq, _, _ = committee.confirm_round(batch, entry, history)
-        entry_log[entry] = seq.txs
-        accepted.extend(seq.txs)
+        entry_log[entry] = seq
+        accepted.extend(seq)
     replay = dict(balances)
     for tx in accepted:
         replay[tx.src] = replay.get(tx.src, 0) - tx.amount

@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipechain import merkle
 from pipechain.merkle import (
     DEFAULT_DIGESTS,
     BalanceProof,
@@ -16,7 +18,7 @@ from pipechain.merkle import (
     PathNotMaterialized,
     PrunedTree,
     build_pruned,
-    default_digests,
+    leaf_digest,
     leaf_hash,
     node_hash,
     verify_proof,
@@ -30,6 +32,12 @@ D4_HEX = "5d1e3765c8d2f6ef2fc9d16782722defa162cf9861115bdc72b064dbac2f3896"
 LEAF_5_10_HEX = "bbe850db3c397c18c370b3eb90df90620e019017fb77f55faaa2ee66a5bd1eb2"
 ROOT_A4_5_10_HEX = "c88444b46ef723fdfdc07d2eb5f0394d7b3d384aaf26afe968d20bdd526b9504"
 ROOT_A3_TWO_HEX = "ad894a1c247c188c5a7814008f646f2f542476d384a64841034763ebc83699b3"
+
+
+def _corrupt_digest(tree, level, index, digest):
+    """Overwrite the digest a tree keeps for one of its materialized nodes,
+    leaving its balances and placeholders as they are."""
+    tree._digests[(1 << (tree.address_bits - level)) + index] = digest
 
 
 def test_leaf_hash_preimage():
@@ -53,9 +61,6 @@ def test_default_digest_recurrence():
         assert DEFAULT_DIGESTS[level] == node_hash(
             DEFAULT_DIGESTS[level - 1], DEFAULT_DIGESTS[level - 1]
         )
-    table = default_digests(6)
-    assert len(table) == 7
-    assert table[6] == DEFAULT_DIGESTS[6]
 
 
 def test_empty_tree_root_is_default():
@@ -65,12 +70,12 @@ def test_empty_tree_root_is_default():
 def test_single_entry_root_and_structure():
     tree = build_pruned([(5, 10)], 4)
     assert tree.root_hash().hex() == ROOT_A4_5_10_HEX
-    _, _, leaves, inner, placeholders = tree.structure()
-    assert leaves == ((5, 10),)
-    assert len(inner) == 4  # one expanded node per level above the leaf
-    assert len(placeholders) == 4  # the off-path sibling at each level
-    for (level, _), digest in placeholders:
-        assert digest == DEFAULT_DIGESTS[level]
+    assert tree.snapshot() == ({5: 10}, {})  # every placeholder is a default
+    for level in range(4):
+        # the off-path sibling at each level is present and holds the default
+        assert tree.digest_at(level, (5 >> level) ^ 1) == DEFAULT_DIGESTS[level]
+    with pytest.raises(PathNotMaterialized):
+        tree.digest_at(0, 7)  # below the placeholder (1, 3): pruned away
 
 
 def test_two_entry_root():
@@ -192,14 +197,14 @@ def test_merge_union_and_order_independence():
     for account in [14, 9, 6, 1]:
         other.merge_proof(proofs[account])
     assert one.root_hash() == root
-    assert one.structure() == other.structure()
+    assert one.snapshot() == other.snapshot()
     for account, balance in balances.items():
         assert one.balance_of(account) == balance
 
     # idempotent: merging again changes nothing
-    snapshot = one.structure()
+    snapshot = one.snapshot()
     one.merge_proof(proofs[6])
-    assert one.structure() == snapshot
+    assert one.snapshot() == snapshot
 
 
 def test_merge_rejects_tampered_proof():
@@ -278,10 +283,11 @@ def test_ensure_path_stops_at_foreign_leaf_placeholder():
     tree.merge_proof(source.make_proof(2, base_height=1))
     # leaf 3 is now a placeholder holding leaf_hash(3, 7): its balance is
     # unknown here, so it must not be materialized as 0
-    snapshot = tree.structure()
+    snapshot = tree.snapshot()
+    assert snapshot[1][(0, 3)] == leaf_hash(3, 7)
     with pytest.raises(PathNotMaterialized):
         tree.ensure_path(3)
-    assert tree.structure() == snapshot
+    assert tree.snapshot() == snapshot
     with pytest.raises(NotStored):
         tree.balance_of(3)
 
@@ -318,8 +324,8 @@ def test_refold_reports_stale_cached_digests():
     before = counters.total()
     assert tree.refold() == (root, [])
     assert counters.total() == before  # the re-fold charges a throwaway counter
-    tree._digests[(2, 1)] = bytes(32)  # an inner node on account 5's path
-    tree._digests[(0, 9)] = leaf_hash(9, 5)
+    _corrupt_digest(tree, 2, 1, bytes(32))  # an inner node on account 5's path
+    _corrupt_digest(tree, 0, 9, leaf_hash(9, 5))
     assert tree.refold() == (root, [(0, 9), (2, 1)])
 
 
@@ -345,3 +351,119 @@ def test_merge_reconstructs_any_subset(balances, rng):
     assert rebuilt.root_hash() == root
     for account in subset:
         assert rebuilt.balance_of(account) == balances[account]
+
+
+def test_counters_match_digests_made(monkeypatch):
+    # HashCounter charges cache misses only: every digest the tree computes,
+    # and nothing else.  The tree must reach node_hash and leaf_hash through
+    # the module globals for the wrappers (and per-layer tracing) to see them.
+    source = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
+    root = source.root_hash()
+    proofs = [source.make_proof(account, 0) for account in (3, 77)]
+    made = {"internal": 0, "leaf": 0}
+
+    def counting(kind, fn):
+        def wrapper(first, second):
+            made[kind] += 1
+            return fn(first, second)
+
+        return wrapper
+
+    monkeypatch.setattr(merkle, "node_hash", counting("internal", merkle.node_hash))
+    monkeypatch.setattr(merkle, "leaf_hash", counting("leaf", merkle.leaf_hash))
+    counters = HashCounter()
+    tree = build_pruned([(3, 40), (90, 0), (200, 9)], 8, counters=counters)
+    tree.root_hash()
+    tree.apply_update(3, 41)
+    tree.apply_update(200, 0)  # a drain: its leaf digest is the default
+    tree.ensure_path(17)
+    tree.make_proof(17, 0)
+    tree.set_placeholder(6, 2, bytes(32))
+    tree.apply_update(17, 2)
+    tree.root_hash()
+    merged = PrunedTree(8, counters=counters)
+    merged.set_placeholder(8, 0, root)
+    for proof in proofs:
+        merged.merge_proof(proof)
+    merged.apply_update(77, 6)
+    merged.root_hash()
+    assert counters.total() > 0
+    assert made == {"internal": counters.internal, "leaf": counters.leaf}
+
+
+def _subtree_root(balances, address_bits, level, index):
+    """Digest of one global subtree, folded literally leaf by leaf."""
+    row = [
+        leaf_digest(account, balances.get(account, 0))
+        for account in range(index << level, (index + 1) << level)
+    ]
+    for _ in range(level):
+        row = [node_hash(row[k], row[k + 1]) for k in range(0, len(row), 2)]
+    return row[0]
+
+
+def _check_tree(tree, expected_root):
+    assert tree.root_hash() == expected_root
+    for account in tree.snapshot()[0]:
+        assert verify_proof(tree.make_proof(account, 0), expected_root)
+    assert tree.refold() == (expected_root, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trees_track_the_full_tree(data):
+    # Three trees follow one ledger: a full tree, a leaf committee's scoped
+    # tree (proofs merged for accounts it has not seen) and a storage node's
+    # full tree holding one portion, whose spine is kept by set_placeholder.
+    bits = data.draw(st.integers(1, 8), label="address_bits")
+    level = data.draw(st.integers(1, bits), label="portion level")
+    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
+    pool = data.draw(
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=6, unique=True)
+    )
+    balances = data.draw(
+        st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
+    )
+    spine = [(t, (index >> (t - level)) ^ 1) for t in range(level, bits)]
+
+    full = build_pruned(sorted(balances.items()), bits)
+    scoped = PrunedTree(bits, level, index)
+    scoped.set_placeholder(level, index, _subtree_root(balances, bits, level, index))
+    storage = PrunedTree(bits)
+    if spine:
+        storage.ensure_node(level, index)
+    for pos in spine:
+        storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
+    for account in sorted(balances):
+        if account >> level == index:
+            storage.ensure_path(account)
+            storage.apply_update(account, balances[account])
+
+    steps = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(0, 3), st.integers(1, 2**40)),
+            max_size=10,
+        ),
+        label="steps",
+    )
+    for account, kind, amount in steps:
+        balance = 0 if kind == 0 else amount  # kind 0 drains the account
+        full.ensure_path(account)
+        if scoped.covers(account) and not scoped.has_leaf(account):
+            proof = full.make_proof(account, 0)
+            scoped.merge_proof(replace(proof, siblings=proof.siblings[:level]))
+        balances[account] = balance
+        full.apply_update(account, balance)
+        if scoped.covers(account):
+            scoped.apply_update(account, balance)
+        if account >> level == index:
+            storage.ensure_path(account)
+            storage.apply_update(account, balance)
+        for pos in spine:
+            storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
+
+        root = _subtree_root(balances, bits, bits, 0)
+        _check_tree(full, root)
+        _check_tree(storage, root)
+        _check_tree(scoped, _subtree_root(balances, bits, level, index))
+    assert full.root_hash() == full_tree_root(balances, bits)

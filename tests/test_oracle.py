@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pipechain
 from pipechain.ledger import Transaction
-from pipechain.merkle import build_pruned, default_digests
+from pipechain.merkle import DEFAULT_DIGESTS, build_pruned
 from pipechain.oracle import LedgerOracle, NonNegativityViolation, full_tree_root
 
 
@@ -19,8 +19,8 @@ def _tx(src, dst, amount):
 
 
 def test_empty_root_is_default():
-    assert full_tree_root({}, 5) == default_digests(5)[5]
-    assert LedgerOracle(5).root() == default_digests(5)[5]
+    assert full_tree_root({}, 5) == DEFAULT_DIGESTS[5]
+    assert LedgerOracle(5).root() == DEFAULT_DIGESTS[5]
 
 
 def test_matches_pruned_tree():

@@ -7,6 +7,7 @@ from pipechain.merkle import HashCounter, build_pruned
 from pipechain.pipeline import (
     InnerRpc,
     LeafRpc,
+    PipelineFault,
     build_topology,
     fold_digests,
     next_block,
@@ -183,7 +184,7 @@ def test_inner_rpc_computed_positions():
     root_rpc = InnerRpc(topo, 1, 0)
     top2, computed2 = root_rpc.fold_round([bytes([1]) * 32, top])
     assert computed2 == {(6, 0): top2}
-    with pytest.raises(ValueError):
+    with pytest.raises(PipelineFault):
         rpc.fold_round([d[0]])
 
 

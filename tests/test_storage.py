@@ -1,5 +1,7 @@
 """Storage nodes: spine-seeded trees, block application, proof service."""
 
+import gc
+
 import pytest
 
 from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
@@ -30,6 +32,12 @@ def _tx(tree, src, dst, amount, nonce):
         src, dst, amount, 1, nonce,
         tree.make_proof(src, 0), tree.make_proof(dst, 0),
     )
+
+
+def _corrupt_digest(tree, level, index, digest):
+    """Overwrite the digest a tree keeps for one of its materialized nodes,
+    leaving its balances and placeholders as they are."""
+    tree._digests[(1 << (tree.address_bits - level)) + index] = digest
 
 
 def test_genesis_root_check():
@@ -114,14 +122,16 @@ def test_replicas_identical():
 def test_audit_stored():
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
     node = nodes[0]
-    cache, hashes = dict(node.tree._digests), node.counters.total()
+    content, hashes = node.tree.snapshot(), node.counters.total()
     checked, failed = node.audit_stored()
     assert failed == 0
     assert checked == len(node.stored_accounts())
     assert set(node.stored_accounts()) == {3, 4}
-    # the audit is a read: no hash is charged and the cache is as it was
+    # the audit is a read: no hash is charged, the content is as it was and
+    # every kept digest still agrees with a re-fold
     assert node.counters.total() == hashes
-    assert node.tree._digests == cache
+    assert node.tree.snapshot() == content
+    assert node.tree.refold() == (genesis.state_root, [])
     # a tree that does not fold to the newest block's root fails every account
     node.latest_block = Block(1, block_hash(genesis), bytes(32))
     assert node.audit_stored() == (2, 2)
@@ -132,8 +142,21 @@ def test_audit_detects_corrupt_cached_digest():
     node = nodes[0]
     # leaf 2 is a placeholder, so no served proof of a stored account reads
     # leaf 3's cached digest; the balances stay as they are
-    node.tree._digests[(0, 3)] = leaf_hash(3, 51)
+    _corrupt_digest(node.tree, 0, 3, leaf_hash(3, 51))
     assert node.audit_stored() == (2, 2)
+
+
+def test_audit_leaves_no_garbage():
+    # a re-fold that kept its scratch map in a reference cycle would hold it
+    # until the next full collection
+    topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
+    gc.collect()
+    gc.disable()
+    try:
+        assert nodes[0].audit_stored() == (2, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_portion_storage_has_no_spine():
