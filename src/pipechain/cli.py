@@ -192,7 +192,7 @@ def _cmd_scale(args) -> int:
         writer.writerows(
             {
                 "alpha": run.alpha,
-                "n_c": run.cc_count,
+                "n_c": run.config.n_c,
                 "leaf_rpcs": run.leaf_rpcs,
                 "inner_rpcs": run.inner_rpcs,
                 "q": run.stages,

@@ -10,7 +10,7 @@ accept (each source account routes to exactly one committee).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ledger import Transaction, syntactic_failure
 
@@ -42,7 +42,6 @@ class CommitteeRoundStats:
     accepted: int = 0
     proof_disagreements: int = 0
     hashes: int = 0
-    discard_reasons: dict = field(default_factory=dict)
 
 
 class ConfirmationCommittee:
@@ -74,7 +73,6 @@ class ConfirmationCommittee:
             if reason is None and tx.txid in seen:
                 reason = "duplicate"
             if reason is not None:
-                stats.discard_reasons[reason] = stats.discard_reasons.get(reason, 0) + 1
                 discards.append((tx, reason))
                 continue
             seen.add(tx.txid)
@@ -105,9 +103,6 @@ class ConfirmationCommittee:
                 running[tx.dst] += tx.amount
                 accepted.append(tx)
             else:
-                stats.discard_reasons["insufficient"] = (
-                    stats.discard_reasons.get("insufficient", 0) + 1
-                )
                 discards.append((tx, "insufficient"))
 
         stats.accepted = len(accepted)

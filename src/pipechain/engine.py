@@ -62,6 +62,13 @@ class SimConfig:
     oracle_enabled: bool = True
 
     def validated(self) -> "SimConfig":
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "oracle_enabled":
+                if not isinstance(value, bool):
+                    raise ValueError("oracle_enabled must be a boolean")
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"config key {field.name} must be an integer")
         if self.address_bits < 1 or self.address_bits > 40:
             raise ValueError("address_bits out of range")
         for name in ("f", "n_c", "leaf_count", "j", "e", "rho", "rounds",
@@ -80,25 +87,14 @@ class SimConfig:
         # balances hash as 8-byte fields, and one account may end up with all
         if self.initial_accounts * self.initial_balance > 2**64 - 1:
             raise ValueError("total supply exceeds 2**64 - 1")
-        if not isinstance(self.oracle_enabled, bool):
-            raise ValueError("oracle_enabled must be a boolean")
         return self
 
     @classmethod
     def from_mapping(cls, data) -> "SimConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {}
-        for name, value in data.items():
-            if name == "oracle_enabled":
-                if not isinstance(value, bool):
-                    raise ValueError("oracle_enabled must be a boolean")
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config key {name} must be an integer")
-            kwargs[name] = value
-        return cls(**kwargs).validated()
+        return cls(**data).validated()
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -150,7 +146,6 @@ class Frontier:
 
 @dataclass
 class SimResult:
-    config: SimConfig
     reports: list
     summary: dict
 
@@ -210,7 +205,7 @@ class Simulation:
         self.genesis_root = build_pruned(genesis_entries, cfg.address_bits).root_hash()
         self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
         self.latest_block = self.genesis_block
-        self.history = BlockHistory(2)
+        self.history = BlockHistory()
         self.history.push(self.genesis_block)
 
         by_portion: dict[int, list] = {m: [] for m in range(cfg.leaf_count)}
@@ -293,7 +288,7 @@ class Simulation:
         self.accepted_by_entry: dict[int, tuple] = {}
         self.injected_ids: set[bytes] = set()
         self.injected_outcomes: Counter = Counter()
-        self._proof_pool: deque = deque(maxlen=4)
+        self._proof_pool: dict[int, list] = {}  # served round -> [(account, proof)]
 
         self._probe_rounds: set[int] = set()
         self._probe_per_round = 0
@@ -373,25 +368,20 @@ class Simulation:
         cfg = self.config
         rng = random.Random(f"{cfg.seed}:inject:{current_round}")
         sample = rng.sample(funded, min(self.expired_injection_rate, len(funded)))
-        self._proof_pool.append(
-            (current_round, [(a, self._serve_proof(a, meters)) for a in sample])
-        )
+        self._proof_pool[current_round] = [(a, self._serve_proof(a, meters)) for a in sample]
         txs = []
-        for served_round, items in self._proof_pool:
-            if served_round != current_round - 2:
-                continue
-            for account, stale_proof in items:
-                while True:
-                    dst = rng.randrange(1 << cfg.address_bits)
-                    if dst != account:
-                        break
-                dst_proof = self._serve_proof(dst, meters)
-                self._nonce += 1
-                tx = Transaction(
-                    account, dst, 1, entry_round, self._nonce, stale_proof, dst_proof
-                )
-                self.injected_ids.add(tx.txid)
-                txs.append(tx)
+        for account, stale_proof in self._proof_pool.pop(current_round - 2, ()):
+            while True:
+                dst = rng.randrange(1 << cfg.address_bits)
+                if dst != account:
+                    break
+            dst_proof = self._serve_proof(dst, meters)
+            self._nonce += 1
+            tx = Transaction(
+                account, dst, 1, entry_round, self._nonce, stale_proof, dst_proof
+            )
+            self.injected_ids.add(tx.txid)
+            txs.append(tx)
         return txs
 
     @staticmethod
@@ -477,7 +467,7 @@ class Simulation:
             },
             diverged=summary["fatal"] is not None,
         )
-        return SimResult(cfg, reports, summary)
+        return SimResult(reports, summary)
 
     def _round(self, round_index: int) -> dict:
         """Deliver last round's outbox, run the stages in dependency order and
@@ -556,7 +546,7 @@ class Simulation:
             meter.hashes += node.counters.total() - before
             if self.audit_proofs:
                 checked, failed = node.audit_stored()
-                stored = node.stored_accounts()
+                stored = sorted(node.tree.leaves)
                 offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
                 for account in stored[offset : offset + AUDIT_SAMPLE]:
                     proof = node.serve_proof(account)
@@ -616,7 +606,7 @@ class Simulation:
         for account in (a for tx in txs for a in (tx.src, tx.dst)):
             portion = self.topology.portion_of(account)
             for rep in range(self.config.rho):
-                stored = self.storage[(portion, rep)].balance_of(account)
+                stored = self.storage[(portion, rep)].tree.leaves.get(account, 0)
                 if stored != view.get(account, 0):
                     raise StateDivergence(
                         f"client view of account {account} is {view.get(account, 0)},"
@@ -647,7 +637,7 @@ class Simulation:
             totals["received_total"] += stats.received
             totals["accepted_total"] += stats.accepted
             totals["proof_disagreements"] += stats.proof_disagreements
-            totals["discard_reasons"].update(stats.discard_reasons)
+            totals["discard_reasons"].update(reason for _, reason in discards)
             totals["peaks"]["cc_tx"] = max(totals["peaks"]["cc_tx"], stats.received)
             confirmed.append(accepted)
             round_discards.extend(discards)
@@ -751,9 +741,9 @@ class Simulation:
                 meter.processed += len(children)
                 meter.hashes += rpc.counters.total() - before
                 entry = round_index - 2 - t
-                for pos, digest in computed.items():
-                    if pos in self._spine_need:
-                        frontier_out.append((pos, entry, digest, cid))
+                frontier_out.extend(
+                    (pos, entry, digest, cid) for pos, digest in computed.items()
+                )
                 if t + 1 < len(topo.tiers):
                     self._send_up(t + 1, p, top)
                     meter.msgs_out += 1

@@ -60,19 +60,16 @@ def block_hash(block: Block) -> bytes:
 
 
 class BlockHistory:
-    """The newest ``depth`` blocks; anything older is unusable as proof base."""
+    """The newest two blocks; anything older is unusable as proof base."""
 
-    def __init__(self, depth: int = 2) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
+    def __init__(self) -> None:
         self._blocks: dict[int, Block] = {}
 
     def push(self, block: Block) -> None:
         if self._blocks and block.height <= max(self._blocks):
             raise ValueError("history must advance monotonically")
         self._blocks[block.height] = block
-        while len(self._blocks) > self.depth:
+        while len(self._blocks) > 2:
             del self._blocks[min(self._blocks)]
 
     def get(self, height: int) -> Block | None:

@@ -155,9 +155,6 @@ class PrunedTree:
     def covers(self, account: int) -> bool:
         return account >> self.root_level == self.root_index
 
-    def has_leaf(self, account: int) -> bool:
-        return account in self.leaves
-
     def balance_of(self, account: int) -> int:
         try:
             return self.leaves[account]
@@ -312,6 +309,17 @@ class PrunedTree:
             leaves[account] = new_balance
             self._stale.add(self._base + account)
 
+    def apply_transfers(self, txs) -> None:
+        """Debit each transfer's source and credit its destination wherever
+        this tree holds the account as a leaf; other accounts are left as
+        they are."""
+        leaves = self.leaves
+        for tx in txs:
+            if tx.src in leaves:
+                self.apply_update(tx.src, leaves[tx.src] - tx.amount)
+            if tx.dst in leaves:
+                self.apply_update(tx.dst, leaves[tx.dst] + tx.amount)
+
     # -- proofs ---------------------------------------------------------------
 
     def make_proof(self, account: int, base_height: int) -> BalanceProof:
@@ -393,11 +401,9 @@ def build_pruned(
 ) -> PrunedTree:
     """Tree materializing exactly the given (account, balance) entries."""
     tree = PrunedTree(address_bits, root_level, root_index, counters)
-    seen: set[int] = set()
     for account, balance in entries:
-        if account in seen:
+        if account in tree.leaves:
             raise ValueError(f"duplicate account {account}")
-        seen.add(account)
         tree.ensure_path(account)
         tree.apply_update(account, balance)
     return tree

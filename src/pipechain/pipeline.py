@@ -15,7 +15,6 @@ from .merkle import (
     ConflictingPlaceholder,
     HashCounter,
     PathNotMaterialized,
-    PrunedTree,
     build_pruned,
     node_hash,
 )
@@ -39,8 +38,6 @@ class TierSpec:
 @dataclass(frozen=True)
 class RpcTopology:
     address_bits: int
-    leaf_count: int
-    hash_budget: int
     portion_levels: int  # tree levels above the portion roots (log2 leaf_count)
     portion_bits: int  # tree levels inside one portion (address_bits - portion_levels)
     tiers: tuple[TierSpec, ...]
@@ -84,8 +81,6 @@ def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcT
     rpc_levels = 1 + len(tiers)
     return RpcTopology(
         address_bits=address_bits,
-        leaf_count=leaf_count,
-        hash_budget=hash_budget,
         portion_levels=portion_levels,
         portion_bits=address_bits - portion_levels,
         tiers=tuple(tiers),
@@ -124,7 +119,6 @@ class LeafRpc:
     """
 
     def __init__(self, topology: RpcTopology, portion: int, genesis_entries) -> None:
-        self.topology = topology
         self.portion = portion
         self.counters = HashCounter()
         self.tree = build_pruned(
@@ -136,26 +130,19 @@ class LeafRpc:
         )
         self.last_digest = self.tree.root_hash()
 
-    def _advance(self, incoming) -> bytes:
-        tree = self.tree
-        for tx in incoming:
-            for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
-                if tree.covers(account) and not tree.has_leaf(account):
-                    tree.merge_proof(
-                        replace(proof, siblings=proof.siblings[: tree.root_level])
-                    )
-        for tx in incoming:
-            if tree.covers(tx.src):
-                tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
-            if tree.covers(tx.dst):
-                tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
-        return tree.root_hash()
-
     def process_round(self, incoming) -> tuple[bytes, bool]:
         """Returns (portion digest, ok). On missing/conflicting proof
         material the round is flagged and the previous digest stands."""
+        tree = self.tree
         try:
-            self.last_digest = self._advance(incoming)
+            for tx in incoming:
+                for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
+                    if tree.covers(account) and account not in tree.leaves:
+                        tree.merge_proof(
+                            replace(proof, siblings=proof.siblings[: tree.root_level])
+                        )
+            tree.apply_transfers(incoming)
+            self.last_digest = tree.root_hash()
         except (PathNotMaterialized, ConflictingPlaceholder):
             return self.last_digest, False
         return self.last_digest, True

@@ -63,6 +63,8 @@ class Provisioning:
 
 def _provisioning(m, e, j, leaf, inner, cc_count) -> Provisioning:
     """The deployment of leaf and inner committees folded as tier_levels says."""
+    if cc_count < 0:
+        raise ValueError("cc_count must be >= 0")
     rpc_levels = 1 + len(tier_levels(leaf, j))
     return Provisioning(
         changes_per_round=m,
@@ -109,7 +111,6 @@ def provision_minimal(
 class ScaleRun:
     alpha: int
     config: object
-    cc_count: int
     leaf_rpcs: int
     inner_rpcs: int
     stages: int
@@ -122,7 +123,7 @@ class ScaleRun:
     well_provisioned: bool
 
 
-def scale_experiment(base_config, alphas, *, rounds=None, progress=None):
+def scale_experiment(base_config, alphas, *, progress=None):
     """Run the same workload-per-committee at alpha times the scale.
 
     base_config must itself be dimensioned per provision_after_doubling.
@@ -153,8 +154,6 @@ def scale_experiment(base_config, alphas, *, rounds=None, progress=None):
             n_c=alpha * base_config.n_c,
             leaf_count=alpha * base_config.leaf_count,
         )
-        if rounds is not None:
-            cfg = replace(cfg, rounds=rounds)
         result = Simulation(cfg, balanced_workload=True).run()
         peaks = result.summary["peaks"]
         committees = result.summary["committees"]
@@ -168,7 +167,6 @@ def scale_experiment(base_config, alphas, *, rounds=None, progress=None):
             ScaleRun(
                 alpha=alpha,
                 config=cfg,
-                cc_count=cfg.n_c,
                 leaf_rpcs=committees["leaf"],
                 inner_rpcs=committees["inner"],
                 stages=result.summary["stages"],

@@ -8,7 +8,7 @@ checks its recomputed root against the block it just received.
 
 from __future__ import annotations
 
-from .merkle import BalanceProof, HashCounter, NotStored, PrunedTree
+from .merkle import BalanceProof, HashCounter, NotStored, build_pruned
 
 
 class StateDivergence(Exception):
@@ -29,14 +29,11 @@ class StorageNode:
         self.portion = portion
         self.replica = replica
         self.counters = HashCounter()
-        tree = PrunedTree(topology.address_bits, counters=self.counters)
+        tree = build_pruned(genesis_entries, topology.address_bits, counters=self.counters)
         if topology.portion_levels:
             tree.ensure_node(topology.portion_bits, portion)
             for position, digest in spine_digests:
                 tree.set_placeholder(*position, digest)
-        for account, balance in genesis_entries:
-            tree.ensure_path(account)
-            tree.apply_update(account, balance)
         self.tree = tree
         if tree.root_hash() != genesis_block.state_root:
             raise StateDivergence("genesis root mismatch")
@@ -52,12 +49,10 @@ class StorageNode:
         for position, digest in sorted(frontier.items()):
             tree.set_placeholder(*position, digest)
         for tx in txs:
-            if self.in_range(tx.src):
-                tree.ensure_path(tx.src)
-                tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
-            if self.in_range(tx.dst):
-                tree.ensure_path(tx.dst)
-                tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
+            for account in (tx.src, tx.dst):
+                if self.in_range(account):
+                    tree.ensure_path(account)
+        tree.apply_transfers(txs)
         root = tree.root_hash()
         if root != new_block.state_root:
             raise StateDivergence(
@@ -73,13 +68,6 @@ class StorageNode:
             raise NotStored(f"account {account} outside stored range")
         self.tree.ensure_path(account)
         return self.tree.make_proof(account, self.latest_block.height)
-
-    def balance_of(self, account: int) -> int:
-        """Stored balance of an in-range account (0 if never touched)."""
-        return self.tree.leaves.get(account, 0)
-
-    def stored_accounts(self):
-        return sorted(self.tree.leaves)
 
     def audit_stored(self) -> tuple[int, int]:
         """Re-fold the stored tree without its kept digests and check it

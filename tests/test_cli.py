@@ -66,6 +66,13 @@ def test_dimension_after_doubling(capsys):
     assert data["inner_rpcs"] == 1
 
 
+def test_dimension_negative_cc_exits_2(capsys):
+    assert cli.main(["dimension", "-m", "200", "-e", "10", "-j", "7", "--cc", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_run_writes_report(config_path, tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     code = cli.main(["run", "--config", config_path, "--report", str(report)])

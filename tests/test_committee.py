@@ -47,7 +47,7 @@ class _Harness:
         self.entry_round = entry_round
         self.tree = build_pruned(sorted(balances.items()), self.address_bits)
         root = self.tree.root_hash()
-        self.history = BlockHistory(2)
+        self.history = BlockHistory()
         prev = Block(entry_round - 2, GENESIS_PREV_HASH, root)
         self.history.push(prev)
         self.history.push(Block(entry_round - 1, block_hash(prev), root))
@@ -57,8 +57,7 @@ class _Harness:
     def tx(self, src, dst, amount, base=None):
         base = self.entry_round - 2 if base is None else base
         for account in (src, dst):
-            if not self.tree.has_leaf(account):
-                self.tree.ensure_path(account)
+            self.tree.ensure_path(account)
         self._nonce += 1
         return Transaction(
             src,
@@ -118,7 +117,6 @@ def test_duplicate_txid_discarded():
     tx = h.tx(1, 9, 10)
     seq, discards, stats = h.confirm([tx, tx])
     assert stats.accepted == 1
-    assert stats.discard_reasons == {"duplicate": 1}
     assert [reason for _, reason in discards] == ["duplicate"]
     assert len(seq) == 1
 
@@ -170,7 +168,7 @@ def test_syntactic_discards_counted():
     bad_amount = h.tx(1, 9, 0)
     good = h.tx(2, 9, 10)
     seq, discards, stats = h.confirm([bad_amount, good])
-    assert stats.discard_reasons == {"amount": 1}
+    assert [reason for _, reason in discards] == ["amount"]
     assert len(seq) == 1
     assert stats.hashes > 0  # proof folds were metered
 
@@ -186,7 +184,7 @@ def test_safety_against_brute_force_replay():
     for account in range(12):
         tree.ensure_path(account)
     committee = ConfirmationCommittee(0, stages, address_bits)
-    history = BlockHistory(2)
+    history = BlockHistory()
     history.push(Block(2, GENESIS_PREV_HASH, tree.root_hash()))
     entry_log: dict[int, tuple] = {}
     accepted = []

@@ -72,6 +72,13 @@ def test_config_rejects_bad_types_and_values():
             {**base, "address_bits": 3, "f": 2, "n_c": 1, "leaf_count": 2,
              "initial_accounts": 4, "initial_balance": 2**63, "rounds": 200}
         )
+    # a config built through the library gets the same type checks
+    for bad in (dict(f=2.5), dict(rounds=3.0), dict(rho=1.5), dict(seed="x"),
+                dict(n_c=True), dict(oracle_enabled=1)):
+        with pytest.raises(ValueError):
+            _config(**bad).validated()
+        with pytest.raises(ValueError):
+            Simulation(_config(**bad))
 
 
 def test_genesis_agrees_with_brute_force():

@@ -38,7 +38,7 @@ def test_block_bytes_layout():
 
 
 def test_history_keeps_newest_two():
-    history = BlockHistory(2)
+    history = BlockHistory()
     blocks = [Block(h, bytes(32), bytes([h]) * 32) for h in range(4)]
     history.push(blocks[0])
     assert history.get(0) is blocks[0]
@@ -48,7 +48,7 @@ def test_history_keeps_newest_two():
 
 
 def test_history_rejects_non_monotonic():
-    history = BlockHistory(2)
+    history = BlockHistory()
     history.push(Block(3, bytes(32), bytes(32)))
     with pytest.raises(ValueError):
         history.push(Block(3, bytes(32), bytes(32)))
@@ -81,7 +81,7 @@ def test_portion_index_uses_top_bits():
 
 
 def _chain(roots):
-    history = BlockHistory(2)
+    history = BlockHistory()
     prev = Block(0, GENESIS_PREV_HASH, roots[0])
     history.push(prev)
     for height, root in enumerate(roots[1:], start=1):

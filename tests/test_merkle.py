@@ -23,6 +23,7 @@ from pipechain.merkle import (
     node_hash,
     verify_proof,
 )
+from pipechain.ledger import Transaction
 from pipechain.oracle import full_tree_root
 
 # frozen with raw hashlib, independently of the implementation
@@ -449,7 +450,7 @@ def test_trees_track_the_full_tree(data):
     for account, kind, amount in steps:
         balance = 0 if kind == 0 else amount  # kind 0 drains the account
         full.ensure_path(account)
-        if scoped.covers(account) and not scoped.has_leaf(account):
+        if scoped.covers(account) and account not in scoped.leaves:
             proof = full.make_proof(account, 0)
             scoped.merge_proof(replace(proof, siblings=proof.siblings[:level]))
         balances[account] = balance
@@ -467,3 +468,116 @@ def test_trees_track_the_full_tree(data):
         _check_tree(storage, root)
         _check_tree(scoped, _subtree_root(balances, bits, level, index))
     assert full.root_hash() == full_tree_root(balances, bits)
+
+
+def _leaf_tree(balances, bits, level, index, counters):
+    """A leaf committee's tree: the portion's genesis accounts, scoped."""
+    entries = [(a, b) for a, b in sorted(balances.items()) if a >> level == index]
+    return build_pruned(
+        entries, bits, root_level=level, root_index=index, counters=counters
+    )
+
+
+def _storage_tree(balances, bits, level, index, counters):
+    """A storage node's tree: the whole address space holding one portion,
+    with every spine sibling a placeholder."""
+    entries = [(a, b) for a, b in sorted(balances.items()) if a >> level == index]
+    tree = build_pruned(entries, bits, counters=counters)
+    if level < bits:
+        tree.ensure_node(level, index)
+    for t in range(level, bits):
+        pos = (t, (index >> (t - level)) ^ 1)
+        tree.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
+    # A leaf committee's scoped tree (proofs grafted first) and a storage
+    # node's spine-seeded full tree each apply random transfer batches with
+    # apply_transfers, next to a twin driven by one apply_update per
+    # covered account, the loop apply_transfers replaces.
+    bits = data.draw(st.integers(1, 8), label="address_bits")
+    level = data.draw(st.integers(1, bits), label="portion level")
+    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
+    pool = data.draw(
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=2, max_size=6, unique=True)
+    )
+    ledger = data.draw(
+        st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
+    )
+    genesis = build_pruned(sorted(ledger.items()), bits)
+    for account in pool:
+        genesis.ensure_path(account)
+    in_portion = [a for a in pool if a >> level == index]
+
+    names = ("leaf", "leaf twin", "storage", "storage twin")
+    counters = {name: HashCounter() for name in names}
+    leaf = _leaf_tree(ledger, bits, level, index, counters["leaf"])
+    leaf_twin = _leaf_tree(ledger, bits, level, index, counters["leaf twin"])
+    storage = _storage_tree(ledger, bits, level, index, counters["storage"])
+    storage_twin = _storage_tree(ledger, bits, level, index, counters["storage twin"])
+
+    batches = data.draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool), st.sampled_from(pool), st.integers(0, 2**40)
+                ),
+                max_size=5,
+            ),
+            max_size=4,
+        ),
+        label="batches",
+    )
+    for nonce, steps in enumerate(batches):
+        txs = []
+        for src, dst, amount in steps:
+            # never overdraw: the plain ledger bounds each amount
+            tx = Transaction(src, dst, min(amount, ledger.get(src, 0)), 1, nonce)
+            ledger[src] = ledger.get(src, 0) - tx.amount
+            ledger[dst] = ledger.get(dst, 0) + tx.amount
+            txs.append(tx)
+        touched = {a for tx in txs for a in (tx.src, tx.dst)}
+        # proofs of untouched territory stay valid, so genesis proofs graft
+        for tree in (leaf, leaf_twin):
+            for account in sorted(touched):
+                if tree.covers(account) and account not in tree.leaves:
+                    proof = genesis.make_proof(account, 0)
+                    tree.merge_proof(replace(proof, siblings=proof.siblings[:level]))
+        for tree in (storage, storage_twin):
+            for account in sorted(touched & set(in_portion)):
+                tree.ensure_path(account)
+
+        before = [dict(leaf.leaves), dict(storage.leaves)]
+        leaf.apply_transfers(txs)
+        storage.apply_transfers(txs)
+        for tree, held in zip((leaf, storage), before):
+            # accounts the tree does not hold stay out, the rest only move
+            # by the batch
+            assert tree.leaves.keys() == held.keys()
+            for account in held.keys() - touched:
+                assert tree.leaves[account] == held[account]
+        # both twins hold exactly the portion, so "covered" (leaf) and "in
+        # range" (storage) are the same test
+        for tx in txs:
+            for tree in (leaf_twin, storage_twin):
+                if tx.src >> level == index:
+                    tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
+                if tx.dst >> level == index:
+                    tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
+
+        for tree in (storage, storage_twin):
+            for t in range(level, bits):
+                pos = (t, (index >> (t - level)) ^ 1)
+                tree.set_placeholder(*pos, _subtree_root(ledger, bits, *pos))
+        portion_root = _subtree_root(ledger, bits, level, index)
+        root = full_tree_root(ledger, bits)
+        for tree, twin, expected in (
+            (leaf, leaf_twin, portion_root), (storage, storage_twin, root)
+        ):
+            assert tree.root_hash() == twin.root_hash() == expected
+            assert tree.snapshot() == twin.snapshot()
+        assert counters["leaf"] == counters["leaf twin"]
+        assert counters["storage"] == counters["storage twin"]

@@ -106,8 +106,7 @@ def test_fold_single_digest_is_identity():
 
 def _proofed(tree, src, dst, amount, entry_round, nonce, base=0):
     for account in (src, dst):
-        if not tree.has_leaf(account):
-            tree.ensure_path(account)
+        tree.ensure_path(account)
     return Transaction(
         src,
         dst,

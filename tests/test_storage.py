@@ -26,8 +26,7 @@ def _world(balances, address_bits=5, leaf_count=2):
 
 def _tx(tree, src, dst, amount, nonce):
     for account in (src, dst):
-        if not tree.has_leaf(account):
-            tree.ensure_path(account)
+        tree.ensure_path(account)
     return Transaction(
         src, dst, amount, 1, nonce,
         tree.make_proof(src, 0), tree.make_proof(dst, 0),
@@ -116,7 +115,7 @@ def test_replicas_identical():
     a = StorageNode(topo, 0, 0, [(3, 50)], spine, genesis)
     b = StorageNode(topo, 0, 1, [(3, 50)], spine, genesis)
     assert a.serve_proof(3) == b.serve_proof(3)
-    assert a.stored_accounts() == b.stored_accounts()
+    assert a.tree.leaves == b.tree.leaves
 
 
 def test_audit_stored():
@@ -125,8 +124,8 @@ def test_audit_stored():
     content, hashes = node.tree.snapshot(), node.counters.total()
     checked, failed = node.audit_stored()
     assert failed == 0
-    assert checked == len(node.stored_accounts())
-    assert set(node.stored_accounts()) == {3, 4}
+    assert checked == len(node.tree.leaves)
+    assert set(node.tree.leaves) == {3, 4}
     # the audit is a read: no hash is charged, the content is as it was and
     # every kept digest still agrees with a re-fold
     assert node.counters.total() == hashes
