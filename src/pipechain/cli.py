@@ -193,7 +193,7 @@ def _cmd_scale(args) -> int:
             {
                 "alpha": run.alpha,
                 "n_c": run.config.n_c,
-                "leaf_rpcs": run.leaf_rpcs,
+                "leaf_rpcs": run.config.leaf_count,
                 "inner_rpcs": run.inner_rpcs,
                 "q": run.stages,
                 "peak_cc_tx": run.peak_cc_tx,

@@ -36,6 +36,13 @@ from .storage import StateDivergence, StorageNode
 # served proofs re-verified end to end per storage node and audited round
 AUDIT_SAMPLE = 4
 
+# exceptions that end a run, with the prefix of the verdict each one gives
+FATAL_VERDICTS = {
+    StateDivergence: "storage divergence",
+    NonNegativityViolation: "non-negativity violation",
+    PipelineFault: "pipeline fault",
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -175,6 +182,13 @@ class Simulation:
         interleave_probe: tuple[int, int] | None = None,
     ) -> None:
         cfg = config.validated()
+        for name, value in (
+            ("expired_injection_rate", expired_injection_rate),
+            ("drop_confirmed_round", drop_confirmed_round or 0),  # None: no drop
+            *(("interleave_probe", count) for count in interleave_probe or ()),
+        ):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if balanced_workload and cfg.f % cfg.n_c:
             raise ValueError("balanced workload needs n_c | f")
         if expired_injection_rate < 0:
@@ -220,7 +234,7 @@ class Simulation:
             LeafRpc(topo, m, by_portion[m]) for m in range(cfg.leaf_count)
         ]
         # genesis digests by level above the portion roots, bottom first
-        leaf_digests = [leaf.last_digest for leaf in self.leaf_rpcs]
+        leaf_digests = [leaf.tree.root_hash() for leaf in self.leaf_rpcs]
         levels = [leaf_digests] + fold_digests(leaf_digests)[1]
         if levels[-1][0] != self.genesis_root:
             raise RuntimeError("pipeline genesis fold disagrees with genesis tree")
@@ -323,21 +337,17 @@ class Simulation:
         cfg = self.config
         rng = random.Random(f"{cfg.seed}:workload:{entry_round}")
         view = self.client_view
-        truncated = False
+        # sources: f from all funded accounts, or f / n_c per committee
+        buckets, per_bucket = [funded], cfg.f
         if self.balanced_workload:
-            per_cc = cfg.f // cfg.n_c
-            buckets: list[list[int]] = [[] for _ in range(cfg.n_c)]
+            buckets = [[] for _ in range(cfg.n_c)]
             for account in funded:
                 buckets[self._committee_of(account)].append(account)
-            srcs = []
-            for bucket in buckets:
-                if len(bucket) < per_cc:
-                    truncated = True
-                srcs.extend(rng.sample(bucket, min(per_cc, len(bucket))))
-        else:
-            if len(funded) < cfg.f:
-                truncated = True
-            srcs = rng.sample(funded, min(cfg.f, len(funded)))
+            per_bucket = cfg.f // cfg.n_c
+        truncated = any(len(bucket) < per_bucket for bucket in buckets)
+        srcs = []
+        for bucket in buckets:
+            srcs.extend(rng.sample(bucket, min(per_bucket, len(bucket))))
         involved = set(srcs)
         space = 1 << cfg.address_bits
         txs = []
@@ -443,14 +453,8 @@ class Simulation:
         for round_index in range(1, cfg.rounds + 1):
             try:
                 row = self._round(round_index)
-            except StateDivergence as exc:
-                summary["fatal"] = f"storage divergence: {exc}"
-                break
-            except NonNegativityViolation as exc:
-                summary["fatal"] = f"non-negativity violation: {exc}"
-                break
-            except PipelineFault as exc:
-                summary["fatal"] = f"pipeline fault: {exc}"
+            except tuple(FATAL_VERDICTS) as exc:
+                summary["fatal"] = f"{FATAL_VERDICTS[type(exc)]}: {exc}"
                 break
             summary["rounds_run"] += 1
             reports.append(row)
@@ -714,12 +718,14 @@ class Simulation:
             )
             incoming = [tx for batch in batches for tx in batch.txs]
             before = leaf.counters.total()
-            top, ok = leaf.process_round(incoming)
+            try:
+                top = leaf.process_round(incoming)
+            except PipelineFault:
+                self.summary["leaf_failed_rounds"] += 1
+                raise
             meter = meters[cid]
             meter.processed += len(incoming)
             meter.hashes += leaf.counters.total() - before
-            if not ok:
-                self.summary["leaf_failed_rounds"] += 1
             if topo.tiers:
                 self._send_up(0, leaf.portion, top)
                 meter.msgs_out += 1

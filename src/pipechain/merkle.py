@@ -337,17 +337,17 @@ class PrunedTree:
     def merge_proof(self, proof: BalanceProof) -> None:
         """Graft a verified proof's path into this tree.
 
-        The proof must be sized for this subtree (root_level siblings).
-        Everywhere the proof overlaps content already held, digests must
-        agree and a materialized leaf must hold the proof's balance.  No
-        digest changes here, so nothing turns stale and merging the same
-        proof twice is a no-op.
+        Only the proof's first root_level siblings are read.  Everywhere the
+        proof overlaps content already held, digests must agree and a
+        materialized leaf must hold the proof's balance.  No digest changes
+        here, so nothing turns stale and merging the same proof twice is a
+        no-op.
         """
         account, siblings = proof.account, proof.siblings
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored range")
-        if len(siblings) != self.root_level:
-            raise ValueError(
+        if len(siblings) < self.root_level:
+            raise MerkleError(
                 f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
         digests, held, defaults = self._digests, self._placeholders, DEFAULT_DIGESTS

@@ -8,21 +8,16 @@ one constant-size block per round, lagging entry by the pipeline depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .ledger import Block, block_hash
-from .merkle import (
-    ConflictingPlaceholder,
-    HashCounter,
-    PathNotMaterialized,
-    build_pruned,
-    node_hash,
-)
+from .merkle import HashCounter, MerkleError, build_pruned, node_hash
 from .provisioning import tier_levels
 
 
 class PipelineFault(Exception):
-    """An inner committee did not get exactly one digest from each child."""
+    """A committee cannot fold its round: an inner committee did not get
+    exactly one digest from each child, or a leaf cannot apply its batch."""
 
 
 @dataclass(frozen=True)
@@ -128,24 +123,20 @@ class LeafRpc:
             root_index=portion,
             counters=self.counters,
         )
-        self.last_digest = self.tree.root_hash()
 
-    def process_round(self, incoming) -> tuple[bytes, bool]:
-        """Returns (portion digest, ok). On missing/conflicting proof
-        material the round is flagged and the previous digest stands."""
+    def process_round(self, incoming) -> bytes:
+        """Returns the portion digest; raises PipelineFault naming the
+        portion when a proof is missing or contradicts the subtree."""
         tree = self.tree
         try:
             for tx in incoming:
                 for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
                     if tree.covers(account) and account not in tree.leaves:
-                        tree.merge_proof(
-                            replace(proof, siblings=proof.siblings[: tree.root_level])
-                        )
+                        tree.merge_proof(proof)
             tree.apply_transfers(incoming)
-            self.last_digest = tree.root_hash()
-        except (PathNotMaterialized, ConflictingPlaceholder):
-            return self.last_digest, False
-        return self.last_digest, True
+        except MerkleError as exc:
+            raise PipelineFault(f"leaf {self.portion}: {exc}") from exc
+        return tree.root_hash()
 
 
 class InnerRpc:

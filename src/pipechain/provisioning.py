@@ -111,7 +111,6 @@ def provision_minimal(
 class ScaleRun:
     alpha: int
     config: object
-    leaf_rpcs: int
     inner_rpcs: int
     stages: int
     committees_total: int
@@ -167,7 +166,6 @@ def scale_experiment(base_config, alphas, *, progress=None):
             ScaleRun(
                 alpha=alpha,
                 config=cfg,
-                leaf_rpcs=committees["leaf"],
                 inner_rpcs=committees["inner"],
                 stages=result.summary["stages"],
                 committees_total=sum(committees[k] for k in ("cc", "leaf", "inner")),

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from pipechain import cli
+from pipechain.engine import Batch
 
 BASE_CONFIG = {
     "seed": 7,
@@ -165,6 +167,41 @@ def test_drop_fault_exits_3_under_optimize(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "divergence" in proc.stderr
+
+
+@pytest.mark.parametrize("oracle_enabled", [True, False])
+def test_leaf_that_cannot_apply_its_batch_exits_3(
+    oracle_enabled, tmp_path, monkeypatch, capsys
+):
+    # after confirmation, one sibling of a destination proof the leaf must
+    # graft is corrupted in the batch routed to it in round 5; the leaf folds
+    # that batch in round 6 and names the fault there
+    send = cli.Simulation._send
+    tampered = []
+
+    def corrupt(sim, dest, msg):
+        if dest[0] == "leaf" and isinstance(msg, Batch) and msg.entry == 5 and not tampered:
+            tree = sim.leaf_rpcs[dest[1]].tree
+            for i, tx in enumerate(msg.txs):
+                if tree.covers(tx.dst) and tx.dst not in tree.leaves:
+                    siblings = (bytes(32),) + tx.dst_proof.siblings[1:]
+                    tx = replace(tx, dst_proof=replace(tx.dst_proof, siblings=siblings))
+                    msg = replace(msg, txs=msg.txs[:i] + (tx,) + msg.txs[i + 1 :])
+                    tampered.append(dest[1])
+                    break
+        send(sim, dest, msg)
+
+    monkeypatch.setattr(cli.Simulation, "_send", corrupt)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
+    report = tmp_path / "report.jsonl"
+    assert cli.main(["run", "--config", str(path), "--report", str(report)]) == 3
+    summary = json.loads(report.read_text().splitlines()[-1])["summary"]
+    assert len(tampered) == 1
+    assert summary["fatal"].startswith(f"pipeline fault: leaf {tampered[0]}: ")
+    assert summary["rounds_run"] == 5
+    assert summary["leaf_failed_rounds"] == 1
+    assert "fatal=pipeline fault: leaf " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

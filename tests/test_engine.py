@@ -79,6 +79,13 @@ def test_config_rejects_bad_types_and_values():
             _config(**bad).validated()
         with pytest.raises(ValueError):
             Simulation(_config(**bad))
+    # and so do Simulation's fault options
+    for bad in (dict(drop_confirmed_round=4.5), dict(drop_confirmed_round=True),
+                dict(expired_injection_rate=1.5), dict(expired_injection_rate=True),
+                dict(interleave_probe=(1.5, 2)), dict(interleave_probe=(2, 1.5)),
+                dict(interleave_probe=(True, 2))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Simulation(_config(), **bad)
 
 
 def test_genesis_agrees_with_brute_force():

@@ -1,5 +1,7 @@
 """Root-hash pipeline: topology, digest folding, leaf and inner committees."""
 
+from dataclasses import replace
+
 import pytest
 
 from pipechain.ledger import Block, Transaction, block_hash
@@ -125,14 +127,13 @@ def test_leaf_round_tracks_reference_tree():
     global_tree = build_pruned(sorted(genesis.items()), 5)
     leaf0 = LeafRpc(topo, 0, [(0, 100), (3, 50)])
     leaf1 = LeafRpc(topo, 1, [(20, 70)])
-    assert leaf0.last_digest == global_tree.digest_at(4, 0)
-    assert leaf1.last_digest == global_tree.digest_at(4, 1)
+    assert leaf0.tree.root_hash() == global_tree.digest_at(4, 0)
+    assert leaf1.tree.root_hash() == global_tree.digest_at(4, 1)
 
     tx1 = _proofed(global_tree, 0, 5, 10, 1, 1)  # inside portion 0
     tx2 = _proofed(global_tree, 3, 20, 25, 1, 2)  # crosses portions
-    d0, ok0 = leaf0.process_round([tx1, tx2])
-    d1, ok1 = leaf1.process_round([tx2])
-    assert ok0 and ok1
+    d0 = leaf0.process_round([tx1, tx2])
+    d1 = leaf1.process_round([tx2])
 
     reference = build_pruned([(0, 90), (3, 25), (5, 10), (20, 95)], 5)
     assert d0 == reference.digest_at(4, 0)
@@ -149,8 +150,7 @@ def test_leaf_prefers_own_balance_over_stale_proof():
     # next round's proofs still based before the credit: account 9 shows 0,
     # but the leaf has 5 and its own balance must win
     spend = _proofed(genesis_tree, 9, 1, 3, 2, 2)
-    digest, ok = leaf.process_round([spend])
-    assert ok
+    digest = leaf.process_round([spend])
     reference = build_pruned([(0, 95), (9, 2), (1, 3)], 5)
     assert digest == reference.digest_at(4, 0)
     assert leaf.tree.balance_of(9) == 2
@@ -159,16 +159,17 @@ def test_leaf_prefers_own_balance_over_stale_proof():
 def test_leaf_flags_conflicting_proof_material():
     topo = build_topology(2, 7, address_bits=5)
     leaf = LeafRpc(topo, 0, [(0, 100)])
-    before = leaf.last_digest
     # proof built against a different world: placeholder digests disagree
     other = build_pruned([(0, 100), (2, 9)], 5)
     bad = _proofed(other, 7, 1, 1, 1, 1)
-    digest, ok = leaf.process_round([bad])
-    assert not ok
-    assert digest == before
-    # the committee keeps serving the last sound digest afterwards
-    digest2, ok2 = leaf.process_round([])
-    assert ok2 and digest2 == before
+    with pytest.raises(PipelineFault, match="^leaf 0: sibling digest mismatch"):
+        leaf.process_round([bad])
+    # a proof too short to reach the portion root is no graft either
+    leaf = LeafRpc(topo, 0, [(0, 100)])
+    short = _proofed(build_pruned([(0, 100)], 5), 0, 7, 1, 1, 1)
+    short = replace(short, dst_proof=replace(short.dst_proof, siblings=()))
+    with pytest.raises(PipelineFault, match="^leaf 0: proof has 0 siblings"):
+        leaf.process_round([short])
 
 
 def test_inner_rpc_computed_positions():

@@ -128,7 +128,7 @@ def test_scale_experiment_shapes():
     runs = scale_experiment(_base_config(), [1, 2])
     assert [run.alpha for run in runs] == [1, 2]
     assert [run.config.n_c for run in runs] == [2, 4]
-    assert [run.leaf_rpcs for run in runs] == [8, 16]
+    assert [run.config.leaf_count for run in runs] == [8, 16]
     # the inner committees the runs simulated: one 8-ary tier at alpha 1;
     # two 8-ary rpcs under one 2-ary root at alpha 2
     assert [run.inner_rpcs for run in runs] == [1, 3]
