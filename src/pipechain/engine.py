@@ -189,6 +189,10 @@ class Simulation:
         ):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
+        flags = {"balanced_workload": balanced_workload, "audit_proofs": audit_proofs}
+        for name, flag in flags.items():
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be a boolean")
         if balanced_workload and cfg.f % cfg.n_c:
             raise ValueError("balanced workload needs n_c | f")
         if expired_injection_rate < 0:

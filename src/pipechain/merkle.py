@@ -37,6 +37,10 @@ class ConflictingPlaceholder(MerkleError):
     """A merged proof disagrees with a digest this tree already holds."""
 
 
+class NegativeBalance(MerkleError):
+    """An update would drive a held balance below zero."""
+
+
 def leaf_hash(account: int, balance: int) -> bytes:
     """Digest of a leaf record: sha256("L" | account 8BE | balance 8BE)."""
     return hashlib.sha256(
@@ -64,6 +68,14 @@ def _all_zero_digests(levels: int) -> tuple[bytes, ...]:
 
 
 DEFAULT_DIGESTS = _all_zero_digests(64)  # accounts are 8-byte integers
+# a zero leaf's tail digests for each level of the tail's top
+_DEFAULT_RUNS = tuple(b"".join(DEFAULT_DIGESTS[: h + 1]) for h in range(65))
+
+
+def _level_digest(record: bytes, level: int) -> bytes:
+    """A tail record's digest `level` levels above its leaf, or an inner digest."""
+    start = len(record) % 32 + 32 * level
+    return record[start : start + 32]
 
 
 def leaf_digest(account: int, balance: int) -> bytes:
@@ -94,34 +106,43 @@ class BalanceProof:
     siblings: tuple[bytes, ...]
 
 
-def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
-    """Fold the proof leaf-to-root and compare against expected_root."""
-    digest = leaf_digest(proof.account, proof.balance)
-    account = proof.account
-    for level, sibling in enumerate(proof.siblings):
+def _climb(account: int, digest: bytes, siblings) -> list[bytes]:
+    """Digests up an account's path from its leaf digest, one sibling a level."""
+    path = [digest]
+    for level, sibling in enumerate(siblings):
         if (account >> level) & 1:
             digest = node_hash(sibling, digest)
         else:
             digest = node_hash(digest, sibling)
-    return digest == expected_root
+        path.append(digest)
+    return path
+
+
+def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
+    """Fold the proof leaf-to-root and compare against expected_root."""
+    leaf = leaf_digest(proof.account, proof.balance)
+    return _climb(proof.account, leaf, proof.siblings)[-1] == expected_root
 
 
 class PrunedTree:
     """Pruned view of the balance tree, optionally scoped to one subtree.
 
     The tree's top ``(root_level, root_index)`` covers accounts
-    ``[root_index << root_level, (root_index + 1) << root_level)``.  A node
-    is *materialized* exactly when its heap key is in the digest map, which
-    holds one digest per materialized leaf or internal node; ``leaves`` holds
-    the balances of the materialized leaves.  The top and every child of a
-    materialized node are *present*; a present node that is not materialized
-    is a placeholder.  Only non-default placeholder digests are stored: a
-    placeholder without an entry holds its level's all-zero digest.
+    ``[root_index << root_level, (root_index + 1) << root_level)``.  The top
+    and every child of a materialized node are *present*; a present node
+    that is not materialized is a placeholder, stored only if non-default.
+    ``leaves`` holds the held balances.  Each held leaf ends a *tail*, the
+    materialized nodes up to a top below which every sibling is an absent
+    default.  One map holds by heap key the digest of every other (*inner*)
+    materialized node and, at each tail's top, the account (8 bytes) and the
+    tail's digests (32 bytes a level, leaf first), so memory grows with the
+    accounts held, not times the path length.
 
     A balance change marks its leaf stale and a placeholder change marks its
     parent stale.  root_hash(), make_proof() and digest_at() first rehash
-    every stale node and each ancestor once, bottom-up, so a root after n
-    updates costs at most n * (root_level + 1) hashes.
+    every stale node (a leaf with its whole tail) and each ancestor once,
+    bottom-up, so a root after n updates costs at most n * (root_level + 1)
+    hashes.
     """
 
     def __init__(
@@ -146,7 +167,8 @@ class PrunedTree:
         self.leaves: dict[int, int] = {}
         self._top = (1 << (address_bits - root_level)) + root_index
         self._base = 1 << address_bits  # key of leaf 0
-        self._digests: dict[int, bytes] = {}
+        self._width = address_bits + 1  # bit length of a leaf key
+        self._nodes: dict[int, bytes] = {}  # inner digests and tail records
         self._placeholders: dict[int, bytes] = {}  # non-default digests only
         self._stale: set[int] = set()
 
@@ -169,126 +191,172 @@ class PrunedTree:
         }
 
     def _position(self, key: int) -> tuple[int, int]:
-        width = key.bit_length() - 1
-        return self.address_bits - width, key - (1 << width)
+        level = self._width - key.bit_length()
+        return level, key - (self._base >> level)
 
-    def _present_key(self, level: int, index: int) -> int:
+    def _deepest(self, key: int) -> tuple[int | None, int | None]:
+        """The deepest materialized node on the way from the top to node
+        `key` (key included) and the top of the tail holding it (None for an
+        inner node); (None, None) when the top is not materialized."""
+        nodes, step, top = self._nodes, key, self._top
+        while step not in nodes:  # the nearest stored ancestor
+            if step <= top:
+                return None, None
+            step >>= 1
+        record = nodes[step]
+        if len(record) == 32:
+            return step, None
+        leaf = self._base + int.from_bytes(record[:8], "big")
+        parted = ((leaf >> (self._width - key.bit_length())) ^ key).bit_length()
+        return key >> parted, step
+
+    def _present(self, level: int, index: int) -> tuple[int, int | None, int | None]:
+        """A present node's key and _deepest() of it."""
         span = self.root_level - level
         if 0 <= span <= self.root_level and index >> span == self.root_index:
             key = (1 << (self.address_bits - level)) + index
-            if key == self._top or key >> 1 in self._digests:
-                return key
+            node, tail = self._deepest(key)
+            if key == self._top or (node is not None and node >= key >> 1):
+                return key, node, tail
         raise PathNotMaterialized(f"node ({level}, {index}) is not present")
 
     # -- digests ------------------------------------------------------------
 
-    def _fold(self, keys, out: dict[int, bytes], counters: HashCounter) -> None:
-        """Digest every key in `keys` and each of its ancestors up to the top
-        once, bottom-up, into `out`.  A node's materialized children are
-        read from `out`, its placeholders from the tree."""
+    def _read(self, key: int, level: int, nodes) -> bytes:
+        """Digest of an inner node or tail top in `nodes`, or of a placeholder."""
+        digest = nodes.get(key) or self._placeholders.get(key) or DEFAULT_DIGESTS[level]
+        return digest[-32:]
+
+    def _fold(self, keys, nodes, counters: HashCounter) -> None:
+        """Digest every key in `keys` (leaves and inner nodes) and each of its
+        ancestors once, bottom-up, into `nodes`, a leaf with its whole tail.
+        Materialized children are read from `nodes`, placeholders from the tree."""
         rows: dict[int, set[int]] = {}
+        leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
         for key in keys:
+            if key >= base:
+                account, top = key - base, key
+                while top not in self._nodes:  # up to the top of its tail
+                    top >>= 1
+                if leaves[account]:
+                    counters.leaf += 1
+                digest = leaf_digest(account, leaves[account])
+                run = _climb(account, digest, defaults[: self._width - top.bit_length()])
+                counters.internal += len(run) - 1
+                nodes[top] = account.to_bytes(8, "big") + b"".join(run)
+                if top == self._top:
+                    continue
+                key = top >> 1
             rows.setdefault(key.bit_length(), set()).add(key)
-        leaves, base, widest = self.leaves, self._base, self.address_bits + 1
-        row = rows.pop(widest, ())
-        for key in row:
-            balance = leaves[key - base]
-            if balance:
-                counters.leaf += 1
-            out[key] = leaf_digest(key - base, balance)
-        get, held = out.get, self._placeholders.get
+        get, held, row = nodes.get, self._placeholders.get, set()
         for level in range(1, self.root_level + 1):
             row = {key >> 1 for key in row}
-            row.update(rows.get(widest - level, ()))
-            default = DEFAULT_DIGESTS[level - 1]
+            row.update(rows.get(base.bit_length() - level, ()))
+            default = defaults[level - 1]
             for key in row:
                 left, right = 2 * key, 2 * key + 1
-                out[key] = node_hash(
-                    get(left) or held(left) or default,
-                    get(right) or held(right) or default,
+                nodes[key] = node_hash(
+                    (get(left) or held(left) or default)[-32:],
+                    (get(right) or held(right) or default)[-32:],
                 )
             counters.internal += len(row)
 
     def _flush(self) -> None:
         if self._stale:
             stale, self._stale = self._stale, set()
-            self._fold(stale, self._digests, self.counters)
-
-    def _held(self, key: int, level: int) -> bytes:
-        """Digest of a present node."""
-        held = self._digests.get(key) or self._placeholders.get(key)
-        return held or DEFAULT_DIGESTS[level]
+            self._fold(stale, self._nodes, self.counters)
 
     def digest_at(self, level: int, index: int) -> bytes:
         """Digest of any present node (placeholder or materialized)."""
-        key = self._present_key(level, index)
+        key, node, tail = self._present(level, index)
         self._flush()
-        return self._held(key, level)
+        if tail is not None and node == key:
+            return _level_digest(self._nodes[tail], level)
+        return self._read(key, level, self._nodes)
 
     def root_hash(self) -> bytes:
         self._flush()
-        return self._held(self._top, self.root_level)
+        return self._read(self._top, self.root_level, self._nodes)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
-        """Re-fold the tree from its leaf balances and placeholders into a
-        fresh map, charging a throwaway counter, once pending rehashes are
-        done.  Returns the re-folded root and the positions whose kept
-        digest disagrees with it."""
+        """Once pending rehashes are done, re-fold the tree from its leaf
+        balances and placeholders into a fresh map, charging a throwaway
+        counter; returns that root and the positions whose kept digest differs."""
         self._flush()
-        fresh: dict[int, bytes] = {}
-        self._fold(self._digests, fresh, HashCounter())
-        kept = self._digests.items()
-        stale = [self._position(key) for key, digest in kept if fresh[key] != digest]
-        root = fresh.get(self._top) or self._held(self._top, self.root_level)
-        return root, sorted(stale)
+        base, fresh, stale = self._base, {}, []
+        keys = [key for key, kept in self._nodes.items() if len(kept) == 32]
+        keys += [base + account for account in self.leaves]
+        self._fold(keys, fresh, HashCounter())
+        for key, kept in self._nodes.items():
+            leaf = base + int.from_bytes(kept[:8], "big") if len(kept) > 32 else key
+            stale += [
+                leaf >> level
+                for level in range(len(kept) // 32)
+                if _level_digest(kept, level) != _level_digest(fresh[key], level)
+            ]
+        root = self._read(self._top, self.root_level, fresh)
+        return root, sorted(map(self._position, stale))
 
     # -- materialization ------------------------------------------------------
+
+    def _split(self, top: int, node: int) -> None:
+        """Cut the tail at `top` below `node`, which turns inner with the levels
+        above it; kept digests are sliced, none is computed."""
+        record, cut = self._nodes[top], self._width - node.bit_length()
+        leaf = self._base + int.from_bytes(record[:8], "big")
+        self._nodes[leaf >> (cut - 1)] = record[: 8 + 32 * cut]
+        for level in range(cut, len(record) // 32):
+            self._nodes[leaf >> level] = _level_digest(record, level)
+
+    def _expand(self, key: int, node: int | None, tail: int | None) -> int:
+        """Make `node` (_deepest() of key, above it) inner; return the node
+        below it toward key, unless a non-default placeholder blocks the way."""
+        entry = key >> (key.bit_length() - node.bit_length() - 1) if node else self._top
+        if entry in self._placeholders:
+            raise PathNotMaterialized(f"cannot expand non-default {self._position(entry)}")
+        if tail is not None:
+            self._split(tail, node)
+        return entry
 
     def ensure_node(self, level: int, index: int) -> None:
         """Materialize the internal path down to (level, index), expanding
         all-zero placeholders along the way; the target itself is left as a
         placeholder (or whatever it already is).  Raises PathNotMaterialized
-        when a non-default placeholder blocks the way, since its children
-        cannot be reconstructed."""
+        when a non-default placeholder blocks the way."""
         span = self.root_level - level
         if not 0 <= span <= self.root_level or index >> span != self.root_index:
             raise NotStored(f"node ({level}, {index}) outside stored subtree")
         key = (1 << (self.address_bits - level)) + index
-        digests = self._digests
-        if key == self._top or key >> 1 in digests:
-            return
-        for lvl in range(self.root_level, level, -1):
-            node = key >> (lvl - level)
-            if node in digests:
-                continue
-            if node in self._placeholders:
-                raise PathNotMaterialized(
-                    f"cannot expand non-default placeholder at {self._position(node)}"
-                )
-            digests[node] = DEFAULT_DIGESTS[lvl]
+        node, tail = self._deepest(key)
+        if key != self._top and (node is None or node < key >> 1):
+            entry = self._expand(key, node, tail)
+            for lvl in range(self._width - entry.bit_length(), level, -1):
+                self._nodes[key >> (lvl - level)] = DEFAULT_DIGESTS[lvl]
 
     def ensure_path(self, account: int) -> None:
-        """Materialize account's leaf, treating pruned default territory as
-        zero balances.  Raises PathNotMaterialized when the leaf itself is a
-        non-default placeholder, since its balance is not known here."""
+        """Materialize account's leaf, as a zero balance where the territory is
+        default; a non-default placeholder on the way raises PathNotMaterialized."""
         if account in self.leaves:
             return
-        self.ensure_node(0, account)
-        key = self._base + account
-        if key in self._placeholders:
-            raise PathNotMaterialized(f"cannot expand non-default leaf {account}")
-        self._digests[key] = DEFAULT_DIGESTS[0]
+        if not self.covers(account):
+            raise NotStored(f"account {account} outside stored subtree")
+        leaf = self._base + account
+        entry = self._expand(leaf, *self._deepest(leaf))
+        run = _DEFAULT_RUNS[self._width - entry.bit_length()]
+        self._nodes[entry] = account.to_bytes(8, "big") + run
         self.leaves[account] = 0
 
     def set_placeholder(self, level: int, index: int, digest: bytes) -> None:
         """Replace the digest of an existing placeholder (a pruned subtree
         whose content is maintained elsewhere)."""
-        key = self._present_key(level, index)
-        if key in self._digests:
+        key, node, tail = self._present(level, index)
+        if node == key:
             raise PathNotMaterialized(f"no placeholder at ({level}, {index})")
         default = DEFAULT_DIGESTS[level]
         if (self._placeholders.get(key) or default) == digest:
             return
+        if tail is not None:  # a tail node's default sibling changes
+            self._split(tail, node)
         self._placeholders.pop(key, None)
         if digest != default:
             self._placeholders[key] = digest
@@ -304,7 +372,7 @@ class PrunedTree:
                 raise NotStored(f"account {account} outside stored range")
             raise PathNotMaterialized(f"leaf {account} is pruned")
         if new_balance < 0:
-            raise ValueError(f"negative balance for account {account}")
+            raise NegativeBalance(f"negative balance for account {account}")
         if leaves[account] != new_balance:
             leaves[account] = new_balance
             self._stale.add(self._base + account)
@@ -327,22 +395,21 @@ class PrunedTree:
             raise NotStored(f"no proof material for account {account}")
         self._flush()
         key = self._base + account
-        get, held, defaults = self._digests.get, self._placeholders.get, DEFAULT_DIGESTS
-        siblings = tuple(
-            get((key >> level) ^ 1) or held((key >> level) ^ 1) or defaults[level]
-            for level in range(self.root_level)
-        )
-        return BalanceProof(account, self.leaves[account], base_height, siblings)
+        while key not in self._nodes:  # up to the top of its tail
+            key >>= 1
+        get, held, defaults = self._nodes.get, self._placeholders.get, DEFAULT_DIGESTS
+        siblings = list(defaults[: self._width - key.bit_length()])
+        for level in range(len(siblings), self.root_level):
+            siblings.append((get(key ^ 1) or held(key ^ 1) or defaults[level])[-32:])
+            key >>= 1
+        return BalanceProof(account, self.leaves[account], base_height, tuple(siblings))
 
     def merge_proof(self, proof: BalanceProof) -> None:
-        """Graft a verified proof's path into this tree.
-
-        Only the proof's first root_level siblings are read.  Everywhere the
-        proof overlaps content already held, digests must agree and a
-        materialized leaf must hold the proof's balance.  No digest changes
-        here, so nothing turns stale and merging the same proof twice is a
-        no-op.
-        """
+        """Graft a verified proof's path into this tree, reading only its
+        first root_level siblings.  Where the proof overlaps content already
+        held, digests must agree and a held leaf must hold the proof's
+        balance.  No digest changes, so nothing turns stale and merging the
+        same proof twice is a no-op."""
         account, siblings = proof.account, proof.siblings
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored range")
@@ -350,45 +417,49 @@ class PrunedTree:
             raise MerkleError(
                 f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
-        digests, held, defaults = self._digests, self._placeholders, DEFAULT_DIGESTS
         leaf = self._base + account
-        # walk down the materialized path to the placeholder the proof enters
-        for entry_level in range(self.root_level, -1, -1):
-            if leaf >> entry_level not in digests:
-                break
-            if entry_level == 0:
-                if self.leaves[account] != proof.balance:
-                    raise ConflictingPlaceholder(f"balance mismatch for {account}")
-                return
-            level, sibling = entry_level - 1, (leaf >> (entry_level - 1)) ^ 1
-            kept = held.get(sibling) or defaults[level]
-            if sibling not in digests and kept != siblings[level]:
+        node, tail = self._deepest(leaf)
+        if tail is not None and node != leaf:
+            self._split(tail, node)  # the proof enters beside this tail
+        nodes, held, defaults = self._nodes, self._placeholders, DEFAULT_DIGESTS
+        # the proof enters below the deepest materialized node on its path;
+        # every sibling above the entry that is not materialized must agree
+        entry_level = self.root_level
+        if node is not None:
+            entry_level = self._width - node.bit_length() - 1
+        for level in range(self.root_level - 1, max(entry_level, 0) - 1, -1):
+            sibling = (leaf >> level) ^ 1
+            if sibling in nodes:
+                continue
+            if (held.get(sibling) or defaults[level]) != siblings[level]:
                 raise ConflictingPlaceholder(
                     f"sibling digest mismatch at {self._position(sibling)}"
                 )
+        if node == leaf:
+            if self.leaves[account] != proof.balance:
+                raise ConflictingPlaceholder(f"balance mismatch for {account}")
+            return
 
         # fold the proof up to the entry and check it against the digest held
-        path = [leaf_digest(account, proof.balance)]
         if proof.balance:
             self.counters.leaf += 1
-        for level in range(entry_level):
-            below, sibling = path[level], siblings[level]
-            if (account >> level) & 1:
-                path.append(node_hash(sibling, below))
-            else:
-                path.append(node_hash(below, sibling))
+        digest = leaf_digest(account, proof.balance)
+        path = _climb(account, digest, siblings[:entry_level])
         self.counters.internal += entry_level
         entry = leaf >> entry_level
         if path[entry_level] != (held.get(entry) or defaults[entry_level]):
             raise ConflictingPlaceholder(f"proof contradicts {self._position(entry)}")
 
+        # a tail up to the lowest non-default sibling, inner nodes above it
         held.pop(entry, None)
-        for level in range(entry_level, 0, -1):
-            digests[leaf >> level] = path[level]
-            if siblings[level - 1] != defaults[level - 1]:
-                held[(leaf >> (level - 1)) ^ 1] = siblings[level - 1]
+        cut = entry_level
+        for level in range(entry_level - 1, -1, -1):
+            if siblings[level] != defaults[level]:
+                held[(leaf >> level) ^ 1], cut = siblings[level], level
+        for level in range(cut + 1, entry_level + 1):
+            nodes[leaf >> level] = path[level]
+        nodes[leaf >> cut] = account.to_bytes(8, "big") + b"".join(path[: cut + 1])
         self.leaves[account] = proof.balance
-        digests[leaf] = path[0]
 
 
 def build_pruned(

@@ -8,7 +8,7 @@ checks its recomputed root against the block it just received.
 
 from __future__ import annotations
 
-from .merkle import BalanceProof, HashCounter, NotStored, build_pruned
+from .merkle import BalanceProof, HashCounter, MerkleError, NotStored, build_pruned
 
 
 class StateDivergence(Exception):
@@ -44,19 +44,24 @@ class StorageNode:
 
     def apply_confirmed(self, txs, frontier, new_block) -> None:
         """Apply one block's worth of relevant transactions plus the frontier
-        digests published for the same entry round, then check the root."""
-        tree = self.tree
-        for position, digest in sorted(frontier.items()):
-            tree.set_placeholder(*position, digest)
-        for tx in txs:
-            for account in (tx.src, tx.dst):
-                if self.in_range(account):
-                    tree.ensure_path(account)
-        tree.apply_transfers(txs)
+        digests published for the same entry round, then check the root.
+        Raises StateDivergence naming this node when the root disagrees or
+        the tree cannot take the block (a transfer that would overdraw, say)."""
+        tree, name = self.tree, f"storage {self.portion}/{self.replica}"
+        try:
+            for position, digest in sorted(frontier.items()):
+                tree.set_placeholder(*position, digest)
+            for tx in txs:
+                for account in (tx.src, tx.dst):
+                    if self.in_range(account):
+                        tree.ensure_path(account)
+            tree.apply_transfers(txs)
+        except MerkleError as exc:
+            raise StateDivergence(f"{name}: {exc}") from exc
         root = tree.root_hash()
         if root != new_block.state_root:
             raise StateDivergence(
-                f"storage {self.portion}/{self.replica} root {root.hex()[:16]} != "
+                f"{name} root {root.hex()[:16]} != "
                 f"block {new_block.height} root {new_block.state_root.hex()[:16]}"
             )
         self.latest_block = new_block

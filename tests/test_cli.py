@@ -12,6 +12,7 @@ import pytest
 
 from pipechain import cli
 from pipechain.engine import Batch
+from pipechain.pipeline import build_topology
 
 BASE_CONFIG = {
     "seed": 7,
@@ -202,6 +203,55 @@ def test_leaf_that_cannot_apply_its_batch_exits_3(
     assert summary["rounds_run"] == 5
     assert summary["leaf_failed_rounds"] == 1
     assert "fatal=pipeline fault: leaf " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle_enabled", [True, False])
+@pytest.mark.parametrize("target", ["leaf", "storage"])
+def test_overdraw_after_confirmation_exits_3(
+    target, oracle_enabled, tmp_path, monkeypatch, capsys
+):
+    # after confirmation, the amount of one transfer in the round-5 batch sent
+    # to one leaf committee or storage node is raised by 10**12, so applying
+    # it would drive the transfer's source below zero there
+    send = cli.Simulation._send
+    tampered = []
+
+    def overdraw(sim, dest, msg):
+        if dest[0] == target and isinstance(msg, Batch) and msg.entry == 5 and not tampered:
+            if target == "leaf":
+                holds = sim.leaf_rpcs[dest[1]].tree.covers
+            else:
+                holds = sim.storage[dest[1:]].in_range
+            for i, tx in enumerate(msg.txs):
+                if holds(tx.src):
+                    tx = replace(tx, amount=tx.amount + 10**12)
+                    msg = replace(msg, txs=msg.txs[:i] + (tx,) + msg.txs[i + 1 :])
+                    tampered.append((dest[1:], tx.src))
+                    break
+        send(sim, dest, msg)
+
+    monkeypatch.setattr(cli.Simulation, "_send", overdraw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
+    report = tmp_path / "report.jsonl"
+    assert cli.main(["run", "--config", str(path), "--report", str(report)]) == 3
+    summary = json.loads(report.read_text().splitlines()[-1])["summary"]
+    assert len(tampered) == 1
+    (node, account), = tampered
+    if target == "leaf":
+        # the leaf folds the batch in round 6 and names the fault there
+        culprit, failed_rounds = f"pipeline fault: leaf {node[0]}", 1
+        assert summary["rounds_run"] == 5
+    else:
+        # the storage node applies it when block 5 + q - 1 arrives, a round
+        # after that block is emitted
+        culprit, failed_rounds = f"storage divergence: storage {node[0]}/{node[1]}", 0
+        cfg = BASE_CONFIG
+        topo = build_topology(cfg["leaf_count"], cfg["j"], cfg["address_bits"])
+        assert summary["rounds_run"] == 5 + topo.stages - 1
+    assert summary["fatal"] == f"{culprit}: negative balance for account {account}"
+    assert summary["leaf_failed_rounds"] == failed_rounds
+    assert f"fatal={culprit}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,11 @@ def test_config_rejects_bad_types_and_values():
                 dict(interleave_probe=(True, 2))):
         with pytest.raises(ValueError, match="must be an integer"):
             Simulation(_config(), **bad)
+    # and its flags: a truthy non-bool such as "no" would switch a flag on
+    for bad in (dict(audit_proofs="no"), dict(audit_proofs=1), dict(audit_proofs=None),
+                dict(balanced_workload="no"), dict(balanced_workload=0)):
+        with pytest.raises(ValueError, match="must be a boolean"):
+            Simulation(_config(), **bad)
 
 
 def test_genesis_agrees_with_brute_force():

@@ -14,6 +14,7 @@ from pipechain.merkle import (
     BalanceProof,
     ConflictingPlaceholder,
     HashCounter,
+    NegativeBalance,
     NotStored,
     PathNotMaterialized,
     PrunedTree,
@@ -24,7 +25,7 @@ from pipechain.merkle import (
     verify_proof,
 )
 from pipechain.ledger import Transaction
-from pipechain.oracle import full_tree_root
+from pipechain.oracle import LedgerOracle, full_tree_root
 
 # frozen with raw hashlib, independently of the implementation
 D0_HEX = "dda357c91ead42a1bd4ca061ae49480c54bee0e21a060e57341c220a23b6cbcd"
@@ -37,8 +38,17 @@ ROOT_A3_TWO_HEX = "ad894a1c247c188c5a7814008f646f2f542476d384a64841034763ebc8369
 
 def _corrupt_digest(tree, level, index, digest):
     """Overwrite the digest a tree keeps for one of its materialized nodes,
-    leaving its balances and placeholders as they are."""
-    tree._digests[(1 << (tree.address_bits - level)) + index] = digest
+    an inner node or any level of a leaf tail, leaving its balances and
+    placeholders as they are."""
+    key = (1 << (tree.address_bits - level)) + index
+    node, top = tree._deepest(key)
+    assert node == key, "not materialized"
+    if top is None:
+        tree._nodes[key] = digest
+    else:  # a tail record: an 8-byte account, then 32 bytes a level
+        record = tree._nodes[top]
+        start = 8 + 32 * level
+        tree._nodes[top] = record[:start] + digest + record[start + 32 :]
 
 
 def test_leaf_hash_preimage():
@@ -165,7 +175,7 @@ def test_apply_update_requires_leaf():
     tree = build_pruned([(3, 9)], 4)
     with pytest.raises(PathNotMaterialized):
         tree.apply_update(12, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(NegativeBalance):
         tree.apply_update(3, -1)
 
 
@@ -381,6 +391,8 @@ def test_counters_match_digests_made(monkeypatch):
     tree.make_proof(17, 0)
     tree.set_placeholder(6, 2, bytes(32))
     tree.apply_update(17, 2)
+    tree.ensure_path(2)  # cuts account 3's tail at level 1
+    tree.apply_update(2, 7)
     tree.root_hash()
     merged = PrunedTree(8, counters=counters)
     merged.set_placeholder(8, 0, root)
@@ -403,7 +415,28 @@ def _subtree_root(balances, address_bits, level, index):
     return row[0]
 
 
+def _check_layout(tree):
+    """The kept records follow the tail layout: one tail record per held
+    leaf, ending at that leaf, with no stored sibling below its top; every
+    other record is a 32-byte inner digest, and each record's parent is an
+    inner node (or the record is the tree's top)."""
+    base, nodes = 1 << tree.address_bits, tree._nodes
+    tails = {key: record for key, record in nodes.items() if len(record) != 32}
+    accounts = [int.from_bytes(record[:8], "big") for record in tails.values()]
+    assert sorted(accounts) == sorted(tree.leaves)
+    for top, record in tails.items():
+        assert len(record) % 32 == 8
+        leaf, height = base + int.from_bytes(record[:8], "big"), len(record) // 32 - 1
+        assert leaf >> height == top
+        for level in range(height):
+            sibling = (leaf >> level) ^ 1
+            assert sibling not in nodes and sibling not in tree._placeholders
+    for key in nodes:
+        assert key == tree._top or len(nodes.get(key >> 1, b"")) == 32
+
+
 def _check_tree(tree, expected_root):
+    _check_layout(tree)
     assert tree.root_hash() == expected_root
     for account in tree.snapshot()[0]:
         assert verify_proof(tree.make_proof(account, 0), expected_root)
@@ -416,6 +449,10 @@ def test_trees_track_the_full_tree(data):
     # Three trees follow one ledger: a full tree, a leaf committee's scoped
     # tree (proofs merged for accounts it has not seen) and a storage node's
     # full tree holding one portion, whose spine is kept by set_placeholder.
+    # A step may flip one bit of a pool account, so that ensure_path and
+    # merge_proof enter a held account's tail and cut it where the paths part.
+    # A fourth, full tree holds one account and keeps every other subtree as
+    # a placeholder set beside that account's tail.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -431,23 +468,37 @@ def test_trees_track_the_full_tree(data):
     scoped = PrunedTree(bits, level, index)
     scoped.set_placeholder(level, index, _subtree_root(balances, bits, level, index))
     storage = PrunedTree(bits)
-    if spine:
-        storage.ensure_node(level, index)
-    for pos in spine:
-        storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
-    for account in sorted(balances):
-        if account >> level == index:
-            storage.ensure_path(account)
-            storage.apply_update(account, balances[account])
+    # the spine after the accounts puts its placeholders beside their tails
+    spine_first = data.draw(st.booleans(), label="spine first")
+    for phase in (spine_first, not spine_first):
+        if phase:
+            if spine:
+                storage.ensure_node(level, index)
+            for pos in spine:
+                storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
+            continue
+        for account in sorted(balances):
+            if account >> level == index:
+                storage.ensure_path(account)
+                storage.apply_update(account, balances[account])
+    lone = build_pruned([(pool[0], balances.get(pool[0], 0))], bits)
+    beside = [(t, (pool[0] >> t) ^ 1) for t in range(bits)]
 
     steps = data.draw(
         st.lists(
-            st.tuples(st.sampled_from(pool), st.integers(0, 3), st.integers(1, 2**40)),
+            st.tuples(
+                st.sampled_from(pool),
+                st.integers(-1, bits - 1),
+                st.integers(0, 3),
+                st.integers(1, 2**40),
+            ),
             max_size=10,
         ),
         label="steps",
     )
-    for account, kind, amount in steps:
+    for account, flip, kind, amount in steps:
+        if flip >= 0:
+            account ^= 1 << flip
         balance = 0 if kind == 0 else amount  # kind 0 drains the account
         full.ensure_path(account)
         if scoped.covers(account) and account not in scoped.leaves:
@@ -462,10 +513,15 @@ def test_trees_track_the_full_tree(data):
             storage.apply_update(account, balance)
         for pos in spine:
             storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
+        if account == pool[0]:
+            lone.apply_update(account, balance)
+        for pos in beside:
+            lone.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
 
         root = _subtree_root(balances, bits, bits, 0)
         _check_tree(full, root)
         _check_tree(storage, root)
+        _check_tree(lone, root)
         _check_tree(scoped, _subtree_root(balances, bits, level, index))
     assert full.root_hash() == full_tree_root(balances, bits)
 
@@ -497,13 +553,16 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     # A leaf committee's scoped tree (proofs grafted first) and a storage
     # node's spine-seeded full tree each apply random transfer batches with
     # apply_transfers, next to a twin driven by one apply_update per
-    # covered account, the loop apply_transfers replaces.
+    # covered account, the loop apply_transfers replaces.  The pool holds a
+    # leaf's sibling, so grafts and ensure_path enter held tails, and a
+    # transfer may drain its source, zeroing the bottom of a tail.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
     pool = data.draw(
         st.lists(st.integers(0, (1 << bits) - 1), min_size=2, max_size=6, unique=True)
     )
+    pool = sorted(set(pool) | {pool[0] ^ 1})
     ledger = data.draw(
         st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
     )
@@ -523,7 +582,10 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
         st.lists(
             st.lists(
                 st.tuples(
-                    st.sampled_from(pool), st.sampled_from(pool), st.integers(0, 2**40)
+                    st.sampled_from(pool),
+                    st.sampled_from(pool),
+                    st.integers(0, 2**40),
+                    st.booleans(),
                 ),
                 max_size=5,
             ),
@@ -533,10 +595,11 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     )
     for nonce, steps in enumerate(batches):
         txs = []
-        for src, dst, amount in steps:
+        for src, dst, amount, drain in steps:
             # never overdraw: the plain ledger bounds each amount
-            tx = Transaction(src, dst, min(amount, ledger.get(src, 0)), 1, nonce)
-            ledger[src] = ledger.get(src, 0) - tx.amount
+            held = ledger.get(src, 0)
+            tx = Transaction(src, dst, held if drain else min(amount, held), 1, nonce)
+            ledger[src] = held - tx.amount
             ledger[dst] = ledger.get(dst, 0) + tx.amount
             txs.append(tx)
         touched = {a for tx in txs for a in (tx.src, tx.dst)}
@@ -577,7 +640,51 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
         for tree, twin, expected in (
             (leaf, leaf_twin, portion_root), (storage, storage_twin, root)
         ):
+            _check_layout(tree)
+            _check_layout(twin)
             assert tree.root_hash() == twin.root_hash() == expected
             assert tree.snapshot() == twin.snapshot()
         assert counters["leaf"] == counters["leaf twin"]
         assert counters["storage"] == counters["storage twin"]
+
+
+def test_kept_records_grow_with_accounts_not_path_length():
+    # At A = 40, 256 accounts a stride 2**32 apart share only their top 8
+    # levels, so a tree keeping one digest per materialized node would keep
+    # about 33 per account.  The tail layout keeps one record per account and
+    # one digest per branch above, full or scoped, after grafts and serves.
+    bits, n = 40, 256
+    ledger = {i << 32: i + 1 for i in range(n)}
+    full = build_pruned(sorted(ledger.items()), bits)
+    twin = build_pruned(sorted(ledger.items()), bits)
+    # a leaf committee's tree for portion (32, 5), grafted from proofs
+    portion = {(5 << 32) + (i << 24): i + 1 for i in range(n)}
+    source = build_pruned(sorted(portion.items()), bits)
+    scoped = PrunedTree(bits, 32, 5)
+    scoped.set_placeholder(32, 5, source.digest_at(32, 5))
+    for account in sorted(portion):
+        scoped.merge_proof(source.make_proof(account, 0))
+
+    # graft a few zero accounts into held tails, and serve a few more
+    for tree, giver, accounts in (
+        (full, twin, [(7 << 32) + 9, (7 << 32) + (1 << 31)]),
+        (scoped, source, [(5 << 32) + (3 << 24) + 1]),
+    ):
+        for account in accounts:
+            giver.ensure_path(account)
+            tree.merge_proof(giver.make_proof(account, 0))
+    for tree, accounts in (
+        (full, [1, (3 << 32) + 5, (1 << bits) - 1]),
+        (scoped, [(5 << 32) + 77, (6 << 32) - 1]),
+    ):
+        for account in accounts:
+            tree.ensure_path(account)
+            assert verify_proof(tree.make_proof(account, 0), tree.root_hash())
+
+    assert full.root_hash() == LedgerOracle(bits, ledger).root()
+    assert scoped.root_hash() == source.digest_at(32, 5)
+    for tree in (full, scoped):
+        _check_layout(tree)
+        assert tree.refold() == (tree.root_hash(), [])
+        kept = len(tree._nodes) + len(tree._placeholders)
+        assert len(tree.leaves) >= n and kept <= 3 * len(tree.leaves)

@@ -35,8 +35,17 @@ def _tx(tree, src, dst, amount, nonce):
 
 def _corrupt_digest(tree, level, index, digest):
     """Overwrite the digest a tree keeps for one of its materialized nodes,
-    leaving its balances and placeholders as they are."""
-    tree._digests[(1 << (tree.address_bits - level)) + index] = digest
+    an inner node or any level of a leaf tail, leaving its balances and
+    placeholders as they are."""
+    key = (1 << (tree.address_bits - level)) + index
+    node, top = tree._deepest(key)
+    assert node == key, "not materialized"
+    if top is None:
+        tree._nodes[key] = digest
+    else:  # a tail record: an 8-byte account, then 32 bytes a level
+        record = tree._nodes[top]
+        start = 8 + 32 * level
+        tree._nodes[top] = record[:start] + digest + record[start + 32 :]
 
 
 def test_genesis_root_check():
@@ -143,6 +152,11 @@ def test_audit_detects_corrupt_cached_digest():
     # leaf 3's cached digest; the balances stay as they are
     _corrupt_digest(node.tree, 0, 3, leaf_hash(3, 51))
     assert node.audit_stored() == (2, 2)
+    # so is a digest inside a tail: node 1 holds account 20 alone, on a tail
+    # from its leaf up to the portion's top at level 4
+    assert nodes[1].audit_stored() == (1, 0)
+    _corrupt_digest(nodes[1].tree, 2, 20 >> 2, bytes(32))
+    assert nodes[1].audit_stored() == (1, 1)
 
 
 def test_audit_leaves_no_garbage():
