@@ -41,16 +41,25 @@ class NegativeBalance(MerkleError):
     """An update would drive a held balance below zero."""
 
 
+# hash states that have absorbed each domain tag; a digest resumes a copy
+_LEAF_STATE = hashlib.sha256(b"L")
+_NODE_STATE = hashlib.sha256(b"N")
+
+
 def leaf_hash(account: int, balance: int) -> bytes:
     """Digest of a leaf record: sha256("L" | account 8BE | balance 8BE)."""
-    return hashlib.sha256(
-        b"L" + account.to_bytes(8, "big") + balance.to_bytes(8, "big")
-    ).digest()
+    state = _LEAF_STATE.copy()
+    state.update(account.to_bytes(8, "big"))
+    state.update(balance.to_bytes(8, "big"))
+    return state.digest()
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
     """Digest of an internal node: sha256("N" | left | right). Order matters."""
-    return hashlib.sha256(b"N" + left + right).digest()
+    state = _NODE_STATE.copy()
+    state.update(left)
+    state.update(right)
+    return state.digest()
 
 
 def _all_zero_digests(levels: int) -> tuple[bytes, ...]:
@@ -119,7 +128,12 @@ def _climb(account: int, digest: bytes, siblings) -> list[bytes]:
 
 
 def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
-    """Fold the proof leaf-to-root and compare against expected_root."""
+    """Fold the proof leaf-to-root and compare against expected_root.
+
+    A proof with n siblings covers accounts 0..2**n - 1 only; any other
+    account would fold with just its low n bits, so it fails here."""
+    if not 0 <= proof.account < 1 << len(proof.siblings):
+        return False
     leaf = leaf_digest(proof.account, proof.balance)
     return _climb(proof.account, leaf, proof.siblings)[-1] == expected_root
 

@@ -12,6 +12,7 @@ import pytest
 
 from pipechain import cli
 from pipechain.engine import Batch
+from pipechain.ledger import Transaction
 from pipechain.pipeline import build_topology
 
 BASE_CONFIG = {
@@ -252,6 +253,34 @@ def test_overdraw_after_confirmation_exits_3(
     assert summary["fatal"] == f"{culprit}: negative balance for account {account}"
     assert summary["leaf_failed_rounds"] == failed_rounds
     assert f"fatal={culprit}: " in capsys.readouterr().err
+
+
+def test_destination_outside_the_address_space_is_a_bad_proof(tmp_path, monkeypatch):
+    # one round-5 submission's destination and its zero-balance proof move
+    # to account + 2**A: a proof with A siblings folds only the low A bits of
+    # its account, so without a range check it would verify, and the transfer
+    # would land outside every leaf
+    send = cli.Simulation._send
+    moved = []
+
+    def outside(sim, dest, msg):
+        if isinstance(msg, Transaction) and msg.entry_round == 5 and not moved:
+            if msg.dst_proof.balance == 0:
+                far = msg.dst + (1 << sim.config.address_bits)
+                proof = replace(msg.dst_proof, account=far)
+                msg = replace(msg, dst=far, dst_proof=proof, txid=b"")
+                moved.append(msg.txid)
+        send(sim, dest, msg)
+
+    monkeypatch.setattr(cli.Simulation, "_send", outside)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "rounds": 12}))
+    report = tmp_path / "report.jsonl"
+    assert cli.main(["run", "--config", str(path), "--report", str(report)]) == 0
+    summary = json.loads(report.read_text().splitlines()[-1])["summary"]
+    assert len(moved) == 1
+    assert summary["fatal"] is None
+    assert summary["discard_reasons"]["bad_proof"] == 1
 
 
 @pytest.mark.parametrize(

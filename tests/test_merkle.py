@@ -163,6 +163,20 @@ def test_zero_balance_proof():
     assert verify_proof(proof, tree.root_hash())
 
 
+def test_proof_outside_its_address_space_fails():
+    # a proof with n siblings folds only the low n bits of its account, and
+    # every zero balance hashes to the shared default leaf
+    tree = build_pruned([(3, 9)], 4)
+    tree.ensure_path(12)
+    root = tree.root_hash()
+    empty, held = tree.make_proof(12, base_height=0), tree.make_proof(3, base_height=0)
+    assert verify_proof(empty, root) and verify_proof(held, root)
+    for proof in (empty, held):
+        for account in (proof.account + 16, proof.account + (1 << 40), 16, -16):
+            assert not verify_proof(replace(proof, account=account), root)
+    assert not verify_proof(replace(held, account=-1), root)
+
+
 def test_make_proof_requires_materialized_path():
     tree = build_pruned([(3, 9)], 4)
     with pytest.raises(NotStored):
@@ -435,11 +449,27 @@ def _check_layout(tree):
         assert key == tree._top or len(nodes.get(key >> 1, b"")) == 32
 
 
+def _check_proof(tree, account, expected_root):
+    """The tree's proof of account folds to expected_root with the low bits
+    of the account, one sibling a level below the tree's top; verify_proof
+    accepts it exactly when the account lies inside that span, as every
+    account of a full tree does."""
+    proof = tree.make_proof(account, 0)
+    digest = leaf_digest(account, proof.balance)
+    for level, sibling in enumerate(proof.siblings):
+        if (account >> level) & 1:
+            digest = node_hash(sibling, digest)
+        else:
+            digest = node_hash(digest, sibling)
+    assert digest == expected_root
+    assert verify_proof(proof, expected_root) == (account >> tree.root_level == 0)
+
+
 def _check_tree(tree, expected_root):
     _check_layout(tree)
     assert tree.root_hash() == expected_root
     for account in tree.snapshot()[0]:
-        assert verify_proof(tree.make_proof(account, 0), expected_root)
+        _check_proof(tree, account, expected_root)
     assert tree.refold() == (expected_root, [])
 
 
@@ -679,7 +709,7 @@ def test_kept_records_grow_with_accounts_not_path_length():
     ):
         for account in accounts:
             tree.ensure_path(account)
-            assert verify_proof(tree.make_proof(account, 0), tree.root_hash())
+            _check_proof(tree, account, tree.root_hash())
 
     assert full.root_hash() == LedgerOracle(bits, ledger).root()
     assert scoped.root_hash() == source.digest_at(32, 5)

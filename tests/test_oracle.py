@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipechain
+import pipechain.oracle as oracle_module
 from pipechain.ledger import Transaction
 from pipechain.merkle import DEFAULT_DIGESTS, build_pruned
 from pipechain.oracle import LedgerOracle, NonNegativityViolation, full_tree_root
@@ -124,7 +125,14 @@ def test_sparse_root_matches_brute_force_and_forks_are_independent(data):
             if not funded:
                 break
             src = data.draw(st.sampled_from(funded))
-            dst = data.draw(position)
+            # a neighbour of a touched account lands inside its tail and cuts
+            # it at the level where their paths part
+            beside = st.builds(
+                lambda account, level: account ^ (1 << level),
+                st.sampled_from(sorted(after)),
+                st.integers(0, bits - 1),
+            )
+            dst = data.draw(st.one_of(position, beside))
             if dst == src:
                 continue
             # draining the whole balance returns the leaf to the default digest
@@ -153,6 +161,59 @@ def test_oracle_runs_at_widest_address_space():
     assert oracle.root() == build_pruned(live, bits).root_hash()
     # one leaf and one digest per level for each account ever touched
     assert len(oracle.heap) <= len(oracle.balances) * (bits + 1)
+
+
+def test_neighbours_cut_tails_at_every_level_and_forks_keep_theirs():
+    bits, account = 12, 0b101101001011
+    for levels in (range(bits), reversed(range(bits))):
+        oracle = LedgerOracle(bits, {account: 10**6})
+        for level in levels:
+            oracle.apply_sequence([_tx(account, account ^ (1 << level), level + 1)])
+            assert oracle.root() == full_tree_root(oracle.balances, bits)
+        root, balances = oracle.root(), dict(oracle.balances)
+        fork = oracle.fork()
+        # lands inside the tail of account ^ 2**11, below every other branch
+        fork.apply_sequence([_tx(account, account ^ (1 << 11) ^ 1, 7)])
+        assert fork.root() == full_tree_root(fork.balances, bits)
+        assert oracle.root() == root == full_tree_root(balances, bits)
+        assert oracle.balances == balances
+
+
+def test_apply_digests_each_touched_position_once(monkeypatch):
+    bits = 10
+    oracle = LedgerOracle(bits, {5: 100, 600: 100, 601: 0})
+    digests = []
+
+    def counted(fn):
+        def wrapper(first, second):
+            digests.append(fn)
+            return fn(first, second)
+
+        return wrapper
+
+    for name in ("node_hash", "leaf_digest"):
+        monkeypatch.setattr(oracle_module, name, counted(getattr(oracle_module, name)))
+    # 5 ^ 1 cuts the tail of 5, 600 ^ 8 lands beside the branch over 600, 601
+    txs = [_tx(5, 4, 30), _tx(600, 608, 20), _tx(600, 601, 10)]
+    oracle.apply_sequence(txs)
+    touched = {a for tx in txs for a in (tx.src, tx.dst)}
+    base = 1 << bits
+    positions = {(base + a) >> level for a in touched for level in range(bits + 1)}
+    assert len(digests) == len(positions)
+    assert oracle.root() == full_tree_root(oracle.balances, bits)
+
+
+def test_oracle_memory_grows_with_accounts_not_path_length():
+    bits, n = 40, 256
+    stride = (1 << bits) // n
+    oracle = LedgerOracle(bits, {i * stride: 1000 for i in range(n)})
+    # new accounts inside three tails, cut at the bottom, middle and top
+    near = [(0, 1), (stride, stride + (1 << 20)), (5 * stride, 6 * stride - 1)]
+    oracle.apply_sequence([_tx(src, dst, 10) for src, dst in near])
+    live = sorted((a, b) for a, b in oracle.balances.items() if b > 0)
+    assert oracle.root() == build_pruned(live, bits).root_hash()
+    # one tail record per account and a digest per branch or chain node above
+    assert len(oracle.heap) <= 3 * n
 
 
 def test_oracle_imports_only_digest_primitives():
