@@ -140,12 +140,13 @@ def _run_simulation(args, *, audit: bool) -> int:
         for line in report_lines(result):
             handle.write(line + "\n")
     summary = result.summary
+    idle = ",".join(summary.get("idle_faults", ()))
     print(
         f"rounds={summary['rounds_run']}/{cfg.rounds}"
         f" accepted={summary['accepted_total']}"
         f" oracle_mismatches={summary['oracle']['mismatches']}"
         f" audit_failed={summary['audit']['failed']}"
-        f" fatal={summary['fatal'] or 'none'}",
+        f" fatal={summary['fatal'] or 'none'}" + (f" idle_faults={idle}" if idle else ""),
         file=sys.stderr,
     )
     return EXIT_OK if result.ok else EXIT_DIVERGED

@@ -12,20 +12,14 @@ cross-committee data crosses the round boundary through the outbox.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import attrgetter
 
+from .clients import Clients
 from .committee import ConfirmationCommittee
-from .ledger import (
-    GENESIS_PREV_HASH,
-    Block,
-    BlockHistory,
-    Transaction,
-    cc_index,
-)
+from .ledger import GENESIS_PREV_HASH, Block, BlockHistory, Transaction, cc_index
 from .merkle import build_pruned, verify_proof
 from .oracle import LedgerOracle, NonNegativityViolation
 from .pipeline import (
@@ -42,6 +36,16 @@ FATAL_VERDICTS = {
     NonNegativityViolation: "non-negativity violation",
     PipelineFault: "pipeline fault",
 }
+
+
+def _integer(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
+def _boolean(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,8 @@ class SimConfig:
 
     def validated(self) -> "SimConfig":
         for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name == "oracle_enabled":
-                if not isinstance(value, bool):
-                    raise ValueError("oracle_enabled must be a boolean")
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config key {field.name} must be an integer")
+            check = _boolean if field.type == "bool" else _integer
+            check(f"config key {field.name}", getattr(self, field.name))
         if self.address_bits < 1 or self.address_bits > 40:
             raise ValueError("address_bits out of range")
         for name in ("f", "n_c", "leaf_count", "j", "e", "rho", "rounds",
@@ -105,6 +105,39 @@ class SimConfig:
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """Simulation's options: workload shape, proof audit and fault hooks."""
+
+    balanced_workload: bool = False
+    audit_proofs: bool = False
+    expired_injection_rate: int = 0
+    drop_confirmed_round: int | None = None  # None: no drop
+    interleave_probe: tuple[int, int] | None = None  # (rounds, shuffles each)
+
+    def validated(self, cfg: SimConfig, stages: int) -> "RunOptions":
+        _boolean("balanced_workload", self.balanced_workload)
+        _boolean("audit_proofs", self.audit_proofs)
+        _integer("expired_injection_rate", self.expired_injection_rate)
+        drop = self.drop_confirmed_round
+        if drop is not None:
+            _integer("drop_confirmed_round", drop)
+        for count in self.interleave_probe or ():
+            _integer("interleave_probe", count)
+        if self.balanced_workload and cfg.f % cfg.n_c:
+            raise ValueError("balanced workload needs n_c | f")
+        if self.expired_injection_rate < 0:
+            raise ValueError("expired_injection_rate must be >= 0")
+        if self.interleave_probe and min(self.interleave_probe) < 0:
+            raise ValueError("interleave_probe counts must be >= 0")
+        if self.interleave_probe and not cfg.oracle_enabled:
+            raise ValueError("interleave_probe needs the oracle")
+        # entry round 1 is empty; a later loss would settle after the run
+        if drop is not None and not 2 <= drop <= cfg.rounds - stages:
+            raise ValueError(f"drop_confirmed_round must be in 2..{cfg.rounds - stages}")
+        return self
 
 
 @dataclass
@@ -158,7 +191,7 @@ class SimResult:
 
     @property
     def ok(self) -> bool:
-        return self.summary["fatal"] is None and not self.summary["diverged"]
+        return self.summary["fatal"] is None
 
 
 def report_lines(result: SimResult):
@@ -171,49 +204,14 @@ def report_lines(result: SimResult):
 
 
 class Simulation:
-    def __init__(
-        self,
-        config: SimConfig,
-        *,
-        balanced_workload: bool = False,
-        audit_proofs: bool = False,
-        expired_injection_rate: int = 0,
-        drop_confirmed_round: int | None = None,
-        interleave_probe: tuple[int, int] | None = None,
-    ) -> None:
+    def __init__(self, config: SimConfig, **options) -> None:
+        """options are RunOptions' fields, validated against config."""
         cfg = config.validated()
-        for name, value in (
-            ("expired_injection_rate", expired_injection_rate),
-            ("drop_confirmed_round", drop_confirmed_round or 0),  # None: no drop
-            *(("interleave_probe", count) for count in interleave_probe or ()),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        flags = {"balanced_workload": balanced_workload, "audit_proofs": audit_proofs}
-        for name, flag in flags.items():
-            if not isinstance(flag, bool):
-                raise ValueError(f"{name} must be a boolean")
-        if balanced_workload and cfg.f % cfg.n_c:
-            raise ValueError("balanced workload needs n_c | f")
-        if expired_injection_rate < 0:
-            raise ValueError("expired_injection_rate must be >= 0")
-        if interleave_probe and min(interleave_probe) < 0:
-            raise ValueError("interleave_probe counts must be >= 0")
-        if interleave_probe and not cfg.oracle_enabled:
-            raise ValueError("interleave_probe needs the oracle")
         self.config = cfg
-        self.balanced_workload = balanced_workload
-        self.audit_proofs = audit_proofs
-        self.expired_injection_rate = expired_injection_rate
-        self.drop_confirmed_round = drop_confirmed_round
-
         topo = build_topology(cfg.leaf_count, cfg.j, cfg.address_bits)
         self.topology = topo
         self.stages = topo.stages
-        # entry round 1 is empty; a later loss would settle after the run
-        drop, last_drop = drop_confirmed_round, cfg.rounds - topo.stages
-        if drop is not None and not 2 <= drop <= last_drop:
-            raise ValueError(f"drop_confirmed_round must be in 2..{last_drop}")
+        self.options = RunOptions(**options).validated(cfg, topo.stages)
 
         # -- genesis state ------------------------------------------------
         stride = (1 << cfg.address_bits) // cfg.initial_accounts
@@ -288,10 +286,10 @@ class Simulation:
                 self._send_up(t, index, digest)
 
         # -- clients and oracle --------------------------------------------
-        self.client_view = dict(genesis_entries)
-        # the view's accounts with a positive balance, ascending; kept up to
-        # date by _update_funded as entries settle
-        self.funded = [a for a in sorted(self.client_view) if self.client_view[a] > 0]
+        self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
+        self.clients = Clients(
+            cfg, self.options, topo, self.storage, self._committee_of, genesis_entries
+        )
         self.oracle = (
             LedgerOracle(cfg.address_bits, dict(genesis_entries))
             if cfg.oracle_enabled
@@ -300,24 +298,12 @@ class Simulation:
         if self.oracle is not None and self.oracle.root() != self.genesis_root:
             raise RuntimeError("oracle genesis root disagrees with genesis tree")
         self.supply0 = cfg.initial_accounts * cfg.initial_balance
-        self._nonce = 0
-        self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
-        self.injected_ids: set[bytes] = set()
         self.injected_outcomes: Counter = Counter()
-        self._proof_pool: dict[int, list] = {}  # served round -> [(account, proof)]
-
-        self._probe_rounds: set[int] = set()
-        self._probe_per_round = 0
-        if interleave_probe:
-            count, per_round = interleave_probe
-            rng = random.Random(f"{cfg.seed}:probe")
-            candidates = range(2, cfg.rounds + 1)
-            self._probe_rounds = set(
-                rng.sample(candidates, min(count, len(candidates)))
-            )
-            self._probe_per_round = per_round
+        probe_count = min((self.options.interleave_probe or (0,))[0], cfg.rounds - 1)
+        rng = random.Random(f"{cfg.seed}:probe")
+        self._probe_rounds = set(rng.sample(range(2, cfg.rounds + 1), probe_count))
 
     # -- helpers -----------------------------------------------------------
 
@@ -329,74 +315,6 @@ class Simulation:
         """Latch the index-th digest below a tier into the committee folding it."""
         parent, ordinal = divmod(index, self.topology.tiers[tier].child_count)
         self._send(("inner", tier, parent), ChildDigest(ordinal, digest))
-
-    def _serve_proof(self, account: int, meters):
-        node_key = (self.topology.portion_of(account), 0)
-        meter = meters[("storage",) + node_key]
-        meter.msgs_in += 1
-        meter.msgs_out += 1
-        return self.storage[node_key].serve_proof(account)
-
-    def _generate_workload(self, entry_round: int, funded, meters):
-        cfg = self.config
-        rng = random.Random(f"{cfg.seed}:workload:{entry_round}")
-        view = self.client_view
-        # sources: f from all funded accounts, or f / n_c per committee
-        buckets, per_bucket = [funded], cfg.f
-        if self.balanced_workload:
-            buckets = [[] for _ in range(cfg.n_c)]
-            for account in funded:
-                buckets[self._committee_of(account)].append(account)
-            per_bucket = cfg.f // cfg.n_c
-        truncated = any(len(bucket) < per_bucket for bucket in buckets)
-        srcs = []
-        for bucket in buckets:
-            srcs.extend(rng.sample(bucket, min(per_bucket, len(bucket))))
-        involved = set(srcs)
-        space = 1 << cfg.address_bits
-        txs = []
-        for src in srcs:
-            while True:
-                dst = rng.randrange(space)
-                if dst not in involved:
-                    break
-            involved.add(dst)
-            src_proof = self._serve_proof(src, meters)
-            dst_proof = self._serve_proof(dst, meters)
-            for account, proof in ((src, src_proof), (dst, dst_proof)):
-                if proof.balance != view.get(account, 0):
-                    raise StateDivergence(
-                        f"client view of account {account} is {view.get(account, 0)},"
-                        f" storage proves {proof.balance}"
-                    )
-            amount = rng.randint(1, src_proof.balance)
-            self._nonce += 1
-            txs.append(
-                Transaction(src, dst, amount, entry_round, self._nonce, src_proof, dst_proof)
-            )
-        return txs, truncated
-
-    def _inject_expired(self, current_round: int, entry_round: int, funded, meters):
-        """Craft submissions whose source proofs are already outside the
-        truncated history at admission time (base = entry_round - 4)."""
-        cfg = self.config
-        rng = random.Random(f"{cfg.seed}:inject:{current_round}")
-        sample = rng.sample(funded, min(self.expired_injection_rate, len(funded)))
-        self._proof_pool[current_round] = [(a, self._serve_proof(a, meters)) for a in sample]
-        txs = []
-        for account, stale_proof in self._proof_pool.pop(current_round - 2, ()):
-            while True:
-                dst = rng.randrange(1 << cfg.address_bits)
-                if dst != account:
-                    break
-            dst_proof = self._serve_proof(dst, meters)
-            self._nonce += 1
-            tx = Transaction(
-                account, dst, 1, entry_round, self._nonce, stale_proof, dst_proof
-            )
-            self.injected_ids.add(tx.txid)
-            txs.append(tx)
-        return txs
 
     @staticmethod
     def _interleave(per_committee, rng) -> list:
@@ -413,7 +331,7 @@ class Simulation:
         """Replays random interleavings from the pre-round oracle `base`;
         returns how many miss the expected root or overdraw."""
         mismatches = 0
-        for i in range(self._probe_per_round):
+        for i in range(self.options.interleave_probe[1]):
             rng = random.Random(f"{self.config.seed}:probe:{round_index}:{i}")
             try:
                 got = base.fork().apply_sequence(self._interleave(per_committee, rng))
@@ -470,7 +388,7 @@ class Simulation:
             blocks_emitted=summary["rounds_run"],
             block_bytes=len(self.latest_block.to_bytes()),
             injected={
-                "count": len(self.injected_ids),
+                "count": len(self.clients.injected_ids),
                 "outcomes": self.injected_outcomes,
             },
             diverged=summary["fatal"] is not None,
@@ -552,7 +470,7 @@ class Simulation:
             meter = meters[cid]
             meter.processed += len(txs)
             meter.hashes += node.counters.total() - before
-            if self.audit_proofs:
+            if self.options.audit_proofs:
                 checked, failed = node.audit_stored()
                 stored = sorted(node.tree.leaves)
                 offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
@@ -569,57 +487,16 @@ class Simulation:
         return {"checked": audit_checked, "failed": audit_failed}
 
     def _client_stage(self, round_index: int, meters) -> bool:
-        """Clients settle the entry round leaving the pipeline into their view,
-        check it against storage and submit for entry round i+1; returns
-        whether the workload fell short."""
-        view = self.client_view
-        settled = self.accepted_by_entry.pop(round_index - self.stages, ())
-        for tx in settled:
-            view[tx.src] = view.get(tx.src, 0) - tx.amount
-            view[tx.dst] = view.get(tx.dst, 0) + tx.amount
-        self._update_funded(a for tx in settled for a in (tx.src, tx.dst))
-        self._check_settled(settled)
+        """Clients settle the entry round leaving the pipeline and submit for
+        entry round i+1; returns whether the workload fell short."""
+        self.clients.settle(self.accepted_by_entry.pop(round_index - self.stages, ()))
         if round_index == self.config.rounds:
             return False
-        entry_round = round_index + 1
-        funded = self.funded
-        submissions, truncated = self._generate_workload(entry_round, funded, meters)
-        if self.expired_injection_rate and round_index >= 3:
-            submissions.extend(
-                self._inject_expired(round_index, entry_round, funded, meters)
-            )
+        submissions, truncated = self.clients.submit(round_index, meters)
         for tx in submissions:
             self._send(("cc", self._committee_of(tx.src)), tx)
         self.summary["workload_truncated_rounds"] += truncated
         return truncated
-
-    def _update_funded(self, accounts) -> None:
-        """Insert or drop each account whose balance in the view crossed zero."""
-        funded = self.funded
-        view = self.client_view
-        for account in accounts:
-            at = bisect_left(funded, account)
-            listed = at < len(funded) and funded[at] == account
-            if view[account] > 0:
-                if not listed:
-                    funded.insert(at, account)
-            elif listed:
-                del funded[at]
-
-    def _check_settled(self, txs) -> None:
-        """Storage applied the settled entry this round: every account it
-        touched must hold the clients' balance in each replica (a read that
-        charges no meter)."""
-        view = self.client_view
-        for account in (a for tx in txs for a in (tx.src, tx.dst)):
-            portion = self.topology.portion_of(account)
-            for rep in range(self.config.rho):
-                stored = self.storage[(portion, rep)].tree.leaves.get(account, 0)
-                if stored != view.get(account, 0):
-                    raise StateDivergence(
-                        f"client view of account {account} is {view.get(account, 0)},"
-                        f" storage {portion}/{rep} holds {stored}"
-                    )
 
     def _confirm_stage(self, round_index: int, inbox, meters):
         """Returns each committee's accepted sequence and the round's discards."""
@@ -650,7 +527,7 @@ class Simulation:
             confirmed.append(accepted)
             round_discards.extend(discards)
             self.injected_outcomes.update(
-                reason for tx, reason in discards if tx.txid in self.injected_ids
+                reason for tx, reason in discards if tx.txid in self.clients.injected_ids
             )
 
         merged = tuple(tx for txs in confirmed for tx in txs)
@@ -674,7 +551,7 @@ class Simulation:
         if probing:
             probe = totals["interleave"]
             probe["rounds"] += 1
-            probe["checks"] += self._probe_per_round
+            probe["checks"] += self.options.interleave_probe[1]
             probe["mismatches"] += self._probe_mismatches(
                 round_index, confirmed, base, expected
             )
@@ -686,8 +563,10 @@ class Simulation:
     def _route_stage(self, round_index: int, merged, meters) -> None:
         """Sends one batch per committee and touched portion to the portion's
         leaf committee and storage replicas."""
-        if self.drop_confirmed_round == round_index and merged:
+        if self.options.drop_confirmed_round == round_index:
             # fault hook: downstream copy silently loses one confirmed tx
+            if not merged:
+                self.summary["idle_faults"] = ["drop_confirmed_round"]
             merged = merged[1:]
         leaf_batches: dict[int, dict[int, list]] = {}
         for tx in merged:

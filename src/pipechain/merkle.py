@@ -302,6 +302,8 @@ class PrunedTree:
         keys += [base + account for account in self.leaves]
         self._fold(keys, fresh, HashCounter())
         for key, kept in self._nodes.items():
+            if kept == fresh.get(key):
+                continue
             leaf = base + int.from_bytes(kept[:8], "big") if len(kept) > 32 else key
             stale += [
                 leaf >> level

@@ -156,12 +156,8 @@ def scale_experiment(base_config, alphas, *, progress=None):
         result = Simulation(cfg, balanced_workload=True).run()
         peaks = result.summary["peaks"]
         committees = result.summary["committees"]
-        oracle_ok = result.ok and result.summary["oracle"]["mismatches"] == 0
-        well = (
-            oracle_ok
-            and peaks["rpc_hashes"] <= cfg.j
-            and peaks["cc_tx"] <= capacity
-        )
+        # an oracle mismatch always ends the run with a fatal verdict
+        well = result.ok and peaks["rpc_hashes"] <= cfg.j and peaks["cc_tx"] <= capacity
         runs.append(
             ScaleRun(
                 alpha=alpha,
@@ -173,7 +169,7 @@ def scale_experiment(base_config, alphas, *, progress=None):
                 peak_rpc_hashes=peaks["rpc_hashes"],
                 peak_msgs=peaks["committee_msgs"],
                 block_bytes=result.summary["block_bytes"],
-                oracle_ok=oracle_ok,
+                oracle_ok=result.ok,
                 well_provisioned=well,
             )
         )

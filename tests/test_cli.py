@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -134,6 +135,38 @@ def test_drop_fault_exits_3(oracle_enabled, tmp_path, capsys):
         )
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+
+
+def test_lost_transfer_with_the_oracle_off_is_a_client_view_verdict(tmp_path, capsys):
+    # nothing but the clients' settle check sees the transfer dropped in round
+    # 5: storage and the block both lack it, and the oracle is off
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": False}))
+    report = tmp_path / "report.jsonl"
+    code = cli.main(["run", "--config", str(path), "--drop-confirmed-round", "5",
+                     "--report", str(report)])
+    assert code == 3
+    fatal = json.loads(report.read_text().splitlines()[-1])["summary"]["fatal"]
+    assert re.fullmatch(
+        r"storage divergence: client view of account \d+ is \d+, storage \d+/0 holds \d+",
+        fatal,
+    )
+    assert f"fatal={fatal}" in capsys.readouterr().err
+
+
+def test_idle_drop_fault_is_named_on_stderr(tmp_path, capsys):
+    # round 3 of this one-account run accepts nothing, so the drop is idle
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "address_bits": 8, "f": 1, "n_c": 1, "leaf_count": 2, "rounds": 10,
+        "initial_accounts": 1, "initial_balance": 1,
+    }))
+    assert cli.main(["run", "--config", str(path), "--drop-confirmed-round", "3",
+                     "--report", str(tmp_path / "report.jsonl")]) == 0
+    assert "fatal=none idle_faults=drop_confirmed_round" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path),
+                     "--report", str(tmp_path / "report.jsonl")]) == 0
+    assert "idle_faults" not in capsys.readouterr().err
 
 
 def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys):

@@ -236,6 +236,22 @@ def test_drop_fault_diverges_at_emission():
     assert result.summary["latency"]["violations"] == dropped_entry > 0
 
 
+def test_drop_fault_with_nothing_to_drop_is_reported_idle():
+    # one account holding 1: its single transfer is accepted in round 2 and
+    # the account is empty until that settles, so round 3 accepts nothing
+    cfg = SimConfig(address_bits=8, f=1, n_c=1, leaf_count=2, rounds=10,
+                    initial_accounts=1, initial_balance=1)
+    result = Simulation(cfg, drop_confirmed_round=3).run()
+    assert _cc_accepted(result.reports[2]) == 0
+    assert result.ok
+    assert result.summary["idle_faults"] == ["drop_confirmed_round"]
+    # a drop with a transfer to lose diverges; neither it nor a healthy run has the key
+    lossy = Simulation(cfg, drop_confirmed_round=2).run()
+    assert not lossy.ok
+    assert "idle_faults" not in lossy.summary
+    assert "idle_faults" not in Simulation(cfg).run().summary
+
+
 def test_interleave_probe_matches():
     result = Simulation(_config(rounds=10), interleave_probe=(4, 5)).run()
     probe = result.summary["interleave"]
