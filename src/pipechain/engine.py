@@ -1,34 +1,33 @@
 """Deterministic round engine wiring committees, pipeline, storage, clients.
 
 Everything advances in lockstep rounds.  Messages produced in round i go to
-a next-round outbox keyed by destination and are delivered in round i+1; the
-only broadcast is the newly emitted block.  Within a round the stages run in
-dependency order (storage apply, client submissions, confirmation, oracle,
-routing, leaf folds and inner tiers bottom-up, block emission), which is
-observationally equivalent to the committees running concurrently since all
-cross-committee data crosses the round boundary through the outbox.
+a next-round outbox keyed by destination and are delivered in round i+1 in
+send order; the only broadcast is the newly emitted block.  Each round runs
+the stages in dependency order (storage, clients, confirmation, oracle,
+routing, leaf and inner folds, block emission), handing each unit, which
+keeps its own state, its inbox.  All cross-committee data crosses the round
+boundary, so this equals the committees running concurrently.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cache
-from operator import attrgetter
 
 from .clients import Clients
 from .committee import ConfirmationCommittee
-from .ledger import GENESIS_PREV_HASH, Block, BlockHistory, Transaction, cc_index
-from .merkle import build_pruned, verify_proof
-from .oracle import LedgerOracle, NonNegativityViolation
+from .ledger import (
+    GENESIS_PREV_HASH, Batch, Block, BlockHistory, ChildDigest, Frontier,
+    Transaction, cc_index,
+)
+from .merkle import build_pruned
+from .oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatches
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
 )
 from .storage import StateDivergence, StorageNode
-
-# served proofs re-verified end to end per storage node and audited round
-AUDIT_SAMPLE = 4
 
 # exceptions that end a run, with the prefix of the verdict each one gives
 FATAL_VERDICTS = {
@@ -124,7 +123,10 @@ class RunOptions:
         drop = self.drop_confirmed_round
         if drop is not None:
             _integer("drop_confirmed_round", drop)
-        for count in self.interleave_probe or ():
+        probe = self.interleave_probe
+        if probe is not None and not (isinstance(probe, tuple) and len(probe) == 2):
+            raise ValueError("interleave_probe must be an integer pair (rounds, shuffles)")
+        for count in probe or ():
             _integer("interleave_probe", count)
         if self.balanced_workload and cfg.f % cfg.n_c:
             raise ValueError("balanced workload needs n_c | f")
@@ -148,40 +150,6 @@ class _Meter:
     processed: int = 0
     accepted: int = 0
     discarded: int = 0
-
-
-# -- messages besides Transaction (client -> cc) and Block (to everyone) ---
-
-
-@dataclass(frozen=True)
-class Batch:
-    """One committee's confirmed transfers of one entry round touching one
-    portion; the leaf committee and every storage replica get this copy."""
-
-    entry: int
-    committee: int
-    txs: tuple
-
-    def __len__(self) -> int:
-        return len(self.txs)
-
-
-@dataclass(frozen=True)
-class ChildDigest:
-    """A child's digest latched into an inner committee at its fold slot."""
-
-    ordinal: int
-    digest: bytes
-
-
-@dataclass(frozen=True)
-class Frontier:
-    """One committee's spine digests for one storage node: (pos, entry, digest)."""
-
-    items: tuple
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 @dataclass
@@ -260,8 +228,6 @@ class Simulation:
             for m in range(cfg.leaf_count)
             for r in range(cfg.rho)
         }
-        # per storage node: entry round -> ([Batch], {position: digest})
-        self._storage_buffers = {key: {} for key in self.storage}
 
         # which storage nodes need each published spine digest
         self._spine_need: dict[tuple[int, int], list] = {}
@@ -312,33 +278,24 @@ class Simulation:
         self.outbox.setdefault(dest, []).append(msg)
 
     def _send_up(self, tier: int, index: int, digest: bytes) -> None:
-        """Latch the index-th digest below a tier into the committee folding it."""
-        parent, ordinal = divmod(index, self.topology.tiers[tier].child_count)
-        self._send(("inner", tier, parent), ChildDigest(ordinal, digest))
+        """Latch the index-th digest below a tier into the committee folding
+        it; children are sent in ascending index, so they arrive in slot order."""
+        parent = index // self.topology.tiers[tier].child_count
+        self._send(("inner", tier, parent), ChildDigest(digest))
 
-    @staticmethod
-    def _interleave(per_committee, rng) -> list:
-        queues = [deque(seq) for seq in per_committee if seq]
-        merged = []
-        while queues:
-            pick = rng.randrange(len(queues))
-            merged.append(queues[pick].popleft())
-            if not queues[pick]:
-                del queues[pick]
-        return merged
-
-    def _probe_mismatches(self, round_index: int, per_committee, base, expected) -> int:
-        """Replays random interleavings from the pre-round oracle `base`;
-        returns how many miss the expected root or overdraw."""
-        mismatches = 0
-        for i in range(self.options.interleave_probe[1]):
-            rng = random.Random(f"{self.config.seed}:probe:{round_index}:{i}")
-            try:
-                got = base.fork().apply_sequence(self._interleave(per_committee, rng))
-            except NonNegativityViolation:
-                got = None
-            mismatches += got != expected
-        return mismatches
+    def _publish(self, entry: int, computed, meter) -> None:
+        """Send one committee's spine digests of an entry round, {position:
+        digest}, to the storage nodes that need them, one Frontier per node."""
+        per_node: dict[tuple, list] = {}
+        for pos, digest in computed.items():
+            dests = self._spine_need.get(pos, ())
+            if dests:
+                # identical digest fans out to its need set: one multicast
+                meter.msgs_out += 1
+            for dest in dests:
+                per_node.setdefault(dest, []).append((pos, entry, digest))
+        for dest, items in per_node.items():
+            self._send(dest, Frontier(tuple(items)))
 
     # -- the run -------------------------------------------------------------
 
@@ -441,44 +398,19 @@ class Simulation:
         }
 
     def _storage_stage(self, round_index: int, inbox, meters) -> dict:
-        """Storage nodes buffer transfers and frontier digests by entry round,
-        apply one when its block arrives and audit; returns the audit counts."""
+        """Storage nodes take their messages, applying an entry round when
+        its block arrives, and audit; returns the audit counts."""
         audit_checked = audit_failed = 0
-        for key in sorted(self.storage):
-            node = self.storage[key]
+        for key, node in self.storage.items():
             cid = ("storage",) + key
-            buffers = self._storage_buffers[key]
-            block = None
-            for msg in inbox.get(cid, ()):
-                if isinstance(msg, Batch):
-                    buffers.setdefault(msg.entry, ([], {}))[0].append(msg)
-                elif isinstance(msg, Frontier):
-                    for pos, entry, digest in msg.items:
-                        buffers.setdefault(entry, ([], {}))[1][pos] = digest
-                else:
-                    block = msg
-            if block is None:
-                continue
-            batches, frontier = buffers.pop(block.height - self.stages + 1, ([], {}))
-            txs = [
-                tx
-                for batch in sorted(batches, key=attrgetter("committee"))
-                for tx in batch.txs
-            ]
             before = node.counters.total()
-            node.apply_confirmed(txs, frontier, block)
-            meter = meters[cid]
-            meter.processed += len(txs)
-            meter.hashes += node.counters.total() - before
+            txs = node.receive(inbox.get(cid, ()))
+            if txs is None:
+                continue
+            meters[cid].processed += len(txs)
+            meters[cid].hashes += node.counters.total() - before
             if self.options.audit_proofs:
-                checked, failed = node.audit_stored()
-                stored = sorted(node.tree.leaves)
-                offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
-                for account in stored[offset : offset + AUDIT_SAMPLE]:
-                    proof = node.serve_proof(account)
-                    checked += 1
-                    if not verify_proof(proof, node.latest_block.state_root):
-                        failed += 1
+                checked, failed = node.audit(round_index)
                 audit_checked += checked
                 audit_failed += failed
         totals = self.summary["audit"]
@@ -489,7 +421,8 @@ class Simulation:
     def _client_stage(self, round_index: int, meters) -> bool:
         """Clients settle the entry round leaving the pipeline and submit for
         entry round i+1; returns whether the workload fell short."""
-        self.clients.settle(self.accepted_by_entry.pop(round_index - self.stages, ()))
+        entry = self.topology.entry_of(round_index - 1)
+        self.clients.settle(self.accepted_by_entry.pop(entry, ()))
         if round_index == self.config.rounds:
             return False
         submissions, truncated = self.clients.submit(round_index, meters)
@@ -500,9 +433,6 @@ class Simulation:
 
     def _confirm_stage(self, round_index: int, inbox, meters):
         """Returns each committee's accepted sequence and the round's discards."""
-        # the block emitted last round enters every validator's history
-        if round_index > 1:
-            self.history.push(self.latest_block)
         totals = self.summary
         confirmed = []
         round_discards = []
@@ -552,8 +482,9 @@ class Simulation:
             probe = totals["interleave"]
             probe["rounds"] += 1
             probe["checks"] += self.options.interleave_probe[1]
-            probe["mismatches"] += self._probe_mismatches(
-                round_index, confirmed, base, expected
+            probe["mismatches"] += interleaving_mismatches(
+                base, confirmed, expected, f"{self.config.seed}:probe:{round_index}",
+                self.options.interleave_probe[1],
             )
         supply = oracle.total_supply()
         totals["supply"]["min"] = min(totals["supply"]["min"], supply)
@@ -562,7 +493,7 @@ class Simulation:
 
     def _route_stage(self, round_index: int, merged, meters) -> None:
         """Sends one batch per committee and touched portion to the portion's
-        leaf committee and storage replicas."""
+        leaf committee and storage replicas, in merged's committee order."""
         if self.options.drop_confirmed_round == round_index:
             # fault hook: downstream copy silently loses one confirmed tx
             if not merged:
@@ -575,11 +506,9 @@ class Simulation:
                 leaf_batches.setdefault(portion, {}).setdefault(
                     self._committee_of(tx.src), []
                 ).append(tx)
-        for portion in sorted(leaf_batches):
-            by_committee = leaf_batches[portion]
-            for committee in sorted(by_committee):
-                txs = tuple(dict.fromkeys(by_committee[committee]))
-                batch = Batch(round_index, committee, txs)
+        for portion, by_committee in leaf_batches.items():
+            for committee, txs in by_committee.items():
+                batch = Batch(round_index, tuple(dict.fromkeys(txs)))
                 self._send(("leaf", portion), batch)
                 for rep in range(self.config.rho):
                     self._send(("storage", portion, rep), batch)
@@ -591,15 +520,14 @@ class Simulation:
         spine digests go to storage; returns the last digest folded, which is
         the state root (the single tier-top, or the only leaf's digest)."""
         topo = self.topology
-        frontier_out = []  # (position, entry, digest, owner id)
-        top = b""
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
-            batches = sorted(
-                (msg for msg in inbox.get(cid, ()) if isinstance(msg, Batch)),
-                key=attrgetter("committee"),
-            )
-            incoming = [tx for batch in batches for tx in batch.txs]
+            incoming = [
+                tx
+                for msg in inbox.get(cid, ())
+                if isinstance(msg, Batch)
+                for tx in msg.txs
+            ]
             before = leaf.counters.total()
             try:
                 top = leaf.process_round(incoming)
@@ -612,41 +540,27 @@ class Simulation:
             if topo.tiers:
                 self._send_up(0, leaf.portion, top)
                 meter.msgs_out += 1
-                frontier_out.append(
-                    ((topo.portion_bits, leaf.portion), round_index - 1, top, cid)
-                )
+                spine = {(topo.portion_bits, leaf.portion): top}
+                self._publish(round_index - 1, spine, meter)
 
         for t, tier in enumerate(topo.tiers):
             for p in range(tier.count):
                 cid = ("inner", t, p)
                 rpc = self.inner_rpcs[(t, p)]
-                children = sorted(
-                    (msg for msg in inbox.get(cid, ()) if isinstance(msg, ChildDigest)),
-                    key=attrgetter("ordinal"),
-                )
+                children = [
+                    msg.digest
+                    for msg in inbox.get(cid, ())
+                    if isinstance(msg, ChildDigest)
+                ]
                 before = rpc.counters.total()
-                top, computed = rpc.fold_round([child.digest for child in children])
+                top, computed = rpc.fold_round(children)
                 meter = meters[cid]
                 meter.processed += len(children)
                 meter.hashes += rpc.counters.total() - before
-                entry = round_index - 2 - t
-                frontier_out.extend(
-                    (pos, entry, digest, cid) for pos, digest in computed.items()
-                )
+                self._publish(round_index - 2 - t, computed, meter)
                 if t + 1 < len(topo.tiers):
                     self._send_up(t + 1, p, top)
                     meter.msgs_out += 1
-
-        frontier_msgs: dict[tuple, list] = {}
-        for pos, entry, digest, owner in frontier_out:
-            dests = self._spine_need.get(pos, ())
-            if dests:
-                # identical digest fans out to its need set: one multicast
-                meters[owner].msgs_out += 1
-            for dest in dests:
-                frontier_msgs.setdefault((owner, dest), []).append((pos, entry, digest))
-        for (owner, dest), items in sorted(frontier_msgs.items()):
-            self._send(dest, Frontier(tuple(items)))
         return top
 
     def _emit_stage(self, round_index: int, state_root: bytes, meters):
@@ -655,12 +569,13 @@ class Simulation:
         are checked here and violations when the oracle rejects the block."""
         block = next_block(self.latest_block, state_root)
         self.latest_block = block
+        self.history.push(block)  # read by next round's confirmation
         tiers = self.topology.tiers
         emitter = ("inner", len(tiers) - 1, 0) if tiers else ("leaf", 0)
         meters[emitter].msgs_out += 1  # one multicast: the only broadcast
         for cid in self.committee_ids:
             self._send(cid, block)
-        entry = block.height - self.stages + 1
+        entry = self.topology.entry_of(block.height)
         carried = len(self.accepted_by_entry.get(entry, ()))
         self.summary["latency"]["checked"] += carried
         if self.oracle is None:

@@ -1,4 +1,4 @@
-"""Ledger vocabulary: transactions, blocks, history windows, routing."""
+"""Ledger vocabulary: transactions, blocks, messages, history windows, routing."""
 
 from __future__ import annotations
 
@@ -57,6 +57,34 @@ class Block:
 
 def block_hash(block: Block) -> bytes:
     return hashlib.sha256(block.to_bytes()).digest()
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One confirmation committee's transfers of one entry round touching one portion."""
+
+    entry: int
+    txs: tuple
+
+    def __len__(self) -> int:
+        return len(self.txs)
+
+
+@dataclass(frozen=True)
+class ChildDigest:
+    """A child's digest latched into an inner committee at its fold slot."""
+
+    digest: bytes
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """One committee's spine digests for one storage node: (pos, entry, digest)."""
+
+    items: tuple
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
 class BlockHistory:

@@ -15,6 +15,8 @@ touched, not with accounts times address_bits or with 2**address_bits.
 
 from __future__ import annotations
 
+import random
+
 from .merkle import DEFAULT_DIGESTS, leaf_digest, node_hash
 
 
@@ -138,3 +140,25 @@ class LedgerOracle:
         dup.balances = dict(self.balances)
         dup.heap = dict(self.heap)
         return dup
+
+
+def interleaving_mismatches(base, per_committee, expected, seed, shuffles) -> int:
+    """Replays `shuffles` random order-respecting interleavings of the
+    committees' sequences from forks of the oracle `base`, the i-th drawn with
+    Random(f"{seed}:{i}"); returns how many miss the `expected` root or overdraw."""
+    mismatches = 0
+    for i in range(shuffles):
+        rng = random.Random(f"{seed}:{i}")
+        queues = [list(reversed(seq)) for seq in per_committee if seq]
+        merged = []
+        while queues:
+            pick = rng.randrange(len(queues))
+            merged.append(queues[pick].pop())
+            if not queues[pick]:
+                del queues[pick]
+        try:
+            got = base.fork().apply_sequence(merged)
+        except NonNegativityViolation:
+            got = None
+        mismatches += got != expected
+    return mismatches

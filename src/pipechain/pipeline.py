@@ -43,6 +43,10 @@ class RpcTopology:
     def inner_count(self) -> int:
         return sum(t.count for t in self.tiers)
 
+    def entry_of(self, height: int) -> int:
+        """Latency law: block `height` carries entry round height - stages + 1."""
+        return height - self.stages + 1
+
     def portion_of(self, account: int) -> int:
         return account >> self.portion_bits
 

@@ -1,14 +1,21 @@
 """Storage nodes: balance-proof servers for assigned address ranges.
 
 A node keeps the pruned tree of its range plus frontier placeholders (the
-digests of every external sibling subtree on the way to the root), applies
-each block's confirmed transactions as they leave the pipeline, and cross
-checks its recomputed root against the block it just received.
+digests of every external sibling subtree on the way to the root).  It
+buffers the batches and frontier digests it receives by entry round,
+applies an entry round's transactions when the block carrying it arrives,
+and cross checks its recomputed root against that block.
 """
 
 from __future__ import annotations
 
-from .merkle import BalanceProof, HashCounter, MerkleError, NotStored, build_pruned
+from .ledger import Batch, Frontier
+from .merkle import (
+    BalanceProof, HashCounter, MerkleError, NotStored, build_pruned, verify_proof
+)
+
+# served proofs re-verified end to end per storage node and audited round
+AUDIT_SAMPLE = 4
 
 
 class StateDivergence(Exception):
@@ -38,9 +45,29 @@ class StorageNode:
         if tree.root_hash() != genesis_block.state_root:
             raise StateDivergence("genesis root mismatch")
         self.latest_block = genesis_block
+        # entry round -> (transfers in arrival order, {position: digest})
+        self._pending: dict[int, tuple[list, dict]] = {}
 
     def in_range(self, account: int) -> bool:
         return self.topology.portion_of(account) == self.portion
+
+    def receive(self, msgs) -> list | None:
+        """Buffer batches and frontier items by entry round; on a block, apply
+        the entry round it carries.  Returns the transfers applied (None: no block)."""
+        block = None
+        for msg in msgs:
+            if isinstance(msg, Batch):
+                self._pending.setdefault(msg.entry, ([], {}))[0].extend(msg.txs)
+            elif isinstance(msg, Frontier):
+                for pos, entry, digest in msg.items:
+                    self._pending.setdefault(entry, ([], {}))[1][pos] = digest
+            else:
+                block = msg
+        if block is None:
+            return None
+        txs, frontier = self._pending.pop(self.topology.entry_of(block.height), ([], {}))
+        self.apply_confirmed(txs, frontier, block)
+        return txs
 
     def apply_confirmed(self, txs, frontier, new_block) -> None:
         """Apply one block's worth of relevant transactions plus the frontier
@@ -84,3 +111,15 @@ class StorageNode:
         checked = len(self.tree.leaves)
         ok = not stale and root == self.latest_block.state_root
         return checked, 0 if ok else checked
+
+    def audit(self, round_index: int) -> tuple[int, int]:
+        """audit_stored() plus AUDIT_SAMPLE served proofs, a window over the
+        stored accounts that rotates with the round, each verified end to end."""
+        checked, failed = self.audit_stored()
+        stored = sorted(self.tree.leaves)
+        offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
+        for account in stored[offset : offset + AUDIT_SAMPLE]:
+            proof = self.serve_proof(account)
+            checked += 1
+            failed += not verify_proof(proof, self.latest_block.state_root)
+        return checked, failed

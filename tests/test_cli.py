@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from pipechain import cli
-from pipechain.engine import Batch
-from pipechain.ledger import Transaction
+from pipechain.ledger import Batch, Transaction
 from pipechain.pipeline import build_topology
 
 BASE_CONFIG = {

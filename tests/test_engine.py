@@ -83,7 +83,8 @@ def test_config_rejects_bad_types_and_values():
     for bad in (dict(drop_confirmed_round=4.5), dict(drop_confirmed_round=True),
                 dict(expired_injection_rate=1.5), dict(expired_injection_rate=True),
                 dict(interleave_probe=(1.5, 2)), dict(interleave_probe=(2, 1.5)),
-                dict(interleave_probe=(True, 2))):
+                dict(interleave_probe=(True, 2)), dict(interleave_probe=(4,)),
+                dict(interleave_probe=(2, 1, 9)), dict(interleave_probe=5)):
         with pytest.raises(ValueError, match="must be an integer"):
             Simulation(_config(), **bad)
     # and its flags: a truthy non-bool such as "no" would switch a flag on

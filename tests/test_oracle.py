@@ -12,7 +12,9 @@ import pipechain
 import pipechain.oracle as oracle_module
 from pipechain.ledger import Transaction
 from pipechain.merkle import DEFAULT_DIGESTS, build_pruned
-from pipechain.oracle import LedgerOracle, NonNegativityViolation, full_tree_root
+from pipechain.oracle import (
+    LedgerOracle, NonNegativityViolation, full_tree_root, interleaving_mismatches
+)
 
 
 def _tx(src, dst, amount):
@@ -48,6 +50,23 @@ def test_sequential_order_matters_for_validity():
     # credit arrives before the spend, so the sequence is valid
     oracle.apply_sequence([_tx(1, 2, 10), _tx(2, 3, 5)])
     assert oracle.balance(3) == 5
+
+
+def test_interleaving_detector_fires_only_when_order_matters():
+    base = LedgerOracle(4, {1: 10, 4: 10})
+    shuffles = 20
+
+    def mismatches(per_committee):
+        expected = base.fork().apply_sequence([tx for seq in per_committee for tx in seq])
+        return interleaving_mismatches(base, per_committee, expected, "t", shuffles)
+
+    # 2 is funded only by the first committee's transfer, so every
+    # interleaving that puts the second committee's spend first overdraws
+    found = mismatches([[_tx(1, 2, 10)], [_tx(2, 3, 10)]])
+    assert 0 < found < shuffles
+    assert mismatches([[_tx(1, 2, 3), _tx(1, 5, 2)], [_tx(4, 6, 4)]]) == 0
+    # every replay ran on a fork
+    assert base.balances == {1: 10, 4: 10}
 
 
 def test_non_negativity_rejected_atomically():

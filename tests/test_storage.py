@@ -4,10 +4,12 @@ import gc
 
 import pytest
 
-from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
+from pipechain.ledger import (
+    GENESIS_PREV_HASH, Batch, Block, Frontier, Transaction, block_hash
+)
 from pipechain.merkle import NotStored, build_pruned, leaf_hash, verify_proof
 from pipechain.pipeline import build_topology
-from pipechain.storage import StateDivergence, StorageNode
+from pipechain.storage import AUDIT_SAMPLE, StateDivergence, StorageNode
 
 
 def _world(balances, address_bits=5, leaf_count=2):
@@ -183,3 +185,44 @@ def test_single_portion_storage_has_no_spine():
     block = Block(1, block_hash(genesis), after.root_hash())
     node.apply_confirmed([tx], {}, block)
     assert node.serve_proof(20).balance == 0
+
+
+def test_receive_buffers_an_entry_round_until_its_block():
+    topo, tree, genesis, nodes = _world({3: 50, 20: 70})
+    node, entry, q = nodes[0], 4, topo.stages
+    # the second transfer spends the first one's credit, so only the arrival
+    # order applies cleanly
+    first = Batch(entry, (_tx(tree, 3, 5, 40, 1),))
+    second = Batch(entry, (_tx(tree, 5, 20, 30, 2),))
+    after = build_pruned([(3, 10), (5, 10), (20, 100)], 5)
+    frontier = Frontier((((4, 1), entry, after.digest_at(4, 1)),))
+    assert node.receive([first, second, frontier]) is None
+    # the block before carries the entry round before: nothing to apply
+    earlier = Block(entry + q - 2, block_hash(genesis), genesis.state_root)
+    assert node.receive([earlier]) == []
+    assert node.tree.leaves == {3: 50}
+    assert node.latest_block is earlier
+    block = Block(entry + q - 1, block_hash(earlier), after.root_hash())
+    assert topo.entry_of(block.height) == entry
+    assert node.receive([block]) == [*first.txs, *second.txs]
+    assert node.tree.leaves == {3: 10, 5: 10}
+    assert node.latest_block is block
+    # applied once: the next block finds the entry round gone
+    later = Block(block.height + 1, block_hash(block), after.root_hash())
+    assert node.receive([later]) == []
+    assert node.tree.leaves == {3: 10, 5: 10}
+
+
+def test_audit_adds_a_rotating_sample_of_served_proofs():
+    balances = {a: 10 for a in range(1, 7)} | {20: 70}
+    topo, tree, genesis, nodes = _world(balances)
+    node = nodes[0]
+    stored = len(node.tree.leaves)
+    assert stored == 6 and AUDIT_SAMPLE == 4
+    # round 0 samples stored[0:4], round 1 the two left in stored[4:8]
+    assert node.audit(0) == (stored + 4, 0)
+    assert node.audit(1) == (stored + 2, 0)
+    # a wrong spine digest: the re-fold misses the block root, and every
+    # served proof reads it
+    node.tree.set_placeholder(4, 1, bytes(32))
+    assert node.audit(0) == (stored + 4, stored + 4)
