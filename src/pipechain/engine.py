@@ -22,7 +22,6 @@ from .ledger import (
     GENESIS_PREV_HASH, Batch, Block, BlockHistory, ChildDigest, Frontier,
     Transaction, cc_index,
 )
-from .merkle import build_pruned
 from .oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatches
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
@@ -186,12 +185,6 @@ class Simulation:
         genesis_entries = [
             (i * stride, cfg.initial_balance) for i in range(cfg.initial_accounts)
         ]
-        self.genesis_root = build_pruned(genesis_entries, cfg.address_bits).root_hash()
-        self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
-        self.latest_block = self.genesis_block
-        self.history = BlockHistory()
-        self.history.push(self.genesis_block)
-
         by_portion: dict[int, list] = {m: [] for m in range(cfg.leaf_count)}
         for account, balance in genesis_entries:
             by_portion[topo.portion_of(account)].append((account, balance))
@@ -200,14 +193,18 @@ class Simulation:
             ConfirmationCommittee(k, self.stages, cfg.address_bits)
             for k in range(cfg.n_c)
         ]
+        # the only pipeline party that hashes genesis; storage copies its trees
         self.leaf_rpcs = [
             LeafRpc(topo, m, by_portion[m]) for m in range(cfg.leaf_count)
         ]
         # genesis digests by level above the portion roots, bottom first
         leaf_digests = [leaf.tree.root_hash() for leaf in self.leaf_rpcs]
         levels = [leaf_digests] + fold_digests(leaf_digests)[1]
-        if levels[-1][0] != self.genesis_root:
-            raise RuntimeError("pipeline genesis fold disagrees with genesis tree")
+        self.genesis_root = levels[-1][0]
+        self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
+        self.latest_block = self.genesis_block
+        self.history = BlockHistory()
+        self.history.push(self.genesis_block)
         self.inner_rpcs = {
             (t, p): InnerRpc(topo, t, p)
             for t, tier in enumerate(topo.tiers)
@@ -218,7 +215,7 @@ class Simulation:
                 topo,
                 m,
                 r,
-                by_portion[m],
+                self.leaf_rpcs[m].tree,
                 [
                     (pos, levels[t][pos[1]])
                     for t, pos in enumerate(topo.spine_positions(m))
@@ -262,7 +259,7 @@ class Simulation:
             else None
         )
         if self.oracle is not None and self.oracle.root() != self.genesis_root:
-            raise RuntimeError("oracle genesis root disagrees with genesis tree")
+            raise RuntimeError("oracle genesis root disagrees with the pipeline's fold")
         self.supply0 = cfg.initial_accounts * cfg.initial_balance
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
@@ -341,6 +338,9 @@ class Simulation:
                 summary["fatal"] = f"oracle divergence at height {row['block_height']}"
                 break
 
+        # injection starts in round 5, with proofs served in round 3
+        if self.options.expired_injection_rate and not self.clients.injected_ids:
+            summary.setdefault("idle_faults", []).append("expired_injection_rate")
         summary.update(
             blocks_emitted=summary["rounds_run"],
             block_bytes=len(self.latest_block.to_bytes()),

@@ -96,7 +96,8 @@ def leaf_digest(account: int, balance: int) -> bytes:
 
 @dataclass
 class HashCounter:
-    """Tally of digest evaluations actually performed (cache misses only)."""
+    """Tally of digest evaluations actually performed (cache misses only);
+    a widened() copy is charged the digests it stands in for."""
 
     internal: int = 0
     leaf: int = 0
@@ -131,11 +132,13 @@ def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
     """Fold the proof leaf-to-root and compare against expected_root.
 
     A proof with n siblings covers accounts 0..2**n - 1 only; any other
-    account would fold with just its low n bits, so it fails here."""
-    if not 0 <= proof.account < 1 << len(proof.siblings):
+    account would fold with just its low n bits, so it fails here, as does
+    a balance a leaf record cannot hold (outside 0..2**64 - 1)."""
+    account, balance = proof.account, proof.balance
+    if not (0 <= account < 1 << len(proof.siblings) and 0 <= balance < 1 << 64):
         return False
-    leaf = leaf_digest(proof.account, proof.balance)
-    return _climb(proof.account, leaf, proof.siblings)[-1] == expected_root
+    leaf = leaf_digest(account, balance)
+    return _climb(account, leaf, proof.siblings)[-1] == expected_root
 
 
 class PrunedTree:
@@ -312,6 +315,33 @@ class PrunedTree:
             ]
         root = self._read(self._top, self.root_level, fresh)
         return root, sorted(map(self._position, stale))
+
+    def widened(self, counters: HashCounter | None = None) -> PrunedTree:
+        """Once pending rehashes are done, an independent copy covering the
+        whole address space, sharing only the immutable digest records.  The
+        path from the root to this tree's top is materialized as ensure_node()
+        leaves it and rehashed at the copy's next flush.  `counters` is charged
+        what building this content from scratch costs: a leaf digest per
+        non-zero balance and a node digest per non-default digest above them."""
+        self._flush()
+        wide = PrunedTree(self.address_bits, counters=counters)
+        wide.leaves = dict(self.leaves)
+        wide._nodes = dict(self._nodes)
+        wide._placeholders = dict(self._placeholders)
+        charged, width = wide.counters, self._width
+        charged.leaf += sum(1 for balance in self.leaves.values() if balance)
+        for key, record in self._nodes.items():
+            if len(record) == 32:
+                charged.internal += record != DEFAULT_DIGESTS[width - key.bit_length()]
+            elif self.leaves[int.from_bytes(record[:8], "big")]:
+                charged.internal += len(record) // 32 - 1
+        top = self._top
+        for level in range(self.root_level + 1, self.address_bits + 1):
+            wide._nodes[top >> (level - self.root_level)] = DEFAULT_DIGESTS[level]
+        # a default top leaves the default path above it as it is
+        if top > 1 and self.root_hash() != DEFAULT_DIGESTS[self.root_level]:
+            wide._stale.add(top >> 1)
+        return wide
 
     # -- materialization ------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Storage nodes: balance-proof servers for assigned address ranges.
 
 A node keeps the pruned tree of its range plus frontier placeholders (the
-digests of every external sibling subtree on the way to the root).  It
+digests of every external sibling subtree on the way to the root), starting
+from a copy of its leaf committee's genesis subtree.  It
 buffers the batches and frontier digests it receives by entry round,
 applies an entry round's transactions when the block carrying it arrives,
 and cross checks its recomputed root against that block.
@@ -10,9 +11,7 @@ and cross checks its recomputed root against that block.
 from __future__ import annotations
 
 from .ledger import Batch, Frontier
-from .merkle import (
-    BalanceProof, HashCounter, MerkleError, NotStored, build_pruned, verify_proof
-)
+from .merkle import BalanceProof, HashCounter, MerkleError, NotStored, verify_proof
 
 # served proofs re-verified end to end per storage node and audited round
 AUDIT_SAMPLE = 4
@@ -28,7 +27,7 @@ class StorageNode:
         topology,
         portion: int,
         replica: int,
-        genesis_entries,
+        genesis_tree,
         spine_digests,
         genesis_block,
     ) -> None:
@@ -36,11 +35,9 @@ class StorageNode:
         self.portion = portion
         self.replica = replica
         self.counters = HashCounter()
-        tree = build_pruned(genesis_entries, topology.address_bits, counters=self.counters)
-        if topology.portion_levels:
-            tree.ensure_node(topology.portion_bits, portion)
-            for position, digest in spine_digests:
-                tree.set_placeholder(*position, digest)
+        tree = genesis_tree.widened(self.counters)
+        for position, digest in spine_digests:
+            tree.set_placeholder(*position, digest)
         self.tree = tree
         if tree.root_hash() != genesis_block.state_root:
             raise StateDivergence("genesis root mismatch")

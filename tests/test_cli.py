@@ -168,6 +168,18 @@ def test_idle_drop_fault_is_named_on_stderr(tmp_path, capsys):
     assert "idle_faults" not in capsys.readouterr().err
 
 
+def test_idle_expired_injection_is_named_on_stderr(config_path, tmp_path, capsys):
+    # the base config runs 10 rounds; stale proofs are injected from round 5
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "rounds": 5}))
+    assert cli.main(["run", "--config", str(path), "--expired-injection", "3",
+                     "--report", str(tmp_path / "report.jsonl")]) == 0
+    assert "fatal=none idle_faults=expired_injection_rate" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(config_path), "--expired-injection", "3",
+                     "--report", str(tmp_path / "report.jsonl")]) == 0
+    assert "idle_faults" not in capsys.readouterr().err
+
+
 def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys):
     # a leaf's digest sent up in round 5 never arrives: the inner committee
     # folding it in round 6 names the fault instead of raising a traceback

@@ -1,6 +1,7 @@
 """Confirmation rounds: ordering, roll-forward, the sequential balance rule."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -171,6 +172,20 @@ def test_syntactic_discards_counted():
     assert [reason for _, reason in discards] == ["amount"]
     assert len(seq) == 1
     assert stats.hashes > 0  # proof folds were metered
+
+
+def test_out_of_range_proof_balance_is_a_bad_proof():
+    # a balance no leaf can hold is discarded at admission; the round goes on
+    h = _Harness({1: 50, 2: 30})
+    good = h.tx(2, 9, 10)
+    low, high = h.tx(1, 9, 5), h.tx(1, 8, 5)
+    low = replace(low, src_proof=replace(low.src_proof, balance=-7))
+    high = replace(high, dst_proof=replace(high.dst_proof, balance=2**64))
+    seq, discards, stats = h.confirm([low, good, high])
+    assert sorted(reason for _, reason in discards) == ["bad_proof", "bad_proof"]
+    assert seq == (good,) and stats.accepted == 1
+    seq, discards, _ = h.confirm([h.tx(1, 9, 20)])
+    assert len(seq) == 1 and not discards
 
 
 def test_safety_against_brute_force_replay():

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import pipechain
+from pipechain import merkle, oracle, pipeline
 from pipechain.engine import SimConfig, Simulation, report_lines
+from pipechain.merkle import build_pruned
 from pipechain.oracle import full_tree_root
 
 
@@ -102,6 +104,40 @@ def test_genesis_agrees_with_brute_force():
     assert sim.genesis_root == full_tree_root(balances, 10)
     assert sim.genesis_block.height == 0
     assert sim.latest_block is sim.genesis_block
+
+
+@pytest.mark.parametrize("oracle_enabled, digests", [(False, 71), (True, 126)])
+def test_genesis_is_hashed_once_per_independent_party(monkeypatch, oracle_enabled, digests):
+    # Stride 32 puts two accounts in each of the 4 portions.  Each leaf
+    # committee makes 2 leaf and 11 node digests (two 5-level tails and its
+    # portion's root) and the pipeline's genesis fold 3 more; each of the 8
+    # storage replicas starts from a copy of its leaf's tree and hashes only
+    # the 2 nodes above its portion.  The oracle hashes the whole tree on its
+    # own: 8 leaf and 47 node digests.  Rebuilding genesis anywhere else
+    # (the whole space, or a replica's portion) adds 55 or 13 a replica.
+    cfg = SimConfig(address_bits=8, f=2, n_c=1, leaf_count=4, rho=2, rounds=4,
+                    initial_accounts=8, initial_balance=5, oracle_enabled=oracle_enabled)
+    made = [0]
+
+    def counting(fn):
+        def wrapper(first, second):
+            made[0] += 1
+            return fn(first, second)
+
+        return wrapper
+
+    for module in (merkle, pipeline, oracle):
+        for name in ("node_hash", "leaf_hash"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(vars(module)[name]))
+    sim = Simulation(cfg)
+    monkeypatch.undo()
+    assert made[0] == digests
+    # the agreement the set-up no longer checks: the pipeline's genesis fold
+    # is the root of the whole-space tree
+    entries = [(32 * i, 5) for i in range(8)]
+    assert sim.genesis_root == build_pruned(entries, 8).root_hash()
+    assert sim.genesis_root == full_tree_root(dict(entries), 8)
 
 
 def test_run_matches_oracle_every_round():
@@ -251,6 +287,19 @@ def test_drop_fault_with_nothing_to_drop_is_reported_idle():
     assert not lossy.ok
     assert "idle_faults" not in lossy.summary
     assert "idle_faults" not in Simulation(cfg).run().summary
+
+
+def test_expired_injection_with_too_few_rounds_is_reported_idle():
+    # stale proofs are served from round 3 and injected two rounds later
+    for rounds in (4, 5):
+        result = Simulation(_config(rounds=rounds), expired_injection_rate=2).run()
+        assert result.ok
+        assert result.summary["injected"]["count"] == 0
+        assert result.summary["idle_faults"] == ["expired_injection_rate"]
+    result = Simulation(_config(rounds=6), expired_injection_rate=2).run()
+    assert result.summary["injected"]["count"] > 0
+    assert "idle_faults" not in result.summary
+    assert "idle_faults" not in Simulation(_config(rounds=4)).run().summary
 
 
 def test_interleave_probe_matches():

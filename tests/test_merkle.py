@@ -24,8 +24,10 @@ from pipechain.merkle import (
     node_hash,
     verify_proof,
 )
-from pipechain.ledger import Transaction
+from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction
 from pipechain.oracle import LedgerOracle, full_tree_root
+from pipechain.pipeline import build_topology
+from pipechain.storage import StorageNode
 
 # frozen with raw hashlib, independently of the implementation
 D0_HEX = "dda357c91ead42a1bd4ca061ae49480c54bee0e21a060e57341c220a23b6cbcd"
@@ -175,6 +177,19 @@ def test_proof_outside_its_address_space_fails():
         for account in (proof.account + 16, proof.account + (1 << 40), 16, -16):
             assert not verify_proof(replace(proof, account=account), root)
     assert not verify_proof(replace(held, account=-1), root)
+
+
+def test_proof_balance_a_leaf_cannot_hold_fails():
+    # a leaf record packs its balance in 8 bytes; anything outside
+    # 0..2**64 - 1 is a bad proof, not an OverflowError
+    tree = build_pruned([(3, 9)], 4)
+    root = tree.root_hash()
+    proof = tree.make_proof(3, base_height=0)
+    assert verify_proof(proof, root)
+    for balance in (-7, -1, 2**64, 2**64 + 9):
+        assert not verify_proof(replace(proof, balance=balance), root)
+    top = build_pruned([(3, 2**64 - 1)], 4)
+    assert verify_proof(top.make_proof(3, base_height=0), top.root_hash())
 
 
 def test_make_proof_requires_materialized_path():
@@ -416,6 +431,53 @@ def test_counters_match_digests_made(monkeypatch):
     merged.root_hash()
     assert counters.total() > 0
     assert made == {"internal": counters.internal, "leaf": counters.leaf}
+
+
+def test_widened_charges_what_a_whole_space_build_makes(monkeypatch):
+    # The copy computes no digest.  Its counter is charged what building the
+    # same content over the whole address space from scratch makes, where a
+    # zero balance (held from the start, or drained) costs nothing, and its
+    # next root rehashes the path above the old top unless that is default.
+    cases = (
+        (4, 1, [(17, 5), (18, 0), (25, 9)], [25]),
+        (4, 1, [(20, 3)], []),
+        (4, 0, [(6, 0), (9, 0)], []),
+        (4, 0, [], []),
+        (8, 0, [(3, 40), (90, 0), (200, 9)], [200]),
+    )
+    made = [0]
+
+    def counting(fn):
+        def wrapper(first, second):
+            made[0] += 1
+            return fn(first, second)
+
+        return wrapper
+
+    for level, index, entries, drained in cases:
+        tree = build_pruned(entries, 8, root_level=level, root_index=index)
+        tree.root_hash()
+        for account in drained:
+            tree.apply_update(account, 0)
+        expected = HashCounter()
+        scratch = build_pruned(sorted(tree.leaves.items()), 8, counters=expected)
+        if level < 8:
+            scratch.ensure_node(level, index)
+        root = scratch.root_hash()
+        tree.root_hash()
+        made[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(merkle, "node_hash", counting(merkle.node_hash))
+            patch.setattr(merkle, "leaf_hash", counting(merkle.leaf_hash))
+            charged = HashCounter()
+            wide = tree.widened(charged)
+            assert made[0] == 0
+            copied = charged.total()
+            assert wide.root_hash() == root
+            assert made[0] == charged.total() - copied  # the path above the top
+        assert charged == expected
+        assert wide.snapshot() == scratch.snapshot()
+        _check_layout(wide)
 
 
 def _subtree_root(balances, address_bits, level, index):
@@ -676,6 +738,83 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
             assert tree.snapshot() == twin.snapshot()
         assert counters["leaf"] == counters["leaf twin"]
         assert counters["storage"] == counters["storage twin"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_storage_seeded_from_the_leaf_tree_matches_a_whole_space_build(data):
+    # Every storage replica of a portion starts from a widened copy of the
+    # leaf committee's genesis tree.  The portion is empty, holds one account
+    # (its tail tops at the portion's root) or holds several; the other
+    # portions may all be empty, leaving default spine digests, and a single
+    # portion (level == bits) has no spine at all.
+    bits = data.draw(st.integers(1, 8), label="address_bits")
+    level = data.draw(st.integers(1, bits), label="portion level")
+    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
+    inside = st.integers(index << level, ((index + 1) << level) - 1)
+    held = data.draw(
+        st.one_of(
+            st.just([]),
+            st.lists(inside, min_size=1, max_size=1),
+            st.lists(inside, min_size=2, max_size=8, unique=True),
+        ),
+        label="portion accounts",
+    )
+    others = data.draw(
+        st.lists(st.integers(0, (1 << bits) - 1), max_size=6, unique=True),
+        label="other accounts",
+    )
+    accounts = held + [a for a in others if a >> level != index]
+    balances = data.draw(
+        st.lists(st.integers(1, 2**40), min_size=len(accounts), max_size=len(accounts)),
+        label="balances",
+    )
+    ledger = dict(zip(accounts, balances))
+    rho = data.draw(st.integers(2, 3), label="rho")
+
+    # the reference: the portion built over the whole space from scratch
+    expected = HashCounter()
+    reference = _storage_tree(ledger, bits, level, index, expected)
+    root = reference.root_hash()
+    assert root == full_tree_root(ledger, bits)
+    leaf_counters = HashCounter()
+    leaf = _leaf_tree(ledger, bits, level, index, leaf_counters)
+    leaf_root = leaf.root_hash()
+    leaf_charged = replace(leaf_counters)
+
+    topo = build_topology(1 << (bits - level), 7, bits)
+    spine = [(pos, reference.digest_at(*pos)) for pos in topo.spine_positions(index)]
+    genesis = Block(0, GENESIS_PREV_HASH, root)
+    replicas = [StorageNode(topo, index, r, leaf, spine, genesis) for r in range(rho)]
+    assert leaf_counters == leaf_charged and leaf.root_hash() == leaf_root
+    for node in replicas:
+        _check_layout(node.tree)
+        assert node.tree.snapshot() == reference.snapshot()
+        assert node.tree.root_hash() == root
+        assert node.counters == expected
+        assert node.tree.refold() == (root, [])
+
+    # no map is shared: a transfer into the portion, applied to one replica
+    # and then to the leaf tree, leaves the others as they were
+    target = data.draw(inside, label="credited account")
+
+    def transfer(tree):
+        tree.ensure_path(target)
+        tree.apply_transfers([Transaction(target ^ 1, target, 1, 1, 0)])
+        tree.root_hash()
+
+    def kept(tree):
+        return tree.snapshot(), dict(tree._nodes), tree.root_hash()
+
+    first, second = replicas[0].tree, replicas[1].tree
+    leaf_before, second_before = kept(leaf), kept(second)
+    transfer(first)
+    assert kept(leaf) == leaf_before and kept(second) == second_before
+    first_after = kept(first)
+    transfer(leaf)
+    assert kept(first) == first_after and kept(second) == second_before
+    _check_layout(first)
+    assert first.leaves == leaf.leaves
 
 
 def test_kept_records_grow_with_accounts_not_path_length():

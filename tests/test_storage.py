@@ -12,6 +12,13 @@ from pipechain.pipeline import build_topology
 from pipechain.storage import AUDIT_SAMPLE, StateDivergence, StorageNode
 
 
+def _portion_tree(topo, portion, entries):
+    """A portion's genesis subtree, as its leaf committee builds it."""
+    return build_pruned(
+        entries, topo.address_bits, root_level=topo.portion_bits, root_index=portion
+    )
+
+
 def _world(balances, address_bits=5, leaf_count=2):
     topo = build_topology(leaf_count, 7, address_bits)
     tree = build_pruned(sorted(balances.items()), address_bits)
@@ -22,7 +29,8 @@ def _world(balances, address_bits=5, leaf_count=2):
             (a, b) for a, b in sorted(balances.items()) if topo.portion_of(a) == portion
         ]
         spine = [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(portion)]
-        nodes[portion] = StorageNode(topo, portion, 0, entries, spine, genesis)
+        seed = _portion_tree(topo, portion, entries)
+        nodes[portion] = StorageNode(topo, portion, 0, seed, spine, genesis)
     return topo, tree, genesis, nodes
 
 
@@ -55,7 +63,7 @@ def test_genesis_root_check():
     assert nodes[0].latest_block is genesis
     wrong = Block(0, GENESIS_PREV_HASH, bytes(32))
     with pytest.raises(StateDivergence):
-        StorageNode(topo, 0, 0, [(3, 50)],
+        StorageNode(topo, 0, 0, _portion_tree(topo, 0, [(3, 50)]),
                     [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(0)],
                     wrong)
 
@@ -123,8 +131,9 @@ def test_replicas_identical():
     tree = build_pruned([(3, 50), (20, 70)], 5)
     genesis = Block(0, GENESIS_PREV_HASH, tree.root_hash())
     spine = [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(0)]
-    a = StorageNode(topo, 0, 0, [(3, 50)], spine, genesis)
-    b = StorageNode(topo, 0, 1, [(3, 50)], spine, genesis)
+    seed = _portion_tree(topo, 0, [(3, 50)])
+    a = StorageNode(topo, 0, 0, seed, spine, genesis)
+    b = StorageNode(topo, 0, 1, seed, spine, genesis)
     assert a.serve_proof(3) == b.serve_proof(3)
     assert a.tree.leaves == b.tree.leaves
 
