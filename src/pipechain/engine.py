@@ -203,7 +203,7 @@ class Simulation:
         self.genesis_root = levels[-1][0]
         self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
         self.latest_block = self.genesis_block
-        self.history = BlockHistory()
+        self.history = BlockHistory(topo.portion_bits)
         self.history.push(self.genesis_block)
         self.inner_rpcs = {
             (t, p): InnerRpc(topo, t, p)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .merkle import BalanceProof, verify_proof
+from .merkle import BalanceProof, SpineMemo, verify_proof
 
 
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -88,20 +88,25 @@ class Frontier:
 
 
 class BlockHistory:
-    """The newest two blocks; anything older is unusable as proof base."""
+    """The newest two blocks, each with a SpineMemo at spine_level of the
+    proofs verified against it; anything older is unusable as proof base."""
 
-    def __init__(self) -> None:
-        self._blocks: dict[int, Block] = {}
+    def __init__(self, spine_level: int = 0) -> None:
+        self.spine_level = spine_level
+        self._blocks: dict[int, tuple[Block, SpineMemo]] = {}
 
     def push(self, block: Block) -> None:
         if self._blocks and block.height <= max(self._blocks):
             raise ValueError("history must advance monotonically")
-        self._blocks[block.height] = block
+        self._blocks[block.height] = block, SpineMemo(self.spine_level)
         while len(self._blocks) > 2:
             del self._blocks[min(self._blocks)]
 
     def get(self, height: int) -> Block | None:
-        return self._blocks.get(height)
+        return self._blocks.get(height, (None,))[0]
+
+    def memo(self, height: int) -> SpineMemo | None:
+        return self._blocks.get(height, (None, None))[1]
 
 
 def cc_index(src: int, committee_count: int) -> int:
@@ -113,23 +118,29 @@ def cc_index(src: int, committee_count: int) -> int:
 def syntactic_failure(tx: Transaction, round_index: int, history: BlockHistory):
     """First admission failure for tx, plus how many proof folds were done.
 
-    Checks shape, then that each proof's base block is still inside the
-    truncated history, then the proofs themselves against that base's root.
+    Checks shape (integer amount and accounts, integer proof bases), then
+    that each proof's base block is still inside the truncated history, then
+    the proofs themselves: each of its own account, against that base's root.
     """
     folds = 0
-    if tx.amount <= 0:
+    if type(tx.amount) is not int or tx.amount <= 0:
         return "amount", folds
+    if type(tx.src) is not int or type(tx.dst) is not int:
+        return "bad_proof", folds
     if tx.src == tx.dst:
         return "self_transfer", folds
-    for proof in (tx.src_proof, tx.dst_proof):
+    for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
         if proof is None:
             return "missing_proof", folds
+        if not isinstance(proof, BalanceProof) or type(proof.base_height) is not int:
+            return "bad_proof", folds
         if proof.base_height >= round_index:
             return "future_proof", folds
         base = history.get(proof.base_height)
         if base is None:
             return "expired_proof", folds
         folds += 1
-        if not verify_proof(proof, base.state_root):
+        memo = history.memo(proof.base_height)
+        if proof.account != account or not verify_proof(proof, base.state_root, memo):
             return "bad_proof", folds
     return None, folds

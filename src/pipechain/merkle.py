@@ -97,7 +97,7 @@ def leaf_digest(account: int, balance: int) -> bytes:
 @dataclass
 class HashCounter:
     """Tally of digest evaluations actually performed (cache misses only);
-    a widened() copy is charged the digests it stands in for."""
+    a copy() is charged the digests it stands in for."""
 
     internal: int = 0
     leaf: int = 0
@@ -116,7 +116,7 @@ class BalanceProof:
     siblings: tuple[bytes, ...]
 
 
-def _climb(account: int, digest: bytes, siblings) -> list[bytes]:
+def climb(account: int, digest: bytes, siblings) -> list[bytes]:
     """Digests up an account's path from its leaf digest, one sibling a level."""
     path = [digest]
     for level, sibling in enumerate(siblings):
@@ -128,17 +128,47 @@ def _climb(account: int, digest: bytes, siblings) -> list[bytes]:
     return path
 
 
-def verify_proof(proof: BalanceProof, expected_root: bytes) -> bool:
+class SpineMemo(dict):
+    """Spines of proofs verified against one root: by the index of a proof's
+    node at `level`, that node's digest and the siblings above it."""
+
+    def __init__(self, level: int) -> None:
+        super().__init__()
+        self.level = level
+
+
+def verify_proof(
+    proof: BalanceProof, expected_root: bytes, memo: SpineMemo | None = None
+) -> bool:
     """Fold the proof leaf-to-root and compare against expected_root.
 
     A proof with n siblings covers accounts 0..2**n - 1 only; any other
-    account would fold with just its low n bits, so it fails here, as does
-    a balance a leaf record cannot hold (outside 0..2**64 - 1)."""
-    account, balance = proof.account, proof.balance
-    if not (0 <= account < 1 << len(proof.siblings) and 0 <= balance < 1 << 64):
+    account would fold with just its low n bits, so it fails here, as do a
+    balance a leaf record cannot hold (outside 0..2**64 - 1) and a field of
+    the wrong type.  A zero leaf folds from its first non-default sibling.
+    With a SpineMemo of proofs checked against expected_root, a proof that
+    matches an entry up to memo.level skips folding the spine above it."""
+    account, balance, siblings = proof.account, proof.balance, proof.siblings
+    if not (
+        type(account) is type(balance) is int and type(siblings) is tuple
+        and 0 <= account < 1 << len(siblings) <= 1 << 64 and 0 <= balance < 1 << 64
+        and {*map(type, siblings)} <= {bytes}
+    ):
         return False
-    leaf = leaf_digest(account, balance)
-    return _climb(account, leaf, proof.siblings)[-1] == expected_root
+    level, defaults = 0, DEFAULT_DIGESTS
+    # a zero leaf: two default children make the next level's default
+    while not balance and level < len(siblings) and siblings[level] == defaults[level]:
+        level += 1
+    digest = leaf_hash(account, balance) if balance else defaults[level]
+    split = len(siblings) if memo is None else memo.level
+    if not level <= split < len(siblings):
+        return climb(account >> level, digest, siblings[level:])[-1] == expected_root
+    digest = climb(account >> level, digest, siblings[level:split])[-1]
+    key, seen = account >> split, (digest, siblings[split:])
+    if memo.get(key) != seen and climb(key, *seen)[-1] != expected_root:
+        return False
+    memo[key] = seen
+    return True
 
 
 class PrunedTree:
@@ -258,17 +288,18 @@ class PrunedTree:
                 if leaves[account]:
                     counters.leaf += 1
                 digest = leaf_digest(account, leaves[account])
-                run = _climb(account, digest, defaults[: self._width - top.bit_length()])
+                run = climb(account, digest, defaults[: self._width - top.bit_length()])
                 counters.internal += len(run) - 1
                 nodes[top] = account.to_bytes(8, "big") + b"".join(run)
                 if top == self._top:
                     continue
                 key = top >> 1
-            rows.setdefault(key.bit_length(), set()).add(key)
+            rows.setdefault(self._width - key.bit_length(), set()).add(key)
         get, held, row = nodes.get, self._placeholders.get, set()
-        for level in range(1, self.root_level + 1):
+        # from the lowest level holding a stale node up, every level holds one
+        for level in range(min(rows, default=self.root_level + 1), self.root_level + 1):
             row = {key >> 1 for key in row}
-            row.update(rows.get(base.bit_length() - level, ()))
+            row.update(rows.get(level, ()))
             default = defaults[level - 1]
             for key in row:
                 left, right = 2 * key, 2 * key + 1
@@ -278,28 +309,31 @@ class PrunedTree:
                 )
             counters.internal += len(row)
 
-    def _flush(self) -> None:
-        if self._stale:
-            stale, self._stale = self._stale, set()
-            self._fold(stale, self._nodes, self.counters)
+    def flush(self) -> bool:
+        """Rehash every stale node; returns whether there was any."""
+        if not self._stale:
+            return False
+        stale, self._stale = self._stale, set()
+        self._fold(stale, self._nodes, self.counters)
+        return True
 
     def digest_at(self, level: int, index: int) -> bytes:
         """Digest of any present node (placeholder or materialized)."""
         key, node, tail = self._present(level, index)
-        self._flush()
+        self.flush()
         if tail is not None and node == key:
             return _level_digest(self._nodes[tail], level)
         return self._read(key, level, self._nodes)
 
     def root_hash(self) -> bytes:
-        self._flush()
+        self.flush()
         return self._read(self._top, self.root_level, self._nodes)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
         """Once pending rehashes are done, re-fold the tree from its leaf
         balances and placeholders into a fresh map, charging a throwaway
         counter; returns that root and the positions whose kept digest differs."""
-        self._flush()
+        self.flush()
         base, fresh, stale = self._base, {}, []
         keys = [key for key, kept in self._nodes.items() if len(kept) == 32]
         keys += [base + account for account in self.leaves]
@@ -316,32 +350,24 @@ class PrunedTree:
         root = self._read(self._top, self.root_level, fresh)
         return root, sorted(map(self._position, stale))
 
-    def widened(self, counters: HashCounter | None = None) -> PrunedTree:
-        """Once pending rehashes are done, an independent copy covering the
-        whole address space, sharing only the immutable digest records.  The
-        path from the root to this tree's top is materialized as ensure_node()
-        leaves it and rehashed at the copy's next flush.  `counters` is charged
-        what building this content from scratch costs: a leaf digest per
-        non-zero balance and a node digest per non-default digest above them."""
-        self._flush()
-        wide = PrunedTree(self.address_bits, counters=counters)
-        wide.leaves = dict(self.leaves)
-        wide._nodes = dict(self._nodes)
-        wide._placeholders = dict(self._placeholders)
-        charged, width = wide.counters, self._width
+    def copy(self, counters: HashCounter | None = None) -> PrunedTree:
+        """Once pending rehashes are done, an independent copy sharing only the
+        immutable digest records.  `counters` is charged what building this
+        content from scratch costs: a leaf digest per non-zero balance and a
+        node digest per non-default digest above them."""
+        self.flush()
+        twin = PrunedTree(self.address_bits, self.root_level, self.root_index, counters)
+        twin.leaves = dict(self.leaves)
+        twin._nodes = dict(self._nodes)
+        twin._placeholders = dict(self._placeholders)
+        charged, width = twin.counters, self._width
         charged.leaf += sum(1 for balance in self.leaves.values() if balance)
         for key, record in self._nodes.items():
             if len(record) == 32:
                 charged.internal += record != DEFAULT_DIGESTS[width - key.bit_length()]
             elif self.leaves[int.from_bytes(record[:8], "big")]:
                 charged.internal += len(record) // 32 - 1
-        top = self._top
-        for level in range(self.root_level + 1, self.address_bits + 1):
-            wide._nodes[top >> (level - self.root_level)] = DEFAULT_DIGESTS[level]
-        # a default top leaves the default path above it as it is
-        if top > 1 and self.root_hash() != DEFAULT_DIGESTS[self.root_level]:
-            wide._stale.add(top >> 1)
-        return wide
+        return twin
 
     # -- materialization ------------------------------------------------------
 
@@ -439,7 +465,7 @@ class PrunedTree:
     def make_proof(self, account: int, base_height: int) -> BalanceProof:
         if account not in self.leaves:
             raise NotStored(f"no proof material for account {account}")
-        self._flush()
+        self.flush()
         key = self._base + account
         while key not in self._nodes:  # up to the top of its tail
             key >>= 1
@@ -490,7 +516,7 @@ class PrunedTree:
         if proof.balance:
             self.counters.leaf += 1
         digest = leaf_digest(account, proof.balance)
-        path = _climb(account, digest, siblings[:entry_level])
+        path = climb(account, digest, siblings[:entry_level])
         self.counters.internal += entry_level
         entry = leaf >> entry_level
         if path[entry_level] != (held.get(entry) or defaults[entry_level]):

@@ -1,17 +1,19 @@
 """Storage nodes: balance-proof servers for assigned address ranges.
 
-A node keeps the pruned tree of its range plus frontier placeholders (the
-digests of every external sibling subtree on the way to the root), starting
-from a copy of its leaf committee's genesis subtree.  It
-buffers the batches and frontier digests it receives by entry round,
-applies an entry round's transactions when the block carrying it arrives,
-and cross checks its recomputed root against that block.
+A node keeps a portion tree plus its spine: a copy of its leaf committee's
+genesis subtree, and the digests of the sibling subtrees on the way from the
+portion root to the state root.  It buffers the batches and frontier
+(spine) digests it receives by entry round, applies an entry round's
+transactions when the block carrying it arrives, folds the portion root up
+the spine and cross checks that root against the block.
 """
 
 from __future__ import annotations
 
 from .ledger import Batch, Frontier
-from .merkle import BalanceProof, HashCounter, MerkleError, NotStored, verify_proof
+from .merkle import (
+    DEFAULT_DIGESTS, BalanceProof, HashCounter, MerkleError, NotStored, climb, verify_proof
+)
 
 # served proofs re-verified end to end per storage node and audited round
 AUDIT_SAMPLE = 4
@@ -35,11 +37,13 @@ class StorageNode:
         self.portion = portion
         self.replica = replica
         self.counters = HashCounter()
-        tree = genesis_tree.widened(self.counters)
-        for position, digest in spine_digests:
-            tree.set_placeholder(*position, digest)
-        self.tree = tree
-        if tree.root_hash() != genesis_block.state_root:
+        self.tree = genesis_tree.copy(self.counters)
+        # the spine and the path it folds, from the portion root up to the
+        # state root: bottom first, all-zero until set
+        self.spine = DEFAULT_DIGESTS[topology.portion_bits : topology.address_bits]
+        self._path = [*self.spine, DEFAULT_DIGESTS[topology.address_bits]]
+        changed = self.tree.root_hash() != self._path[0]  # a non-empty portion
+        if self._fold_spine(spine_digests, changed) != genesis_block.state_root:
             raise StateDivergence("genesis root mismatch")
         self.latest_block = genesis_block
         # entry round -> (transfers in arrival order, {position: digest})
@@ -73,16 +77,14 @@ class StorageNode:
         the tree cannot take the block (a transfer that would overdraw, say)."""
         tree, name = self.tree, f"storage {self.portion}/{self.replica}"
         try:
-            for position, digest in sorted(frontier.items()):
-                tree.set_placeholder(*position, digest)
             for tx in txs:
                 for account in (tx.src, tx.dst):
                     if self.in_range(account):
                         tree.ensure_path(account)
             tree.apply_transfers(txs)
+            root = self._fold_spine(frontier.items(), tree.flush())
         except MerkleError as exc:
             raise StateDivergence(f"{name}: {exc}") from exc
-        root = tree.root_hash()
         if root != new_block.state_root:
             raise StateDivergence(
                 f"{name} root {root.hex()[:16]} != "
@@ -90,23 +92,45 @@ class StorageNode:
             )
         self.latest_block = new_block
 
+    def _fold_spine(self, digests, changed: bool) -> bytes:
+        """Take spine digests by global (level, index) and re-fold the path
+        from the lowest level with a new input (the portion root when
+        `changed`) up, a node digest a level; returns the state root."""
+        spine, lowest = list(self.spine), 0 if changed else len(self.spine)
+        for (level, index), digest in digests:
+            t = level - self.topology.portion_bits
+            if not (0 <= t < len(spine) and index == (self.portion >> t) ^ 1):
+                raise NotStored(f"({level}, {index}) is not on the spine")
+            if spine[t] != digest:
+                spine[t], lowest = digest, min(lowest, t)
+        self.spine, path = tuple(spine), self._path
+        path[0] = self.tree.root_hash()
+        if lowest < len(spine):
+            path[lowest:] = climb(self.portion >> lowest, path[lowest], spine[lowest:])
+            self.counters.internal += len(spine) - lowest
+        return path[-1]
+
     def serve_proof(self, account: int) -> BalanceProof:
-        """Balance proof against the newest applied block; untouched in-range
-        addresses get their zero path materialized on demand."""
+        """Balance proof against the newest applied block: the portion path
+        followed by the spine; untouched in-range addresses get their zero
+        path materialized on demand."""
         if not self.in_range(account):
             raise NotStored(f"account {account} outside stored range")
         self.tree.ensure_path(account)
-        return self.tree.make_proof(account, self.latest_block.height)
+        proof = self.tree.make_proof(account, self.latest_block.height)
+        siblings = proof.siblings + self.spine
+        return BalanceProof(account, proof.balance, proof.base_height, siblings)
 
     def audit_stored(self) -> tuple[int, int]:
-        """Re-fold the stored tree without its kept digests and check it
-        against them and the newest block root; returns (checked,
-        failed).  Every stored account is checked, and all of them fail
-        when any kept digest or the root disagrees.  No counter is
-        charged."""
+        """Re-fold the portion tree without its kept digests, then its root up
+        the whole spine, and check them against the kept digests and the
+        newest block root; returns (checked, failed).  Every stored account is
+        checked, and all of them fail when any kept digest or the root
+        disagrees.  No counter is charged."""
         root, stale = self.tree.refold()
+        path = climb(self.portion, root, self.spine)
         checked = len(self.tree.leaves)
-        ok = not stale and root == self.latest_block.state_root
+        ok = not stale and path == self._path and path[-1] == self.latest_block.state_root
         return checked, 0 if ok else checked
 
     def audit(self, round_index: int) -> tuple[int, int]:

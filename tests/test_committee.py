@@ -241,3 +241,50 @@ def test_safety_against_brute_force_replay():
 def test_window_requires_positive_depth():
     with pytest.raises(ValueError):
         ConfirmationCommittee(0, 0, 6)
+
+
+def test_malformed_fields_are_named_discards():
+    # Each malformed copy of a valid transfer is discarded with a named
+    # reason instead of raising, and the round's good transfer is accepted.
+    # A copy keeps the transfer's txid, so changing a field needs no rehash.
+    h = _Harness({1: 50, 2: 30})
+    cases = (
+        (lambda tx: replace(tx, src_proof=replace(tx.src_proof, balance=1.5)), "bad_proof"),
+        (lambda tx: replace(tx, src_proof=replace(tx.src_proof, account=1.0)), "bad_proof"),
+        (lambda tx: replace(tx, dst_proof=replace(tx.dst_proof, account=20.0)), "bad_proof"),
+        (lambda tx: replace(tx, src_proof=replace(tx.src_proof, siblings=None)), "bad_proof"),
+        (
+            lambda tx: replace(
+                tx, src_proof=replace(tx.src_proof, siblings=(7,) + tx.src_proof.siblings[1:])
+            ),
+            "bad_proof",
+        ),
+        (lambda tx: replace(tx, src_proof=replace(tx.src_proof, base_height=3.0)), "bad_proof"),
+        (lambda tx: replace(tx, src_proof="proof"), "bad_proof"),
+        (lambda tx: replace(tx, src=1.0), "bad_proof"),
+        (lambda tx: replace(tx, dst=20.0), "bad_proof"),
+        (lambda tx: replace(tx, amount=0.5), "amount"),
+        (lambda tx: replace(tx, amount=True), "amount"),
+    )
+    for malform, reason in cases:
+        bad, good = malform(h.tx(1, 20, 5)), h.tx(2, 9, 1)
+        seq, discards, stats = h.confirm([bad, good])
+        assert discards == [(bad, reason)]
+        assert seq == (good,) and stats.accepted == 1
+
+
+def test_a_proof_binds_its_own_account():
+    # Account 9 holds 5.  A transfer of 30 from it carrying account 3's valid
+    # proof (balance 40) is a bad proof, as is a destination proof of another
+    # account; the committee can never overdraw account 9.
+    h = _Harness({3: 40, 9: 5})
+    honest = h.tx(3, 20, 30)
+    theft = Transaction(9, 20, 30, h.entry_round, 100, honest.src_proof, honest.dst_proof)
+    h.tree.ensure_path(21)
+    foreign_dst = Transaction(3, 21, 1, h.entry_round, 101, honest.src_proof, honest.dst_proof)
+    seq, discards, stats = h.confirm([theft, foreign_dst])
+    assert sorted(reason for _, reason in discards) == ["bad_proof", "bad_proof"]
+    assert seq == () and stats.accepted == 0
+    # the binding is part of a proof's check: the theft is charged its source
+    # proof's fold, the other transfer both folds
+    assert stats.hashes == 3 * (h.address_bits + 1)

@@ -18,16 +18,17 @@ from pipechain.merkle import (
     NotStored,
     PathNotMaterialized,
     PrunedTree,
+    SpineMemo,
     build_pruned,
     leaf_digest,
     leaf_hash,
     node_hash,
     verify_proof,
 )
-from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction
+from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
 from pipechain.oracle import LedgerOracle, full_tree_root
 from pipechain.pipeline import build_topology
-from pipechain.storage import StorageNode
+from pipechain.storage import StateDivergence, StorageNode
 
 # frozen with raw hashlib, independently of the implementation
 D0_HEX = "dda357c91ead42a1bd4ca061ae49480c54bee0e21a060e57341c220a23b6cbcd"
@@ -190,6 +191,88 @@ def test_proof_balance_a_leaf_cannot_hold_fails():
         assert not verify_proof(replace(proof, balance=balance), root)
     top = build_pruned([(3, 2**64 - 1)], 4)
     assert verify_proof(top.make_proof(3, base_height=0), top.root_hash())
+
+
+def _plain_fold(proof, expected_root):
+    """Whether the proof folds to expected_root, leaf to root over every
+    sibling, with no memo and no skipped level."""
+    account, balance = proof.account, proof.balance
+    if not (0 <= account < 1 << len(proof.siblings) and 0 <= balance < 1 << 64):
+        return False
+    digest = leaf_digest(account, balance)
+    for level, sibling in enumerate(proof.siblings):
+        if (account >> level) & 1:
+            digest = node_hash(sibling, digest)
+        else:
+            digest = node_hash(digest, sibling)
+    return digest == expected_root
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memoized_check_agrees_with_a_plain_fold(data):
+    # Proofs of held and absent accounts made against two blocks, some
+    # tampered (the balance, or one sibling below, at or above the memo's
+    # level, set to a random or a default digest), are checked in a random
+    # order against either block with one SpineMemo per block.  Every answer
+    # is a plain fold's, so neither the memo nor folding a zero leaf from its
+    # first non-default sibling changes one.
+    bits = data.draw(st.integers(1, 8), label="address_bits")
+    level = data.draw(st.integers(0, bits), label="memo level")
+    space = st.integers(0, (1 << bits) - 1)
+    first = data.draw(
+        st.dictionaries(space, st.integers(1, 2**40), max_size=8), label="block 0"
+    )
+    second = first | data.draw(
+        st.dictionaries(space, st.integers(0, 2**40), max_size=4), label="block 1"
+    )
+    trees = [build_pruned(sorted(ledger.items()), bits) for ledger in (first, second)]
+    roots = [tree.root_hash() for tree in trees]
+    memos = [SpineMemo(level), SpineMemo(level)]
+    digest = st.one_of(
+        st.binary(min_size=32, max_size=32), st.sampled_from(DEFAULT_DIGESTS[:bits])
+    )
+    checks = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1), st.integers(0, 1), space,
+                st.sampled_from(("none", "balance", "sibling")),
+                st.integers(0, bits - 1), digest,
+            ),
+            min_size=1, max_size=30,
+        ),
+        label="checks",
+    )
+    for made, checked, account, tamper, at, sibling in checks:
+        trees[made].ensure_path(account)
+        proof = trees[made].make_proof(account, made)
+        if tamper == "balance":
+            proof = replace(proof, balance=proof.balance ^ 1)
+        elif tamper == "sibling":
+            siblings = proof.siblings[:at] + (sibling,) + proof.siblings[at + 1 :]
+            proof = replace(proof, siblings=siblings)
+        expected = _plain_fold(proof, roots[checked])
+        assert verify_proof(proof, roots[checked], memos[checked]) == expected
+        assert verify_proof(proof, roots[checked]) == expected
+
+
+def test_memo_skips_the_spine_a_verified_proof_shares():
+    # Accounts 0x13 and 0x17 share portion 1 at level 4.  The first proof is
+    # folded whole; the second, memoized at level 4, only up to the portion
+    # root.  A zero leaf folds from its first non-default sibling (level 6
+    # for 0x55).  A tampered spine sibling misses the memo and fails.
+    tree = build_pruned([(0x13, 5), (0x17, 9), (0xA0, 3)], 8)
+    root, memo = tree.root_hash(), SpineMemo(4)
+    first, second = tree.make_proof(0x13, 0), tree.make_proof(0x17, 0)
+    assert _digests_made(lambda: verify_proof(first, root, memo)) == (True, 9)
+    assert _digests_made(lambda: verify_proof(second, root, memo)) == (True, 5)
+    assert list(memo) == [1]
+    tree.ensure_path(0x55)
+    zero = tree.make_proof(0x55, 0)
+    assert _digests_made(lambda: verify_proof(zero, root, memo)) == (True, 2)
+    bad = replace(second, siblings=second.siblings[:6] + (bytes(32),) + second.siblings[7:])
+    assert not verify_proof(bad, root, memo)
+    assert not verify_proof(second, bytes(32), SpineMemo(4))
 
 
 def test_make_proof_requires_materialized_path():
@@ -433,11 +516,28 @@ def test_counters_match_digests_made(monkeypatch):
     assert made == {"internal": counters.internal, "leaf": counters.leaf}
 
 
-def test_widened_charges_what_a_whole_space_build_makes(monkeypatch):
+def _digests_made(fn):
+    """fn()'s result and the node and leaf digests computed while it ran."""
+    made = [0]
+
+    def counting(original):
+        def wrapper(first, second):
+            made[0] += 1
+            return original(first, second)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("node_hash", "leaf_hash"):
+            patch.setattr(merkle, name, counting(getattr(merkle, name)))
+        result = fn()
+    return result, made[0]
+
+
+def test_copy_charges_what_a_build_makes():
     # The copy computes no digest.  Its counter is charged what building the
-    # same content over the whole address space from scratch makes, where a
-    # zero balance (held from the start, or drained) costs nothing, and its
-    # next root rehashes the path above the old top unless that is default.
+    # same content from scratch makes, where a zero balance (held from the
+    # start, or drained) costs nothing, and it shares no map with its source.
     cases = (
         (4, 1, [(17, 5), (18, 0), (25, 9)], [25]),
         (4, 1, [(20, 3)], []),
@@ -445,39 +545,29 @@ def test_widened_charges_what_a_whole_space_build_makes(monkeypatch):
         (4, 0, [], []),
         (8, 0, [(3, 40), (90, 0), (200, 9)], [200]),
     )
-    made = [0]
-
-    def counting(fn):
-        def wrapper(first, second):
-            made[0] += 1
-            return fn(first, second)
-
-        return wrapper
-
     for level, index, entries, drained in cases:
         tree = build_pruned(entries, 8, root_level=level, root_index=index)
         tree.root_hash()
         for account in drained:
             tree.apply_update(account, 0)
         expected = HashCounter()
-        scratch = build_pruned(sorted(tree.leaves.items()), 8, counters=expected)
-        if level < 8:
-            scratch.ensure_node(level, index)
+        scratch = build_pruned(
+            sorted(tree.leaves.items()), 8, root_level=level, root_index=index,
+            counters=expected,
+        )
         root = scratch.root_hash()
         tree.root_hash()
-        made[0] = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(merkle, "node_hash", counting(merkle.node_hash))
-            patch.setattr(merkle, "leaf_hash", counting(merkle.leaf_hash))
-            charged = HashCounter()
-            wide = tree.widened(charged)
-            assert made[0] == 0
-            copied = charged.total()
-            assert wide.root_hash() == root
-            assert made[0] == charged.total() - copied  # the path above the top
-        assert charged == expected
-        assert wide.snapshot() == scratch.snapshot()
-        _check_layout(wide)
+        charged = HashCounter()
+        twin, made = _digests_made(lambda: tree.copy(charged))
+        assert made == 0 and charged == expected
+        assert _digests_made(twin.root_hash) == (root, 0)
+        assert twin.snapshot() == scratch.snapshot()
+        _check_layout(twin)
+        content, kept = tree.snapshot(), dict(tree._nodes)
+        twin.ensure_path(index << level)
+        twin.apply_update(index << level, 3)
+        assert twin.root_hash() != root
+        assert (tree.snapshot(), tree._nodes, tree.root_hash()) == (content, kept, root)
 
 
 def _subtree_root(balances, address_bits, level, index):
@@ -742,12 +832,16 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_storage_seeded_from_the_leaf_tree_matches_a_whole_space_build(data):
-    # Every storage replica of a portion starts from a widened copy of the
-    # leaf committee's genesis tree.  The portion is empty, holds one account
-    # (its tail tops at the portion's root) or holds several; the other
-    # portions may all be empty, leaving default spine digests, and a single
-    # portion (level == bits) has no spine at all.
+def test_storage_node_matches_a_whole_space_reference(data):
+    # A storage node keeps its portion's tree plus the spine above it.  Next
+    # to a whole-space reference holding the same portion, each spine sibling
+    # a placeholder, every replica checks the same roots, serves the same
+    # proofs and is charged the same digests at genesis and in every round,
+    # and its audit re-folds as many digests as the reference's.  The portion
+    # is empty, holds one account (its tail tops at the portion's root) or
+    # several; the other portions may all be empty, leaving default spine
+    # digests; a single portion (level == bits) has no spine.  A batch may
+    # move a balance and move it back, which refolds and charges all the same.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -772,49 +866,75 @@ def test_storage_seeded_from_the_leaf_tree_matches_a_whole_space_build(data):
     ledger = dict(zip(accounts, balances))
     rho = data.draw(st.integers(2, 3), label="rho")
 
-    # the reference: the portion built over the whole space from scratch
-    expected = HashCounter()
-    reference = _storage_tree(ledger, bits, level, index, expected)
-    root = reference.root_hash()
-    assert root == full_tree_root(ledger, bits)
-    leaf_counters = HashCounter()
-    leaf = _leaf_tree(ledger, bits, level, index, leaf_counters)
-    leaf_root = leaf.root_hash()
-    leaf_charged = replace(leaf_counters)
-
+    charged = HashCounter()
+    reference = _storage_tree(ledger, bits, level, index, charged)
+    block = Block(0, GENESIS_PREV_HASH, reference.root_hash())
+    assert block.state_root == full_tree_root(ledger, bits)
+    leaf = _leaf_tree(ledger, bits, level, index, HashCounter())
     topo = build_topology(1 << (bits - level), 7, bits)
-    spine = [(pos, reference.digest_at(*pos)) for pos in topo.spine_positions(index)]
-    genesis = Block(0, GENESIS_PREV_HASH, root)
-    replicas = [StorageNode(topo, index, r, leaf, spine, genesis) for r in range(rho)]
-    assert leaf_counters == leaf_charged and leaf.root_hash() == leaf_root
-    for node in replicas:
-        _check_layout(node.tree)
-        assert node.tree.snapshot() == reference.snapshot()
-        assert node.tree.root_hash() == root
-        assert node.counters == expected
-        assert node.tree.refold() == (root, [])
+    positions = topo.spine_positions(index)
+    spine = [(pos, reference.digest_at(*pos)) for pos in positions]
+    replicas = [StorageNode(topo, index, r, leaf, spine, block) for r in range(rho)]
+    with pytest.raises(StateDivergence):
+        StorageNode(topo, index, 0, leaf, spine, replace(block, state_root=bytes(32)))
 
-    # no map is shared: a transfer into the portion, applied to one replica
-    # and then to the leaf tree, leaves the others as they were
-    target = data.draw(inside, label="credited account")
+    def check(height):
+        for node in replicas:
+            assert node.counters == charged
+            assert node.tree.leaves == reference.leaves
+            assert node.latest_block is block
+        target = data.draw(inside, label="served account")
+        for account in sorted(reference.leaves.keys() | {target}):
+            reference.ensure_path(account)
+            proof = reference.make_proof(account, height)
+            assert verify_proof(proof, block.state_root)
+            for node in replicas:
+                assert node.serve_proof(account) == proof
+        audit = ((len(reference.leaves), 0), _digests_made(reference.refold)[1])
+        for node in replicas:
+            assert _digests_made(node.audit_stored) == audit
 
-    def transfer(tree):
-        tree.ensure_path(target)
-        tree.apply_transfers([Transaction(target ^ 1, target, 1, 1, 0)])
-        tree.root_hash()
-
-    def kept(tree):
-        return tree.snapshot(), dict(tree._nodes), tree.root_hash()
-
-    first, second = replicas[0].tree, replicas[1].tree
-    leaf_before, second_before = kept(leaf), kept(second)
-    transfer(first)
-    assert kept(leaf) == leaf_before and kept(second) == second_before
-    first_after = kept(first)
-    transfer(leaf)
-    assert kept(first) == first_after and kept(second) == second_before
-    _check_layout(first)
-    assert first.leaves == leaf.leaves
+    check(0)
+    pool = sorted(set(accounts) | set(data.draw(st.lists(inside, min_size=1, max_size=3))))
+    batches = data.draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool), st.sampled_from(pool), st.integers(0, 2**40)
+                ),
+                max_size=4,
+            ),
+            max_size=4,
+        ),
+        label="batches",
+    )
+    for height, steps in enumerate(batches, start=1):
+        txs = []
+        for nonce, (src, dst, amount) in enumerate(steps):
+            amount = min(amount, ledger.get(src, 0))  # never overdraw
+            ledger[src] = ledger.get(src, 0) - amount
+            ledger[dst] = ledger.get(dst, 0) + amount
+            txs.append(Transaction(src, dst, amount, height, nonce))
+        block = Block(height, block_hash(block), full_tree_root(ledger, bits))
+        # every changed spine digest, and any unchanged one the draw picks
+        frontier = {}
+        for pos in positions:
+            digest = _subtree_root(ledger, bits, *pos)
+            if digest != reference.digest_at(*pos) or data.draw(st.booleans()):
+                frontier[pos] = digest
+        # the reference applies a block as storage used to
+        for pos, digest in sorted(frontier.items()):
+            reference.set_placeholder(*pos, digest)
+        routed = [tx for tx in txs if index in (tx.src >> level, tx.dst >> level)]
+        for tx in routed:
+            for account in (tx.src, tx.dst):
+                if account >> level == index:
+                    reference.ensure_path(account)
+        reference.apply_transfers(routed)
+        assert reference.root_hash() == block.state_root
+        for node in replicas:
+            node.apply_confirmed(routed, frontier, block)
+        check(height)
 
 
 def test_kept_records_grow_with_accounts_not_path_length():

@@ -150,7 +150,7 @@ def test_audit_stored():
     # every kept digest still agrees with a re-fold
     assert node.counters.total() == hashes
     assert node.tree.snapshot() == content
-    assert node.tree.refold() == (genesis.state_root, [])
+    assert node.tree.refold() == (tree.digest_at(4, 0), [])  # the portion root
     # a tree that does not fold to the newest block's root fails every account
     node.latest_block = Block(1, block_hash(genesis), bytes(32))
     assert node.audit_stored() == (2, 2)
@@ -233,5 +233,5 @@ def test_audit_adds_a_rotating_sample_of_served_proofs():
     assert node.audit(1) == (stored + 2, 0)
     # a wrong spine digest: the re-fold misses the block root, and every
     # served proof reads it
-    node.tree.set_placeholder(4, 1, bytes(32))
+    node.spine = (bytes(32),)
     assert node.audit(0) == (stored + 4, stored + 4)

@@ -51,3 +51,19 @@ def test_every_traced_span_is_entered(monkeypatch):
                   "storage.apply_txs", "storage.serve_calls", "storage.audit_checked",
                   "oracle.apply_digests"):
         assert layers[count] > 0, count
+    # the digest and call counts of this run, pinned: a layer that starts
+    # hashing more or less (a storage rewrite, say) changes one of them
+    assert {name: layers[name] for name in PINNED_LAYERS} == PINNED_LAYERS
+    assert model["hashes_cc"] == 18_700
+
+
+PINNED_LAYERS = {
+    "pipeline.leaf_digests": 11_357,
+    "pipeline.inner_digests": 84,
+    "storage.apply_digests": 7_445,
+    "storage.audit_digests": 5_916,
+    "storage.audit_checked": 804,
+    "oracle.apply_digests": 9_999,
+    "ledger.verify_proof_calls": 1_100,
+    "storage.serve_calls": 1_100,
+}
