@@ -12,9 +12,14 @@ GENESIS_PREV_HASH = b"\x00" * 32
 
 
 def transaction_id(src: int, dst: int, amount: int, entry_round: int, nonce: int) -> bytes:
-    payload = b"".join(
-        v.to_bytes(8, "big") for v in (src, dst, amount, entry_round, nonce)
-    )
+    """sha256 of the fields as 8-byte big-endian integers.  A field that does
+    not pack so (admission discards the transfer) hashes the fields' fixed
+    fallback encoding instead: hex for an integer, repr for anything else."""
+    fields = (src, dst, amount, entry_round, nonce)
+    try:
+        payload = b"".join(v.to_bytes(8, "big") for v in fields)
+    except (AttributeError, OverflowError, TypeError):
+        payload = repr([hex(v) if isinstance(v, int) else v for v in fields]).encode()
     return hashlib.sha256(payload).digest()
 
 

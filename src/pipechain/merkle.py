@@ -1,12 +1,12 @@
 """Sparse Merkle state trees over a fixed address space.
 
 Global state is a complete binary tree whose 2**address_bits leaves hold
-account balances.  Trees here are *pruned*: only the root paths of accounts
-of interest are materialized, and every pruned sibling is a placeholder
-carrying the digest of the missing subtree.  All-zero subtrees share one
-well-known digest per level, so an empty tree costs nothing, untouched
-addresses still have provable (zero) balances and a default placeholder
-needs no storage.
+account balances.  Trees here are *sparse*: a tree holds every non-zero
+balance of its scope, and only the root paths of the accounts it holds are
+materialized.  Every absent subtree is all-zero and reads its level's
+default digest; all-zero subtrees share one well-known digest per level, so
+an empty tree costs nothing and untouched addresses still have provable
+(zero) balances.
 
 Positions are global ``(level, index)`` pairs with leaves at level 0; a tree
 may be scoped to the subtree rooted at any such position.  Inside a tree a
@@ -34,7 +34,7 @@ class PathNotMaterialized(MerkleError):
 
 
 class ConflictingPlaceholder(MerkleError):
-    """A merged proof disagrees with a digest this tree already holds."""
+    """A merged proof disagrees with this tree's content."""
 
 
 class NegativeBalance(MerkleError):
@@ -172,22 +172,21 @@ def verify_proof(
 
 
 class PrunedTree:
-    """Pruned view of the balance tree, optionally scoped to one subtree.
+    """Sparse view of the balance tree, optionally scoped to one subtree.
 
     The tree's top ``(root_level, root_index)`` covers accounts
-    ``[root_index << root_level, (root_index + 1) << root_level)``.  The top
-    and every child of a materialized node are *present*; a present node
-    that is not materialized is a placeholder, stored only if non-default.
-    ``leaves`` holds the held balances.  Each held leaf ends a *tail*, the
-    materialized nodes up to a top below which every sibling is an absent
-    default.  One map holds by heap key the digest of every other (*inner*)
-    materialized node and, at each tail's top, the account (8 bytes) and the
-    tail's digests (32 bytes a level, leaf first), so memory grows with the
-    accounts held, not times the path length.
+    ``[root_index << root_level, (root_index + 1) << root_level)``.
+    ``leaves`` holds the held balances, among them every non-zero balance of
+    that scope, so every absent subtree is all-zero and reads its level's
+    default digest.  Each held leaf ends a *tail*, the materialized nodes up
+    to a top below which every sibling is absent.  One map holds by heap key
+    the digest of every other (*inner*) materialized node and, at each
+    tail's top, the account (8 bytes) and the tail's digests (32 bytes a
+    level, leaf first), so memory grows with the accounts held, not times
+    the path length.
 
-    A balance change marks its leaf stale and a placeholder change marks its
-    parent stale.  root_hash(), make_proof() and digest_at() first rehash
-    every stale node (a leaf with its whole tail) and each ancestor once,
+    A balance change marks its leaf stale.  root_hash() and make_proof()
+    first rehash every stale leaf with its whole tail and each ancestor once,
     bottom-up, so a root after n updates costs at most n * (root_level + 1)
     hashes.
     """
@@ -216,26 +215,12 @@ class PrunedTree:
         self._base = 1 << address_bits  # key of leaf 0
         self._width = address_bits + 1  # bit length of a leaf key
         self._nodes: dict[int, bytes] = {}  # inner digests and tail records
-        self._placeholders: dict[int, bytes] = {}  # non-default digests only
         self._stale: set[int] = set()
 
     # -- inspection ---------------------------------------------------------
 
     def covers(self, account: int) -> bool:
         return account >> self.root_level == self.root_index
-
-    def balance_of(self, account: int) -> int:
-        try:
-            return self.leaves[account]
-        except KeyError:
-            raise NotStored(f"account {account} not materialized") from None
-
-    def snapshot(self) -> tuple[dict[int, int], dict[tuple[int, int], bytes]]:
-        """The tree's content: leaf balances by account, and the digest of
-        every non-default placeholder by global (level, index)."""
-        return dict(self.leaves), {
-            self._position(key): digest for key, digest in self._placeholders.items()
-        }
 
     def _position(self, key: int) -> tuple[int, int]:
         level = self._width - key.bit_length()
@@ -257,27 +242,17 @@ class PrunedTree:
         parted = ((leaf >> (self._width - key.bit_length())) ^ key).bit_length()
         return key >> parted, step
 
-    def _present(self, level: int, index: int) -> tuple[int, int | None, int | None]:
-        """A present node's key and _deepest() of it."""
-        span = self.root_level - level
-        if 0 <= span <= self.root_level and index >> span == self.root_index:
-            key = (1 << (self.address_bits - level)) + index
-            node, tail = self._deepest(key)
-            if key == self._top or (node is not None and node >= key >> 1):
-                return key, node, tail
-        raise PathNotMaterialized(f"node ({level}, {index}) is not present")
-
     # -- digests ------------------------------------------------------------
 
     def _read(self, key: int, level: int, nodes) -> bytes:
-        """Digest of an inner node or tail top in `nodes`, or of a placeholder."""
-        digest = nodes.get(key) or self._placeholders.get(key) or DEFAULT_DIGESTS[level]
-        return digest[-32:]
+        """Digest of an inner node or tail top in `nodes`, or of an absent node."""
+        return (nodes.get(key) or DEFAULT_DIGESTS[level])[-32:]
 
     def _fold(self, keys, nodes, counters: HashCounter) -> None:
         """Digest every key in `keys` (leaves and inner nodes) and each of its
         ancestors once, bottom-up, into `nodes`, a leaf with its whole tail.
-        Materialized children are read from `nodes`, placeholders from the tree."""
+        Children are read from `nodes`; an absent child is all-zero and
+        reads its level's default digest."""
         rows: dict[int, set[int]] = {}
         leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
         for key in keys:
@@ -295,18 +270,15 @@ class PrunedTree:
                     continue
                 key = top >> 1
             rows.setdefault(self._width - key.bit_length(), set()).add(key)
-        get, held, row = nodes.get, self._placeholders.get, set()
+        get, row = nodes.get, set()
         # from the lowest level holding a stale node up, every level holds one
         for level in range(min(rows, default=self.root_level + 1), self.root_level + 1):
             row = {key >> 1 for key in row}
             row.update(rows.get(level, ()))
             default = defaults[level - 1]
             for key in row:
-                left, right = 2 * key, 2 * key + 1
-                nodes[key] = node_hash(
-                    (get(left) or held(left) or default)[-32:],
-                    (get(right) or held(right) or default)[-32:],
-                )
+                left, right = get(2 * key) or default, get(2 * key + 1) or default
+                nodes[key] = node_hash(left[-32:], right[-32:])
             counters.internal += len(row)
 
     def flush(self) -> bool:
@@ -317,22 +289,14 @@ class PrunedTree:
         self._fold(stale, self._nodes, self.counters)
         return True
 
-    def digest_at(self, level: int, index: int) -> bytes:
-        """Digest of any present node (placeholder or materialized)."""
-        key, node, tail = self._present(level, index)
-        self.flush()
-        if tail is not None and node == key:
-            return _level_digest(self._nodes[tail], level)
-        return self._read(key, level, self._nodes)
-
     def root_hash(self) -> bytes:
         self.flush()
         return self._read(self._top, self.root_level, self._nodes)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
         """Once pending rehashes are done, re-fold the tree from its leaf
-        balances and placeholders into a fresh map, charging a throwaway
-        counter; returns that root and the positions whose kept digest differs."""
+        balances alone into a fresh map, charging a throwaway counter;
+        returns that root and the positions whose kept digest differs."""
         self.flush()
         base, fresh, stale = self._base, {}, []
         keys = [key for key, kept in self._nodes.items() if len(kept) == 32]
@@ -359,7 +323,6 @@ class PrunedTree:
         twin = PrunedTree(self.address_bits, self.root_level, self.root_index, counters)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
-        twin._placeholders = dict(self._placeholders)
         charged, width = twin.counters, self._width
         charged.leaf += sum(1 for balance in self.leaves.values() if balance)
         for key, record in self._nodes.items():
@@ -380,60 +343,22 @@ class PrunedTree:
         for level in range(cut, len(record) // 32):
             self._nodes[leaf >> level] = _level_digest(record, level)
 
-    def _expand(self, key: int, node: int | None, tail: int | None) -> int:
-        """Make `node` (_deepest() of key, above it) inner; return the node
-        below it toward key, unless a non-default placeholder blocks the way."""
-        entry = key >> (key.bit_length() - node.bit_length() - 1) if node else self._top
-        if entry in self._placeholders:
-            raise PathNotMaterialized(f"cannot expand non-default {self._position(entry)}")
-        if tail is not None:
-            self._split(tail, node)
-        return entry
-
-    def ensure_node(self, level: int, index: int) -> None:
-        """Materialize the internal path down to (level, index), expanding
-        all-zero placeholders along the way; the target itself is left as a
-        placeholder (or whatever it already is).  Raises PathNotMaterialized
-        when a non-default placeholder blocks the way."""
-        span = self.root_level - level
-        if not 0 <= span <= self.root_level or index >> span != self.root_index:
-            raise NotStored(f"node ({level}, {index}) outside stored subtree")
-        key = (1 << (self.address_bits - level)) + index
-        node, tail = self._deepest(key)
-        if key != self._top and (node is None or node < key >> 1):
-            entry = self._expand(key, node, tail)
-            for lvl in range(self._width - entry.bit_length(), level, -1):
-                self._nodes[key >> (lvl - level)] = DEFAULT_DIGESTS[lvl]
-
     def ensure_path(self, account: int) -> None:
-        """Materialize account's leaf, as a zero balance where the territory is
-        default; a non-default placeholder on the way raises PathNotMaterialized."""
+        """Materialize account's leaf; an account the tree does not hold has
+        a zero balance and gets a default tail, cutting a held tail it enters."""
         if account in self.leaves:
             return
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored subtree")
         leaf = self._base + account
-        entry = self._expand(leaf, *self._deepest(leaf))
+        node, tail = self._deepest(leaf)
+        if tail is not None:
+            self._split(tail, node)
+        # the tail tops below the deepest materialized node, or at the top
+        entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
         run = _DEFAULT_RUNS[self._width - entry.bit_length()]
         self._nodes[entry] = account.to_bytes(8, "big") + run
         self.leaves[account] = 0
-
-    def set_placeholder(self, level: int, index: int, digest: bytes) -> None:
-        """Replace the digest of an existing placeholder (a pruned subtree
-        whose content is maintained elsewhere)."""
-        key, node, tail = self._present(level, index)
-        if node == key:
-            raise PathNotMaterialized(f"no placeholder at ({level}, {index})")
-        default = DEFAULT_DIGESTS[level]
-        if (self._placeholders.get(key) or default) == digest:
-            return
-        if tail is not None:  # a tail node's default sibling changes
-            self._split(tail, node)
-        self._placeholders.pop(key, None)
-        if digest != default:
-            self._placeholders[key] = digest
-        if key != self._top:
-            self._stale.add(key >> 1)
 
     # -- updates --------------------------------------------------------------
 
@@ -469,17 +394,21 @@ class PrunedTree:
         key = self._base + account
         while key not in self._nodes:  # up to the top of its tail
             key >>= 1
-        get, held, defaults = self._nodes.get, self._placeholders.get, DEFAULT_DIGESTS
+        get, defaults = self._nodes.get, DEFAULT_DIGESTS
         siblings = list(defaults[: self._width - key.bit_length()])
         for level in range(len(siblings), self.root_level):
-            siblings.append((get(key ^ 1) or held(key ^ 1) or defaults[level])[-32:])
+            siblings.append((get(key ^ 1) or defaults[level])[-32:])
             key >>= 1
         return BalanceProof(account, self.leaves[account], base_height, tuple(siblings))
 
     def merge_proof(self, proof: BalanceProof) -> None:
-        """Graft a verified proof's path into this tree, reading only its
-        first root_level siblings.  Where the proof overlaps content already
-        held, digests must agree and a held leaf must hold the proof's
+        """Graft a verified proof's account into this tree, reading only the
+        proof's first root_level siblings.  Every absent subtree is all-zero,
+        so an account the tree does not hold must have a zero balance under
+        default siblings up to its entry (the node below the deepest
+        materialized one on its path), and there it joins as a zero leaf
+        with a default tail.  Every sibling above the entry that is not
+        materialized must be default, and a held leaf must hold the proof's
         balance.  No digest changes, so nothing turns stale and merging the
         same proof twice is a no-op."""
         account, siblings = proof.account, proof.siblings
@@ -489,21 +418,17 @@ class PrunedTree:
             raise MerkleError(
                 f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
-        leaf = self._base + account
+        leaf, defaults = self._base + account, DEFAULT_DIGESTS
         node, tail = self._deepest(leaf)
-        if tail is not None and node != leaf:
-            self._split(tail, node)  # the proof enters beside this tail
-        nodes, held, defaults = self._nodes, self._placeholders, DEFAULT_DIGESTS
-        # the proof enters below the deepest materialized node on its path;
-        # every sibling above the entry that is not materialized must agree
         entry_level = self.root_level
         if node is not None:
             entry_level = self._width - node.bit_length() - 1
         for level in range(self.root_level - 1, max(entry_level, 0) - 1, -1):
             sibling = (leaf >> level) ^ 1
-            if sibling in nodes:
+            # materialized, or the held side of a tail the entry cuts
+            if sibling in self._nodes or (level == entry_level and tail is not None):
                 continue
-            if (held.get(sibling) or defaults[level]) != siblings[level]:
+            if siblings[level] != defaults[level]:
                 raise ConflictingPlaceholder(
                     f"sibling digest mismatch at {self._position(sibling)}"
                 )
@@ -512,26 +437,17 @@ class PrunedTree:
                 raise ConflictingPlaceholder(f"balance mismatch for {account}")
             return
 
-        # fold the proof up to the entry and check it against the digest held
+        # fold the proof up to the entry and check it against the default there
         if proof.balance:
             self.counters.leaf += 1
         digest = leaf_digest(account, proof.balance)
         path = climb(account, digest, siblings[:entry_level])
         self.counters.internal += entry_level
-        entry = leaf >> entry_level
-        if path[entry_level] != (held.get(entry) or defaults[entry_level]):
-            raise ConflictingPlaceholder(f"proof contradicts {self._position(entry)}")
-
-        # a tail up to the lowest non-default sibling, inner nodes above it
-        held.pop(entry, None)
-        cut = entry_level
-        for level in range(entry_level - 1, -1, -1):
-            if siblings[level] != defaults[level]:
-                held[(leaf >> level) ^ 1], cut = siblings[level], level
-        for level in range(cut + 1, entry_level + 1):
-            nodes[leaf >> level] = path[level]
-        nodes[leaf >> cut] = account.to_bytes(8, "big") + b"".join(path[: cut + 1])
-        self.leaves[account] = proof.balance
+        if path[-1] != defaults[entry_level]:
+            raise ConflictingPlaceholder(
+                f"proof contradicts {self._position(leaf >> entry_level)}"
+            )
+        self.ensure_path(account)
 
 
 def build_pruned(

@@ -223,8 +223,8 @@ def test_safety_against_brute_force_replay():
             )
         # the next block commits the entry round that just left the window
         for tx in entry_log.get(entry - stages, ()):
-            tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
-            tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
+            tree.apply_update(tx.src, tree.leaves[tx.src] - tx.amount)
+            tree.apply_update(tx.dst, tree.leaves[tx.dst] + tx.amount)
         prev = history.get(entry - 2)
         history.push(Block(entry - 1, block_hash(prev), tree.root_hash()))
         seq, _, _ = committee.confirm_round(batch, entry, history)
@@ -246,7 +246,9 @@ def test_window_requires_positive_depth():
 def test_malformed_fields_are_named_discards():
     # Each malformed copy of a valid transfer is discarded with a named
     # reason instead of raising, and the round's good transfer is accepted.
-    # A copy keeps the transfer's txid, so changing a field needs no rehash.
+    # A copy keeps the transfer's txid, so changing a field needs no rehash;
+    # one built without a txid hashes an amount that does not pack as 8
+    # bytes (a float, or 2**64) with the fallback encoding instead of raising.
     h = _Harness({1: 50, 2: 30})
     cases = (
         (lambda tx: replace(tx, src_proof=replace(tx.src_proof, balance=1.5)), "bad_proof"),
@@ -265,6 +267,8 @@ def test_malformed_fields_are_named_discards():
         (lambda tx: replace(tx, dst=20.0), "bad_proof"),
         (lambda tx: replace(tx, amount=0.5), "amount"),
         (lambda tx: replace(tx, amount=True), "amount"),
+        (lambda tx: replace(tx, amount=0.5, txid=b""), "amount"),
+        (lambda tx: replace(tx, amount=2**64, txid=b""), "insufficient"),
     )
     for malform, reason in cases:
         bad, good = malform(h.tx(1, 20, 5)), h.tx(2, 9, 1)

@@ -390,3 +390,30 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "overrides, options",
+    [({}, {}), (dict(leaf_count=1), {}), (dict(rho=3), dict(audit_proofs=True))],
+    ids=["steady", "single-leaf", "rho3-audit"],
+)
+def test_runtime_trees_hold_exactly_their_balances(overrides, options):
+    # A tree holds every non-zero balance of its scope, and every absent
+    # subtree is all-zero: after a run, each leaf committee's and storage
+    # replica's tree has the root of a fresh scoped build of its own non-zero
+    # leaves, so its content is its balances and nothing else.
+    sim = Simulation(SimConfig(rounds=30, **overrides), **options)
+    assert sim.run().ok
+    trees = [leaf.tree for leaf in sim.leaf_rpcs]
+    trees += [node.tree for node in sim.storage.values()]
+    assert len(trees) == (1 + sim.config.rho) * sim.config.leaf_count
+    zeros = 0
+    for tree in trees:
+        funded = sorted((a, b) for a, b in tree.leaves.items() if b)
+        fresh = build_pruned(
+            funded, tree.address_bits,
+            root_level=tree.root_level, root_index=tree.root_index,
+        )
+        assert tree.root_hash() == fresh.root_hash()
+        zeros += len(tree.leaves) - len(funded)
+    assert zeros > 0  # zero leaves were grafted or served too

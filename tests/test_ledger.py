@@ -24,6 +24,11 @@ def test_transaction_id_preimage():
     assert transaction_id(3, 9, 42, 5, 17) == hashlib.sha256(parts).digest()
     tx = Transaction(3, 9, 42, 5, 17)
     assert tx.txid == transaction_id(3, 9, 42, 5, 17)
+    # a field that does not pack hashes the fallback encoding
+    fallback = repr(["0x1", "0x2", 0.5, "0x5", "0x0"]).encode()
+    assert Transaction(1, 2, 0.5, 5, 0).txid == hashlib.sha256(fallback).digest()
+    fallback = repr(["0x1", "0x2", hex(2**64), "0x5", "-0x1"]).encode()
+    assert Transaction(1, 2, 2**64, 5, -1).txid == hashlib.sha256(fallback).digest()
 
 
 def test_block_bytes_layout():

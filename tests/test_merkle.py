@@ -17,9 +17,9 @@ from pipechain.merkle import (
     NegativeBalance,
     NotStored,
     PathNotMaterialized,
-    PrunedTree,
     SpineMemo,
     build_pruned,
+    climb,
     leaf_digest,
     leaf_hash,
     node_hash,
@@ -41,8 +41,8 @@ ROOT_A3_TWO_HEX = "ad894a1c247c188c5a7814008f646f2f542476d384a64841034763ebc8369
 
 def _corrupt_digest(tree, level, index, digest):
     """Overwrite the digest a tree keeps for one of its materialized nodes,
-    an inner node or any level of a leaf tail, leaving its balances and
-    placeholders as they are."""
+    an inner node or any level of a leaf tail, leaving its balances as they
+    are."""
     key = (1 << (tree.address_bits - level)) + index
     node, top = tree._deepest(key)
     assert node == key, "not materialized"
@@ -84,12 +84,13 @@ def test_empty_tree_root_is_default():
 def test_single_entry_root_and_structure():
     tree = build_pruned([(5, 10)], 4)
     assert tree.root_hash().hex() == ROOT_A4_5_10_HEX
-    assert tree.snapshot() == ({5: 10}, {})  # every placeholder is a default
-    for level in range(4):
-        # the off-path sibling at each level is present and holds the default
-        assert tree.digest_at(level, (5 >> level) ^ 1) == DEFAULT_DIGESTS[level]
-    with pytest.raises(PathNotMaterialized):
-        tree.digest_at(0, 7)  # below the placeholder (1, 3): pruned away
+    assert tree.leaves == {5: 10}
+    # the off-path sibling at each level is absent and reads the default
+    assert tree.make_proof(5, 0).siblings == DEFAULT_DIGESTS[:4]
+    # one tail record, leaf to top, and nothing else
+    assert tree._nodes == {1: (5).to_bytes(8, "big") + b"".join(
+        climb(5, leaf_hash(5, 10), DEFAULT_DIGESTS[:4])
+    )}
 
 
 def test_two_entry_root():
@@ -103,7 +104,7 @@ def test_zero_balance_canonical():
     tree = build_pruned([(5, 10)], 4)
     tree.apply_update(5, 0)
     assert tree.root_hash().hex() == D4_HEX
-    assert tree.balance_of(5) == 0
+    assert tree.leaves == {5: 0}
 
 
 def test_matches_brute_force_root():
@@ -279,8 +280,7 @@ def test_make_proof_requires_materialized_path():
     tree = build_pruned([(3, 9)], 4)
     with pytest.raises(NotStored):
         tree.make_proof(12, base_height=0)
-    with pytest.raises(NotStored):
-        tree.balance_of(12)
+    assert tree.leaves == {3: 9}
 
 
 def test_apply_update_requires_leaf():
@@ -297,122 +297,95 @@ def test_scoped_tree_matches_global_subtree():
     scoped = build_pruned(entries, 6, root_level=3, root_index=1)
     assert scoped.covers(8) and scoped.covers(15)
     assert not scoped.covers(7) and not scoped.covers(16)
-    assert scoped.root_hash() == whole.digest_at(3, 1)
+    assert scoped.root_hash() == _subtree_root(dict(entries), 6, 3, 1)
+    assert whole.root_hash() == _subtree_root(dict([(2, 77)] + entries), 6, 6, 0)
     with pytest.raises(NotStored):
         build_pruned([(2, 77)], 6, root_level=3, root_index=1)  # out of range
 
 
 def test_merge_union_and_order_independence():
+    # Zero proofs of accounts a tree does not hold graft, in any order, to
+    # the content ensure_path makes, and leave the root as it was.
     balances = {1: 10, 6: 20, 9: 30, 14: 40}
+    absent = [0, 7, 8, 15]
     source = build_pruned(sorted(balances.items()), 4)
     root = source.root_hash()
-    proofs = {a: source.make_proof(a, base_height=3) for a in balances}
+    for account in absent:
+        source.ensure_path(account)
+    proofs = {a: source.make_proof(a, base_height=3) for a in absent}
 
-    def fresh():
-        tree = PrunedTree(4)
-        tree.set_placeholder(4, 0, root)
-        return tree
-
-    one = fresh()
-    for account in [1, 6, 9, 14]:
+    one = build_pruned(sorted(balances.items()), 4)
+    for account in absent:
         one.merge_proof(proofs[account])
-    other = fresh()
-    for account in [14, 9, 6, 1]:
+    other = build_pruned(sorted(balances.items()), 4)
+    for account in reversed(absent):
         other.merge_proof(proofs[account])
-    assert one.root_hash() == root
-    assert one.snapshot() == other.snapshot()
-    for account, balance in balances.items():
-        assert one.balance_of(account) == balance
+    assert one.root_hash() == other.root_hash() == root
+    assert one.leaves == other.leaves == source.leaves
+    assert one._nodes == other._nodes == source._nodes
 
-    # idempotent: merging again changes nothing
-    snapshot = one.snapshot()
-    one.merge_proof(proofs[6])
-    assert one.snapshot() == snapshot
+    # idempotent: merging again, or a held account's own proof, changes nothing
+    kept = dict(one._nodes)
+    one.merge_proof(proofs[7])
+    one.merge_proof(source.make_proof(6, base_height=3))
+    assert (one.leaves, one._nodes) == (source.leaves, kept)
 
 
 def test_merge_rejects_tampered_proof():
-    source = build_pruned([(1, 10), (6, 20)], 4)
-    root = source.root_hash()
-    proof = source.make_proof(6, base_height=1)
-    from dataclasses import replace
-
-    tree = PrunedTree(4)
-    tree.set_placeholder(4, 0, root)
-    with pytest.raises(ConflictingPlaceholder):
-        tree.merge_proof(replace(proof, balance=999))
-    # a clean tree still accepts the genuine proof afterwards
-    tree.merge_proof(proof)
-    assert tree.balance_of(6) == 20
+    # The tree holds every non-zero balance of its scope, so a proof of an
+    # account it does not hold must fold a zero leaf under all-zero
+    # siblings.  Account 4 enters account 6's tail at (1, 2): leaf 5 lies
+    # below the entry and (3, 1) above it, both absent.  A non-zero
+    # balance, and valid proofs from worlds where either is funded, raise
+    # and change nothing; the genuine proof still merges.
+    tree = build_pruned([(1, 10), (6, 20)], 4)
+    held, root = dict(tree.leaves), tree.root_hash()
+    kept = dict(tree._nodes)
+    proofs = []
+    for extra in ([], [(5, 1)], [(12, 3)]):
+        world = build_pruned(sorted([(1, 10), (6, 20)] + extra), 4)
+        world.ensure_path(4)
+        proofs.append(world.make_proof(4, base_height=1))
+        assert verify_proof(proofs[-1], world.root_hash())
+    good, *bad = proofs
+    for proof in [replace(good, balance=999), *bad]:
+        with pytest.raises(ConflictingPlaceholder):
+            tree.merge_proof(proof)
+        assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
+    tree.merge_proof(good)
+    assert tree.leaves == {1: 10, 6: 20, 4: 0} and tree.root_hash() == root
 
 
 def test_merge_balance_conflict():
-    source = build_pruned([(1, 10)], 4)
-    proof = source.make_proof(1, base_height=1)
-    from dataclasses import replace
-
-    tree = PrunedTree(4)
-    tree.set_placeholder(4, 0, source.root_hash())
-    tree.merge_proof(proof)
+    tree = build_pruned([(1, 10)], 4)
+    proof = tree.make_proof(1, base_height=1)
     tree.apply_update(1, 55)
-    stale = replace(proof, balance=10)
     with pytest.raises(ConflictingPlaceholder):
-        tree.merge_proof(stale)
-    assert tree.balance_of(1) == 55
+        tree.merge_proof(proof)
+    assert tree.leaves == {1: 55}
 
 
 def test_merge_into_scoped_tree():
+    # A leaf committee's scoped tree grafts a zero proof made against the
+    # whole tree, cut to the portion's root, and keeps its root.  A tree
+    # missing the funded account 10 reads its subtree as all-zero, so that
+    # account's proof contradicts it.
     entries = [(i, 100 + i) for i in range(8, 12)]
-    whole = build_pruned(entries, 6)
-    proof = whole.make_proof(10, base_height=2)
-    from dataclasses import replace
+    whole = build_pruned(entries + [(40, 7)], 6)
+    whole.ensure_path(13)
+    zero, funded = (whole.make_proof(a, base_height=2) for a in (13, 10))
+    scoped = build_pruned(entries, 6, root_level=3, root_index=1)
+    root = scoped.root_hash()
+    scoped.merge_proof(replace(zero, siblings=zero.siblings[:3]))
+    assert scoped.leaves == dict(entries) | {13: 0}
+    assert scoped.root_hash() == root == _subtree_root(dict(entries), 6, 3, 1)
 
-    sub = replace(proof, siblings=proof.siblings[:3])
-
-    # default placeholders assert the missing accounts are empty, which
-    # contradicts a proof carrying their nonzero effects
-    stale = build_pruned([(8, 108)], 6, root_level=3, root_index=1)
+    stale = build_pruned(
+        [(8, 108), (9, 109), (11, 111)], 6, root_level=3, root_index=1
+    )
     with pytest.raises(ConflictingPlaceholder):
-        stale.merge_proof(sub)
-
-    # placeholders seeded with the true sibling digests accept the proof
-    scoped = build_pruned([(8, 108)], 6, root_level=3, root_index=1)
-    for pos in [(0, 9), (1, 5), (2, 3)]:
-        scoped.set_placeholder(*pos, whole.digest_at(*pos))
-    assert scoped.root_hash() == whole.digest_at(3, 1)
-    scoped.merge_proof(sub)
-    assert scoped.balance_of(10) == 110
-    assert scoped.root_hash() == whole.digest_at(3, 1)
-
-
-def test_set_placeholder_requires_placeholder():
-    tree = build_pruned([(5, 10)], 4)
-    with pytest.raises(PathNotMaterialized):
-        tree.set_placeholder(4, 0, bytes(32))  # root is materialized
-    tree.set_placeholder(3, 1, bytes(32))
-    assert tree.digest_at(3, 1) == bytes(32)
-
-
-def test_ensure_node_stops_at_foreign_placeholder():
-    tree = PrunedTree(4)
-    tree.set_placeholder(4, 0, bytes(32))
-    with pytest.raises(PathNotMaterialized):
-        tree.ensure_node(3, 0)  # cannot expand an unknown digest
-
-
-def test_ensure_path_stops_at_foreign_leaf_placeholder():
-    source = build_pruned([(2, 10), (3, 7)], 4)
-    tree = PrunedTree(4)
-    tree.set_placeholder(4, 0, source.root_hash())
-    tree.merge_proof(source.make_proof(2, base_height=1))
-    # leaf 3 is now a placeholder holding leaf_hash(3, 7): its balance is
-    # unknown here, so it must not be materialized as 0
-    snapshot = tree.snapshot()
-    assert snapshot[1][(0, 3)] == leaf_hash(3, 7)
-    with pytest.raises(PathNotMaterialized):
-        tree.ensure_path(3)
-    assert tree.snapshot() == snapshot
-    with pytest.raises(NotStored):
-        tree.balance_of(3)
+        stale.merge_proof(replace(funded, siblings=funded.siblings[:3]))
+    assert stale.leaves == {8: 108, 9: 109, 11: 111}
 
 
 def test_update_work_is_path_bounded():
@@ -463,17 +436,22 @@ def test_refold_reports_stale_cached_digests():
     st.randoms(use_true_random=False),
 )
 def test_merge_reconstructs_any_subset(balances, rng):
+    # Zero proofs of any subset of the accounts a tree does not hold, merged
+    # in any order, graft the content ensure_path makes; the root stays.
     tree = build_pruned(sorted(balances.items()), 6)
     root = tree.root_hash()
-    accounts = sorted(balances)
-    subset = rng.sample(accounts, rng.randint(1, len(accounts)))
-    rebuilt = PrunedTree(6)
-    rebuilt.set_placeholder(6, 0, root)
+    absent = [account for account in range(64) if account not in balances]
+    subset = rng.sample(absent, rng.randint(1, min(8, len(absent))))
+    source, expected = tree.copy(), tree.copy()
     for account in subset:
-        rebuilt.merge_proof(tree.make_proof(account, base_height=0))
-    assert rebuilt.root_hash() == root
-    for account in subset:
-        assert rebuilt.balance_of(account) == balances[account]
+        source.ensure_path(account)
+        expected.ensure_path(account)
+    proofs = [source.make_proof(account, base_height=0) for account in subset]
+    rng.shuffle(proofs)
+    for proof in proofs:
+        tree.merge_proof(proof)
+    assert (tree.leaves, tree._nodes) == (expected.leaves, expected._nodes)
+    assert tree.root_hash() == root
 
 
 def test_counters_match_digests_made(monkeypatch):
@@ -481,8 +459,9 @@ def test_counters_match_digests_made(monkeypatch):
     # and nothing else.  The tree must reach node_hash and leaf_hash through
     # the module globals for the wrappers (and per-layer tracing) to see them.
     source = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
-    root = source.root_hash()
-    proofs = [source.make_proof(account, 0) for account in (3, 77)]
+    for account in (4, 150):
+        source.ensure_path(account)
+    proofs = [source.make_proof(account, 0) for account in (4, 150)]
     made = {"internal": 0, "leaf": 0}
 
     def counting(kind, fn):
@@ -501,16 +480,14 @@ def test_counters_match_digests_made(monkeypatch):
     tree.apply_update(200, 0)  # a drain: its leaf digest is the default
     tree.ensure_path(17)
     tree.make_proof(17, 0)
-    tree.set_placeholder(6, 2, bytes(32))
     tree.apply_update(17, 2)
     tree.ensure_path(2)  # cuts account 3's tail at level 1
     tree.apply_update(2, 7)
     tree.root_hash()
-    merged = PrunedTree(8, counters=counters)
-    merged.set_placeholder(8, 0, root)
+    merged = build_pruned([(3, 40), (77, 5), (200, 9)], 8, counters=counters)
     for proof in proofs:
         merged.merge_proof(proof)
-    merged.apply_update(77, 6)
+    merged.apply_update(4, 6)
     merged.root_hash()
     assert counters.total() > 0
     assert made == {"internal": counters.internal, "leaf": counters.leaf}
@@ -561,13 +538,13 @@ def test_copy_charges_what_a_build_makes():
         twin, made = _digests_made(lambda: tree.copy(charged))
         assert made == 0 and charged == expected
         assert _digests_made(twin.root_hash) == (root, 0)
-        assert twin.snapshot() == scratch.snapshot()
+        assert twin.leaves == scratch.leaves
         _check_layout(twin)
-        content, kept = tree.snapshot(), dict(tree._nodes)
+        content, kept = dict(tree.leaves), dict(tree._nodes)
         twin.ensure_path(index << level)
         twin.apply_update(index << level, 3)
         assert twin.root_hash() != root
-        assert (tree.snapshot(), tree._nodes, tree.root_hash()) == (content, kept, root)
+        assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, root)
 
 
 def _subtree_root(balances, address_bits, level, index):
@@ -595,8 +572,7 @@ def _check_layout(tree):
         leaf, height = base + int.from_bytes(record[:8], "big"), len(record) // 32 - 1
         assert leaf >> height == top
         for level in range(height):
-            sibling = (leaf >> level) ^ 1
-            assert sibling not in nodes and sibling not in tree._placeholders
+            assert (leaf >> level) ^ 1 not in nodes
     for key in nodes:
         assert key == tree._top or len(nodes.get(key >> 1, b"")) == 32
 
@@ -620,21 +596,45 @@ def _check_proof(tree, account, expected_root):
 def _check_tree(tree, expected_root):
     _check_layout(tree)
     assert tree.root_hash() == expected_root
-    for account in tree.snapshot()[0]:
+    for account in tree.leaves:
         _check_proof(tree, account, expected_root)
     assert tree.refold() == (expected_root, [])
+
+
+def _check_merge(tree, proof):
+    """Merge a good zero proof of an account the tree does not hold, after
+    tampered copies that must each raise and change nothing: a non-zero
+    balance, and a non-default digest at each sibling the tree holds no
+    account under (below the proof's entry, or above it).  A sibling over
+    held accounts is the tree's own content and is not read.  Merging the
+    good proof twice grafts one zero leaf and keeps the root."""
+    held, kept, root = dict(tree.leaves), dict(tree._nodes), tree.root_hash()
+    account, bad = proof.account, [replace(proof, balance=1)]
+    for level in range(tree.root_level):
+        beside = (account >> level) ^ 1
+        if not any(a >> level == beside for a in held):
+            siblings = proof.siblings[:level] + (bytes(32),) + proof.siblings[level + 1 :]
+            bad.append(replace(proof, siblings=siblings))
+    for tampered in bad:
+        with pytest.raises(ConflictingPlaceholder):
+            tree.merge_proof(tampered)
+        assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
+    tree.merge_proof(proof)
+    grafted = dict(tree._nodes)
+    tree.merge_proof(proof)
+    assert tree._nodes == grafted and tree.leaves == held | {account: 0}
+    assert tree.root_hash() == root
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_trees_track_the_full_tree(data):
     # Three trees follow one ledger: a full tree, a leaf committee's scoped
-    # tree (proofs merged for accounts it has not seen) and a storage node's
-    # full tree holding one portion, whose spine is kept by set_placeholder.
-    # A step may flip one bit of a pool account, so that ensure_path and
-    # merge_proof enter a held account's tail and cut it where the paths part.
-    # A fourth, full tree holds one account and keeps every other subtree as
-    # a placeholder set beside that account's tail.
+    # tree (zero proofs merged, through _check_merge, for accounts it has not
+    # seen) and a storage node's copy of the scoped genesis tree (ensure_path
+    # for them).  A step may flip one bit of a pool account, so that
+    # ensure_path and merge_proof enter a held account's tail and cut it
+    # where the paths part.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -644,27 +644,10 @@ def test_trees_track_the_full_tree(data):
     balances = data.draw(
         st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
     )
-    spine = [(t, (index >> (t - level)) ^ 1) for t in range(level, bits)]
 
     full = build_pruned(sorted(balances.items()), bits)
-    scoped = PrunedTree(bits, level, index)
-    scoped.set_placeholder(level, index, _subtree_root(balances, bits, level, index))
-    storage = PrunedTree(bits)
-    # the spine after the accounts puts its placeholders beside their tails
-    spine_first = data.draw(st.booleans(), label="spine first")
-    for phase in (spine_first, not spine_first):
-        if phase:
-            if spine:
-                storage.ensure_node(level, index)
-            for pos in spine:
-                storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
-            continue
-        for account in sorted(balances):
-            if account >> level == index:
-                storage.ensure_path(account)
-                storage.apply_update(account, balances[account])
-    lone = build_pruned([(pool[0], balances.get(pool[0], 0))], bits)
-    beside = [(t, (pool[0] >> t) ^ 1) for t in range(bits)]
+    scoped = _leaf_tree(balances, bits, level, index, HashCounter())
+    storage = scoped.copy()
 
     steps = data.draw(
         st.lists(
@@ -685,26 +668,19 @@ def test_trees_track_the_full_tree(data):
         full.ensure_path(account)
         if scoped.covers(account) and account not in scoped.leaves:
             proof = full.make_proof(account, 0)
-            scoped.merge_proof(replace(proof, siblings=proof.siblings[:level]))
+            _check_merge(scoped, replace(proof, siblings=proof.siblings[:level]))
         balances[account] = balance
         full.apply_update(account, balance)
         if scoped.covers(account):
             scoped.apply_update(account, balance)
-        if account >> level == index:
             storage.ensure_path(account)
             storage.apply_update(account, balance)
-        for pos in spine:
-            storage.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
-        if account == pool[0]:
-            lone.apply_update(account, balance)
-        for pos in beside:
-            lone.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
 
-        root = _subtree_root(balances, bits, bits, 0)
-        _check_tree(full, root)
-        _check_tree(storage, root)
-        _check_tree(lone, root)
-        _check_tree(scoped, _subtree_root(balances, bits, level, index))
+        portion_root = _subtree_root(balances, bits, level, index)
+        _check_tree(full, _subtree_root(balances, bits, bits, 0))
+        _check_tree(scoped, portion_root)
+        _check_tree(storage, portion_root)
+        assert (storage.leaves, storage._nodes) == (scoped.leaves, scoped._nodes)
     assert full.root_hash() == full_tree_root(balances, bits)
 
 
@@ -716,28 +692,25 @@ def _leaf_tree(balances, bits, level, index, counters):
     )
 
 
-def _storage_tree(balances, bits, level, index, counters):
-    """A storage node's tree: the whole address space holding one portion,
-    with every spine sibling a placeholder."""
-    entries = [(a, b) for a, b in sorted(balances.items()) if a >> level == index]
-    tree = build_pruned(entries, bits, counters=counters)
-    if level < bits:
-        tree.ensure_node(level, index)
-    for t in range(level, bits):
-        pos = (t, (index >> (t - level)) ^ 1)
-        tree.set_placeholder(*pos, _subtree_root(balances, bits, *pos))
-    return tree
+def _spine(balances, bits, level, index):
+    """The digests beside a portion's path from its root up to the state
+    root, bottom first, folded literally."""
+    return tuple(
+        _subtree_root(balances, bits, t, (index >> (t - level)) ^ 1)
+        for t in range(level, bits)
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     # A leaf committee's scoped tree (proofs grafted first) and a storage
-    # node's spine-seeded full tree each apply random transfer batches with
-    # apply_transfers, next to a twin driven by one apply_update per
-    # covered account, the loop apply_transfers replaces.  The pool holds a
-    # leaf's sibling, so grafts and ensure_path enter held tails, and a
-    # transfer may drain its source, zeroing the bottom of a tail.
+    # node's copy of it (ensure_path first) each apply random transfer
+    # batches with apply_transfers, next to a twin driven by one
+    # apply_update per covered account, the loop apply_transfers replaces.
+    # The pool holds a leaf's sibling, so grafts and ensure_path enter held
+    # tails, and a transfer may drain its source, zeroing the bottom of a
+    # tail.  The portion root folded up the literal spine is the ledger's.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -757,8 +730,8 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     counters = {name: HashCounter() for name in names}
     leaf = _leaf_tree(ledger, bits, level, index, counters["leaf"])
     leaf_twin = _leaf_tree(ledger, bits, level, index, counters["leaf twin"])
-    storage = _storage_tree(ledger, bits, level, index, counters["storage"])
-    storage_twin = _storage_tree(ledger, bits, level, index, counters["storage twin"])
+    storage = leaf.copy(counters["storage"])
+    storage_twin = leaf_twin.copy(counters["storage twin"])
 
     batches = data.draw(
         st.lists(
@@ -809,23 +782,18 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
         for tx in txs:
             for tree in (leaf_twin, storage_twin):
                 if tx.src >> level == index:
-                    tree.apply_update(tx.src, tree.balance_of(tx.src) - tx.amount)
+                    tree.apply_update(tx.src, tree.leaves[tx.src] - tx.amount)
                 if tx.dst >> level == index:
-                    tree.apply_update(tx.dst, tree.balance_of(tx.dst) + tx.amount)
+                    tree.apply_update(tx.dst, tree.leaves[tx.dst] + tx.amount)
 
-        for tree in (storage, storage_twin):
-            for t in range(level, bits):
-                pos = (t, (index >> (t - level)) ^ 1)
-                tree.set_placeholder(*pos, _subtree_root(ledger, bits, *pos))
         portion_root = _subtree_root(ledger, bits, level, index)
-        root = full_tree_root(ledger, bits)
-        for tree, twin, expected in (
-            (leaf, leaf_twin, portion_root), (storage, storage_twin, root)
-        ):
+        spine = _spine(ledger, bits, level, index)
+        for tree, twin in ((leaf, leaf_twin), (storage, storage_twin)):
             _check_layout(tree)
             _check_layout(twin)
-            assert tree.root_hash() == twin.root_hash() == expected
-            assert tree.snapshot() == twin.snapshot()
+            assert tree.root_hash() == twin.root_hash() == portion_root
+            assert tree.leaves == twin.leaves
+        assert climb(index, portion_root, spine)[-1] == full_tree_root(ledger, bits)
         assert counters["leaf"] == counters["leaf twin"]
         assert counters["storage"] == counters["storage twin"]
 
@@ -834,14 +802,16 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
 @given(st.data())
 def test_storage_node_matches_a_whole_space_reference(data):
     # A storage node keeps its portion's tree plus the spine above it.  Next
-    # to a whole-space reference holding the same portion, each spine sibling
-    # a placeholder, every replica checks the same roots, serves the same
-    # proofs and is charged the same digests at genesis and in every round,
-    # and its audit re-folds as many digests as the reference's.  The portion
-    # is empty, holds one account (its tail tops at the portion's root) or
-    # several; the other portions may all be empty, leaving default spine
-    # digests; a single portion (level == bits) has no spine.  A batch may
-    # move a balance and move it back, which refolds and charges all the same.
+    # to a reference, a scoped twin of the portion beside the literal spine,
+    # every replica checks the same roots, serves the same proofs (the
+    # twin's, then the spine) and is charged the same digests at genesis and
+    # in every round: the twin's, plus one per spine level re-folded from
+    # the lowest new input.  Its audit re-folds the twin's digests plus the
+    # whole spine.  The portion is empty, holds one account (its tail tops
+    # at the portion's root) or several; the other portions may all be
+    # empty, leaving default spine digests; a single portion (level == bits)
+    # has no spine.  A batch may move a balance and move it back, which
+    # refolds and charges all the same.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -867,16 +837,28 @@ def test_storage_node_matches_a_whole_space_reference(data):
     rho = data.draw(st.integers(2, 3), label="rho")
 
     charged = HashCounter()
-    reference = _storage_tree(ledger, bits, level, index, charged)
-    block = Block(0, GENESIS_PREV_HASH, reference.root_hash())
-    assert block.state_root == full_tree_root(ledger, bits)
+    reference = _leaf_tree(ledger, bits, level, index, charged)
+    spine = DEFAULT_DIGESTS[level:bits]  # the reference's, all-zero until set
+
+    def refold_spine(portion_changed, new_spine):
+        nonlocal spine
+        inputs = [t for t, (old, new) in enumerate(zip(spine, new_spine)) if old != new]
+        lowest = 0 if portion_changed else min(inputs, default=len(spine))
+        charged.internal += len(spine) - lowest
+        spine = new_spine
+        return climb(index, reference.root_hash(), spine)[-1]
+
+    block = Block(0, GENESIS_PREV_HASH, full_tree_root(ledger, bits))
+    genesis_spine = _spine(ledger, bits, level, index)
+    changed = reference.root_hash() != DEFAULT_DIGESTS[level]
+    assert refold_spine(changed, genesis_spine) == block.state_root
     leaf = _leaf_tree(ledger, bits, level, index, HashCounter())
     topo = build_topology(1 << (bits - level), 7, bits)
     positions = topo.spine_positions(index)
-    spine = [(pos, reference.digest_at(*pos)) for pos in positions]
-    replicas = [StorageNode(topo, index, r, leaf, spine, block) for r in range(rho)]
+    published = list(zip(positions, genesis_spine))
+    replicas = [StorageNode(topo, index, r, leaf, published, block) for r in range(rho)]
     with pytest.raises(StateDivergence):
-        StorageNode(topo, index, 0, leaf, spine, replace(block, state_root=bytes(32)))
+        StorageNode(topo, index, 0, leaf, published, replace(block, state_root=bytes(32)))
 
     def check(height):
         for node in replicas:
@@ -887,10 +869,11 @@ def test_storage_node_matches_a_whole_space_reference(data):
         for account in sorted(reference.leaves.keys() | {target}):
             reference.ensure_path(account)
             proof = reference.make_proof(account, height)
+            proof = replace(proof, siblings=proof.siblings + spine)
             assert verify_proof(proof, block.state_root)
             for node in replicas:
                 assert node.serve_proof(account) == proof
-        audit = ((len(reference.leaves), 0), _digests_made(reference.refold)[1])
+        audit = (len(reference.leaves), 0), _digests_made(reference.refold)[1] + len(spine)
         for node in replicas:
             assert _digests_made(node.audit_stored) == audit
 
@@ -917,21 +900,19 @@ def test_storage_node_matches_a_whole_space_reference(data):
             txs.append(Transaction(src, dst, amount, height, nonce))
         block = Block(height, block_hash(block), full_tree_root(ledger, bits))
         # every changed spine digest, and any unchanged one the draw picks
-        frontier = {}
-        for pos in positions:
-            digest = _subtree_root(ledger, bits, *pos)
-            if digest != reference.digest_at(*pos) or data.draw(st.booleans()):
-                frontier[pos] = digest
-        # the reference applies a block as storage used to
-        for pos, digest in sorted(frontier.items()):
-            reference.set_placeholder(*pos, digest)
+        new_spine = _spine(ledger, bits, level, index)
+        frontier = {
+            pos: digest
+            for pos, old, digest in zip(positions, spine, new_spine)
+            if digest != old or data.draw(st.booleans())
+        }
         routed = [tx for tx in txs if index in (tx.src >> level, tx.dst >> level)]
         for tx in routed:
             for account in (tx.src, tx.dst):
                 if account >> level == index:
                     reference.ensure_path(account)
         reference.apply_transfers(routed)
-        assert reference.root_hash() == block.state_root
+        assert refold_spine(reference.flush(), new_spine) == block.state_root
         for node in replicas:
             node.apply_confirmed(routed, frontier, block)
         check(height)
@@ -946,13 +927,10 @@ def test_kept_records_grow_with_accounts_not_path_length():
     ledger = {i << 32: i + 1 for i in range(n)}
     full = build_pruned(sorted(ledger.items()), bits)
     twin = build_pruned(sorted(ledger.items()), bits)
-    # a leaf committee's tree for portion (32, 5), grafted from proofs
+    # a leaf committee's tree for portion (32, 5)
     portion = {(5 << 32) + (i << 24): i + 1 for i in range(n)}
     source = build_pruned(sorted(portion.items()), bits)
-    scoped = PrunedTree(bits, 32, 5)
-    scoped.set_placeholder(32, 5, source.digest_at(32, 5))
-    for account in sorted(portion):
-        scoped.merge_proof(source.make_proof(account, 0))
+    scoped = build_pruned(sorted(portion.items()), bits, root_level=32, root_index=5)
 
     # graft a few zero accounts into held tails, and serve a few more
     for tree, giver, accounts in (
@@ -971,9 +949,8 @@ def test_kept_records_grow_with_accounts_not_path_length():
             _check_proof(tree, account, tree.root_hash())
 
     assert full.root_hash() == LedgerOracle(bits, ledger).root()
-    assert scoped.root_hash() == source.digest_at(32, 5)
+    assert climb(5, scoped.root_hash(), DEFAULT_DIGESTS[32:bits])[-1] == source.root_hash()
     for tree in (full, scoped):
         _check_layout(tree)
         assert tree.refold() == (tree.root_hash(), [])
-        kept = len(tree._nodes) + len(tree._placeholders)
-        assert len(tree.leaves) >= n and kept <= 3 * len(tree.leaves)
+        assert len(tree.leaves) >= n and len(tree._nodes) <= 3 * len(tree.leaves)

@@ -1,10 +1,13 @@
-"""The package surface: four names, and the README's library example runs."""
+"""The package surface: four names, the README's library example runs, and
+no public tree method is left without a caller in the library."""
 
+import ast
 import json
 import re
 from pathlib import Path
 
 import pipechain
+from pipechain.merkle import PrunedTree
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +26,19 @@ def test_readme_library_example_runs(capsys):
     summary = json.loads(last)["summary"]
     assert summary["fatal"] is None
     assert summary["rounds_run"] == len(rows) > 0
+
+
+def test_every_public_tree_method_has_a_library_caller():
+    # A method only tests call is dead code the tree must still carry.  The
+    # check is by name: a call of `.name(...)` anywhere in the package counts.
+    public = {
+        name for name, value in vars(PrunedTree).items()
+        if callable(value) and not name.startswith("_")
+    }
+    called = {
+        node.func.attr
+        for path in Path(pipechain.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert sorted(public - called) == []

@@ -120,6 +120,12 @@ def _proofed(tree, src, dst, amount, entry_round, nonce, base=0):
     )
 
 
+def _portion_root(balances, portion):
+    """Digest of one of the two portions of a five-bit address space."""
+    entries = sorted((a, b) for a, b in balances.items() if a >> 4 == portion)
+    return build_pruned(entries, 5, root_level=4, root_index=portion).root_hash()
+
+
 def test_leaf_round_tracks_reference_tree():
     # A=5, two portions of 16 addresses; confirmed stream crosses portions
     topo = build_topology(2, 7, address_bits=5)
@@ -127,18 +133,18 @@ def test_leaf_round_tracks_reference_tree():
     global_tree = build_pruned(sorted(genesis.items()), 5)
     leaf0 = LeafRpc(topo, 0, [(0, 100), (3, 50)])
     leaf1 = LeafRpc(topo, 1, [(20, 70)])
-    assert leaf0.tree.root_hash() == global_tree.digest_at(4, 0)
-    assert leaf1.tree.root_hash() == global_tree.digest_at(4, 1)
+    assert leaf0.tree.root_hash() == _portion_root(genesis, 0)
+    assert leaf1.tree.root_hash() == _portion_root(genesis, 1)
 
     tx1 = _proofed(global_tree, 0, 5, 10, 1, 1)  # inside portion 0
     tx2 = _proofed(global_tree, 3, 20, 25, 1, 2)  # crosses portions
     d0 = leaf0.process_round([tx1, tx2])
     d1 = leaf1.process_round([tx2])
 
-    reference = build_pruned([(0, 90), (3, 25), (5, 10), (20, 95)], 5)
-    assert d0 == reference.digest_at(4, 0)
-    assert d1 == reference.digest_at(4, 1)
-    assert fold_digests([d0, d1])[0] == reference.root_hash()
+    after = {0: 90, 3: 25, 5: 10, 20: 95}
+    assert d0 == _portion_root(after, 0)
+    assert d1 == _portion_root(after, 1)
+    assert fold_digests([d0, d1])[0] == build_pruned(sorted(after.items()), 5).root_hash()
 
 
 def test_leaf_prefers_own_balance_over_stale_proof():
@@ -151,15 +157,14 @@ def test_leaf_prefers_own_balance_over_stale_proof():
     # but the leaf has 5 and its own balance must win
     spend = _proofed(genesis_tree, 9, 1, 3, 2, 2)
     digest = leaf.process_round([spend])
-    reference = build_pruned([(0, 95), (9, 2), (1, 3)], 5)
-    assert digest == reference.digest_at(4, 0)
-    assert leaf.tree.balance_of(9) == 2
+    assert digest == _portion_root({0: 95, 9: 2, 1: 3}, 0)
+    assert leaf.tree.leaves[9] == 2
 
 
 def test_leaf_flags_conflicting_proof_material():
     topo = build_topology(2, 7, address_bits=5)
     leaf = LeafRpc(topo, 0, [(0, 100)])
-    # proof built against a different world: placeholder digests disagree
+    # a proof from a different world: a sibling over no held account is not all-zero
     other = build_pruned([(0, 100), (2, 9)], 5)
     bad = _proofed(other, 7, 1, 1, 1, 1)
     with pytest.raises(PipelineFault, match="^leaf 0: sibling digest mismatch"):

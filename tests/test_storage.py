@@ -19,6 +19,13 @@ def _portion_tree(topo, portion, entries):
     )
 
 
+def _digest(balances, level, index, address_bits=5):
+    """Digest of one subtree of the ledger `balances`, from a scoped build."""
+    entries = sorted((a, b) for a, b in balances.items() if a >> level == index)
+    tree = build_pruned(entries, address_bits, root_level=level, root_index=index)
+    return tree.root_hash()
+
+
 def _world(balances, address_bits=5, leaf_count=2):
     topo = build_topology(leaf_count, 7, address_bits)
     tree = build_pruned(sorted(balances.items()), address_bits)
@@ -28,7 +35,10 @@ def _world(balances, address_bits=5, leaf_count=2):
         entries = [
             (a, b) for a, b in sorted(balances.items()) if topo.portion_of(a) == portion
         ]
-        spine = [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(portion)]
+        spine = [
+            (pos, _digest(balances, *pos, address_bits))
+            for pos in topo.spine_positions(portion)
+        ]
         seed = _portion_tree(topo, portion, entries)
         nodes[portion] = StorageNode(topo, portion, 0, seed, spine, genesis)
     return topo, tree, genesis, nodes
@@ -45,8 +55,8 @@ def _tx(tree, src, dst, amount, nonce):
 
 def _corrupt_digest(tree, level, index, digest):
     """Overwrite the digest a tree keeps for one of its materialized nodes,
-    an inner node or any level of a leaf tail, leaving its balances and
-    placeholders as they are."""
+    an inner node or any level of a leaf tail, leaving its balances as they
+    are."""
     key = (1 << (tree.address_bits - level)) + index
     node, top = tree._deepest(key)
     assert node == key, "not materialized"
@@ -64,8 +74,7 @@ def test_genesis_root_check():
     wrong = Block(0, GENESIS_PREV_HASH, bytes(32))
     with pytest.raises(StateDivergence):
         StorageNode(topo, 0, 0, _portion_tree(topo, 0, [(3, 50)]),
-                    [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(0)],
-                    wrong)
+                    [((4, 1), _digest({20: 70}, 4, 1))], wrong)
 
 
 def test_apply_confirmed_advances_root():
@@ -75,8 +84,8 @@ def test_apply_confirmed_advances_root():
     block = Block(1, block_hash(genesis), after.root_hash())
 
     # each node needs the other portion's new digest as frontier material
-    nodes[0].apply_confirmed([tx], {(4, 1): after.digest_at(4, 1)}, block)
-    nodes[1].apply_confirmed([tx], {(4, 0): after.digest_at(4, 0)}, block)
+    nodes[0].apply_confirmed([tx], {(4, 1): _digest({20: 100}, 4, 1)}, block)
+    nodes[1].apply_confirmed([tx], {(4, 0): _digest({3: 20}, 4, 0)}, block)
     assert nodes[0].latest_block is block
     assert nodes[1].latest_block is block
 
@@ -118,7 +127,7 @@ def test_proofs_stay_valid_after_blocks():
     tx = _tx(tree, 3, 20, 30, 1)
     after = build_pruned([(3, 20), (20, 100)], 5)
     block = Block(1, block_hash(genesis), after.root_hash())
-    nodes[0].apply_confirmed([tx], {(4, 1): after.digest_at(4, 1)}, block)
+    nodes[0].apply_confirmed([tx], {(4, 1): _digest({20: 100}, 4, 1)}, block)
     proof = nodes[0].serve_proof(3)
     assert proof.balance == 20
     assert proof.base_height == 1
@@ -130,7 +139,7 @@ def test_replicas_identical():
     topo = build_topology(2, 7, 5)
     tree = build_pruned([(3, 50), (20, 70)], 5)
     genesis = Block(0, GENESIS_PREV_HASH, tree.root_hash())
-    spine = [(pos, tree.digest_at(*pos)) for pos in topo.spine_positions(0)]
+    spine = [((4, 1), _digest({20: 70}, 4, 1))]
     seed = _portion_tree(topo, 0, [(3, 50)])
     a = StorageNode(topo, 0, 0, seed, spine, genesis)
     b = StorageNode(topo, 0, 1, seed, spine, genesis)
@@ -141,7 +150,8 @@ def test_replicas_identical():
 def test_audit_stored():
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
     node = nodes[0]
-    content, hashes = node.tree.snapshot(), node.counters.total()
+    content = dict(node.tree.leaves), dict(node.tree._nodes)
+    hashes = node.counters.total()
     checked, failed = node.audit_stored()
     assert failed == 0
     assert checked == len(node.tree.leaves)
@@ -149,8 +159,8 @@ def test_audit_stored():
     # the audit is a read: no hash is charged, the content is as it was and
     # every kept digest still agrees with a re-fold
     assert node.counters.total() == hashes
-    assert node.tree.snapshot() == content
-    assert node.tree.refold() == (tree.digest_at(4, 0), [])  # the portion root
+    assert (node.tree.leaves, node.tree._nodes) == content
+    assert node.tree.refold() == (_digest({3: 50, 4: 9}, 4, 0), [])  # the portion root
     # a tree that does not fold to the newest block's root fails every account
     node.latest_block = Block(1, block_hash(genesis), bytes(32))
     assert node.audit_stored() == (2, 2)
@@ -159,7 +169,7 @@ def test_audit_stored():
 def test_audit_detects_corrupt_cached_digest():
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
     node = nodes[0]
-    # leaf 2 is a placeholder, so no served proof of a stored account reads
+    # leaf 2 is absent, so no served proof of a stored account reads
     # leaf 3's cached digest; the balances stay as they are
     _corrupt_digest(node.tree, 0, 3, leaf_hash(3, 51))
     assert node.audit_stored() == (2, 2)
@@ -204,7 +214,7 @@ def test_receive_buffers_an_entry_round_until_its_block():
     first = Batch(entry, (_tx(tree, 3, 5, 40, 1),))
     second = Batch(entry, (_tx(tree, 5, 20, 30, 2),))
     after = build_pruned([(3, 10), (5, 10), (20, 100)], 5)
-    frontier = Frontier((((4, 1), entry, after.digest_at(4, 1)),))
+    frontier = Frontier((((4, 1), entry, _digest({20: 100}, 4, 1)),))
     assert node.receive([first, second, frontier]) is None
     # the block before carries the entry round before: nothing to apply
     earlier = Block(entry + q - 2, block_hash(genesis), genesis.state_root)
