@@ -52,7 +52,7 @@ class Clients:
                         f" storage {portion}/{rep} holds {stored}"
                     )
 
-    def submit(self, round_index: int, meters):
+    def submit(self, round_index: int, network):
         """The transfers for entry round round_index + 1, with the expired-proof
         injection from round 3 on; returns (txs, whether the workload fell
         short of f sources)."""
@@ -77,7 +77,7 @@ class Clients:
                 if dst not in involved:
                     break
             involved.add(dst)
-            src_proof, dst_proof = self._serve(src, meters), self._serve(dst, meters)
+            src_proof, dst_proof = self._serve(src, network), self._serve(dst, network)
             amount = rng.randint(1, src_proof.balance)
             self._nonce += 1
             txs.append(
@@ -90,7 +90,7 @@ class Clients:
         # admission (base = entry_round - 4)
         rng = random.Random(f"{cfg.seed}:inject:{round_index}")
         sample = rng.sample(funded, min(rate, len(funded)))
-        self._proof_pool[round_index] = [(a, self._serve(a, meters)) for a in sample]
+        self._proof_pool[round_index] = [(a, self._serve(a, network)) for a in sample]
         for account, stale_proof in self._proof_pool.pop(round_index - 2, ()):
             while True:
                 dst = rng.randrange(1 << cfg.address_bits)
@@ -99,19 +99,17 @@ class Clients:
             self._nonce += 1
             tx = Transaction(
                 account, dst, 1, entry_round, self._nonce, stale_proof,
-                self._serve(dst, meters),
+                self._serve(dst, network),
             )
             self.injected_ids.add(tx.txid)
             txs.append(tx)
         return txs, truncated
 
-    def _serve(self, account: int, meters):
-        """A proof from replica 0 of the account's portion, charged to that
-        node's meter and checked against the view."""
+    def _serve(self, account: int, network):
+        """A proof from replica 0 of the account's portion, requested over the
+        network and checked against the view."""
         node_key = (self.topology.portion_of(account), 0)
-        meter = meters[("storage",) + node_key]
-        meter.msgs_in += 1
-        meter.msgs_out += 1
+        network.request(("storage",) + node_key)
         proof = self.storage[node_key].serve_proof(account)
         if proof.balance != self.view.get(account, 0):
             raise StateDivergence(

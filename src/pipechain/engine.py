@@ -1,12 +1,10 @@
 """Deterministic round engine wiring committees, pipeline, storage, clients.
 
-Everything advances in lockstep rounds.  Messages produced in round i go to
-a next-round outbox keyed by destination and are delivered in round i+1 in
-send order; the only broadcast is the newly emitted block.  Each round runs
-the stages in dependency order (storage, clients, confirmation, oracle,
-routing, leaf and inner folds, block emission), handing each unit, which
-keeps its own state, its inbox.  All cross-committee data crosses the round
-boundary, so this equals the committees running concurrently.
+Everything advances in lockstep rounds.  Each round runs the stages in
+dependency order (storage, clients, confirmation, oracle, routing, leaf and
+inner folds, block emission), handing each unit, which keeps its own state,
+what the network delivered to it.  All cross-committee data crosses the
+round boundary, so this equals the committees running concurrently.
 """
 
 from __future__ import annotations
@@ -18,10 +16,8 @@ from functools import cache
 
 from .clients import Clients
 from .committee import ConfirmationCommittee
-from .ledger import (
-    GENESIS_PREV_HASH, Batch, Block, BlockHistory, ChildDigest, Frontier,
-    Transaction, cc_index,
-)
+from .ledger import GENESIS_PREV_HASH, Batch, Block, BlockHistory, cc_index
+from .network import Network
 from .oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatches
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
@@ -142,16 +138,6 @@ class RunOptions:
 
 
 @dataclass
-class _Meter:
-    msgs_in: int = 0
-    msgs_out: int = 0
-    hashes: int = 0
-    processed: int = 0
-    accepted: int = 0
-    discarded: int = 0
-
-
-@dataclass
 class SimResult:
     reports: list
     summary: dict
@@ -226,12 +212,6 @@ class Simulation:
             for r in range(cfg.rho)
         }
 
-        # which storage nodes need each published spine digest
-        self._spine_need: dict[tuple[int, int], list] = {}
-        for m, r in self.storage:
-            for pos in topo.spine_positions(m):
-                self._spine_need.setdefault(pos, []).append(("storage", m, r))
-
         self.committee_ids = (
             [("cc", k) for k in range(cfg.n_c)]
             + [("leaf", m) for m in range(cfg.leaf_count)]
@@ -243,10 +223,10 @@ class Simulation:
         ]
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
-        self.outbox: dict[tuple, list] = {}
+        self.network = Network(topo, self.committee_ids, self.storage)
         for t, tier in enumerate(topo.tiers):
             for index, digest in enumerate(levels[tier.base_level]):
-                self._send_up(t, index, digest)
+                self.network.send_up(None, t, index, digest)
 
         # -- clients and oracle --------------------------------------------
         self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
@@ -267,32 +247,6 @@ class Simulation:
         probe_count = min((self.options.interleave_probe or (0,))[0], cfg.rounds - 1)
         rng = random.Random(f"{cfg.seed}:probe")
         self._probe_rounds = set(rng.sample(range(2, cfg.rounds + 1), probe_count))
-
-    # -- helpers -----------------------------------------------------------
-
-    def _send(self, dest, msg) -> None:
-        """Queue a message for delivery next round."""
-        self.outbox.setdefault(dest, []).append(msg)
-
-    def _send_up(self, tier: int, index: int, digest: bytes) -> None:
-        """Latch the index-th digest below a tier into the committee folding
-        it; children are sent in ascending index, so they arrive in slot order."""
-        parent = index // self.topology.tiers[tier].child_count
-        self._send(("inner", tier, parent), ChildDigest(digest))
-
-    def _publish(self, entry: int, computed, meter) -> None:
-        """Send one committee's spine digests of an entry round, {position:
-        digest}, to the storage nodes that need them, one Frontier per node."""
-        per_node: dict[tuple, list] = {}
-        for pos, digest in computed.items():
-            dests = self._spine_need.get(pos, ())
-            if dests:
-                # identical digest fans out to its need set: one multicast
-                meter.msgs_out += 1
-            for dest in dests:
-                per_node.setdefault(dest, []).append((pos, entry, digest))
-        for dest, items in per_node.items():
-            self._send(dest, Frontier(tuple(items)))
 
     # -- the run -------------------------------------------------------------
 
@@ -353,24 +307,18 @@ class Simulation:
         return SimResult(reports, summary)
 
     def _round(self, round_index: int) -> dict:
-        """Deliver last round's outbox, run the stages in dependency order and
-        return the report row.  A stage takes the round index, its input (the
-        inbox or an earlier stage's output) and the meters it charges."""
-        inbox, self.outbox = self.outbox, {}
-        meters = {cid: _Meter() for cid in self.committee_ids}
-        # per-item accounting: batched messages count one message per item
-        for cid, msgs in inbox.items():
-            meters[cid].msgs_in += sum(
-                len(msg) if isinstance(msg, (Batch, Frontier)) else 1 for msg in msgs
-            )
-
-        audit = self._storage_stage(round_index, inbox, meters)
-        truncated = self._client_stage(round_index, meters)
+        """Take what the network delivers, run the stages in dependency order
+        and return the report row.  A stage takes the round index, its input
+        (the inbox or an earlier stage's output) and the meters it charges."""
+        inbox, delivered_block = self.network.deliver()
+        meters = self.network.meters
+        audit = self._storage_stage(round_index, inbox, delivered_block, meters)
+        truncated = self._client_stage(round_index)
         confirmed, discards = self._confirm_stage(round_index, inbox, meters)
         supply = self._oracle_stage(round_index, confirmed, discards)
-        self._route_stage(round_index, self.accepted_by_entry[round_index], meters)
+        self._route_stage(round_index, self.accepted_by_entry[round_index])
         state_root = self._fold_stage(round_index, inbox, meters)
-        block, verdict = self._emit_stage(round_index, state_root, meters)
+        block, verdict = self._emit_stage(round_index, state_root)
 
         peaks = self.summary["peaks"]
         per_committee = []
@@ -382,7 +330,7 @@ class Simulation:
             )
             if cid[0] in ("leaf", "inner"):
                 peaks["rpc_hashes"] = max(peaks["rpc_hashes"], meter.hashes)
-        backlog = sum(len(msgs) for msgs in self.outbox.values())
+        backlog = self.network.in_flight()
         peaks["backlog"] = max(peaks["backlog"], backlog)
 
         return {
@@ -397,14 +345,14 @@ class Simulation:
             "per_committee": per_committee,
         }
 
-    def _storage_stage(self, round_index: int, inbox, meters) -> dict:
+    def _storage_stage(self, round_index: int, inbox, block, meters) -> dict:
         """Storage nodes take their messages, applying an entry round when
         its block arrives, and audit; returns the audit counts."""
         audit_checked = audit_failed = 0
         for key, node in self.storage.items():
             cid = ("storage",) + key
             before = node.counters.total()
-            txs = node.receive(inbox.get(cid, ()))
+            txs = node.receive(inbox.get(cid, ()), block)
             if txs is None:
                 continue
             meters[cid].processed += len(txs)
@@ -418,16 +366,16 @@ class Simulation:
         totals["failed"] += audit_failed
         return {"checked": audit_checked, "failed": audit_failed}
 
-    def _client_stage(self, round_index: int, meters) -> bool:
+    def _client_stage(self, round_index: int) -> bool:
         """Clients settle the entry round leaving the pipeline and submit for
         entry round i+1; returns whether the workload fell short."""
         entry = self.topology.entry_of(round_index - 1)
         self.clients.settle(self.accepted_by_entry.pop(entry, ()))
         if round_index == self.config.rounds:
             return False
-        submissions, truncated = self.clients.submit(round_index, meters)
+        submissions, truncated = self.clients.submit(round_index, self.network)
         for tx in submissions:
-            self._send(("cc", self._committee_of(tx.src)), tx)
+            self.network.send(None, [("cc", self._committee_of(tx.src))], tx)
         self.summary["workload_truncated_rounds"] += truncated
         return truncated
 
@@ -438,11 +386,8 @@ class Simulation:
         round_discards = []
         for committee in self.ccs:
             cid = ("cc", committee.index)
-            incoming = [
-                msg for msg in inbox.get(cid, ()) if isinstance(msg, Transaction)
-            ]
             accepted, discards, stats = committee.confirm_round(
-                incoming, round_index, self.history
+                inbox.get(cid, ()), round_index, self.history
             )
             meter = meters[cid]
             meter.processed += stats.received
@@ -491,7 +436,7 @@ class Simulation:
         totals["supply"]["max"] = max(totals["supply"]["max"], supply)
         return supply
 
-    def _route_stage(self, round_index: int, merged, meters) -> None:
+    def _route_stage(self, round_index: int, merged) -> None:
         """Sends one batch per committee and touched portion to the portion's
         leaf committee and storage replicas, in merged's committee order."""
         if self.options.drop_confirmed_round == round_index:
@@ -509,11 +454,10 @@ class Simulation:
         for portion, by_committee in leaf_batches.items():
             for committee, txs in by_committee.items():
                 batch = Batch(round_index, tuple(dict.fromkeys(txs)))
-                self._send(("leaf", portion), batch)
-                for rep in range(self.config.rho):
-                    self._send(("storage", portion, rep), batch)
-                # the leaf copy, plus one multicast per item to the replicas
-                meters[("cc", committee)].msgs_out += 2 * len(batch)
+                sender = ("cc", committee)
+                self.network.send(sender, [("leaf", portion)], batch)
+                replicas = [("storage", portion, r) for r in range(self.config.rho)]
+                self.network.send(sender, replicas, batch)
 
     def _fold_stage(self, round_index: int, inbox, meters) -> bytes:
         """Leaves fold the previous entry round, inner tiers fold bottom-up and
@@ -522,12 +466,7 @@ class Simulation:
         topo = self.topology
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
-            incoming = [
-                tx
-                for msg in inbox.get(cid, ())
-                if isinstance(msg, Batch)
-                for tx in msg.txs
-            ]
+            incoming = [tx for batch in inbox.get(cid, ()) for tx in batch.txs]
             before = leaf.counters.total()
             try:
                 top = leaf.process_round(incoming)
@@ -538,32 +477,26 @@ class Simulation:
             meter.processed += len(incoming)
             meter.hashes += leaf.counters.total() - before
             if topo.tiers:
-                self._send_up(0, leaf.portion, top)
-                meter.msgs_out += 1
+                self.network.send_up(cid, 0, leaf.portion, top)
                 spine = {(topo.portion_bits, leaf.portion): top}
-                self._publish(round_index - 1, spine, meter)
+                self.network.publish(cid, round_index - 1, spine)
 
         for t, tier in enumerate(topo.tiers):
             for p in range(tier.count):
                 cid = ("inner", t, p)
                 rpc = self.inner_rpcs[(t, p)]
-                children = [
-                    msg.digest
-                    for msg in inbox.get(cid, ())
-                    if isinstance(msg, ChildDigest)
-                ]
+                children = inbox.get(cid, ())
                 before = rpc.counters.total()
                 top, computed = rpc.fold_round(children)
                 meter = meters[cid]
                 meter.processed += len(children)
                 meter.hashes += rpc.counters.total() - before
-                self._publish(round_index - 2 - t, computed, meter)
+                self.network.publish(cid, round_index - 2 - t, computed)
                 if t + 1 < len(topo.tiers):
-                    self._send_up(t + 1, p, top)
-                    meter.msgs_out += 1
+                    self.network.send_up(cid, t + 1, p, top)
         return top
 
-    def _emit_stage(self, round_index: int, state_root: bytes, meters):
+    def _emit_stage(self, round_index: int, state_root: bytes):
         """Broadcasts the next block; returns it with the oracle's verdict.
         Latency law: block h carries entry round h - q + 1, whose transfers
         are checked here and violations when the oracle rejects the block."""
@@ -572,9 +505,7 @@ class Simulation:
         self.history.push(block)  # read by next round's confirmation
         tiers = self.topology.tiers
         emitter = ("inner", len(tiers) - 1, 0) if tiers else ("leaf", 0)
-        meters[emitter].msgs_out += 1  # one multicast: the only broadcast
-        for cid in self.committee_ids:
-            self._send(cid, block)
+        self.network.broadcast(emitter, block)
         entry = self.topology.entry_of(block.height)
         carried = len(self.accepted_by_entry.get(entry, ()))
         self.summary["latency"]["checked"] += carried

@@ -76,13 +76,6 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class ChildDigest:
-    """A child's digest latched into an inner committee at its fold slot."""
-
-    digest: bytes
-
-
-@dataclass(frozen=True)
 class Frontier:
     """One committee's spine digests for one storage node: (pos, entry, digest)."""
 

@@ -26,14 +26,10 @@ class MerkleError(Exception):
 
 
 class NotStored(MerkleError):
-    """The requested account is outside this tree or not materialized."""
+    """The requested account is outside this tree or not held by it."""
 
 
-class PathNotMaterialized(MerkleError):
-    """An operation needed a node that has been pruned away."""
-
-
-class ConflictingPlaceholder(MerkleError):
+class ProofConflict(MerkleError):
     """A merged proof disagrees with this tree's content."""
 
 
@@ -367,7 +363,7 @@ class PrunedTree:
         if account not in leaves:
             if not self.covers(account):
                 raise NotStored(f"account {account} outside stored range")
-            raise PathNotMaterialized(f"leaf {account} is pruned")
+            raise NotStored(f"account {account} is not held")
         if new_balance < 0:
             raise NegativeBalance(f"negative balance for account {account}")
         if leaves[account] != new_balance:
@@ -429,12 +425,12 @@ class PrunedTree:
             if sibling in self._nodes or (level == entry_level and tail is not None):
                 continue
             if siblings[level] != defaults[level]:
-                raise ConflictingPlaceholder(
+                raise ProofConflict(
                     f"sibling digest mismatch at {self._position(sibling)}"
                 )
         if node == leaf:
             if self.leaves[account] != proof.balance:
-                raise ConflictingPlaceholder(f"balance mismatch for {account}")
+                raise ProofConflict(f"balance mismatch for {account}")
             return
 
         # fold the proof up to the entry and check it against the default there
@@ -444,7 +440,7 @@ class PrunedTree:
         path = climb(account, digest, siblings[:entry_level])
         self.counters.internal += entry_level
         if path[-1] != defaults[entry_level]:
-            raise ConflictingPlaceholder(
+            raise ProofConflict(
                 f"proof contradicts {self._position(leaf >> entry_level)}"
             )
         self.ensure_path(account)

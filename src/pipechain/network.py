@@ -1,0 +1,99 @@
+"""The network: every message is queued, delivered and counted here.
+
+Messages sent in round i reach their destinations in round i + 1, in send
+order, one inbox per committee; the block emitted in round i reaches every
+committee beside its inbox.  One rule charges the round's meters:
+
+- a sender pays one message per item it sends, once however many
+  destinations share the send (one multicast);
+- each destination pays one message per item it receives;
+- a Batch or Frontier carries len() items, any other message one;
+- a sender of None (a client, or the genesis latches) pays nothing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .ledger import Batch, Frontier
+
+
+@dataclass
+class Meter:
+    """One committee's counts in one round."""
+
+    msgs_in: int = 0
+    msgs_out: int = 0
+    hashes: int = 0
+    processed: int = 0
+    accepted: int = 0
+    discarded: int = 0
+
+
+def _items(msg) -> int:
+    return len(msg) if isinstance(msg, (Batch, Frontier)) else 1
+
+
+class Network:
+    def __init__(self, topology, committee_ids, storage_keys) -> None:
+        self.topology = topology
+        self.committee_ids = committee_ids
+        self.meters: dict[tuple, Meter] = {}  # the current round's
+        self._outbox: dict[tuple, list] = {}
+        self._block = None  # in flight to every committee
+        # which storage nodes need each published spine digest
+        self._need: dict[tuple[int, int], list] = {}
+        for m, r in storage_keys:
+            for pos in topology.spine_positions(m):
+                self._need.setdefault(pos, []).append(("storage", m, r))
+
+    def deliver(self):
+        """Start a round with fresh meters, charging last round's messages to
+        their destinations; returns (inbox by destination, block or None)."""
+        inbox, self._outbox = self._outbox, {}
+        block, self._block = self._block, None
+        self.meters = {cid: Meter() for cid in self.committee_ids}
+        for cid, meter in self.meters.items():
+            meter.msgs_in += sum(map(_items, inbox.get(cid, ()))) + (block is not None)
+        return inbox, block
+
+    def send(self, sender, dests, msg) -> None:
+        """Queue msg for each destination: one multicast."""
+        for dest in dests:
+            self._outbox.setdefault(dest, []).append(msg)
+        if sender is not None:
+            self.meters[sender].msgs_out += _items(msg)
+
+    def send_up(self, sender, tier: int, index: int, digest: bytes) -> None:
+        """Latch the index-th digest below a tier into the committee folding
+        it; children are sent in ascending index, so they arrive in slot order."""
+        parent = index // self.topology.tiers[tier].child_count
+        self.send(sender, [("inner", tier, parent)], digest)
+
+    def publish(self, sender, entry: int, computed) -> None:
+        """Send a committee's spine digests of an entry round, {position:
+        digest}: one multicast per position to the storage nodes that need
+        it, bundled into one Frontier per node."""
+        per_node: dict[tuple, list] = {}
+        for pos, digest in computed.items():
+            for dest in self._need.get(pos, ()):
+                per_node.setdefault(dest, []).append((pos, entry, digest))
+        self.meters[sender].msgs_out += sum(pos in self._need for pos in computed)
+        for dest, items in per_node.items():
+            self._outbox.setdefault(dest, []).append(Frontier(tuple(items)))
+
+    def broadcast(self, sender, block) -> None:
+        """Send the block to every committee: one multicast."""
+        self._block = block
+        self.meters[sender].msgs_out += 1
+
+    def request(self, server) -> None:
+        """A client's proof request to a storage node and the node's reply."""
+        meter = self.meters[server]
+        meter.msgs_in += 1
+        meter.msgs_out += 1
+
+    def in_flight(self) -> int:
+        """Messages queued for next round, counting the block per committee."""
+        queued = sum(len(msgs) for msgs in self._outbox.values())
+        return queued + len(self.committee_ids) * (self._block is not None)

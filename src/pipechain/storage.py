@@ -10,7 +10,7 @@ the spine and cross checks that root against the block.
 
 from __future__ import annotations
 
-from .ledger import Batch, Frontier
+from .ledger import Batch
 from .merkle import (
     DEFAULT_DIGESTS, BalanceProof, HashCounter, MerkleError, NotStored, climb, verify_proof
 )
@@ -52,18 +52,15 @@ class StorageNode:
     def in_range(self, account: int) -> bool:
         return self.topology.portion_of(account) == self.portion
 
-    def receive(self, msgs) -> list | None:
-        """Buffer batches and frontier items by entry round; on a block, apply
-        the entry round it carries.  Returns the transfers applied (None: no block)."""
-        block = None
+    def receive(self, msgs, block) -> list | None:
+        """Buffer batches and frontier items by entry round; with a block,
+        apply its entry round.  Returns the transfers applied (None: no block)."""
         for msg in msgs:
             if isinstance(msg, Batch):
                 self._pending.setdefault(msg.entry, ([], {}))[0].extend(msg.txs)
-            elif isinstance(msg, Frontier):
+            else:
                 for pos, entry, digest in msg.items:
                     self._pending.setdefault(entry, ([], {}))[1][pos] = digest
-            else:
-                block = msg
         if block is None:
             return None
         txs, frontier = self._pending.pop(self.topology.entry_of(block.height), ([], {}))

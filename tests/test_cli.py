@@ -13,6 +13,7 @@ import pytest
 
 from pipechain import cli
 from pipechain.ledger import Batch, Transaction
+from pipechain.network import Network
 from pipechain.pipeline import build_topology
 
 BASE_CONFIG = {
@@ -40,6 +41,21 @@ def config_path(tmp_path):
 @pytest.fixture(autouse=True)
 def _clear_seed_env(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
+
+
+@pytest.fixture
+def sims(monkeypatch):
+    """The simulations cli.main builds, newest last; each is recorded before
+    its construction starts, so a network patch can read the one it serves."""
+    built = []
+    init = cli.Simulation.__init__
+
+    def record(sim, *args, **kwargs):
+        built.append(sim)
+        init(sim, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Simulation, "__init__", record)
+    return built
 
 
 def test_dimension_text(capsys):
@@ -180,20 +196,20 @@ def test_idle_expired_injection_is_named_on_stderr(config_path, tmp_path, capsys
     assert "idle_faults" not in capsys.readouterr().err
 
 
-def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys):
+def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys, sims):
     # a leaf's digest sent up in round 5 never arrives: the inner committee
     # folding it in round 6 names the fault instead of raising a traceback
-    send_up = cli.Simulation._send_up
+    send_up = Network.send_up
     dropped = []
 
-    def lossy(sim, tier, index, digest):
+    def lossy(net, sender, tier, index, digest):
         # rounds_run counts the rounds completed before the current one
-        if getattr(sim, "summary", {}).get("rounds_run") == 4 and not dropped:
+        if getattr(sims[-1], "summary", {}).get("rounds_run") == 4 and not dropped:
             dropped.append((tier, index))
             return
-        send_up(sim, tier, index, digest)
+        send_up(net, sender, tier, index, digest)
 
-    monkeypatch.setattr(cli.Simulation, "_send_up", lossy)
+    monkeypatch.setattr(Network, "send_up", lossy)
     assert cli.main(["run", "--config", config_path]) == 3
     assert dropped == [(0, 0)]
     err = capsys.readouterr().err
@@ -217,17 +233,18 @@ def test_drop_fault_exits_3_under_optimize(tmp_path):
 
 @pytest.mark.parametrize("oracle_enabled", [True, False])
 def test_leaf_that_cannot_apply_its_batch_exits_3(
-    oracle_enabled, tmp_path, monkeypatch, capsys
+    oracle_enabled, tmp_path, monkeypatch, capsys, sims
 ):
     # after confirmation, one sibling of a destination proof the leaf must
     # graft is corrupted in the batch routed to it in round 5; the leaf folds
     # that batch in round 6 and names the fault there
-    send = cli.Simulation._send
+    send = Network.send
     tampered = []
 
-    def corrupt(sim, dest, msg):
+    def corrupt(net, sender, dests, msg):
+        dest = dests[0]
         if dest[0] == "leaf" and isinstance(msg, Batch) and msg.entry == 5 and not tampered:
-            tree = sim.leaf_rpcs[dest[1]].tree
+            tree = sims[-1].leaf_rpcs[dest[1]].tree
             for i, tx in enumerate(msg.txs):
                 if tree.covers(tx.dst) and tx.dst not in tree.leaves:
                     siblings = (bytes(32),) + tx.dst_proof.siblings[1:]
@@ -235,9 +252,9 @@ def test_leaf_that_cannot_apply_its_batch_exits_3(
                     msg = replace(msg, txs=msg.txs[:i] + (tx,) + msg.txs[i + 1 :])
                     tampered.append(dest[1])
                     break
-        send(sim, dest, msg)
+        send(net, sender, dests, msg)
 
-    monkeypatch.setattr(cli.Simulation, "_send", corrupt)
+    monkeypatch.setattr(Network, "send", corrupt)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
     report = tmp_path / "report.jsonl"
@@ -253,29 +270,31 @@ def test_leaf_that_cannot_apply_its_batch_exits_3(
 @pytest.mark.parametrize("oracle_enabled", [True, False])
 @pytest.mark.parametrize("target", ["leaf", "storage"])
 def test_overdraw_after_confirmation_exits_3(
-    target, oracle_enabled, tmp_path, monkeypatch, capsys
+    target, oracle_enabled, tmp_path, monkeypatch, capsys, sims
 ):
     # after confirmation, the amount of one transfer in the round-5 batch sent
     # to one leaf committee or storage node is raised by 10**12, so applying
-    # it would drive the transfer's source below zero there
-    send = cli.Simulation._send
+    # it would drive the transfer's source below zero there; the base config
+    # has one replica, so the storage multicast reaches that one node
+    send = Network.send
     tampered = []
 
-    def overdraw(sim, dest, msg):
+    def overdraw(net, sender, dests, msg):
+        dest = dests[0]
         if dest[0] == target and isinstance(msg, Batch) and msg.entry == 5 and not tampered:
             if target == "leaf":
-                holds = sim.leaf_rpcs[dest[1]].tree.covers
+                holds = sims[-1].leaf_rpcs[dest[1]].tree.covers
             else:
-                holds = sim.storage[dest[1:]].in_range
+                holds = sims[-1].storage[dest[1:]].in_range
             for i, tx in enumerate(msg.txs):
                 if holds(tx.src):
                     tx = replace(tx, amount=tx.amount + 10**12)
                     msg = replace(msg, txs=msg.txs[:i] + (tx,) + msg.txs[i + 1 :])
                     tampered.append((dest[1:], tx.src))
                     break
-        send(sim, dest, msg)
+        send(net, sender, dests, msg)
 
-    monkeypatch.setattr(cli.Simulation, "_send", overdraw)
+    monkeypatch.setattr(Network, "send", overdraw)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, "oracle_enabled": oracle_enabled}))
     report = tmp_path / "report.jsonl"
@@ -299,24 +318,24 @@ def test_overdraw_after_confirmation_exits_3(
     assert f"fatal={culprit}: " in capsys.readouterr().err
 
 
-def test_destination_outside_the_address_space_is_a_bad_proof(tmp_path, monkeypatch):
+def test_destination_outside_the_address_space_is_a_bad_proof(tmp_path, monkeypatch, sims):
     # one round-5 submission's destination and its zero-balance proof move
     # to account + 2**A: a proof with A siblings folds only the low A bits of
     # its account, so without a range check it would verify, and the transfer
     # would land outside every leaf
-    send = cli.Simulation._send
+    send = Network.send
     moved = []
 
-    def outside(sim, dest, msg):
+    def outside(net, sender, dests, msg):
         if isinstance(msg, Transaction) and msg.entry_round == 5 and not moved:
             if msg.dst_proof.balance == 0:
-                far = msg.dst + (1 << sim.config.address_bits)
+                far = msg.dst + (1 << sims[-1].config.address_bits)
                 proof = replace(msg.dst_proof, account=far)
                 msg = replace(msg, dst=far, dst_proof=proof, txid=b"")
                 moved.append(msg.txid)
-        send(sim, dest, msg)
+        send(net, sender, dests, msg)
 
-    monkeypatch.setattr(cli.Simulation, "_send", outside)
+    monkeypatch.setattr(Network, "send", outside)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, "rounds": 12}))
     report = tmp_path / "report.jsonl"

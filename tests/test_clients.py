@@ -3,8 +3,9 @@
 import pytest
 
 from pipechain.clients import Clients
-from pipechain.engine import SimConfig, Simulation, _Meter
+from pipechain.engine import SimConfig, Simulation
 from pipechain.ledger import Transaction, cc_index
+from pipechain.network import Network
 from pipechain.storage import StateDivergence
 
 # four funded accounts, all of them sources each round; two portions of 512
@@ -17,13 +18,16 @@ GENESIS = {0: 100, 256: 100, 512: 100, 768: 100}
 
 
 def _clients():
-    """Fresh clients over a fresh simulation's storage nodes, and meters."""
+    """Fresh clients over a fresh simulation's storage nodes, and a network
+    whose round has started, so its meters are fresh."""
     sim = Simulation(CONFIG)
     clients = Clients(
         CONFIG, sim.options, sim.topology, sim.storage,
         lambda account: cc_index(account, CONFIG.n_c), GENESIS,
     )
-    return sim.storage, clients, {cid: _Meter() for cid in sim.committee_ids}
+    network = Network(sim.topology, sim.committee_ids, sim.storage)
+    network.deliver()
+    return sim.storage, clients, network
 
 
 def _apply(storage, tx, skip=()):
@@ -57,8 +61,9 @@ def test_settle_names_the_replica_that_disagrees_with_the_view():
 
 
 def test_a_served_proof_that_disagrees_with_the_view_names_the_account():
-    storage, clients, meters = _clients()
-    txs, truncated = clients.submit(1, meters)
+    storage, clients, network = _clients()
+    txs, truncated = clients.submit(1, network)
+    meters = network.meters
     assert sorted(tx.src for tx in txs) == sorted(GENESIS) and not truncated
     # two proofs served per transfer, each charged to replica 0 of its portion
     served = sum(meters[("storage", m, 0)].msgs_in for m in range(CONFIG.leaf_count))
@@ -68,4 +73,4 @@ def test_a_served_proof_that_disagrees_with_the_view_names_the_account():
     with pytest.raises(
         StateDivergence, match="^client view of account 512 is 101, storage proves 100$"
     ):
-        clients.submit(1, meters)
+        clients.submit(1, network)

@@ -12,11 +12,10 @@ from pipechain import merkle
 from pipechain.merkle import (
     DEFAULT_DIGESTS,
     BalanceProof,
-    ConflictingPlaceholder,
     HashCounter,
     NegativeBalance,
     NotStored,
-    PathNotMaterialized,
+    ProofConflict,
     SpineMemo,
     build_pruned,
     climb,
@@ -285,7 +284,7 @@ def test_make_proof_requires_materialized_path():
 
 def test_apply_update_requires_leaf():
     tree = build_pruned([(3, 9)], 4)
-    with pytest.raises(PathNotMaterialized):
+    with pytest.raises(NotStored):
         tree.apply_update(12, 5)
     with pytest.raises(NegativeBalance):
         tree.apply_update(3, -1)
@@ -349,7 +348,7 @@ def test_merge_rejects_tampered_proof():
         assert verify_proof(proofs[-1], world.root_hash())
     good, *bad = proofs
     for proof in [replace(good, balance=999), *bad]:
-        with pytest.raises(ConflictingPlaceholder):
+        with pytest.raises(ProofConflict):
             tree.merge_proof(proof)
         assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
     tree.merge_proof(good)
@@ -360,7 +359,7 @@ def test_merge_balance_conflict():
     tree = build_pruned([(1, 10)], 4)
     proof = tree.make_proof(1, base_height=1)
     tree.apply_update(1, 55)
-    with pytest.raises(ConflictingPlaceholder):
+    with pytest.raises(ProofConflict):
         tree.merge_proof(proof)
     assert tree.leaves == {1: 55}
 
@@ -383,7 +382,7 @@ def test_merge_into_scoped_tree():
     stale = build_pruned(
         [(8, 108), (9, 109), (11, 111)], 6, root_level=3, root_index=1
     )
-    with pytest.raises(ConflictingPlaceholder):
+    with pytest.raises(ProofConflict):
         stale.merge_proof(replace(funded, siblings=funded.siblings[:3]))
     assert stale.leaves == {8: 108, 9: 109, 11: 111}
 
@@ -616,7 +615,7 @@ def _check_merge(tree, proof):
             siblings = proof.siblings[:level] + (bytes(32),) + proof.siblings[level + 1 :]
             bad.append(replace(proof, siblings=siblings))
     for tampered in bad:
-        with pytest.raises(ConflictingPlaceholder):
+        with pytest.raises(ProofConflict):
             tree.merge_proof(tampered)
         assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
     tree.merge_proof(proof)

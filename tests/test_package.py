@@ -1,5 +1,6 @@
-"""The package surface: four names, the README's library example runs, and
-no public tree method is left without a caller in the library."""
+"""The package surface: four names, the README's library example runs, no
+public tree method is left without a caller in the library, and only the
+network writes message counts."""
 
 import ast
 import json
@@ -42,3 +43,20 @@ def test_every_public_tree_method_has_a_library_caller():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert sorted(public - called) == []
+
+
+def test_only_the_network_writes_message_counts():
+    # One accounting rule, stated in network.py, charges every message: a
+    # meter's msgs_in or msgs_out is assigned, augmented or passed by
+    # keyword nowhere else in the package.
+    counts = ("msgs_in", "msgs_out")
+    writes = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(pipechain.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in counts
+        or isinstance(node, ast.keyword) and node.arg in counts
+    ]
+    assert writes
+    assert [write for write in writes if not write.startswith("network.py:")] == []

@@ -215,20 +215,20 @@ def test_receive_buffers_an_entry_round_until_its_block():
     second = Batch(entry, (_tx(tree, 5, 20, 30, 2),))
     after = build_pruned([(3, 10), (5, 10), (20, 100)], 5)
     frontier = Frontier((((4, 1), entry, _digest({20: 100}, 4, 1)),))
-    assert node.receive([first, second, frontier]) is None
+    assert node.receive([first, second, frontier], None) is None
     # the block before carries the entry round before: nothing to apply
     earlier = Block(entry + q - 2, block_hash(genesis), genesis.state_root)
-    assert node.receive([earlier]) == []
+    assert node.receive([], earlier) == []
     assert node.tree.leaves == {3: 50}
     assert node.latest_block is earlier
     block = Block(entry + q - 1, block_hash(earlier), after.root_hash())
     assert topo.entry_of(block.height) == entry
-    assert node.receive([block]) == [*first.txs, *second.txs]
+    assert node.receive([], block) == [*first.txs, *second.txs]
     assert node.tree.leaves == {3: 10, 5: 10}
     assert node.latest_block is block
     # applied once: the next block finds the entry round gone
     later = Block(block.height + 1, block_hash(block), after.root_hash())
-    assert node.receive([later]) == []
+    assert node.receive([], later) == []
     assert node.tree.leaves == {3: 10, 5: 10}
 
 
