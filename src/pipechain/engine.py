@@ -223,7 +223,8 @@ class Simulation:
         ]
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
-        self.network = Network(topo, self.committee_ids, self.storage)
+        drop = self.options.drop_confirmed_round
+        self.network = Network(topo, self.committee_ids, self.storage, drop)
         for t, tier in enumerate(topo.tiers):
             for index, digest in enumerate(levels[tier.base_level]):
                 self.network.send_up(None, t, index, digest)
@@ -292,6 +293,8 @@ class Simulation:
                 summary["fatal"] = f"oracle divergence at height {row['block_height']}"
                 break
 
+        if self.network.drop_round is not None and self.network.dropped is None:
+            summary["idle_faults"] = ["drop_confirmed_round"]
         # injection starts in round 5, with proofs served in round 3
         if self.options.expired_injection_rate and not self.clients.injected_ids:
             summary.setdefault("idle_faults", []).append("expired_injection_rate")
@@ -351,12 +354,12 @@ class Simulation:
         audit_checked = audit_failed = 0
         for key, node in self.storage.items():
             cid = ("storage",) + key
-            before = node.counters.total()
+            before = node.tree.hashes
             txs = node.receive(inbox.get(cid, ()), block)
             if txs is None:
                 continue
             meters[cid].processed += len(txs)
-            meters[cid].hashes += node.counters.total() - before
+            meters[cid].hashes += node.tree.hashes - before
             if self.options.audit_proofs:
                 checked, failed = node.audit(round_index)
                 audit_checked += checked
@@ -439,21 +442,16 @@ class Simulation:
     def _route_stage(self, round_index: int, merged) -> None:
         """Sends one batch per committee and touched portion to the portion's
         leaf committee and storage replicas, in merged's committee order."""
-        if self.options.drop_confirmed_round == round_index:
-            # fault hook: downstream copy silently loses one confirmed tx
-            if not merged:
-                self.summary["idle_faults"] = ["drop_confirmed_round"]
-            merged = merged[1:]
+        portion_of = self.topology.portion_of
         leaf_batches: dict[int, dict[int, list]] = {}
         for tx in merged:
-            for account in {tx.src, tx.dst}:
-                portion = self.topology.portion_of(account)
+            for portion in {portion_of(tx.src), portion_of(tx.dst)}:
                 leaf_batches.setdefault(portion, {}).setdefault(
                     self._committee_of(tx.src), []
                 ).append(tx)
         for portion, by_committee in leaf_batches.items():
             for committee, txs in by_committee.items():
-                batch = Batch(round_index, tuple(dict.fromkeys(txs)))
+                batch = Batch(round_index, tuple(txs))
                 sender = ("cc", committee)
                 self.network.send(sender, [("leaf", portion)], batch)
                 replicas = [("storage", portion, r) for r in range(self.config.rho)]
@@ -467,7 +465,7 @@ class Simulation:
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
             incoming = [tx for batch in inbox.get(cid, ()) for tx in batch.txs]
-            before = leaf.counters.total()
+            before = leaf.tree.hashes
             try:
                 top = leaf.process_round(incoming)
             except PipelineFault:
@@ -475,7 +473,7 @@ class Simulation:
                 raise
             meter = meters[cid]
             meter.processed += len(incoming)
-            meter.hashes += leaf.counters.total() - before
+            meter.hashes += leaf.tree.hashes - before
             if topo.tiers:
                 self.network.send_up(cid, 0, leaf.portion, top)
                 spine = {(topo.portion_bits, leaf.portion): top}
@@ -486,11 +484,11 @@ class Simulation:
                 cid = ("inner", t, p)
                 rpc = self.inner_rpcs[(t, p)]
                 children = inbox.get(cid, ())
-                before = rpc.counters.total()
+                before = rpc.hashes
                 top, computed = rpc.fold_round(children)
                 meter = meters[cid]
                 meter.processed += len(children)
-                meter.hashes += rpc.counters.total() - before
+                meter.hashes += rpc.hashes - before
                 self.network.publish(cid, round_index - 2 - t, computed)
                 if t + 1 < len(topo.tiers):
                     self.network.send_up(cid, t + 1, p, top)

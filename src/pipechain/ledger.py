@@ -77,8 +77,10 @@ class Batch:
 
 @dataclass(frozen=True)
 class Frontier:
-    """One committee's spine digests for one storage node: (pos, entry, digest)."""
+    """One committee's spine digests of one entry round for one storage node:
+    (pos, digest) items."""
 
+    entry: int
     items: tuple
 
     def __len__(self) -> int:

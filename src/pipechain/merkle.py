@@ -90,18 +90,6 @@ def leaf_digest(account: int, balance: int) -> bytes:
     return leaf_hash(account, balance)
 
 
-@dataclass
-class HashCounter:
-    """Tally of digest evaluations actually performed (cache misses only);
-    a copy() is charged the digests it stands in for."""
-
-    internal: int = 0
-    leaf: int = 0
-
-    def total(self) -> int:
-        return self.internal + self.leaf
-
-
 @dataclass(frozen=True)
 class BalanceProof:
     """Merkle path for one account balance against a specific block root."""
@@ -181,6 +169,7 @@ class PrunedTree:
     level, leaf first), so memory grows with the accounts held, not times
     the path length.
 
+    ``hashes`` counts the digests the tree computed (cache misses only).
     A balance change marks its leaf stale.  root_hash() and make_proof()
     first rehash every stale leaf with its whole tail and each ancestor once,
     bottom-up, so a root after n updates costs at most n * (root_level + 1)
@@ -192,7 +181,6 @@ class PrunedTree:
         address_bits: int,
         root_level: int | None = None,
         root_index: int = 0,
-        counters: HashCounter | None = None,
     ) -> None:
         if not 0 < address_bits < len(DEFAULT_DIGESTS):
             raise ValueError(f"address_bits must be in 1..{len(DEFAULT_DIGESTS) - 1}")
@@ -205,7 +193,7 @@ class PrunedTree:
         self.address_bits = address_bits
         self.root_level = root_level
         self.root_index = root_index
-        self.counters = counters if counters is not None else HashCounter()
+        self.hashes = 0
         self.leaves: dict[int, int] = {}
         self._top = (1 << (address_bits - root_level)) + root_index
         self._base = 1 << address_bits  # key of leaf 0
@@ -244,23 +232,22 @@ class PrunedTree:
         """Digest of an inner node or tail top in `nodes`, or of an absent node."""
         return (nodes.get(key) or DEFAULT_DIGESTS[level])[-32:]
 
-    def _fold(self, keys, nodes, counters: HashCounter) -> None:
+    def _fold(self, keys, nodes) -> int:
         """Digest every key in `keys` (leaves and inner nodes) and each of its
-        ancestors once, bottom-up, into `nodes`, a leaf with its whole tail.
-        Children are read from `nodes`; an absent child is all-zero and
-        reads its level's default digest."""
+        ancestors once, bottom-up, into `nodes`, a leaf with its whole tail;
+        returns how many digests that made.  Children are read from `nodes`;
+        an absent child is all-zero and reads its level's default digest."""
         rows: dict[int, set[int]] = {}
+        made = 0
         leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
         for key in keys:
             if key >= base:
                 account, top = key - base, key
                 while top not in self._nodes:  # up to the top of its tail
                     top >>= 1
-                if leaves[account]:
-                    counters.leaf += 1
                 digest = leaf_digest(account, leaves[account])
                 run = climb(account, digest, defaults[: self._width - top.bit_length()])
-                counters.internal += len(run) - 1
+                made += (leaves[account] != 0) + len(run) - 1
                 nodes[top] = account.to_bytes(8, "big") + b"".join(run)
                 if top == self._top:
                     continue
@@ -275,14 +262,15 @@ class PrunedTree:
             for key in row:
                 left, right = get(2 * key) or default, get(2 * key + 1) or default
                 nodes[key] = node_hash(left[-32:], right[-32:])
-            counters.internal += len(row)
+            made += len(row)
+        return made
 
     def flush(self) -> bool:
         """Rehash every stale node; returns whether there was any."""
         if not self._stale:
             return False
         stale, self._stale = self._stale, set()
-        self._fold(stale, self._nodes, self.counters)
+        self.hashes += self._fold(stale, self._nodes)
         return True
 
     def root_hash(self) -> bytes:
@@ -291,13 +279,13 @@ class PrunedTree:
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
         """Once pending rehashes are done, re-fold the tree from its leaf
-        balances alone into a fresh map, charging a throwaway counter;
-        returns that root and the positions whose kept digest differs."""
+        balances alone into a fresh map, counting nothing; returns that root
+        and the positions whose kept digest differs."""
         self.flush()
         base, fresh, stale = self._base, {}, []
         keys = [key for key, kept in self._nodes.items() if len(kept) == 32]
         keys += [base + account for account in self.leaves]
-        self._fold(keys, fresh, HashCounter())
+        self._fold(keys, fresh)
         for key, kept in self._nodes.items():
             if kept == fresh.get(key):
                 continue
@@ -310,22 +298,13 @@ class PrunedTree:
         root = self._read(self._top, self.root_level, fresh)
         return root, sorted(map(self._position, stale))
 
-    def copy(self, counters: HashCounter | None = None) -> PrunedTree:
+    def copy(self) -> PrunedTree:
         """Once pending rehashes are done, an independent copy sharing only the
-        immutable digest records.  `counters` is charged what building this
-        content from scratch costs: a leaf digest per non-zero balance and a
-        node digest per non-default digest above them."""
+        immutable digest records; it computes no digest and counts none."""
         self.flush()
-        twin = PrunedTree(self.address_bits, self.root_level, self.root_index, counters)
+        twin = PrunedTree(self.address_bits, self.root_level, self.root_index)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
-        charged, width = twin.counters, self._width
-        charged.leaf += sum(1 for balance in self.leaves.values() if balance)
-        for key, record in self._nodes.items():
-            if len(record) == 32:
-                charged.internal += record != DEFAULT_DIGESTS[width - key.bit_length()]
-            elif self.leaves[int.from_bytes(record[:8], "big")]:
-                charged.internal += len(record) // 32 - 1
         return twin
 
     # -- materialization ------------------------------------------------------
@@ -434,11 +413,9 @@ class PrunedTree:
             return
 
         # fold the proof up to the entry and check it against the default there
-        if proof.balance:
-            self.counters.leaf += 1
         digest = leaf_digest(account, proof.balance)
         path = climb(account, digest, siblings[:entry_level])
-        self.counters.internal += entry_level
+        self.hashes += (proof.balance != 0) + entry_level
         if path[-1] != defaults[entry_level]:
             raise ProofConflict(
                 f"proof contradicts {self._position(leaf >> entry_level)}"
@@ -452,10 +429,9 @@ def build_pruned(
     *,
     root_level: int | None = None,
     root_index: int = 0,
-    counters: HashCounter | None = None,
 ) -> PrunedTree:
     """Tree materializing exactly the given (account, balance) entries."""
-    tree = PrunedTree(address_bits, root_level, root_index, counters)
+    tree = PrunedTree(address_bits, root_level, root_index)
     for account, balance in entries:
         if account in tree.leaves:
             raise ValueError(f"duplicate account {account}")

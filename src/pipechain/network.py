@@ -8,7 +8,9 @@ committee beside its inbox.  One rule charges the round's meters:
   destinations share the send (one multicast);
 - each destination pays one message per item it receives;
 - a Batch or Frontier carries len() items, any other message one;
-- a sender of None (a client, or the genesis latches) pays nothing.
+- a sender of None (a client, or the genesis latches) pays nothing;
+- each Batch of the drop round (an entry round) loses the first such
+  Batch's first transfer; a Batch left empty is neither queued nor charged.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ def _items(msg) -> int:
 
 
 class Network:
-    def __init__(self, topology, committee_ids, storage_keys) -> None:
+    def __init__(self, topology, committee_ids, storage_keys, drop_round=None) -> None:
         self.topology = topology
         self.committee_ids = committee_ids
+        self.drop_round = drop_round
+        self.dropped = None  # the transfer the drop round lost
         self.meters: dict[tuple, Meter] = {}  # the current round's
         self._outbox: dict[tuple, list] = {}
         self._block = None  # in flight to every committee
@@ -59,6 +63,12 @@ class Network:
 
     def send(self, sender, dests, msg) -> None:
         """Queue msg for each destination: one multicast."""
+        drop = self.drop_round
+        if drop is not None and isinstance(msg, Batch) and msg.entry == drop:
+            self.dropped = self.dropped or msg.txs[0]
+            msg = Batch(drop, tuple(tx for tx in msg.txs if tx is not self.dropped))
+            if not msg:
+                return
         for dest in dests:
             self._outbox.setdefault(dest, []).append(msg)
         if sender is not None:
@@ -77,10 +87,10 @@ class Network:
         per_node: dict[tuple, list] = {}
         for pos, digest in computed.items():
             for dest in self._need.get(pos, ()):
-                per_node.setdefault(dest, []).append((pos, entry, digest))
+                per_node.setdefault(dest, []).append((pos, digest))
         self.meters[sender].msgs_out += sum(pos in self._need for pos in computed)
         for dest, items in per_node.items():
-            self._outbox.setdefault(dest, []).append(Frontier(tuple(items)))
+            self._outbox.setdefault(dest, []).append(Frontier(entry, tuple(items)))
 
     def broadcast(self, sender, block) -> None:
         """Send the block to every committee: one multicast."""

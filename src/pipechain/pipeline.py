@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ledger import Block, block_hash
-from .merkle import HashCounter, MerkleError, build_pruned, node_hash
+from .merkle import MerkleError, build_pruned, node_hash
 from .provisioning import tier_levels
 
 
@@ -88,7 +88,7 @@ def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcT
     )
 
 
-def fold_digests(digests, counter: HashCounter | None = None):
+def fold_digests(digests):
     """Pairwise-fold a power-of-two digest list; returns (top, levels above
     the input, bottom first)."""
     n = len(digests)
@@ -100,8 +100,6 @@ def fold_digests(digests, counter: HashCounter | None = None):
         current = [
             node_hash(current[i], current[i + 1]) for i in range(0, len(current), 2)
         ]
-        if counter is not None:
-            counter.internal += len(current)
         levels.append(current)
     return current[0], levels
 
@@ -119,13 +117,11 @@ class LeafRpc:
 
     def __init__(self, topology: RpcTopology, portion: int, genesis_entries) -> None:
         self.portion = portion
-        self.counters = HashCounter()
         self.tree = build_pruned(
             genesis_entries,
             topology.address_bits,
             root_level=topology.portion_bits,
             root_index=portion,
-            counters=self.counters,
         )
 
     def process_round(self, incoming) -> bytes:
@@ -151,7 +147,7 @@ class InnerRpc:
         self.tier_index = tier_index
         self.index = index
         self.spec = topology.tiers[tier_index]
-        self.counters = HashCounter()
+        self.hashes = 0
 
     def fold_round(self, child_digests) -> tuple[bytes, dict]:
         """Returns (top digest, {global (level, index): digest} for every
@@ -162,7 +158,8 @@ class InnerRpc:
                 f"tier {self.tier_index} rpc {self.index} expects "
                 f"{spec.child_count} child digests, got {len(child_digests)}"
             )
-        top, levels = fold_digests(child_digests, self.counters)
+        top, levels = fold_digests(child_digests)
+        self.hashes += len(child_digests) - 1
         computed: dict[tuple[int, int], bytes] = {}
         base = self.topology.portion_bits + spec.base_level
         for step, row in enumerate(levels):

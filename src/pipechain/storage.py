@@ -11,9 +11,7 @@ the spine and cross checks that root against the block.
 from __future__ import annotations
 
 from .ledger import Batch
-from .merkle import (
-    DEFAULT_DIGESTS, BalanceProof, HashCounter, MerkleError, NotStored, climb, verify_proof
-)
+from .merkle import DEFAULT_DIGESTS, BalanceProof, MerkleError, NotStored, climb, verify_proof
 
 # served proofs re-verified end to end per storage node and audited round
 AUDIT_SAMPLE = 4
@@ -36,8 +34,7 @@ class StorageNode:
         self.topology = topology
         self.portion = portion
         self.replica = replica
-        self.counters = HashCounter()
-        self.tree = genesis_tree.copy(self.counters)
+        self.tree = genesis_tree.copy()  # its count takes the spine folds too
         # the spine and the path it folds, from the portion root up to the
         # state root: bottom first, all-zero until set
         self.spine = DEFAULT_DIGESTS[topology.portion_bits : topology.address_bits]
@@ -56,11 +53,11 @@ class StorageNode:
         """Buffer batches and frontier items by entry round; with a block,
         apply its entry round.  Returns the transfers applied (None: no block)."""
         for msg in msgs:
+            txs, frontier = self._pending.setdefault(msg.entry, ([], {}))
             if isinstance(msg, Batch):
-                self._pending.setdefault(msg.entry, ([], {}))[0].extend(msg.txs)
+                txs.extend(msg.txs)
             else:
-                for pos, entry, digest in msg.items:
-                    self._pending.setdefault(entry, ([], {}))[1][pos] = digest
+                frontier.update(msg.items)
         if block is None:
             return None
         txs, frontier = self._pending.pop(self.topology.entry_of(block.height), ([], {}))
@@ -104,7 +101,7 @@ class StorageNode:
         path[0] = self.tree.root_hash()
         if lowest < len(spine):
             path[lowest:] = climb(self.portion >> lowest, path[lowest], spine[lowest:])
-            self.counters.internal += len(spine) - lowest
+            self.tree.hashes += len(spine) - lowest
         return path[-1]
 
     def serve_proof(self, account: int) -> BalanceProof:
@@ -123,7 +120,7 @@ class StorageNode:
         the whole spine, and check them against the kept digests and the
         newest block root; returns (checked, failed).  Every stored account is
         checked, and all of them fail when any kept digest or the root
-        disagrees.  No counter is charged."""
+        disagrees.  Nothing is counted."""
         root, stale = self.tree.refold()
         path = climb(self.portion, root, self.spine)
         checked = len(self.tree.leaves)

@@ -12,7 +12,6 @@ from pipechain import merkle
 from pipechain.merkle import (
     DEFAULT_DIGESTS,
     BalanceProof,
-    HashCounter,
     NegativeBalance,
     NotStored,
     ProofConflict,
@@ -389,36 +388,33 @@ def test_merge_into_scoped_tree():
 
 def test_update_work_is_path_bounded():
     entries = [(i * 3, 50) for i in range(20)]
-    counters = HashCounter()
-    tree = build_pruned(entries, 8, counters=counters)
+    tree = build_pruned(entries, 8)
     tree.root_hash()
     rng = random.Random(4)
-    before = counters.total()
+    before = tree.hashes
     accounts = [a for a, _ in entries]
     updates = 25
     for _ in range(updates):
         tree.apply_update(rng.choice(accounts), rng.randrange(1, 100))
     tree.root_hash()
-    spent = counters.total() - before
+    spent = tree.hashes - before
     assert 0 < spent <= updates * (8 + 1)
 
 
 def test_cached_root_costs_nothing():
-    counters = HashCounter()
-    tree = build_pruned([(5, 10), (9, 4)], 6, counters=counters)
+    tree = build_pruned([(5, 10), (9, 4)], 6)
     tree.root_hash()
-    before = counters.total()
+    before = tree.hashes
     tree.root_hash()
-    assert counters.total() == before
+    assert tree.hashes == before
 
 
 def test_refold_reports_stale_cached_digests():
-    counters = HashCounter()
-    tree = build_pruned([(5, 10), (9, 4)], 6, counters=counters)
+    tree = build_pruned([(5, 10), (9, 4)], 6)
     root = tree.root_hash()
-    before = counters.total()
+    before = tree.hashes
     assert tree.refold() == (root, [])
-    assert counters.total() == before  # the re-fold charges a throwaway counter
+    assert tree.hashes == before  # the re-fold counts nothing
     _corrupt_digest(tree, 2, 1, bytes(32))  # an inner node on account 5's path
     _corrupt_digest(tree, 0, 9, leaf_hash(9, 5))
     assert tree.refold() == (root, [(0, 9), (2, 1)])
@@ -454,26 +450,25 @@ def test_merge_reconstructs_any_subset(balances, rng):
 
 
 def test_counters_match_digests_made(monkeypatch):
-    # HashCounter charges cache misses only: every digest the tree computes,
-    # and nothing else.  The tree must reach node_hash and leaf_hash through
+    # A tree counts cache misses only: every digest it computes, and nothing
+    # else.  The tree must reach node_hash and leaf_hash through
     # the module globals for the wrappers (and per-layer tracing) to see them.
     source = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
     for account in (4, 150):
         source.ensure_path(account)
     proofs = [source.make_proof(account, 0) for account in (4, 150)]
-    made = {"internal": 0, "leaf": 0}
+    made = [0]
 
-    def counting(kind, fn):
+    def counting(fn):
         def wrapper(first, second):
-            made[kind] += 1
+            made[0] += 1
             return fn(first, second)
 
         return wrapper
 
-    monkeypatch.setattr(merkle, "node_hash", counting("internal", merkle.node_hash))
-    monkeypatch.setattr(merkle, "leaf_hash", counting("leaf", merkle.leaf_hash))
-    counters = HashCounter()
-    tree = build_pruned([(3, 40), (90, 0), (200, 9)], 8, counters=counters)
+    monkeypatch.setattr(merkle, "node_hash", counting(merkle.node_hash))
+    monkeypatch.setattr(merkle, "leaf_hash", counting(merkle.leaf_hash))
+    tree = build_pruned([(3, 40), (90, 0), (200, 9)], 8)
     tree.root_hash()
     tree.apply_update(3, 41)
     tree.apply_update(200, 0)  # a drain: its leaf digest is the default
@@ -483,13 +478,13 @@ def test_counters_match_digests_made(monkeypatch):
     tree.ensure_path(2)  # cuts account 3's tail at level 1
     tree.apply_update(2, 7)
     tree.root_hash()
-    merged = build_pruned([(3, 40), (77, 5), (200, 9)], 8, counters=counters)
+    merged = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
     for proof in proofs:
         merged.merge_proof(proof)
     merged.apply_update(4, 6)
     merged.root_hash()
-    assert counters.total() > 0
-    assert made == {"internal": counters.internal, "leaf": counters.leaf}
+    assert tree.hashes > 0 and merged.hashes > 0
+    assert made == [tree.hashes + merged.hashes]
 
 
 def _digests_made(fn):
@@ -510,10 +505,10 @@ def _digests_made(fn):
     return result, made[0]
 
 
-def test_copy_charges_what_a_build_makes():
-    # The copy computes no digest.  Its counter is charged what building the
-    # same content from scratch makes, where a zero balance (held from the
-    # start, or drained) costs nothing, and it shares no map with its source.
+def test_copy_computes_and_counts_nothing():
+    # The copy computes no digest and counts none, holds what building the
+    # same content from scratch holds, where a balance may be zero (held from
+    # the start, or drained), and shares no map with its source.
     cases = (
         (4, 1, [(17, 5), (18, 0), (25, 9)], [25]),
         (4, 1, [(20, 3)], []),
@@ -526,16 +521,13 @@ def test_copy_charges_what_a_build_makes():
         tree.root_hash()
         for account in drained:
             tree.apply_update(account, 0)
-        expected = HashCounter()
         scratch = build_pruned(
-            sorted(tree.leaves.items()), 8, root_level=level, root_index=index,
-            counters=expected,
+            sorted(tree.leaves.items()), 8, root_level=level, root_index=index
         )
         root = scratch.root_hash()
         tree.root_hash()
-        charged = HashCounter()
-        twin, made = _digests_made(lambda: tree.copy(charged))
-        assert made == 0 and charged == expected
+        twin, made = _digests_made(tree.copy)
+        assert made == 0 and twin.hashes == 0
         assert _digests_made(twin.root_hash) == (root, 0)
         assert twin.leaves == scratch.leaves
         _check_layout(twin)
@@ -645,7 +637,7 @@ def test_trees_track_the_full_tree(data):
     )
 
     full = build_pruned(sorted(balances.items()), bits)
-    scoped = _leaf_tree(balances, bits, level, index, HashCounter())
+    scoped = _leaf_tree(balances, bits, level, index)
     storage = scoped.copy()
 
     steps = data.draw(
@@ -683,12 +675,10 @@ def test_trees_track_the_full_tree(data):
     assert full.root_hash() == full_tree_root(balances, bits)
 
 
-def _leaf_tree(balances, bits, level, index, counters):
+def _leaf_tree(balances, bits, level, index):
     """A leaf committee's tree: the portion's genesis accounts, scoped."""
     entries = [(a, b) for a, b in sorted(balances.items()) if a >> level == index]
-    return build_pruned(
-        entries, bits, root_level=level, root_index=index, counters=counters
-    )
+    return build_pruned(entries, bits, root_level=level, root_index=index)
 
 
 def _spine(balances, bits, level, index):
@@ -725,12 +715,10 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
         genesis.ensure_path(account)
     in_portion = [a for a in pool if a >> level == index]
 
-    names = ("leaf", "leaf twin", "storage", "storage twin")
-    counters = {name: HashCounter() for name in names}
-    leaf = _leaf_tree(ledger, bits, level, index, counters["leaf"])
-    leaf_twin = _leaf_tree(ledger, bits, level, index, counters["leaf twin"])
-    storage = leaf.copy(counters["storage"])
-    storage_twin = leaf_twin.copy(counters["storage twin"])
+    leaf = _leaf_tree(ledger, bits, level, index)
+    leaf_twin = _leaf_tree(ledger, bits, level, index)
+    storage = leaf.copy()
+    storage_twin = leaf_twin.copy()
 
     batches = data.draw(
         st.lists(
@@ -793,8 +781,8 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
             assert tree.root_hash() == twin.root_hash() == portion_root
             assert tree.leaves == twin.leaves
         assert climb(index, portion_root, spine)[-1] == full_tree_root(ledger, bits)
-        assert counters["leaf"] == counters["leaf twin"]
-        assert counters["storage"] == counters["storage twin"]
+        assert leaf.hashes == leaf_twin.hashes
+        assert storage.hashes == storage_twin.hashes
 
 
 @settings(max_examples=60, deadline=None)
@@ -803,14 +791,14 @@ def test_storage_node_matches_a_whole_space_reference(data):
     # A storage node keeps its portion's tree plus the spine above it.  Next
     # to a reference, a scoped twin of the portion beside the literal spine,
     # every replica checks the same roots, serves the same proofs (the
-    # twin's, then the spine) and is charged the same digests at genesis and
-    # in every round: the twin's, plus one per spine level re-folded from
-    # the lowest new input.  Its audit re-folds the twin's digests plus the
-    # whole spine.  The portion is empty, holds one account (its tail tops
-    # at the portion's root) or several; the other portions may all be
-    # empty, leaving default spine digests; a single portion (level == bits)
-    # has no spine.  A batch may move a balance and move it back, which
-    # refolds and charges all the same.
+    # twin's, then the spine) and counts the same digests in every round:
+    # the twin's after genesis, which a copy does not redo, plus one per
+    # spine level re-folded from the lowest new input.  Its audit re-folds
+    # the twin's digests plus the whole spine.  The portion is empty, holds
+    # one account (its tail tops at the portion's root) or several; the
+    # other portions may all be empty, leaving default spine digests; a
+    # single portion (level == bits) has no spine.  A batch may move a
+    # balance and move it back, which refolds and counts all the same.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -835,23 +823,24 @@ def test_storage_node_matches_a_whole_space_reference(data):
     ledger = dict(zip(accounts, balances))
     rho = data.draw(st.integers(2, 3), label="rho")
 
-    charged = HashCounter()
-    reference = _leaf_tree(ledger, bits, level, index, charged)
+    reference = _leaf_tree(ledger, bits, level, index)
     spine = DEFAULT_DIGESTS[level:bits]  # the reference's, all-zero until set
+    spine_folds = 0
 
     def refold_spine(portion_changed, new_spine):
-        nonlocal spine
+        nonlocal spine, spine_folds
         inputs = [t for t, (old, new) in enumerate(zip(spine, new_spine)) if old != new]
         lowest = 0 if portion_changed else min(inputs, default=len(spine))
-        charged.internal += len(spine) - lowest
+        spine_folds += len(spine) - lowest
         spine = new_spine
         return climb(index, reference.root_hash(), spine)[-1]
 
     block = Block(0, GENESIS_PREV_HASH, full_tree_root(ledger, bits))
     genesis_spine = _spine(ledger, bits, level, index)
     changed = reference.root_hash() != DEFAULT_DIGESTS[level]
+    genesis = reference.hashes
     assert refold_spine(changed, genesis_spine) == block.state_root
-    leaf = _leaf_tree(ledger, bits, level, index, HashCounter())
+    leaf = _leaf_tree(ledger, bits, level, index)
     topo = build_topology(1 << (bits - level), 7, bits)
     positions = topo.spine_positions(index)
     published = list(zip(positions, genesis_spine))
@@ -861,7 +850,7 @@ def test_storage_node_matches_a_whole_space_reference(data):
 
     def check(height):
         for node in replicas:
-            assert node.counters == charged
+            assert node.tree.hashes + genesis == reference.hashes + spine_folds
             assert node.tree.leaves == reference.leaves
             assert node.latest_block is block
         target = data.draw(inside, label="served account")

@@ -51,7 +51,7 @@ def test_unicast_and_multicast_cost_the_sender_one_message():
 def test_a_batch_or_frontier_carries_one_item_per_entry():
     network = _network()
     network.send(("cc", 1), [("leaf", 0), ("storage", 0, 0)], Batch(5, TXS))
-    frontier = Frontier((((6, 1), 5, DIGEST), ((7, 1), 5, DIGEST)))
+    frontier = Frontier(5, (((6, 1), DIGEST), ((7, 1), DIGEST)))
     network.send(("inner", 0, 0), [("storage", 0, 0)], frontier)
     assert _counts(network) == {("cc", 1): (0, 3), ("inner", 0, 0): (0, 2)}
     network.deliver()
@@ -65,14 +65,35 @@ def test_publish_multicasts_each_needed_position_once():
     assert _counts(network) == {("inner", 0, 0): (0, 2)}
     inbox, _ = network.deliver()
     assert inbox == {
-        ("storage", 0, 0): [Frontier((((7, 1), 4, DIGEST),))],
-        ("storage", 1, 0): [Frontier((((7, 1), 4, DIGEST), ((6, 0), 4, DIGEST)))],
+        ("storage", 0, 0): [Frontier(4, (((7, 1), DIGEST),))],
+        ("storage", 1, 0): [Frontier(4, (((7, 1), DIGEST), ((6, 0), DIGEST)))],
     }
     assert _counts(network) == {("storage", 0, 0): (1, 0), ("storage", 1, 0): (2, 0)}
     # a position nobody needs costs nothing and sends nothing
     network.publish(("inner", 0, 0), 5, {root: DIGEST})
     assert _counts(network) == {("storage", 0, 0): (1, 0), ("storage", 1, 0): (2, 0)}
     assert network.in_flight() == 0
+
+
+def test_a_drop_round_loses_its_first_batchs_first_transfer_everywhere():
+    network = Network(TOPOLOGY, IDS, STORAGE, drop_round=5)
+    network.deliver()
+    network.send(("cc", 0), [("leaf", 0), ("storage", 0, 0)], Batch(5, TXS[:2]))
+    assert network.dropped is TXS[0]
+    # later batches of the entry round lose the same transfer; one left
+    # empty is neither queued nor charged, and other rounds keep theirs
+    network.send(("cc", 1), [("leaf", 1)], Batch(5, (TXS[2], TXS[0])))
+    network.send(("cc", 1), [("leaf", 2)], Batch(5, TXS[:1]))
+    network.send(("cc", 1), [("leaf", 3)], Batch(6, TXS))
+    assert _counts(network) == {("cc", 0): (0, 1), ("cc", 1): (0, 4)}
+    inbox, _ = network.deliver()
+    assert inbox == {
+        ("leaf", 0): [Batch(5, TXS[1:2])],
+        ("storage", 0, 0): [Batch(5, TXS[1:2])],
+        ("leaf", 1): [Batch(5, TXS[2:])],
+        ("leaf", 3): [Batch(6, TXS)],
+    }
+    assert network.dropped is TXS[0]
 
 
 def test_broadcast_reaches_every_committee():

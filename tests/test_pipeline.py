@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from pipechain.ledger import Block, Transaction, block_hash
-from pipechain.merkle import HashCounter, build_pruned
+from pipechain import pipeline
+from pipechain.merkle import build_pruned
 from pipechain.pipeline import (
     InnerRpc,
     LeafRpc,
@@ -83,27 +84,43 @@ def test_portion_geometry():
     assert topo.spine_positions(0b10) == ((4, 0b11), (5, 0b0))
 
 
-def test_fold_digests_counts():
-    counter = HashCounter()
-    top2, levels2 = fold_digests([b"\x01" * 32, b"\x02" * 32], counter)
-    assert counter.internal == 1
+def _count_node_hashes(monkeypatch):
+    """A one-item list counting the node digests pipeline computes from now on."""
+    made, original = [0], pipeline.node_hash
+
+    def wrapper(left, right):
+        made[0] += 1
+        return original(left, right)
+
+    monkeypatch.setattr(pipeline, "node_hash", wrapper)
+    return made
+
+
+def test_fold_digests_counts(monkeypatch):
+    made = _count_node_hashes(monkeypatch)
+    top2, levels2 = fold_digests([b"\x01" * 32, b"\x02" * 32])
+    assert made == [1]
     assert levels2 == [[top2]]
-    counter = HashCounter()
     digests = [bytes([i]) * 32 for i in range(8)]
-    top8, levels8 = fold_digests(digests, counter)
-    assert counter.internal == 7
+    top8, levels8 = fold_digests(digests)
+    assert made == [1 + 7]
     assert [len(row) for row in levels8] == [4, 2, 1]
     assert levels8[-1] == [top8]
+    # an inner committee counts the digests its fold makes: one per child but one
+    rpc = InnerRpc(build_topology(8, 7, address_bits=6), 0, 0)
+    assert rpc.spec.child_count == 8
+    assert rpc.fold_round(digests)[0] == top8
+    assert rpc.hashes == 7 and made == [1 + 7 + 7]
     with pytest.raises(ValueError):
         fold_digests(digests[:3])
 
 
-def test_fold_single_digest_is_identity():
-    counter = HashCounter()
-    top, levels = fold_digests([b"\x07" * 32], counter)
+def test_fold_single_digest_is_identity(monkeypatch):
+    made = _count_node_hashes(monkeypatch)
+    top, levels = fold_digests([b"\x07" * 32])
     assert top == b"\x07" * 32
     assert levels == []
-    assert counter.total() == 0
+    assert made == [0]
 
 
 def _proofed(tree, src, dst, amount, entry_round, nonce, base=0):

@@ -151,14 +151,14 @@ def test_audit_stored():
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
     node = nodes[0]
     content = dict(node.tree.leaves), dict(node.tree._nodes)
-    hashes = node.counters.total()
+    hashes = node.tree.hashes
     checked, failed = node.audit_stored()
     assert failed == 0
     assert checked == len(node.tree.leaves)
     assert set(node.tree.leaves) == {3, 4}
-    # the audit is a read: no hash is charged, the content is as it was and
+    # the audit is a read: no hash is counted, the content is as it was and
     # every kept digest still agrees with a re-fold
-    assert node.counters.total() == hashes
+    assert node.tree.hashes == hashes
     assert (node.tree.leaves, node.tree._nodes) == content
     assert node.tree.refold() == (_digest({3: 50, 4: 9}, 4, 0), [])  # the portion root
     # a tree that does not fold to the newest block's root fails every account
@@ -214,7 +214,7 @@ def test_receive_buffers_an_entry_round_until_its_block():
     first = Batch(entry, (_tx(tree, 3, 5, 40, 1),))
     second = Batch(entry, (_tx(tree, 5, 20, 30, 2),))
     after = build_pruned([(3, 10), (5, 10), (20, 100)], 5)
-    frontier = Frontier((((4, 1), entry, _digest({20: 100}, 4, 1)),))
+    frontier = Frontier(entry, (((4, 1), _digest({20: 100}, 4, 1)),))
     assert node.receive([first, second, frontier], None) is None
     # the block before carries the entry round before: nothing to apply
     earlier = Block(entry + q - 2, block_hash(genesis), genesis.state_root)
