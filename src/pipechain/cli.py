@@ -4,8 +4,8 @@ Subcommands: dimension (committee counts for a workload), run (simulate and
 emit a JSON-lines report), verify (run with full per-round proof audits),
 scale (proportional-scaling experiment, CSV output).
 
-Exit codes: 0 success, 2 configuration error, 3 state divergence during a
-run, 4 scale experiment found an under-provisioned deployment.
+Exit codes: 0 success, 2 configuration error, 3 state divergence at genesis
+or during a run, 4 scale experiment found an under-provisioned deployment.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, replace
 
-from .engine import SimConfig, Simulation, report_lines
+from .engine import GenesisMismatch, SimConfig, Simulation, report_lines
 from .provisioning import provision_after_doubling, provision_minimal, scale_experiment
 
 SEED_ENV = "PIPECHAIN_SEED"
@@ -135,6 +135,9 @@ def _run_simulation(args, *, audit: bool) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except GenesisMismatch as exc:
+        print(f"rounds=0/{cfg.rounds} fatal=genesis mismatch: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     with _open_output(args.report) as handle:
         result = sim.run()
         for line in report_lines(result):

@@ -22,7 +22,7 @@ from .oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatche
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
 )
-from .storage import StateDivergence, StorageNode
+from .storage import GenesisMismatch, StateDivergence, StorageNode
 
 # exceptions that end a run, with the prefix of the verdict each one gives
 FATAL_VERDICTS = {
@@ -240,7 +240,10 @@ class Simulation:
             else None
         )
         if self.oracle is not None and self.oracle.root() != self.genesis_root:
-            raise RuntimeError("oracle genesis root disagrees with the pipeline's fold")
+            raise GenesisMismatch(
+                f"oracle root {self.oracle.root().hex()[:16]} != "
+                f"genesis root {self.genesis_root.hex()[:16]}"
+            )
         self.supply0 = cfg.initial_accounts * cfg.initial_balance
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}

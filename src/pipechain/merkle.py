@@ -277,24 +277,52 @@ class PrunedTree:
         self.flush()
         return self._read(self._top, self.root_level, self._nodes)
 
+    def _build(self, nodes) -> int:
+        """Digest every held leaf's tail and every inner node into `nodes`
+        from the leaf balances alone, in one pass over the sorted accounts;
+        returns how many digests that made.  A tail tops one level below
+        where its account parts from the nearer of its sorted neighbours, or
+        at the tree's top when it is alone."""
+        accounts = sorted(self.leaves)
+        leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
+        # the level where each account parts from the one before it; the
+        # first and the last part from nothing below the top
+        parted = [self.root_level + 1]
+        parted += [(a ^ b).bit_length() for a, b in zip(accounts, accounts[1:])]
+        parted.append(self.root_level + 1)
+        parents, made = set(), 0
+        for i, account in enumerate(accounts):
+            top, balance = min(parted[i], parted[i + 1]) - 1, leaves[account]
+            run = climb(account, leaf_digest(account, balance), defaults[:top])
+            made += (balance != 0) + top
+            key = (base + account) >> top
+            nodes[key] = account.to_bytes(8, "big") + b"".join(run)
+            if top < self.root_level:
+                parents.add(key >> 1)
+        return made + self._fold(parents, nodes)
+
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
-        """Once pending rehashes are done, re-fold the tree from its leaf
-        balances alone into a fresh map, counting nothing; returns that root
-        and the positions whose kept digest differs."""
+        """Once pending rehashes are done, build the tree afresh from its leaf
+        balances alone, counting nothing; returns that root and the positions
+        whose kept digest differs.  A key kept or built on one side only is a
+        stale position too: the kept structure is not the balances'."""
         self.flush()
-        base, fresh, stale = self._base, {}, []
-        keys = [key for key, kept in self._nodes.items() if len(kept) == 32]
-        keys += [base + account for account in self.leaves]
-        self._fold(keys, fresh)
-        for key, kept in self._nodes.items():
-            if kept == fresh.get(key):
+        base, nodes, fresh, stale = self._base, self._nodes, {}, []
+        self._build(fresh)
+        for key, kept in nodes.items():
+            made = fresh.get(key, b"")
+            if kept == made:
                 continue
-            leaf = base + int.from_bytes(kept[:8], "big") if len(kept) > 32 else key
+            if len(kept) == 32 or len(kept) != len(made) or kept[:8] != made[:8]:
+                stale.append(key)  # an inner node, or not the same tail
+                continue
+            leaf = base + int.from_bytes(kept[:8], "big")
             stale += [
                 leaf >> level
                 for level in range(len(kept) // 32)
-                if _level_digest(kept, level) != _level_digest(fresh[key], level)
+                if _level_digest(kept, level) != _level_digest(made, level)
             ]
+        stale += [key for key in fresh if key not in nodes]
         root = self._read(self._top, self.root_level, fresh)
         return root, sorted(map(self._position, stale))
 
@@ -430,11 +458,17 @@ def build_pruned(
     root_level: int | None = None,
     root_index: int = 0,
 ) -> PrunedTree:
-    """Tree materializing exactly the given (account, balance) entries."""
+    """Tree materializing exactly the given (account, balance) entries, built
+    in one sorted pass and counting every digest it makes."""
     tree = PrunedTree(address_bits, root_level, root_index)
+    leaves = tree.leaves
     for account, balance in entries:
-        if account in tree.leaves:
+        if account in leaves:
             raise ValueError(f"duplicate account {account}")
-        tree.ensure_path(account)
-        tree.apply_update(account, balance)
+        if not tree.covers(account):
+            raise NotStored(f"account {account} outside stored subtree")
+        if balance < 0:
+            raise NegativeBalance(f"negative balance for account {account}")
+        leaves[account] = balance
+    tree.hashes = tree._build(tree._nodes)
     return tree

@@ -47,8 +47,28 @@ class LedgerOracle:
             if balance < 0:
                 raise ValueError(f"negative initial balance for {account}")
         self.heap: dict[int, bytes] = {}
-        if self.balances:
-            self._rehash(self.balances, self.balances)
+        self._genesis()
+
+    def _genesis(self) -> None:
+        """Hash the initial balances in one pass over the sorted accounts:
+        each tail tops one level below where its account parts from the
+        nearer sorted neighbour (at the root when it is alone), then every
+        node above the tails is digested once, bottom-up."""
+        heap, bits, base = self.heap, self.address_bits, 1 << self.address_bits
+        accounts = sorted(self.balances)
+        # the level where each account parts from the one before it; the
+        # first and the last part from nothing below the root
+        parted = [bits + 1]
+        parted += [(a ^ b).bit_length() for a, b in zip(accounts, accounts[1:])]
+        parted.append(bits + 1)
+        rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
+        for i, account in enumerate(accounts):
+            top = min(parted[i], parted[i + 1]) - 1
+            key = (base + account) >> top
+            heap[key] = self._tail(account, top)
+            if key > 1:
+                rows.setdefault(top + 1, set()).add(key >> 1)
+        self._fold(rows)
 
     def _rehash(self, accounts, new) -> None:
         """Give every `new` account a tail, then digest each of `accounts`
@@ -78,19 +98,29 @@ class LedgerOracle:
             key, top = base + account, 0
             while key not in heap:  # up to the top of its tail
                 key, top = key >> 1, top + 1
-            digest = leaf_digest(account, self.balances[account])
-            run = [account.to_bytes(8, "big"), digest]
-            for level in range(top):
-                if (account >> level) & 1:
-                    digest = node_hash(DEFAULT_DIGESTS[level], digest)
-                else:
-                    digest = node_hash(digest, DEFAULT_DIGESTS[level])
-                run.append(digest)
-            heap[key] = b"".join(run)
+            heap[key] = self._tail(account, top)
             if key > 1:
                 rows.setdefault(top + 1, set()).add(key >> 1)
-        row: set[int] = set()
-        for level in range(1, bits + 1):
+        self._fold(rows)
+
+    def _tail(self, account: int, top: int) -> bytes:
+        """An account's tail record: its digests up to level `top`, each
+        beside the all-zero subtree of its level."""
+        digest = leaf_digest(account, self.balances[account])
+        run = [account.to_bytes(8, "big"), digest]
+        for level in range(top):
+            if (account >> level) & 1:
+                digest = node_hash(DEFAULT_DIGESTS[level], digest)
+            else:
+                digest = node_hash(digest, DEFAULT_DIGESTS[level])
+            run.append(digest)
+        return b"".join(run)
+
+    def _fold(self, rows) -> None:
+        """Digest the nodes in `rows` (level -> keys) and each of their
+        ancestors once, bottom-up."""
+        heap, row = self.heap, set()
+        for level in range(1, self.address_bits + 1):
             row = {key >> 1 for key in row}
             row.update(rows.get(level, ()))
             default = DEFAULT_DIGESTS[level - 1]  # children of this row sit below

@@ -21,6 +21,11 @@ class StateDivergence(Exception):
     """Locally recomputed state root disagrees with an emitted block."""
 
 
+class GenesisMismatch(StateDivergence):
+    """A party's own hash of the genesis state disagrees with the genesis
+    block, the pipeline's fold; the message names the party."""
+
+
 class StorageNode:
     def __init__(
         self,
@@ -40,8 +45,12 @@ class StorageNode:
         self.spine = DEFAULT_DIGESTS[topology.portion_bits : topology.address_bits]
         self._path = [*self.spine, DEFAULT_DIGESTS[topology.address_bits]]
         changed = self.tree.root_hash() != self._path[0]  # a non-empty portion
-        if self._fold_spine(spine_digests, changed) != genesis_block.state_root:
-            raise StateDivergence("genesis root mismatch")
+        root = self._fold_spine(spine_digests, changed)
+        if root != genesis_block.state_root:
+            raise GenesisMismatch(
+                f"storage {portion}/{replica} root {root.hex()[:16]} != "
+                f"genesis root {genesis_block.state_root.hex()[:16]}"
+            )
         self.latest_block = genesis_block
         # entry round -> (transfers in arrival order, {position: digest})
         self._pending: dict[int, tuple[list, dict]] = {}

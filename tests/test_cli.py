@@ -13,7 +13,9 @@ import pytest
 
 from pipechain import cli
 from pipechain.ledger import Batch, Transaction
+from pipechain.merkle import PrunedTree
 from pipechain.network import Network
+from pipechain.oracle import LedgerOracle
 from pipechain.pipeline import build_topology
 
 BASE_CONFIG = {
@@ -194,6 +196,43 @@ def test_idle_expired_injection_is_named_on_stderr(config_path, tmp_path, capsys
     assert cli.main(["run", "--config", str(config_path), "--expired-injection", "3",
                      "--report", str(tmp_path / "report.jsonl")]) == 0
     assert "idle_faults" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_oracle_genesis_mismatch_is_a_named_fatal(
+    command, config_path, tmp_path, monkeypatch, capsys
+):
+    # the oracle's genesis pass gives a wrong root: set-up ends with a named
+    # verdict and exit 3, before any report is written
+    genesis = LedgerOracle._genesis
+
+    def wrong_root(oracle):
+        genesis(oracle)
+        oracle.heap[1] = bytes(32)
+
+    monkeypatch.setattr(LedgerOracle, "_genesis", wrong_root)
+    report = tmp_path / "report.jsonl"
+    assert cli.main([command, "--config", config_path, "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    fatal = r"fatal=genesis mismatch: oracle root 0{16} != genesis root [0-9a-f]{16}"
+    assert re.search(rf"^rounds=0/10 {fatal}$", err, re.M)
+    assert not report.exists()
+
+
+def test_storage_genesis_mismatch_names_the_replica(config_path, monkeypatch, capsys):
+    # a replica's copy of its leaf committee's genesis tree holds one more
+    # unit in its first account: the first replica built fails set-up
+    copy = PrunedTree.copy
+
+    def tampered(tree):
+        twin = copy(tree)
+        account = min(twin.leaves)
+        twin.apply_update(account, twin.leaves[account] + 1)
+        return twin
+
+    monkeypatch.setattr(PrunedTree, "copy", tampered)
+    assert cli.main(["run", "--config", config_path]) == 3
+    assert "fatal=genesis mismatch: storage 0/0 root " in capsys.readouterr().err
 
 
 def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys, sims):

@@ -401,7 +401,9 @@ def test_runtime_trees_hold_exactly_their_balances(overrides, options):
     # A tree holds every non-zero balance of its scope, and every absent
     # subtree is all-zero: after a run, each leaf committee's and storage
     # replica's tree has the root of a fresh scoped build of its own non-zero
-    # leaves, so its content is its balances and nothing else.
+    # leaves, so its content is its balances and nothing else.  With its
+    # zero leaves too, the fresh build keeps exactly the tree's whole map:
+    # grafts, drains and served paths leave the structure a build makes.
     sim = Simulation(SimConfig(rounds=30, **overrides), **options)
     assert sim.run().ok
     trees = [leaf.tree for leaf in sim.leaf_rpcs]
@@ -409,11 +411,11 @@ def test_runtime_trees_hold_exactly_their_balances(overrides, options):
     assert len(trees) == (1 + sim.config.rho) * sim.config.leaf_count
     zeros = 0
     for tree in trees:
+        scope = dict(root_level=tree.root_level, root_index=tree.root_index)
         funded = sorted((a, b) for a, b in tree.leaves.items() if b)
-        fresh = build_pruned(
-            funded, tree.address_bits,
-            root_level=tree.root_level, root_index=tree.root_index,
-        )
+        fresh = build_pruned(funded, tree.address_bits, **scope)
         assert tree.root_hash() == fresh.root_hash()
+        whole = build_pruned(tree.leaves.items(), tree.address_bits, **scope)
+        assert whole._nodes == tree._nodes
         zeros += len(tree.leaves) - len(funded)
     assert zeros > 0  # zero leaves were grafted or served too

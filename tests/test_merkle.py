@@ -134,6 +134,48 @@ def test_duplicate_entries_rejected():
         build_pruned([(3, 1), (3, 2)], 4)
 
 
+def test_build_rejects_bad_entries_and_takes_any_iterable():
+    with pytest.raises(NotStored):
+        build_pruned([(9, 1), (2, 1)], 4, root_level=3, root_index=1)
+    with pytest.raises(NegativeBalance):
+        build_pruned([(9, 1), (12, -1)], 4)
+    pairs = ((account, account + 1) for account in (7, 2, 12))
+    assert build_pruned(pairs, 4).root_hash() == full_tree_root({7: 8, 2: 3, 12: 13}, 4)
+
+
+def _inserted(entries, address_bits, root_level, root_index):
+    """The incremental reference: one insert and update per entry, then a flush."""
+    tree = merkle.PrunedTree(address_bits, root_level, root_index)
+    for account, balance in entries:
+        tree.ensure_path(account)
+        tree.apply_update(account, balance)
+    tree.flush()
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sorted_build_equals_incremental_inserts(data):
+    # One sorted pass makes the records, leaf order and root that inserting
+    # the entries one by one makes.  Its count differs only by the default
+    # tails of zero entries, which the pass digests and the inserts reuse.
+    bits = data.draw(st.integers(1, 12), label="address_bits")
+    level = data.draw(st.integers(1, bits), label="scope level")
+    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="scope index")
+    inside = st.integers(index << level, ((index + 1) << level) - 1)
+    accounts = data.draw(st.lists(inside, max_size=24, unique=True), label="accounts")
+    balances = st.one_of(st.just(0), st.integers(1, 2**64 - 1))
+    entries = [(a, data.draw(balances, label=f"balance {a}")) for a in accounts]
+    built = build_pruned(entries, bits, root_level=level, root_index=index)
+    inserted = _inserted(entries, bits, level, index)
+    assert built._nodes == inserted._nodes
+    assert list(built.leaves.items()) == list(inserted.leaves.items()) == entries
+    assert built.root_hash() == inserted.root_hash()
+    if all(balance for _, balance in entries):
+        assert built.hashes == inserted.hashes
+    assert built.refold() == (built.root_hash(), [])
+
+
 def test_proof_roundtrip_and_tamper():
     entries = [(0, 5), (3, 9), (11, 2), (15, 40)]
     tree = build_pruned(entries, 4)
@@ -418,6 +460,24 @@ def test_refold_reports_stale_cached_digests():
     _corrupt_digest(tree, 2, 1, bytes(32))  # an inner node on account 5's path
     _corrupt_digest(tree, 0, 9, leaf_hash(9, 5))
     assert tree.refold() == (root, [(0, 9), (2, 1)])
+
+
+def test_refold_flags_a_stray_tail_record():
+    # a record at a leaf the tree does not hold: the balances build no such
+    # position, so it is stale, whatever it holds
+    tree = build_pruned([(5, 10), (9, 4)], 6)
+    root = tree.root_hash()
+    tree._nodes[104] = (40).to_bytes(8, "big") + DEFAULT_DIGESTS[0]
+    assert tree.refold() == (root, [(0, 40)])
+
+
+def test_refold_flags_a_deleted_inner_node():
+    # accounts 5 and 9 part at level 4, so the nodes above them are inner;
+    # a kept map without one of them is not the balances' structure
+    tree = build_pruned([(5, 10), (9, 4)], 6)
+    root = tree.root_hash()
+    del tree._nodes[2]  # (5, 0)
+    assert tree.refold() == (root, [(5, 0)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
 """The package surface: four names, the README's library example runs, no
-public tree method is left without a caller in the library, and only the
-network writes message counts."""
+public tree method is left without a caller in the library, only the
+network writes message counts, and the oracle shares no tree code."""
 
 import ast
 import json
@@ -60,3 +60,20 @@ def test_only_the_network_writes_message_counts():
     ]
     assert writes
     assert [write for write in writes if not write.startswith("network.py:")] == []
+
+
+def test_oracle_imports_only_digest_primitives():
+    # the oracle checks the tree code, so it shares none of it beyond the
+    # digest primitives the README names
+    path = Path(pipechain.__file__).parent / "oracle.py"
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] == "pipechain":
+                names = sorted(a.name for a in node.names)
+                imports.append((node.level, node.module, names))
+        elif isinstance(node, ast.Import):
+            imports.extend(
+                (0, a.name, []) for a in node.names if a.name.split(".")[0] == "pipechain"
+            )
+    assert imports == [(1, "merkle", ["DEFAULT_DIGESTS", "leaf_digest", "node_hash"])]

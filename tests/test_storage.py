@@ -9,7 +9,7 @@ from pipechain.ledger import (
 )
 from pipechain.merkle import NotStored, build_pruned, leaf_hash, verify_proof
 from pipechain.pipeline import build_topology
-from pipechain.storage import AUDIT_SAMPLE, StateDivergence, StorageNode
+from pipechain.storage import AUDIT_SAMPLE, GenesisMismatch, StateDivergence, StorageNode
 
 
 def _portion_tree(topo, portion, entries):
@@ -72,9 +72,10 @@ def test_genesis_root_check():
     topo, tree, genesis, nodes = _world({3: 50, 20: 70})
     assert nodes[0].latest_block is genesis
     wrong = Block(0, GENESIS_PREV_HASH, bytes(32))
-    with pytest.raises(StateDivergence):
-        StorageNode(topo, 0, 0, _portion_tree(topo, 0, [(3, 50)]),
+    with pytest.raises(GenesisMismatch, match=r"^storage 0/2 root [0-9a-f]{16} != genesis"):
+        StorageNode(topo, 0, 2, _portion_tree(topo, 0, [(3, 50)]),
                     [((4, 1), _digest({20: 70}, 4, 1))], wrong)
+    assert issubclass(GenesisMismatch, StateDivergence)
 
 
 def test_apply_confirmed_advances_root():
@@ -178,6 +179,24 @@ def test_audit_detects_corrupt_cached_digest():
     assert nodes[1].audit_stored() == (1, 0)
     _corrupt_digest(nodes[1].tree, 2, 20 >> 2, bytes(32))
     assert nodes[1].audit_stored() == (1, 1)
+
+
+def test_audit_fails_a_stray_record():
+    # portion 0 holds accounts 3 and 4; a record at leaf 9, which it does
+    # not hold, is a position its balances do not build
+    topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
+    node = nodes[0]
+    node.tree._nodes[32 + 9] = (9).to_bytes(8, "big") + leaf_hash(9, 1)
+    assert node.audit_stored() == (2, 2)
+
+
+def test_audit_fails_a_deleted_inner_node():
+    # accounts 3 and 4 part at level 3, so their common parent is inner
+    topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
+    node = nodes[0]
+    del node.tree._nodes[4]  # (3, 0)
+    assert node.tree.refold()[1] == [(3, 0)]
+    assert node.audit_stored() == (2, 2)
 
 
 def test_audit_leaves_no_garbage():
