@@ -170,10 +170,9 @@ class PrunedTree:
     the path length.
 
     ``hashes`` counts the digests the tree computed (cache misses only).
-    A balance change marks its leaf stale.  root_hash() and make_proof()
-    first rehash every stale leaf with its whole tail and each ancestor once,
-    bottom-up, so a root after n updates costs at most n * (root_level + 1)
-    hashes.
+    set_balances() rehashes each changed leaf with its whole tail and each
+    ancestor once, bottom-up, so n changed balances cost at most
+    n * (root_level + 1) hashes.
     """
 
     def __init__(
@@ -199,7 +198,6 @@ class PrunedTree:
         self._base = 1 << address_bits  # key of leaf 0
         self._width = address_bits + 1  # bit length of a leaf key
         self._nodes: dict[int, bytes] = {}  # inner digests and tail records
-        self._stale: set[int] = set()
 
     # -- inspection ---------------------------------------------------------
 
@@ -226,35 +224,36 @@ class PrunedTree:
         parted = ((leaf >> (self._width - key.bit_length())) ^ key).bit_length()
         return key >> parted, step
 
+    def _tail_top(self, account: int) -> int:
+        """Key of the top of a held account's tail."""
+        key, nodes = self._base + account, self._nodes
+        while key not in nodes:
+            key >>= 1
+        return key
+
     # -- digests ------------------------------------------------------------
 
     def _read(self, key: int, level: int, nodes) -> bytes:
         """Digest of an inner node or tail top in `nodes`, or of an absent node."""
         return (nodes.get(key) or DEFAULT_DIGESTS[level])[-32:]
 
-    def _fold(self, keys, nodes) -> int:
-        """Digest every key in `keys` (leaves and inner nodes) and each of its
-        ancestors once, bottom-up, into `nodes`, a leaf with its whole tail;
-        returns how many digests that made.  Children are read from `nodes`;
-        an absent child is all-zero and reads its level's default digest."""
-        rows: dict[int, set[int]] = {}
-        made = 0
-        leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
-        for key in keys:
-            if key >= base:
-                account, top = key - base, key
-                while top not in self._nodes:  # up to the top of its tail
-                    top >>= 1
-                digest = leaf_digest(account, leaves[account])
-                run = climb(account, digest, defaults[: self._width - top.bit_length()])
-                made += (leaves[account] != 0) + len(run) - 1
-                nodes[top] = account.to_bytes(8, "big") + b"".join(run)
-                if top == self._top:
-                    continue
-                key = top >> 1
-            rows.setdefault(self._width - key.bit_length(), set()).add(key)
+    def _fold(self, tops, nodes) -> int:
+        """Digest the tail of each (account, tail-top key) pair in `tops`
+        from the account's balance, then each ancestor of those tops once,
+        bottom-up, into `nodes`; returns how many digests that made.
+        Children are read from `nodes`; an absent child is all-zero and
+        reads its level's default digest."""
+        rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
+        made, leaves, defaults = 0, self.leaves, DEFAULT_DIGESTS
+        for account, key in tops:
+            level, balance = self._width - key.bit_length(), leaves[account]
+            run = climb(account, leaf_digest(account, balance), defaults[:level])
+            made += (balance != 0) + level
+            nodes[key] = account.to_bytes(8, "big") + b"".join(run)
+            if level < self.root_level:
+                rows.setdefault(level + 1, set()).add(key >> 1)
         get, row = nodes.get, set()
-        # from the lowest level holding a stale node up, every level holds one
+        # from the lowest level above a tail's top up, every level holds one
         for level in range(min(rows, default=self.root_level + 1), self.root_level + 1):
             row = {key >> 1 for key in row}
             row.update(rows.get(level, ()))
@@ -265,16 +264,7 @@ class PrunedTree:
             made += len(row)
         return made
 
-    def flush(self) -> bool:
-        """Rehash every stale node; returns whether there was any."""
-        if not self._stale:
-            return False
-        stale, self._stale = self._stale, set()
-        self.hashes += self._fold(stale, self._nodes)
-        return True
-
     def root_hash(self) -> bytes:
-        self.flush()
         return self._read(self._top, self.root_level, self._nodes)
 
     def _build(self, nodes) -> int:
@@ -283,30 +273,23 @@ class PrunedTree:
         returns how many digests that made.  A tail tops one level below
         where its account parts from the nearer of its sorted neighbours, or
         at the tree's top when it is alone."""
-        accounts = sorted(self.leaves)
-        leaves, base, defaults = self.leaves, self._base, DEFAULT_DIGESTS
+        accounts, base = sorted(self.leaves), self._base
         # the level where each account parts from the one before it; the
         # first and the last part from nothing below the top
         parted = [self.root_level + 1]
         parted += [(a ^ b).bit_length() for a, b in zip(accounts, accounts[1:])]
         parted.append(self.root_level + 1)
-        parents, made = set(), 0
-        for i, account in enumerate(accounts):
-            top, balance = min(parted[i], parted[i + 1]) - 1, leaves[account]
-            run = climb(account, leaf_digest(account, balance), defaults[:top])
-            made += (balance != 0) + top
-            key = (base + account) >> top
-            nodes[key] = account.to_bytes(8, "big") + b"".join(run)
-            if top < self.root_level:
-                parents.add(key >> 1)
-        return made + self._fold(parents, nodes)
+        tops = [
+            (account, (base + account) >> (min(before, after) - 1))
+            for account, before, after in zip(accounts, parted, parted[1:])
+        ]
+        return self._fold(tops, nodes)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
-        """Once pending rehashes are done, build the tree afresh from its leaf
-        balances alone, counting nothing; returns that root and the positions
-        whose kept digest differs.  A key kept or built on one side only is a
-        stale position too: the kept structure is not the balances'."""
-        self.flush()
+        """Build the tree afresh from its leaf balances alone, counting
+        nothing; returns that root and the positions whose kept digest
+        differs.  A key kept or built on one side only is a stale position
+        too: the kept structure is not the balances'."""
         base, nodes, fresh, stale = self._base, self._nodes, {}, []
         self._build(fresh)
         for key, kept in nodes.items():
@@ -327,9 +310,8 @@ class PrunedTree:
         return root, sorted(map(self._position, stale))
 
     def copy(self) -> PrunedTree:
-        """Once pending rehashes are done, an independent copy sharing only the
-        immutable digest records; it computes no digest and counts none."""
-        self.flush()
+        """An independent copy sharing only the immutable digest records; it
+        computes no digest and counts none."""
         twin = PrunedTree(self.address_bits, self.root_level, self.root_index)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
@@ -365,38 +347,45 @@ class PrunedTree:
 
     # -- updates --------------------------------------------------------------
 
-    def apply_update(self, account: int, new_balance: int) -> None:
+    def set_balances(self, balances) -> bool:
+        """Give held accounts new balances ({account: balance}) and rehash
+        each changed leaf with its whole tail, then each ancestor once,
+        bottom-up; returns whether any balance changed.  Nothing changes
+        when an account is not held or a balance is negative."""
         leaves = self.leaves
-        if account not in leaves:
-            if not self.covers(account):
-                raise NotStored(f"account {account} outside stored range")
-            raise NotStored(f"account {account} is not held")
-        if new_balance < 0:
-            raise NegativeBalance(f"negative balance for account {account}")
-        if leaves[account] != new_balance:
-            leaves[account] = new_balance
-            self._stale.add(self._base + account)
+        for account, balance in balances.items():
+            if account not in leaves:
+                raise NotStored(f"account {account} is not held")
+            if balance < 0:
+                raise NegativeBalance(f"negative balance for account {account}")
+        tops = [(a, self._tail_top(a)) for a, b in balances.items() if leaves[a] != b]
+        leaves.update(balances)
+        self.hashes += self._fold(tops, self._nodes)
+        return bool(tops)
 
-    def apply_transfers(self, txs) -> None:
-        """Debit each transfer's source and credit its destination wherever
-        this tree holds the account as a leaf; other accounts are left as
-        they are."""
-        leaves = self.leaves
+    def apply_transfers(self, txs) -> bool:
+        """Debit each transfer's source and credit its destination, in order,
+        wherever this tree covers the account, materializing it first; other
+        accounts are left as they are.  A transfer that would overdraw raises
+        NegativeBalance before any balance changes.  Returns whether any
+        balance changed."""
+        leaves, running = self.leaves, {}
         for tx in txs:
-            if tx.src in leaves:
-                self.apply_update(tx.src, leaves[tx.src] - tx.amount)
-            if tx.dst in leaves:
-                self.apply_update(tx.dst, leaves[tx.dst] + tx.amount)
+            for account, amount in ((tx.src, -tx.amount), (tx.dst, tx.amount)):
+                if self.covers(account):
+                    self.ensure_path(account)
+                    balance = running.get(account, leaves[account]) + amount
+                    if balance < 0:
+                        raise NegativeBalance(f"negative balance for account {account}")
+                    running[account] = balance
+        return self.set_balances(running)
 
     # -- proofs ---------------------------------------------------------------
 
     def make_proof(self, account: int, base_height: int) -> BalanceProof:
         if account not in self.leaves:
             raise NotStored(f"no proof material for account {account}")
-        self.flush()
-        key = self._base + account
-        while key not in self._nodes:  # up to the top of its tail
-            key >>= 1
+        key = self._tail_top(account)
         get, defaults = self._nodes.get, DEFAULT_DIGESTS
         siblings = list(defaults[: self._width - key.bit_length()])
         for level in range(len(siblings), self.root_level):
@@ -412,8 +401,8 @@ class PrunedTree:
         materialized one on its path), and there it joins as a zero leaf
         with a default tail.  Every sibling above the entry that is not
         materialized must be default, and a held leaf must hold the proof's
-        balance.  No digest changes, so nothing turns stale and merging the
-        same proof twice is a no-op."""
+        balance.  No digest changes, so merging the same proof twice is a
+        no-op."""
         account, siblings = proof.account, proof.siblings
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored range")

@@ -52,23 +52,17 @@ class LedgerOracle:
     def _genesis(self) -> None:
         """Hash the initial balances in one pass over the sorted accounts:
         each tail tops one level below where its account parts from the
-        nearer sorted neighbour (at the root when it is alone), then every
-        node above the tails is digested once, bottom-up."""
-        heap, bits, base = self.heap, self.address_bits, 1 << self.address_bits
-        accounts = sorted(self.balances)
+        nearer sorted neighbour (at the root when it is alone)."""
+        bits, accounts = self.address_bits, sorted(self.balances)
         # the level where each account parts from the one before it; the
         # first and the last part from nothing below the root
         parted = [bits + 1]
         parted += [(a ^ b).bit_length() for a, b in zip(accounts, accounts[1:])]
         parted.append(bits + 1)
-        rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
-        for i, account in enumerate(accounts):
-            top = min(parted[i], parted[i + 1]) - 1
-            key = (base + account) >> top
-            heap[key] = self._tail(account, top)
-            if key > 1:
-                rows.setdefault(top + 1, set()).add(key >> 1)
-        self._fold(rows)
+        self._fold(
+            (account, min(before, after) - 1)
+            for account, before, after in zip(accounts, parted, parted[1:])
+        )
 
     def _rehash(self, accounts, new) -> None:
         """Give every `new` account a tail, then digest each of `accounts`
@@ -93,33 +87,34 @@ class LedgerOracle:
             # the second pass digests the new tail; until then only its length counts
             record = account.to_bytes(8, "big") + bytes(32 * top + 32)
             heap[(base + account) >> top] = record
-        rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
+        tails = []
         for account in accounts:
             key, top = base + account, 0
             while key not in heap:  # up to the top of its tail
                 key, top = key >> 1, top + 1
-            heap[key] = self._tail(account, top)
+            tails.append((account, top))
+        self._fold(tails)
+
+    def _fold(self, tails) -> None:
+        """Digest the tail of each (account, top level) pair in `tails`, each
+        digest beside the all-zero subtree of its level, into a record at the
+        tail's top; then every node above the tails once, bottom-up."""
+        heap, base = self.heap, 1 << self.address_bits
+        rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
+        for account, top in tails:
+            digest = leaf_digest(account, self.balances[account])
+            run = [account.to_bytes(8, "big"), digest]
+            for level in range(top):
+                if (account >> level) & 1:
+                    digest = node_hash(DEFAULT_DIGESTS[level], digest)
+                else:
+                    digest = node_hash(digest, DEFAULT_DIGESTS[level])
+                run.append(digest)
+            key = (base + account) >> top
+            heap[key] = b"".join(run)
             if key > 1:
                 rows.setdefault(top + 1, set()).add(key >> 1)
-        self._fold(rows)
-
-    def _tail(self, account: int, top: int) -> bytes:
-        """An account's tail record: its digests up to level `top`, each
-        beside the all-zero subtree of its level."""
-        digest = leaf_digest(account, self.balances[account])
-        run = [account.to_bytes(8, "big"), digest]
-        for level in range(top):
-            if (account >> level) & 1:
-                digest = node_hash(DEFAULT_DIGESTS[level], digest)
-            else:
-                digest = node_hash(digest, DEFAULT_DIGESTS[level])
-            run.append(digest)
-        return b"".join(run)
-
-    def _fold(self, rows) -> None:
-        """Digest the nodes in `rows` (level -> keys) and each of their
-        ancestors once, bottom-up."""
-        heap, row = self.heap, set()
+        row = set()
         for level in range(1, self.address_bits + 1):
             row = {key >> 1 for key in row}
             row.update(rows.get(level, ()))

@@ -55,9 +55,6 @@ class StorageNode:
         # entry round -> (transfers in arrival order, {position: digest})
         self._pending: dict[int, tuple[list, dict]] = {}
 
-    def in_range(self, account: int) -> bool:
-        return self.topology.portion_of(account) == self.portion
-
     def receive(self, msgs, block) -> list | None:
         """Buffer batches and frontier items by entry round; with a block,
         apply its entry round.  Returns the transfers applied (None: no block)."""
@@ -78,14 +75,9 @@ class StorageNode:
         digests published for the same entry round, then check the root.
         Raises StateDivergence naming this node when the root disagrees or
         the tree cannot take the block (a transfer that would overdraw, say)."""
-        tree, name = self.tree, f"storage {self.portion}/{self.replica}"
+        name = f"storage {self.portion}/{self.replica}"
         try:
-            for tx in txs:
-                for account in (tx.src, tx.dst):
-                    if self.in_range(account):
-                        tree.ensure_path(account)
-            tree.apply_transfers(txs)
-            root = self._fold_spine(frontier.items(), tree.flush())
+            root = self._fold_spine(frontier.items(), self.tree.apply_transfers(txs))
         except MerkleError as exc:
             raise StateDivergence(f"{name}: {exc}") from exc
         if root != new_block.state_root:
@@ -116,9 +108,7 @@ class StorageNode:
     def serve_proof(self, account: int) -> BalanceProof:
         """Balance proof against the newest applied block: the portion path
         followed by the spine; untouched in-range addresses get their zero
-        path materialized on demand."""
-        if not self.in_range(account):
-            raise NotStored(f"account {account} outside stored range")
+        path materialized on demand; NotStored outside the portion."""
         self.tree.ensure_path(account)
         proof = self.tree.make_proof(account, self.latest_block.height)
         siblings = proof.siblings + self.spine

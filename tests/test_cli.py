@@ -227,7 +227,7 @@ def test_storage_genesis_mismatch_names_the_replica(config_path, monkeypatch, ca
     def tampered(tree):
         twin = copy(tree)
         account = min(twin.leaves)
-        twin.apply_update(account, twin.leaves[account] + 1)
+        twin.set_balances({account: twin.leaves[account] + 1})
         return twin
 
     monkeypatch.setattr(PrunedTree, "copy", tampered)
@@ -324,7 +324,7 @@ def test_overdraw_after_confirmation_exits_3(
             if target == "leaf":
                 holds = sims[-1].leaf_rpcs[dest[1]].tree.covers
             else:
-                holds = sims[-1].storage[dest[1:]].in_range
+                holds = sims[-1].storage[dest[1:]].tree.covers
             for i, tx in enumerate(msg.txs):
                 if holds(tx.src):
                     tx = replace(tx, amount=tx.amount + 10**12)

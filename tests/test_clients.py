@@ -34,9 +34,6 @@ def _apply(storage, tx, skip=()):
     """Apply one transfer to every storage node but those in skip."""
     for key, node in storage.items():
         if key not in skip:
-            for account in (tx.src, tx.dst):
-                if node.in_range(account):
-                    node.tree.ensure_path(account)
             node.tree.apply_transfers([tx])
 
 

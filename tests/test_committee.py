@@ -222,9 +222,7 @@ def test_safety_against_brute_force_replay():
                 )
             )
         # the next block commits the entry round that just left the window
-        for tx in entry_log.get(entry - stages, ()):
-            tree.apply_update(tx.src, tree.leaves[tx.src] - tx.amount)
-            tree.apply_update(tx.dst, tree.leaves[tx.dst] + tx.amount)
+        tree.apply_transfers(entry_log.get(entry - stages, ()))
         prev = history.get(entry - 2)
         history.push(Block(entry - 1, block_hash(prev), tree.root_hash()))
         seq, _, _ = committee.confirm_round(batch, entry, history)

@@ -100,7 +100,7 @@ def test_zero_balance_canonical():
     # a zero leaf hashes like the shared default, so clearing an account
     # restores the empty-subtree digest at every level
     tree = build_pruned([(5, 10)], 4)
-    tree.apply_update(5, 0)
+    tree.set_balances({5: 0})
     assert tree.root_hash().hex() == D4_HEX
     assert tree.leaves == {5: 0}
 
@@ -144,12 +144,11 @@ def test_build_rejects_bad_entries_and_takes_any_iterable():
 
 
 def _inserted(entries, address_bits, root_level, root_index):
-    """The incremental reference: one insert and update per entry, then a flush."""
+    """The incremental reference: one insert per entry, then one update."""
     tree = merkle.PrunedTree(address_bits, root_level, root_index)
-    for account, balance in entries:
+    for account, _ in entries:
         tree.ensure_path(account)
-        tree.apply_update(account, balance)
-    tree.flush()
+    tree.set_balances(dict(entries))
     return tree
 
 
@@ -323,12 +322,21 @@ def test_make_proof_requires_materialized_path():
     assert tree.leaves == {3: 9}
 
 
-def test_apply_update_requires_leaf():
-    tree = build_pruned([(3, 9)], 4)
-    with pytest.raises(NotStored):
-        tree.apply_update(12, 5)
-    with pytest.raises(NegativeBalance):
-        tree.apply_update(3, -1)
+def test_set_balances_requires_held_accounts():
+    # an account not held (inside the scope or out of it) or a negative
+    # balance anywhere in the batch changes nothing
+    tree = build_pruned([(3, 9), (5, 2)], 4, root_level=3, root_index=0)
+    kept, root = dict(tree._nodes), tree.root_hash()
+    for batch, error in (
+        ({3: 10, 6: 5}, NotStored),
+        ({3: 10, 12: 5}, NotStored),
+        ({3: 10, 5: -1}, NegativeBalance),
+    ):
+        with pytest.raises(error):
+            tree.set_balances(batch)
+        assert (tree.leaves, tree._nodes, tree.root_hash()) == ({3: 9, 5: 2}, kept, root)
+    assert tree.set_balances({3: 9, 5: 2}) is False
+    assert tree.set_balances({3: 10, 5: 2}) is True
 
 
 def test_scoped_tree_matches_global_subtree():
@@ -399,7 +407,7 @@ def test_merge_rejects_tampered_proof():
 def test_merge_balance_conflict():
     tree = build_pruned([(1, 10)], 4)
     proof = tree.make_proof(1, base_height=1)
-    tree.apply_update(1, 55)
+    tree.set_balances({1: 55})
     with pytest.raises(ProofConflict):
         tree.merge_proof(proof)
     assert tree.leaves == {1: 55}
@@ -437,7 +445,7 @@ def test_update_work_is_path_bounded():
     accounts = [a for a, _ in entries]
     updates = 25
     for _ in range(updates):
-        tree.apply_update(rng.choice(accounts), rng.randrange(1, 100))
+        tree.set_balances({rng.choice(accounts): rng.randrange(1, 100)})
     tree.root_hash()
     spent = tree.hashes - before
     assert 0 < spent <= updates * (8 + 1)
@@ -530,18 +538,17 @@ def test_counters_match_digests_made(monkeypatch):
     monkeypatch.setattr(merkle, "leaf_hash", counting(merkle.leaf_hash))
     tree = build_pruned([(3, 40), (90, 0), (200, 9)], 8)
     tree.root_hash()
-    tree.apply_update(3, 41)
-    tree.apply_update(200, 0)  # a drain: its leaf digest is the default
+    tree.set_balances({3: 41, 200: 0})  # a drain: its leaf digest is the default
     tree.ensure_path(17)
     tree.make_proof(17, 0)
-    tree.apply_update(17, 2)
+    tree.set_balances({17: 2})
     tree.ensure_path(2)  # cuts account 3's tail at level 1
-    tree.apply_update(2, 7)
+    tree.set_balances({2: 7})
     tree.root_hash()
     merged = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
     for proof in proofs:
         merged.merge_proof(proof)
-    merged.apply_update(4, 6)
+    merged.set_balances({4: 6})
     merged.root_hash()
     assert tree.hashes > 0 and merged.hashes > 0
     assert made == [tree.hashes + merged.hashes]
@@ -579,8 +586,7 @@ def test_copy_computes_and_counts_nothing():
     for level, index, entries, drained in cases:
         tree = build_pruned(entries, 8, root_level=level, root_index=index)
         tree.root_hash()
-        for account in drained:
-            tree.apply_update(account, 0)
+        tree.set_balances(dict.fromkeys(drained, 0))
         scratch = build_pruned(
             sorted(tree.leaves.items()), 8, root_level=level, root_index=index
         )
@@ -593,7 +599,7 @@ def test_copy_computes_and_counts_nothing():
         _check_layout(twin)
         content, kept = dict(tree.leaves), dict(tree._nodes)
         twin.ensure_path(index << level)
-        twin.apply_update(index << level, 3)
+        twin.set_balances({index << level: 3})
         assert twin.root_hash() != root
         assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, root)
 
@@ -721,11 +727,11 @@ def test_trees_track_the_full_tree(data):
             proof = full.make_proof(account, 0)
             _check_merge(scoped, replace(proof, siblings=proof.siblings[:level]))
         balances[account] = balance
-        full.apply_update(account, balance)
+        full.set_balances({account: balance})
         if scoped.covers(account):
-            scoped.apply_update(account, balance)
+            scoped.set_balances({account: balance})
             storage.ensure_path(account)
-            storage.apply_update(account, balance)
+            storage.set_balances({account: balance})
 
         portion_root = _subtree_root(balances, bits, level, index)
         _check_tree(full, _subtree_root(balances, bits, bits, 0))
@@ -750,13 +756,32 @@ def _spine(balances, bits, level, index):
     )
 
 
+def test_an_overdrawing_batch_changes_no_balance_digest_or_count():
+    # The batch's first two transfers are sound and its third overdraws:
+    # apply_transfers raises before it writes a balance, so at most the zero
+    # leaf the batch touches has been materialized, with no digest made.
+    tree = build_pruned([(3, 40), (90, 7), (200, 9)], 8)
+    held, root, hashes = dict(tree.leaves), tree.root_hash(), tree.hashes
+    txs = [
+        Transaction(3, 17, 30, 1, 0),
+        Transaction(90, 3, 7, 1, 1),
+        Transaction(200, 90, 10, 1, 2),
+    ]
+    with pytest.raises(NegativeBalance):
+        tree.apply_transfers(txs)
+    assert {account: b for account, b in tree.leaves.items() if b} == held
+    assert tree.leaves.keys() - held.keys() <= {17}
+    assert (tree.hashes, tree.root_hash()) == (hashes, root)
+    _check_layout(tree)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     # A leaf committee's scoped tree (proofs grafted first) and a storage
-    # node's copy of it (ensure_path first) each apply random transfer
-    # batches with apply_transfers, next to a twin driven by one
-    # apply_update per covered account, the loop apply_transfers replaces.
+    # node's copy of it (materialized by apply_transfers) each apply random
+    # transfer batches with apply_transfers, next to a twin driven by
+    # ensure_path and one set_balances of the batch's net covered balances.
     # The pool holds a leaf's sibling, so grafts and ensure_path enter held
     # tails, and a transfer may drain its source, zeroing the bottom of a
     # tail.  The portion root folded up the literal spine is the ledger's.
@@ -811,27 +836,21 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
                 if tree.covers(account) and account not in tree.leaves:
                     proof = genesis.make_proof(account, 0)
                     tree.merge_proof(replace(proof, siblings=proof.siblings[:level]))
-        for tree in (storage, storage_twin):
-            for account in sorted(touched & set(in_portion)):
-                tree.ensure_path(account)
+        covered = touched & set(in_portion)
+        for account in sorted(covered):
+            storage_twin.ensure_path(account)
 
-        before = [dict(leaf.leaves), dict(storage.leaves)]
-        leaf.apply_transfers(txs)
-        storage.apply_transfers(txs)
-        for tree, held in zip((leaf, storage), before):
-            # accounts the tree does not hold stay out, the rest only move
-            # by the batch
-            assert tree.leaves.keys() == held.keys()
+        for tree in (leaf, storage):
+            held = dict(tree.leaves)
+            changed = tree.apply_transfers(txs)
+            # the tree now holds the covered accounts the batch touches, and
+            # the rest only move by the batch
+            assert tree.leaves.keys() == held.keys() | covered
             for account in held.keys() - touched:
                 assert tree.leaves[account] == held[account]
-        # both twins hold exactly the portion, so "covered" (leaf) and "in
-        # range" (storage) are the same test
-        for tx in txs:
-            for tree in (leaf_twin, storage_twin):
-                if tx.src >> level == index:
-                    tree.apply_update(tx.src, tree.leaves[tx.src] - tx.amount)
-                if tx.dst >> level == index:
-                    tree.apply_update(tx.dst, tree.leaves[tx.dst] + tx.amount)
+            assert changed == any(tree.leaves[a] != held.get(a, 0) for a in covered)
+        for twin in (leaf_twin, storage_twin):
+            twin.set_balances({account: ledger[account] for account in covered})
 
         portion_root = _subtree_root(ledger, bits, level, index)
         spine = _spine(ledger, bits, level, index)
@@ -858,7 +877,7 @@ def test_storage_node_matches_a_whole_space_reference(data):
     # one account (its tail tops at the portion's root) or several; the
     # other portions may all be empty, leaving default spine digests; a
     # single portion (level == bits) has no spine.  A batch may move a
-    # balance and move it back, which refolds and counts all the same.
+    # balance and move it back, which leaves it as it was and undigested.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -955,12 +974,8 @@ def test_storage_node_matches_a_whole_space_reference(data):
             if digest != old or data.draw(st.booleans())
         }
         routed = [tx for tx in txs if index in (tx.src >> level, tx.dst >> level)]
-        for tx in routed:
-            for account in (tx.src, tx.dst):
-                if account >> level == index:
-                    reference.ensure_path(account)
-        reference.apply_transfers(routed)
-        assert refold_spine(reference.flush(), new_spine) == block.state_root
+        changed = reference.apply_transfers(routed)
+        assert refold_spine(changed, new_spine) == block.state_root
         for node in replicas:
             node.apply_confirmed(routed, frontier, block)
         check(height)

@@ -215,7 +215,7 @@ def test_audit_leaves_no_garbage():
 def test_single_portion_storage_has_no_spine():
     topo, tree, genesis, nodes = _world({3: 50, 20: 70}, leaf_count=1)
     node = nodes[0]
-    assert node.in_range(31)
+    assert node.tree.covers(31)
     proof = node.serve_proof(20)
     assert verify_proof(proof, genesis.state_root)
     tx = _tx(tree, 20, 3, 70, 1)
