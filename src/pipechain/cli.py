@@ -5,7 +5,7 @@ emit a JSON-lines report), verify (run with full per-round proof audits),
 scale (proportional-scaling experiment, CSV output).
 
 Exit codes: 0 success, 2 configuration error, 3 state divergence at genesis
-or during a run, 4 scale experiment found an under-provisioned deployment.
+or during a run, 4 scale experiment found an overloaded or truncated run.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ def _cmd_scale(args) -> int:
         print(
             f"alpha={run.alpha}: committees={run.committees_total}"
             f" peak_cc_tx={run.peak_cc_tx} peak_rpc_hashes={run.peak_rpc_hashes}"
-            f" peak_msgs={run.peak_msgs}"
-            f" {'well-provisioned' if run.well_provisioned else 'overloaded'}",
+            f" peak_msgs={run.peak_msgs} {run.verdict}",
             file=sys.stderr,
         )
 
@@ -203,7 +202,7 @@ def _cmd_scale(args) -> int:
                 "peak_cc_tx": run.peak_cc_tx,
                 "peak_rpc_hashes": run.peak_rpc_hashes,
                 "peak_msgs": run.peak_msgs,
-                "verdict": "well-provisioned" if run.well_provisioned else "overloaded",
+                "verdict": run.verdict,
             }
             for run in runs
         )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .ledger import Block, block_hash
 from .merkle import MerkleError, build_pruned, node_hash
-from .provisioning import tier_levels
 
 
 class PipelineFault(Exception):
@@ -59,15 +58,31 @@ class RpcTopology:
         )
 
 
+def fold_levels(hash_budget: int) -> int:
+    """Levels of pairwise hashing one committee can finish in a round.
+
+    A complete fold of L levels costs 2**L - 1 hashes, so the largest
+    affordable L is floor(log2(hash_budget + 1)).
+    """
+    if hash_budget < 1:
+        raise ValueError("hash_budget must be >= 1")
+    return (hash_budget + 1).bit_length() - 1
+
+
 def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcTopology:
+    """The committee tree above leaf_count portion roots: bottom-up tiers of
+    full folds of fold_levels(hash_budget), any remainder in one tier on top.
+    One leaf committee needs no tier."""
     if leaf_count < 1 or leaf_count & (leaf_count - 1):
         raise ValueError("leaf_count must be a power of two")
     portion_levels = leaf_count.bit_length() - 1
     if portion_levels >= address_bits:
         raise ValueError("every portion needs at least one address bit")
+    per_tier = fold_levels(hash_budget)
     tiers = []
     base = 0
-    for owned in tier_levels(leaf_count, hash_budget):
+    while base < portion_levels:
+        owned = min(per_tier, portion_levels - base)
         tiers.append(
             TierSpec(
                 count=1 << (portion_levels - base - owned),

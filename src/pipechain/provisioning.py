@@ -4,43 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-
-def fold_levels(hash_budget: int) -> int:
-    """Levels of pairwise hashing one committee can finish in a round.
-
-    A complete fold of L levels costs 2**L - 1 hashes, so the largest
-    affordable L is floor(log2(hash_budget + 1)).
-    """
-    if hash_budget < 1:
-        raise ValueError("hash_budget must be >= 1")
-    return (hash_budget + 1).bit_length() - 1
+from .engine import Simulation
+from .pipeline import build_topology, fold_levels
 
 
 def fold_capacity(hash_budget: int) -> int:
     """Hashes actually spent by a full affordable fold: 2**fold_levels - 1."""
     return (1 << fold_levels(hash_budget)) - 1
-
-
-def tier_levels(leaf_count: int, hash_budget: int) -> tuple[int, ...]:
-    """Tree levels each inner tier folds above leaf_count portion roots,
-    bottom-up: full folds of fold_levels(hash_budget), any remainder on top.
-    One leaf committee needs no tier."""
-    per_tier = fold_levels(hash_budget)
-    full, rest = divmod(leaf_count.bit_length() - 1, per_tier)
-    return (per_tier,) * full + ((rest,) if rest else ())
-
-
-def min_committees(
-    changes_per_round: int, leaf_capacity: int, hash_budget: int
-) -> tuple[int, int]:
-    """Minimum (leaf, inner) committee counts that keep every round's work
-    within per-committee capacity under a uniform workload."""
-    if changes_per_round < 1 or leaf_capacity < 1:
-        raise ValueError("workload and capacity must be >= 1")
-    # smallest power of two L with L * leaf_capacity >= changes_per_round
-    leaf = 1 << (-(-changes_per_round // leaf_capacity) - 1).bit_length()
-    inner = -(-(leaf - 1) // fold_capacity(hash_budget))
-    return leaf, inner
 
 
 @dataclass(frozen=True)
@@ -61,11 +31,13 @@ class Provisioning:
         return self.cc_count + self.leaf_rpcs + self.inner_rpcs
 
 
-def _provisioning(m, e, j, leaf, inner, cc_count) -> Provisioning:
-    """The deployment of leaf and inner committees folded as tier_levels says."""
+def _provisioning(m, e, j, leaf, cc_count) -> Provisioning:
+    """The deployment a run with `leaf` leaf committees and hash budget j
+    builds: its inner committees, levels and stages are build_topology's, in
+    the narrowest address space that fits (the counts do not depend on it)."""
     if cc_count < 0:
         raise ValueError("cc_count must be >= 0")
-    rpc_levels = 1 + len(tier_levels(leaf, j))
+    topology = build_topology(leaf, j, leaf.bit_length())
     return Provisioning(
         changes_per_round=m,
         leaf_capacity=e,
@@ -73,10 +45,10 @@ def _provisioning(m, e, j, leaf, inner, cc_count) -> Provisioning:
         fold_levels=fold_levels(j),
         fold_capacity=fold_capacity(j),
         leaf_rpcs=leaf,
-        inner_rpcs=inner,
+        inner_rpcs=topology.inner_count,
         cc_count=cc_count,
-        rpc_levels=rpc_levels,
-        stages=rpc_levels + 1,
+        rpc_levels=topology.rpc_levels,
+        stages=topology.stages,
     )
 
 
@@ -85,26 +57,26 @@ def provision_after_doubling(
 ) -> Provisioning:
     """Committee counts right after a doubling step: leaf RPCs run at half
     capacity (2m/e of them) so the system absorbs growth until the next
-    doubling; inner RPCs are packed full-fold."""
+    doubling."""
     m, e = changes_per_round, leaf_capacity
     if m < 1 or e < 1:
         raise ValueError("workload and capacity must be >= 1")
     ratio, rem = divmod(m, e)
     if rem or ratio & (ratio - 1):
         raise ValueError("changes/capacity must be a power of two after doubling")
-    leaf = 2 * ratio
-    inner = -(-leaf // fold_capacity(hash_budget))
-    return _provisioning(m, e, hash_budget, leaf, inner, cc_count)
+    return _provisioning(m, e, hash_budget, 2 * ratio, cc_count)
 
 
 def provision_minimal(
     changes_per_round: int, leaf_capacity: int, hash_budget: int, cc_count: int = 0
 ) -> Provisioning:
-    """Smallest deployment that absorbs the stated steady workload."""
-    leaf, inner = min_committees(changes_per_round, leaf_capacity, hash_budget)
-    return _provisioning(
-        changes_per_round, leaf_capacity, hash_budget, leaf, inner, cc_count
-    )
+    """Smallest deployment that absorbs the stated steady workload: the
+    smallest power of two L of leaf RPCs with L * e >= m."""
+    m, e = changes_per_round, leaf_capacity
+    if m < 1 or e < 1:
+        raise ValueError("workload and capacity must be >= 1")
+    leaf = 1 << (-(-m // e) - 1).bit_length()
+    return _provisioning(m, e, hash_budget, leaf, cc_count)
 
 
 @dataclass(frozen=True)
@@ -119,20 +91,24 @@ class ScaleRun:
     peak_msgs: int
     block_bytes: int
     oracle_ok: bool
-    well_provisioned: bool
+    verdict: str  # "well-provisioned", "overloaded" or "truncated"
+
+    @property
+    def well_provisioned(self) -> bool:
+        return self.verdict == "well-provisioned"
 
 
 def scale_experiment(base_config, alphas, *, progress=None):
     """Run the same workload-per-committee at alpha times the scale.
 
     base_config must itself be dimensioned per provision_after_doubling.
-    Every run keeps the base seed, stratifies sources per committee, and is
-    judged well-provisioned when the oracle matches every block, no single
-    RPC exceeds its hash budget, and no committee sees more transactions
-    than its per-round capacity.
+    Every run keeps the base seed and stratifies sources per committee. A run
+    in which any round could not draw f/n_c sources for every committee did
+    not carry the stated load, so it reads truncated whatever its peaks. Any
+    other run is well-provisioned when the oracle matches every block, no
+    single RPC exceeds its hash budget, and no committee sees more
+    transactions than its per-round capacity; otherwise it is overloaded.
     """
-    from .engine import Simulation  # deferred: engine imports this module
-
     if base_config.f % base_config.n_c:
         raise ValueError("f must divide evenly across confirmation committees")
     prov0 = provision_after_doubling(2 * base_config.f, base_config.e, base_config.j)
@@ -158,6 +134,9 @@ def scale_experiment(base_config, alphas, *, progress=None):
         committees = result.summary["committees"]
         # an oracle mismatch always ends the run with a fatal verdict
         well = result.ok and peaks["rpc_hashes"] <= cfg.j and peaks["cc_tx"] <= capacity
+        verdict = "well-provisioned" if well else "overloaded"
+        if result.summary["workload_truncated_rounds"]:
+            verdict = "truncated"
         runs.append(
             ScaleRun(
                 alpha=alpha,
@@ -170,7 +149,7 @@ def scale_experiment(base_config, alphas, *, progress=None):
                 peak_msgs=peaks["committee_msgs"],
                 block_bytes=result.summary["block_bytes"],
                 oracle_ok=result.ok,
-                well_provisioned=well,
+                verdict=verdict,
             )
         )
         if progress is not None:

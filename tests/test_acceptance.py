@@ -16,8 +16,8 @@ from pipechain.engine import SimConfig, Simulation, report_lines
 from pipechain.merkle import build_pruned
 from pipechain.oracle import full_tree_root
 from pipechain.provisioning import (
-    min_committees,
     provision_after_doubling,
+    provision_minimal,
     scale_experiment,
 )
 
@@ -192,12 +192,13 @@ MINIMAL_TABLE = [
 ]
 
 # (m, e, j) -> (leaf_rpcs, inner_rpcs) after a doubling step: leaf = 2m/e
-# (half-loaded), inner = ceil(leaf / j_hat).
+# (half-loaded), inner = ceil((leaf-1)/j_hat) as above, the committees a run
+# of that many leaves builds.
 DOUBLED_TABLE = [
     ((64, 32, 7), (4, 1)),
     ((128, 32, 1023), (8, 1)),
-    ((16, 4, 7), (8, 2)),
-    ((64, 1, 1), (128, 128)),
+    ((16, 4, 7), (8, 1)),
+    ((64, 1, 1), (128, 127)),
     ((8, 8, 15), (2, 1)),
     ((256, 16, 8), (32, 5)),
 ]
@@ -205,14 +206,14 @@ DOUBLED_TABLE = [
 
 def test_criterion_06_dimensioning_formulas(capsys):
     failures = []
-    for (m, e, j), expected in MINIMAL_TABLE:
-        got = min_committees(m, e, j)
-        if got != expected:
-            failures.append((m, e, j, got, expected))
-    for (m, e, j), expected in DOUBLED_TABLE:
-        prov = provision_after_doubling(m, e, j)
-        if (prov.leaf_rpcs, prov.inner_rpcs) != expected:
-            failures.append((m, e, j, (prov.leaf_rpcs, prov.inner_rpcs), expected))
+    for provision, table in (
+        (provision_minimal, MINIMAL_TABLE),
+        (provision_after_doubling, DOUBLED_TABLE),
+    ):
+        for (m, e, j), expected in table:
+            prov = provision(m, e, j)
+            if (prov.leaf_rpcs, prov.inner_rpcs) != expected:
+                failures.append((m, e, j, (prov.leaf_rpcs, prov.inner_rpcs), expected))
     total = len(MINIMAL_TABLE) + len(DOUBLED_TABLE)
     ok = not failures and total >= 20
     _verdict(
@@ -242,6 +243,14 @@ def test_criterion_07_scalability(scale_runs, capsys):
         f"peak msgs {msgs_peak} <= 2x base {base_msgs}; block bytes constant; "
         f"{elapsed:.1f}s (target 300s)",
     )
+
+
+def test_scale_truncated_run_is_not_well_provisioned():
+    # 1,024 accounts cannot supply 32 sources to each of 32 committees every
+    # round: 4 of the 8 rounds carry less than the stated load
+    (run,) = scale_experiment(replace(SCALE_BASE, rounds=8), [16])
+    assert run.verdict == "truncated"
+    assert not run.well_provisioned
 
 
 def test_criterion_08_determinism(default_runs, capsys, tmp_path):

@@ -79,13 +79,14 @@ def test_dimension_json(capsys):
 
 
 def test_dimension_after_doubling(capsys):
-    code = cli.main(
-        ["dimension", "-m", "128", "-e", "32", "-j", "1023", "--after-doubling", "--json"]
-    )
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["leaf_rpcs"] == 8
-    assert data["inner_rpcs"] == 1
+    # at j = 7 one inner committee folds all 8 portion roots (3 levels, 7
+    # hashes), as the simulator builds it
+    for budget in ("1023", "7"):
+        argv = ["dimension", "-m", "128", "-e", "32", "-j", budget, "--after-doubling"]
+        assert cli.main(argv + ["--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["leaf_rpcs"] == 8
+        assert data["inner_rpcs"] == 1, budget
 
 
 def test_dimension_negative_cc_exits_2(capsys):
@@ -467,6 +468,32 @@ def test_scale_csv(tmp_path, capsys):
     assert [row["alpha"] for row in rows] == ["1", "2"]
     assert all(row["verdict"] == "well-provisioned" for row in rows)
     assert list(rows[0]) == cli.SCALE_COLUMNS
+
+
+def test_scale_truncated_workload_exits_4(tmp_path, capsys):
+    # 48 funded accounts cannot supply 32 sources to each of 2 committees, so
+    # the run carries less than its stated load and proves nothing about it
+    config = dict(
+        BASE_CONFIG,
+        address_bits=16,
+        f=64,
+        n_c=2,
+        leaf_count=8,
+        j=1023,
+        e=32,
+        rounds=4,
+        initial_accounts=48,
+    )
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(config))
+    out_csv = tmp_path / "scale.csv"
+    argv = ["scale", "--config", str(path), "--alphas", "1", "--csv", str(out_csv)]
+    assert cli.main(argv) == 4
+    with out_csv.open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["verdict"] for row in rows] == ["truncated"]
+    assert list(rows[0]) == cli.SCALE_COLUMNS
+    assert capsys.readouterr().err.rstrip().endswith(" truncated")
 
 
 def test_scale_overload_exits_4(tmp_path, capsys):

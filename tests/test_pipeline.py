@@ -13,9 +13,10 @@ from pipechain.pipeline import (
     PipelineFault,
     build_topology,
     fold_digests,
+    fold_levels,
     next_block,
 )
-from pipechain.provisioning import min_committees, provision_minimal, tier_levels
+from pipechain.provisioning import provision_minimal
 
 
 def test_topology_single_tier():
@@ -53,19 +54,27 @@ def test_topology_single_leaf():
     assert topo.portion_of(200) == 0
 
 
-def test_topology_inner_total_matches_min_committees():
+def test_topology_inner_total_matches_the_closed_form():
     for leaf_exp in range(0, 8):
         for budget in (1, 3, 7, 15, 63, 1023):
             leaf = 1 << leaf_exp
             topo = build_topology(leaf, budget, address_bits=12)
-            # the closed form counts exactly the committees the tree packs
-            expected = min_committees(leaf, 1, budget)[1]
+            # ceil((leaf - 1) / j_hat) committees of j_hat = 2**levels - 1
+            # hashes each fold the leaf - 1 nodes above the portion roots
+            per_tier = fold_levels(budget)
+            expected = -(-(leaf - 1) // ((1 << per_tier) - 1))
             assert topo.inner_count == expected, (leaf, budget)
-            # and the dimensioning tiers are the ones the engine builds
+            # full folds bottom-up, the remainder in one tier on top
+            full, rest = divmod(leaf_exp, per_tier)
             levels = tuple(t.owned_levels for t in topo.tiers)
-            assert levels == tier_levels(leaf, budget), (leaf, budget)
+            expected_levels = (per_tier,) * full + ((rest,) if rest else ())
+            assert levels == expected_levels, (leaf, budget)
             prov = provision_minimal(leaf, 1, budget)
-            assert (prov.rpc_levels, prov.stages) == (topo.rpc_levels, topo.stages)
+            assert (prov.inner_rpcs, prov.rpc_levels, prov.stages) == (
+                topo.inner_count,
+                topo.rpc_levels,
+                topo.stages,
+            )
 
 
 def test_topology_validation():

@@ -1,14 +1,15 @@
 """Dimensioning formulas and the proportional-scaling harness."""
 
+import json
 import random
 
 import pytest
 
-from pipechain.engine import SimConfig
+from pipechain import cli
+from pipechain.engine import SimConfig, Simulation
+from pipechain.pipeline import fold_levels
 from pipechain.provisioning import (
     fold_capacity,
-    fold_levels,
-    min_committees,
     provision_after_doubling,
     provision_minimal,
     scale_experiment,
@@ -62,16 +63,18 @@ def test_fold_capacity():
 
 def test_dimension_table():
     for (m, e, j), expected in DIMENSION_TABLE:
-        assert min_committees(m, e, j) == expected, (m, e, j)
+        prov = provision_minimal(m, e, j)
+        assert (prov.leaf_rpcs, prov.inner_rpcs) == expected, (m, e, j)
 
 
-def test_min_committees_is_minimal():
+def test_provision_minimal_is_minimal():
     rng = random.Random(12)
     for _ in range(300):
         m = rng.randrange(1, 5000)
         e = rng.randrange(1, 50)
         j = rng.randrange(1, 2000)
-        leaf, inner = min_committees(m, e, j)
+        prov = provision_minimal(m, e, j)
+        leaf, inner = prov.leaf_rpcs, prov.inner_rpcs
         cap = fold_capacity(j)
         assert leaf & (leaf - 1) == 0
         assert leaf * e >= m
@@ -104,6 +107,42 @@ def test_provision_after_doubling():
         provision_after_doubling(9, 4, 7)  # not divisible
     with pytest.raises(ValueError):
         provision_after_doubling(24, 4, 7)  # ratio not a power of two
+
+
+def test_dimension_reports_the_deployment_a_run_builds(capsys):
+    # every budget class up to 1023, capacities that do and do not divide
+    # powers of two, and m/e from 1 to 512, in both dimensioning modes
+    parser = cli.build_parser()
+    built = {}
+    for j in (1, 2, 3, 7, 8, 14, 15, 31, 62, 63, 127, 255, 511, 1023):
+        for e in (1, 8, 13, 32):
+            for m in (e << k for k in range(10)):
+                for mode in ([], ["--after-doubling"]):
+                    argv = ["dimension", "-m", str(m), "-e", str(e), "-j", str(j)]
+                    args = parser.parse_args(argv + mode + ["--json"])
+                    assert args.func(args) == 0
+                    prov = json.loads(capsys.readouterr().out)
+                    leaf = prov["leaf_rpcs"]
+                    if (leaf, j) not in built:
+                        config = SimConfig(
+                            address_bits=leaf.bit_length(),
+                            f=1,
+                            n_c=1,
+                            leaf_count=leaf,
+                            j=j,
+                            initial_accounts=1,
+                        )
+                        sim = Simulation(config)
+                        built[(leaf, j)] = (
+                            len(sim.leaf_rpcs),
+                            len(sim.inner_rpcs),
+                            sim.topology.rpc_levels,
+                            sim.stages,
+                        )
+                    keys = ("leaf_rpcs", "inner_rpcs", "rpc_levels", "stages")
+                    reported = tuple(prov[key] for key in keys)
+                    assert reported == built[(leaf, j)], (m, e, j, mode)
+    assert len(built) == 154
 
 
 def _base_config(**overrides):
