@@ -5,7 +5,8 @@ emit a JSON-lines report), verify (run with full per-round proof audits),
 scale (proportional-scaling experiment, CSV output).
 
 Exit codes: 0 success, 2 configuration error, 3 state divergence at genesis
-or during a run, 4 scale experiment found an overloaded or truncated run.
+or during a run, a failed verify audit included (so a reported row's
+audit.failed reads 0), 4 scale experiment found an overloaded or truncated run.
 """
 
 from __future__ import annotations

@@ -354,7 +354,7 @@ class Simulation:
     def _storage_stage(self, round_index: int, inbox, block, meters) -> dict:
         """Storage nodes take their messages, applying an entry round when
         its block arrives, and audit; returns the audit counts."""
-        audit_checked = audit_failed = 0
+        audit_checked = 0
         for key, node in self.storage.items():
             cid = ("storage",) + key
             before = node.tree.hashes
@@ -365,12 +365,14 @@ class Simulation:
             meters[cid].hashes += node.tree.hashes - before
             if self.options.audit_proofs:
                 checked, failed = node.audit(round_index)
+                if failed:
+                    raise StateDivergence(
+                        f"storage {key[0]}/{key[1]}: audit of block "
+                        f"{node.latest_block.height} failed {failed} checks"
+                    )
                 audit_checked += checked
-                audit_failed += failed
-        totals = self.summary["audit"]
-        totals["checked"] += audit_checked
-        totals["failed"] += audit_failed
-        return {"checked": audit_checked, "failed": audit_failed}
+        self.summary["audit"]["checked"] += audit_checked
+        return {"checked": audit_checked, "failed": 0}
 
     def _client_stage(self, round_index: int) -> bool:
         """Clients settle the entry round leaving the pipeline and submit for
@@ -426,17 +428,18 @@ class Simulation:
             if reason == "insufficient" and oracle.balance(tx.src) >= tx.amount:
                 totals["conservative_rejections"] += 1
         probing = round_index in self._probe_rounds
-        base = oracle.fork() if probing else None
+        if probing:  # over the balances before the round
+            mismatches = interleaving_mismatches(
+                oracle.balances, confirmed, f"{self.config.seed}:probe:{round_index}",
+                self.options.interleave_probe[1],
+            )
         expected = oracle.apply_sequence(self.accepted_by_entry[round_index])
         self.expected_roots[round_index] = expected
-        if probing:
+        if probing:  # counted once the committee order itself applies
             probe = totals["interleave"]
             probe["rounds"] += 1
             probe["checks"] += self.options.interleave_probe[1]
-            probe["mismatches"] += interleaving_mismatches(
-                base, confirmed, expected, f"{self.config.seed}:probe:{round_index}",
-                self.options.interleave_probe[1],
-            )
+            probe["mismatches"] += mismatches
         supply = oracle.total_supply()
         totals["supply"]["min"] = min(totals["supply"]["min"], supply)
         totals["supply"]["max"] = max(totals["supply"]["max"], supply)

@@ -17,6 +17,7 @@ from pipechain.merkle import PrunedTree
 from pipechain.network import Network
 from pipechain.oracle import LedgerOracle
 from pipechain.pipeline import build_topology
+from pipechain.storage import StorageNode
 
 BASE_CONFIG = {
     "seed": 7,
@@ -30,6 +31,18 @@ BASE_CONFIG = {
     "rounds": 10,
     "initial_accounts": 64,
     "initial_balance": 1000,
+}
+
+ACCEPTANCE_CONFIG = {
+    **BASE_CONFIG,
+    "seed": 1,
+    "address_bits": 16,
+    "f": 50,
+    "leaf_count": 8,
+    "e": 13,
+    "rounds": 200,
+    "initial_accounts": 256,
+    "initial_balance": 1_000_000,
 }
 
 
@@ -441,6 +454,37 @@ def test_verify_audits_proofs(config_path, capsys):
     summary = json.loads(out_lines[-1])["summary"]
     assert summary["audit"]["checked"] > 0
     assert summary["audit"]["failed"] == 0
+
+
+def test_failed_audit_ends_the_run(tmp_path, monkeypatch, capsys):
+    # right after storage 3/0 applies block 6, the leaf-level digest of one of
+    # its kept tail records is zeroed, so every audit from round 7 on fails
+    apply = StorageNode.apply_confirmed
+
+    def corrupt(node, txs, frontier, block):
+        apply(node, txs, frontier, block)
+        if (node.portion, node.replica, block.height) == (3, 0, 6):
+            nodes = node.tree._nodes
+            key = next(key for key, record in nodes.items() if len(record) > 32)
+            nodes[key] = nodes[key][:8] + bytes(32) + nodes[key][40:]
+
+    monkeypatch.setattr(StorageNode, "apply_confirmed", corrupt)
+    path = tmp_path / "acceptance.json"
+    path.write_text(json.dumps(ACCEPTANCE_CONFIG))
+    report = tmp_path / "report.jsonl"
+    code = cli.main(
+        ["verify", "--config", str(path), "--rounds", "12", "--report", str(report)]
+    )
+    assert code == 3
+    lines = report.read_text().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert re.fullmatch(
+        r"storage divergence: storage 3/0: audit of block 6 failed \d+ checks",
+        summary["fatal"],
+    )
+    assert summary["rounds_run"] == len(lines) - 1 == 6
+    assert summary["audit"]["failed"] == 0
+    assert f"fatal={summary['fatal']}" in capsys.readouterr().err
 
 
 def test_scale_csv(tmp_path, capsys):

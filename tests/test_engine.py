@@ -310,6 +310,30 @@ def test_interleave_probe_matches():
     assert probe["mismatches"] == 0
 
 
+def test_a_probed_round_makes_no_oracle_digest(monkeypatch):
+    # the probe replays balances, so a probed run digests what the oracle's
+    # own replay does and nothing more
+    def digests(**options):
+        calls = []
+        node_hash = oracle.node_hash
+
+        def counted(left, right):
+            calls.append(1)
+            return node_hash(left, right)
+
+        monkeypatch.setattr(oracle, "node_hash", counted)
+        # SimConfig's defaults are the acceptance config
+        result = Simulation(SimConfig(rounds=30), **options).run()
+        monkeypatch.undo()
+        assert result.ok
+        return len(calls), result.summary["interleave"]
+
+    unprobed, _ = digests()
+    probed, probe = digests(interleave_probe=(29, 5))
+    assert probe == {"rounds": 29, "checks": 145, "mismatches": 0}
+    assert probed == unprobed > 0
+
+
 def test_rho_replication_consistent():
     result = Simulation(_config(rho=3, rounds=8)).run()
     assert result.ok
