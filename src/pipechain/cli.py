@@ -149,7 +149,6 @@ def _run_simulation(args, *, audit: bool) -> int:
         f"rounds={summary['rounds_run']}/{cfg.rounds}"
         f" accepted={summary['accepted_total']}"
         f" oracle_mismatches={summary['oracle']['mismatches']}"
-        f" audit_failed={summary['audit']['failed']}"
         f" fatal={summary['fatal'] or 'none'}" + (f" idle_faults={idle}" if idle else ""),
         file=sys.stderr,
     )

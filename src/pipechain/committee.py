@@ -1,7 +1,7 @@
 """Confirmation committees: admission, canonical ordering, balance rule.
 
-A committee sees only the transactions routed to it and its own recent
-output.  It advances every proof balance through that output window and
+A committee sees only the transactions routed to it and the Transfers of its
+own recent output.  It advances every proof balance through that window and
 accepts a transfer only if the rolled-forward source balance covers it, so
 an accepted sequence can never overdraw regardless of what other committees
 accept (each source account routes to exactly one committee).
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .ledger import Transaction, syntactic_failure
+from .ledger import Transaction, Transfer, syntactic_failure
 
 
 def order_canonically(txs) -> list[Transaction]:
@@ -50,8 +50,8 @@ class ConfirmationCommittee:
             raise ValueError("window_rounds must be >= 1")
         self.index = index
         self.address_bits = address_bits
-        # outputs of the last window_rounds rounds, oldest first
-        self.window: deque[tuple[Transaction, ...]] = deque(
+        # transfers of the last window_rounds rounds' outputs, oldest first
+        self.window: deque[tuple[Transfer, ...]] = deque(
             [()] * window_rounds, maxlen=window_rounds
         )
 
@@ -106,6 +106,5 @@ class ConfirmationCommittee:
                 discards.append((tx, "insufficient"))
 
         stats.accepted = len(accepted)
-        output = tuple(accepted)
-        self.window.append(output)
-        return output, discards, stats
+        self.window.append(tuple(tx.transfer for tx in accepted))
+        return tuple(accepted), discards, stats

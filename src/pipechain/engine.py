@@ -4,7 +4,9 @@ Everything advances in lockstep rounds.  Each round runs the stages in
 dependency order (storage, clients, confirmation, oracle, routing, leaf and
 inner folds, block emission), handing each unit, which keeps its own state,
 what the network delivered to it.  All cross-committee data crosses the
-round boundary, so this equals the committees running concurrently.
+round boundary, so this equals the committees running concurrently.  Past
+the round that routes it, a transfer is kept as its Transfer (storage
+buffers, committee windows, settling): its proofs end at the leaf graft.
 """
 
 from __future__ import annotations
@@ -218,9 +220,6 @@ class Simulation:
             + [("inner",) + key for key in sorted(self.inner_rpcs)]
             + [("storage",) + key for key in sorted(self.storage)]
         )
-        self._committee_names = [
-            "-".join(str(part) for part in cid) for cid in self.committee_ids
-        ]
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
         drop = self.options.drop_confirmed_round
@@ -327,10 +326,7 @@ class Simulation:
         block, verdict = self._emit_stage(round_index, state_root)
 
         peaks = self.summary["peaks"]
-        per_committee = []
-        for cid, name in zip(self.committee_ids, self._committee_names):
-            meter = meters[cid]
-            per_committee.append({"id": name, **vars(meter)})
+        for cid, meter in meters.items():
             peaks["committee_msgs"] = max(
                 peaks["committee_msgs"], meter.msgs_in + meter.msgs_out
             )
@@ -348,7 +344,7 @@ class Simulation:
             "backlog": backlog,
             "audit": audit,
             "truncated": truncated,
-            "per_committee": per_committee,
+            "per_committee": [vars(meter) for meter in meters.values()],
         }
 
     def _storage_stage(self, round_index: int, inbox, block, meters) -> dict:
@@ -447,7 +443,8 @@ class Simulation:
 
     def _route_stage(self, round_index: int, merged) -> None:
         """Sends one batch per committee and touched portion to the portion's
-        leaf committee and storage replicas, in merged's committee order."""
+        leaf committee and storage replicas, in merged's committee order; the
+        entry round keeps only its Transfers from here on."""
         portion_of = self.topology.portion_of
         leaf_batches: dict[int, dict[int, list]] = {}
         for tx in merged:
@@ -462,6 +459,7 @@ class Simulation:
                 self.network.send(sender, [("leaf", portion)], batch)
                 replicas = [("storage", portion, r) for r in range(self.config.rho)]
                 self.network.send(sender, replicas, batch)
+        self.accepted_by_entry[round_index] = tuple(tx.transfer for tx in merged)
 
     def _fold_stage(self, round_index: int, inbox, meters) -> bytes:
         """Leaves fold the previous entry round, inner tiers fold bottom-up and

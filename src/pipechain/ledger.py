@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .merkle import BalanceProof, SpineMemo, verify_proof
 
@@ -23,6 +24,15 @@ def transaction_id(src: int, dst: int, amount: int, entry_round: int, nonce: int
     return hashlib.sha256(payload).digest()
 
 
+class Transfer(NamedTuple):
+    """What is kept of a transaction once the leaf committees have grafted
+    its proofs: all that storage, committee windows and clients read."""
+
+    src: int
+    dst: int
+    amount: int
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A transfer carrying balance proofs for both touched accounts.
@@ -38,8 +48,10 @@ class Transaction:
     src_proof: BalanceProof | None = None
     dst_proof: BalanceProof | None = None
     txid: bytes = b""
+    transfer: Transfer = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "transfer", Transfer(self.src, self.dst, self.amount))
         if not self.txid:
             object.__setattr__(
                 self,

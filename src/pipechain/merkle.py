@@ -382,7 +382,8 @@ class PrunedTree:
 
     # -- proofs ---------------------------------------------------------------
 
-    def make_proof(self, account: int, base_height: int) -> BalanceProof:
+    def make_proof(self, account: int, base_height: int, spine=()) -> BalanceProof:
+        """The account's path to this tree's top, then the `spine` siblings."""
         if account not in self.leaves:
             raise NotStored(f"no proof material for account {account}")
         key = self._tail_top(account)
@@ -391,6 +392,7 @@ class PrunedTree:
         for level in range(len(siblings), self.root_level):
             siblings.append((get(key ^ 1) or defaults[level])[-32:])
             key >>= 1
+        siblings.extend(spine)
         return BalanceProof(account, self.leaves[account], base_height, tuple(siblings))
 
     def merge_proof(self, proof: BalanceProof) -> None:

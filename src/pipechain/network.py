@@ -22,8 +22,9 @@ from .ledger import Batch, Frontier
 
 @dataclass
 class Meter:
-    """One committee's counts in one round."""
+    """One committee's counts in one round; vars() of it is the report entry."""
 
+    id: str
     msgs_in: int = 0
     msgs_out: int = 0
     hashes: int = 0
@@ -39,7 +40,7 @@ def _items(msg) -> int:
 class Network:
     def __init__(self, topology, committee_ids, storage_keys, drop_round=None) -> None:
         self.topology = topology
-        self.committee_ids = committee_ids
+        self._names = {cid: "-".join(map(str, cid)) for cid in committee_ids}
         self.drop_round = drop_round
         self.dropped = None  # the transfer the drop round lost
         self.meters: dict[tuple, Meter] = {}  # the current round's
@@ -56,7 +57,7 @@ class Network:
         their destinations; returns (inbox by destination, block or None)."""
         inbox, self._outbox = self._outbox, {}
         block, self._block = self._block, None
-        self.meters = {cid: Meter() for cid in self.committee_ids}
+        self.meters = {cid: Meter(name) for cid, name in self._names.items()}
         for cid, meter in self.meters.items():
             meter.msgs_in += sum(map(_items, inbox.get(cid, ()))) + (block is not None)
         return inbox, block
@@ -106,4 +107,4 @@ class Network:
     def in_flight(self) -> int:
         """Messages queued for next round, counting the block per committee."""
         queued = sum(len(msgs) for msgs in self._outbox.values())
-        return queued + len(self.committee_ids) * (self._block is not None)
+        return queued + len(self._names) * (self._block is not None)

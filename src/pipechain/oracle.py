@@ -11,6 +11,7 @@ tail's top: the account (8 bytes) and the tail's digests, 32 bytes a level,
 leaf first. Only the branch nodes above the tails, and the chains between
 them, keep one 32-byte digest each, so memory grows with the accounts
 touched, not with accounts times address_bits or with 2**address_bits.
+Tests check it against a literal full-tree fold (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -22,17 +23,6 @@ from .merkle import DEFAULT_DIGESTS, leaf_digest, node_hash
 
 class NonNegativityViolation(Exception):
     """A confirmed sequence drove some balance below zero."""
-
-
-def full_tree_root(balances, address_bits: int) -> bytes:
-    """Root of the complete tree built literally, leaf by leaf.
-
-    O(2**address_bits); meant as a test oracle for small address spaces.
-    """
-    level = [leaf_digest(a, balances.get(a, 0)) for a in range(1 << address_bits)]
-    for _ in range(address_bits):
-        level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
 
 
 class LedgerOracle:

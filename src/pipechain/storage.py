@@ -2,10 +2,10 @@
 
 A node keeps a portion tree plus its spine: a copy of its leaf committee's
 genesis subtree, and the digests of the sibling subtrees on the way from the
-portion root to the state root.  It buffers the batches and frontier
-(spine) digests it receives by entry round, applies an entry round's
-transactions when the block carrying it arrives, folds the portion root up
-the spine and cross checks that root against the block.
+portion root to the state root.  It buffers the Transfers (no proofs) and
+frontier (spine) digests it receives by entry round, applies an entry
+round's transfers when the block carrying it arrives, folds the portion root
+up the spine and cross checks that root against the block.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ class StorageNode:
                 f"genesis root {genesis_block.state_root.hex()[:16]}"
             )
         self.latest_block = genesis_block
-        # entry round -> (transfers in arrival order, {position: digest})
+        # entry round -> (Transfers in arrival order, {position: digest})
         self._pending: dict[int, tuple[list, dict]] = {}
 
     def receive(self, msgs, block) -> list | None:
-        """Buffer batches and frontier items by entry round; with a block,
-        apply its entry round.  Returns the transfers applied (None: no block)."""
+        """Buffer Transfers and frontier items by entry round; with a block,
+        apply its entry round.  Returns the Transfers applied (None: no block)."""
         for msg in msgs:
             txs, frontier = self._pending.setdefault(msg.entry, ([], {}))
             if isinstance(msg, Batch):
-                txs.extend(msg.txs)
+                txs.extend(tx.transfer for tx in msg.txs)
             else:
                 frontier.update(msg.items)
         if block is None:
@@ -110,9 +110,7 @@ class StorageNode:
         followed by the spine; untouched in-range addresses get their zero
         path materialized on demand; NotStored outside the portion."""
         self.tree.ensure_path(account)
-        proof = self.tree.make_proof(account, self.latest_block.height)
-        siblings = proof.siblings + self.spine
-        return BalanceProof(account, proof.balance, proof.base_height, siblings)
+        return self.tree.make_proof(account, self.latest_block.height, self.spine)
 
     def audit_stored(self) -> tuple[int, int]:
         """Re-fold the portion tree without its kept digests, then its root up

@@ -14,12 +14,12 @@ import pytest
 
 from pipechain.engine import SimConfig, Simulation, report_lines
 from pipechain.merkle import build_pruned
-from pipechain.oracle import full_tree_root
 from pipechain.provisioning import (
     provision_after_doubling,
     provision_minimal,
     scale_experiment,
 )
+from reference import full_tree_root
 
 ACCEPTANCE_CONFIG = SimConfig(
     seed=1,

@@ -484,7 +484,8 @@ def test_failed_audit_ends_the_run(tmp_path, monkeypatch, capsys):
     )
     assert summary["rounds_run"] == len(lines) - 1 == 6
     assert summary["audit"]["failed"] == 0
-    assert f"fatal={summary['fatal']}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"fatal={summary['fatal']}" in err and "audit_failed=" not in err
 
 
 def test_scale_csv(tmp_path, capsys):

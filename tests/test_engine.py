@@ -1,6 +1,7 @@
 """End-to-end engine runs: oracle agreement, conservation, determinism."""
 
 import ast
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 import pipechain
 from pipechain import merkle, oracle, pipeline
 from pipechain.engine import SimConfig, Simulation, report_lines
-from pipechain.merkle import build_pruned
-from pipechain.oracle import full_tree_root
+from pipechain.ledger import Batch, Transfer
+from pipechain.merkle import BalanceProof, build_pruned
+from reference import full_tree_root
 
 
 def _config(**overrides):
@@ -443,3 +445,39 @@ def test_runtime_trees_hold_exactly_their_balances(overrides, options):
         assert whole._nodes == tree._nodes
         zeros += len(tree.leaves) - len(funded)
     assert zeros > 0  # zero leaves were grafted or served too
+
+
+def test_a_proof_ends_at_the_leaf_graft():
+    # Only the round that routes a transfer reads its proofs; the leaf
+    # committees graft them the round after.  Whatever outlives that round
+    # (storage buffers, committee windows, the entry rounds clients settle)
+    # keeps only the Transfer, and each report entry is its round's meter.
+    gc.collect()
+    before = [obj for obj in gc.get_objects() if isinstance(obj, BalanceProof)]
+    sim = Simulation(SimConfig(rounds=12))
+    result = sim.run()
+    assert result.ok
+    gc.collect()
+    queued = {
+        id(proof)
+        for msgs in sim.network._outbox.values()
+        for msg in msgs if isinstance(msg, Batch)
+        for tx in msg.txs
+        for proof in (tx.src_proof, tx.dst_proof)
+    }
+    known = {id(obj) for obj in before}
+    live = {
+        id(obj) for obj in gc.get_objects()
+        if isinstance(obj, BalanceProof) and id(obj) not in known
+    }
+    assert queued and live == queued
+
+    kept = [tx for node in sim.storage.values() for txs, _ in node._pending.values() for tx in txs]
+    kept += [tx for cc in sim.ccs for output in cc.window for tx in output]
+    kept += [tx for txs in sim.accepted_by_entry.values() for tx in txs]
+    assert kept and {type(tx) for tx in kept} == {Transfer}
+
+    meters = list(sim.network.meters.values())
+    entries = result.reports[-1]["per_committee"]
+    assert len(entries) == len(meters) == len(sim.committee_ids)
+    assert all(entry is vars(meter) for entry, meter in zip(entries, meters))

@@ -24,9 +24,10 @@ from pipechain.merkle import (
     verify_proof,
 )
 from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
-from pipechain.oracle import LedgerOracle, full_tree_root
+from pipechain.oracle import LedgerOracle
 from pipechain.pipeline import build_topology
 from pipechain.storage import StateDivergence, StorageNode
+from reference import full_tree_root
 
 # frozen with raw hashlib, independently of the implementation
 D0_HEX = "dda357c91ead42a1bd4ca061ae49480c54bee0e21a060e57341c220a23b6cbcd"

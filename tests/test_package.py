@@ -1,6 +1,7 @@
 """The package surface: four names, the README's library example runs, no
-public tree method is left without a caller in the library, only the
-network writes message counts, and the oracle shares no tree code."""
+public tree method or module-level function is left without a caller in the
+library, only the network writes message counts, and the oracle shares no
+tree code."""
 
 import ast
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 import pipechain
 from pipechain.merkle import PrunedTree
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = Path(pipechain.__file__).parent
 
 
 def test_package_exports_four_names():
@@ -54,6 +57,30 @@ def test_every_public_tree_method_has_a_library_caller():
         and _tree_receiver(node.func.value, path)
     }
     assert sorted(public - called) == []
+
+
+def test_every_public_function_has_a_library_caller():
+    # A module-level function only tests call belongs with the tests.  The
+    # package reaches its functions by bare name (defined or imported in the
+    # module), so a read of that name (a call, or passing it on) counts; an
+    # import alone, or an attribute of the same name (`tx.transfer`), does
+    # not.  The console script's entry point is called from outside.
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    public, read = set(), set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public.update(
+            f"{path.stem}:{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        )
+        read.update(
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+    entry_points = set(re.findall(r'"pipechain\.(\w+:\w+)"', scripts))
+    assert entry_points == {"cli:entrypoint"}
+    unread = {name for name in public - entry_points if name.split(":")[1] not in read}
+    assert sorted(unread) == []
 
 
 def test_only_the_network_writes_message_counts():

@@ -242,7 +242,7 @@ def test_receive_buffers_an_entry_round_until_its_block():
     assert node.latest_block is earlier
     block = Block(entry + q - 1, block_hash(earlier), after.root_hash())
     assert topo.entry_of(block.height) == entry
-    assert node.receive([], block) == [*first.txs, *second.txs]
+    assert node.receive([], block) == [tx.transfer for tx in (*first.txs, *second.txs)]
     assert node.tree.leaves == {3: 10, 5: 10}
     assert node.latest_block is block
     # applied once: the next block finds the entry round gone
