@@ -33,7 +33,7 @@ class Transfer(NamedTuple):
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A transfer carrying balance proofs for both touched accounts.
 
@@ -60,7 +60,7 @@ class Transaction:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Constant-size block: 8-byte height plus two digests (72 bytes)."""
 
@@ -76,7 +76,7 @@ def block_hash(block: Block) -> bytes:
     return hashlib.sha256(block.to_bytes()).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Batch:
     """One confirmation committee's transfers of one entry round touching one portion."""
 
@@ -87,7 +87,7 @@ class Batch:
         return len(self.txs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frontier:
     """One committee's spine digests of one entry round for one storage node:
     (pos, digest) items."""

@@ -90,7 +90,7 @@ def leaf_digest(account: int, balance: int) -> bytes:
     return leaf_hash(account, balance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalanceProof:
     """Merkle path for one account balance against a specific block root."""
 
@@ -198,6 +198,7 @@ class PrunedTree:
         self._base = 1 << address_bits  # key of leaf 0
         self._width = address_bits + 1  # bit length of a leaf key
         self._nodes: dict[int, bytes] = {}  # inner digests and tail records
+        self._source: dict[int, bytes] = {}  # a copy's source map, read only
 
     # -- inspection ---------------------------------------------------------
 
@@ -242,14 +243,17 @@ class PrunedTree:
         from the account's balance, then each ancestor of those tops once,
         bottom-up, into `nodes`; returns how many digests that made.
         Children are read from `nodes`; an absent child is all-zero and
-        reads its level's default digest."""
+        reads its level's default digest.  A copy writing its own map keeps
+        its source's object for a record or digest of equal bytes."""
         rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
         made, leaves, defaults = 0, self.leaves, DEFAULT_DIGESTS
+        source = self._source if nodes is self._nodes else {}
         for account, key in tops:
             level, balance = self._width - key.bit_length(), leaves[account]
             run = climb(account, leaf_digest(account, balance), defaults[:level])
             made += (balance != 0) + level
-            nodes[key] = account.to_bytes(8, "big") + b"".join(run)
+            record = account.to_bytes(8, "big") + b"".join(run)
+            nodes[key] = record if source.get(key) != record else source[key]
             if level < self.root_level:
                 rows.setdefault(level + 1, set()).add(key >> 1)
         get, row = nodes.get, set()
@@ -260,7 +264,8 @@ class PrunedTree:
             default = defaults[level - 1]
             for key in row:
                 left, right = get(2 * key) or default, get(2 * key + 1) or default
-                nodes[key] = node_hash(left[-32:], right[-32:])
+                digest = node_hash(left[-32:], right[-32:])
+                nodes[key] = digest if source.get(key) != digest else source[key]
             made += len(row)
         return made
 
@@ -310,11 +315,14 @@ class PrunedTree:
         return root, sorted(map(self._position, stale))
 
     def copy(self) -> PrunedTree:
-        """An independent copy sharing only the immutable digest records; it
-        computes no digest and counts none."""
+        """An independent copy: copying computes no digest and counts none.
+        It writes no map of its source, yet keeps sharing equal records: a
+        record or digest it computes (and counts) whose bytes equal the
+        source's at the same key is stored as the source's object."""
         twin = PrunedTree(self.address_bits, self.root_level, self.root_index)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
+        twin._source = self._nodes
         return twin
 
     # -- materialization ------------------------------------------------------

@@ -2,10 +2,12 @@
 
 A node keeps a portion tree plus its spine: a copy of its leaf committee's
 genesis subtree, and the digests of the sibling subtrees on the way from the
-portion root to the state root.  It buffers the Transfers (no proofs) and
-frontier (spine) digests it receives by entry round, applies an entry
-round's transfers when the block carrying it arrives, folds the portion root
-up the spine and cross checks that root against the block.
+portion root to the state root.  The copy computes and counts its own
+digests but keeps sharing the leaf tree's records of equal bytes.  It
+buffers the Transfers (no proofs) and frontier (spine) digests it receives
+by entry round, applies an entry round's transfers when the block carrying
+it arrives, folds the portion root up the spine and cross checks that root
+against the block.
 """
 
 from __future__ import annotations

@@ -447,6 +447,22 @@ def test_runtime_trees_hold_exactly_their_balances(overrides, options):
     assert zeros > 0  # zero leaves were grafted or served too
 
 
+def test_storage_replicas_share_their_leaf_committees_records():
+    # A storage replica replays its leaf committee's portion q - 1 rounds
+    # later, so most of its records equal the leaf tree's at the same key:
+    # it keeps the leaf's object for those instead of a second copy.
+    sim = Simulation(SimConfig(rounds=30, seed=1))
+    assert sim.run().ok
+    equal = shared = 0
+    for (portion, _), node in sim.storage.items():
+        source = sim.leaf_rpcs[portion].tree._nodes
+        for key, record in node.tree._nodes.items():
+            if source.get(key) == record:
+                equal += 1
+                shared += record is source[key]
+    assert shared >= 0.8 * equal > 0
+
+
 def test_a_proof_ends_at_the_leaf_graft():
     # Only the round that routes a transfer reads its proofs; the leaf
     # committees graft them the round after.  Whatever outlives that round

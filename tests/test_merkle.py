@@ -576,7 +576,9 @@ def _digests_made(fn):
 def test_copy_computes_and_counts_nothing():
     # The copy computes no digest and counts none, holds what building the
     # same content from scratch holds, where a balance may be zero (held from
-    # the start, or drained), and shares no map with its source.
+    # the start, or drained), and writes no map of its source.  Replaying the
+    # source's update, it computes and counts its own digests, and keeps the
+    # source's object for every record of equal bytes.
     cases = (
         (4, 1, [(17, 5), (18, 0), (25, 9)], [25]),
         (4, 1, [(20, 3)], []),
@@ -598,11 +600,23 @@ def test_copy_computes_and_counts_nothing():
         assert _digests_made(twin.root_hash) == (root, 0)
         assert twin.leaves == scratch.leaves
         _check_layout(twin)
+        account = max(tree.leaves, default=index << level)
+        balances = {account: tree.leaves.get(account, 0) + 3}
+        tree.ensure_path(account)
+        tree.set_balances(balances)
+        updated = tree.root_hash()
         content, kept = dict(tree.leaves), dict(tree._nodes)
-        twin.ensure_path(index << level)
-        twin.set_balances({index << level: 3})
-        assert twin.root_hash() != root
-        assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, root)
+        twin.ensure_path(account)
+        assert _digests_made(lambda: twin.set_balances(balances)) == (True, twin.hashes)
+        assert twin.hashes > 0 and twin.root_hash() == updated != root
+        equal = [key for key, record in twin._nodes.items() if kept.get(key) == record]
+        assert equal and all(twin._nodes[key] is kept[key] for key in equal)
+        account = index << level
+        twin.ensure_path(account)
+        twin.set_balances({account: twin.leaves[account] + 1})
+        assert twin.root_hash() != updated
+        assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, updated)
+        assert all(tree._nodes[key] is record for key, record in kept.items())
 
 
 def _subtree_root(balances, address_bits, level, index):
