@@ -181,14 +181,25 @@ class Simulation:
             ConfirmationCommittee(k, self.stages, cfg.address_bits)
             for k in range(cfg.n_c)
         ]
+        # the oracle hashes genesis by itself; leaf trees then store its
+        # object for each record of equal bytes they compute
+        self.oracle = None
+        if cfg.oracle_enabled:
+            self.oracle = LedgerOracle(cfg.address_bits, dict(genesis_entries))
+        heap = None if self.oracle is None else self.oracle.heap
         # the only pipeline party that hashes genesis; storage copies its trees
         self.leaf_rpcs = [
-            LeafRpc(topo, m, by_portion[m]) for m in range(cfg.leaf_count)
+            LeafRpc(topo, m, by_portion[m], heap) for m in range(cfg.leaf_count)
         ]
         # genesis digests by level above the portion roots, bottom first
         leaf_digests = [leaf.tree.root_hash() for leaf in self.leaf_rpcs]
         levels = [leaf_digests] + fold_digests(leaf_digests)[1]
         self.genesis_root = levels[-1][0]
+        if self.oracle is not None and self.oracle.root() != self.genesis_root:
+            raise GenesisMismatch(
+                f"oracle root {self.oracle.root().hex()[:16]} != "
+                f"genesis root {self.genesis_root.hex()[:16]}"
+            )
         self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
         self.latest_block = self.genesis_block
         self.history = BlockHistory(topo.portion_bits)
@@ -228,21 +239,11 @@ class Simulation:
             for index, digest in enumerate(levels[tier.base_level]):
                 self.network.send_up(None, t, index, digest)
 
-        # -- clients and oracle --------------------------------------------
+        # -- clients ------------------------------------------------------
         self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
         self.clients = Clients(
             cfg, self.options, topo, self.storage, self._committee_of, genesis_entries
         )
-        self.oracle = (
-            LedgerOracle(cfg.address_bits, dict(genesis_entries))
-            if cfg.oracle_enabled
-            else None
-        )
-        if self.oracle is not None and self.oracle.root() != self.genesis_root:
-            raise GenesisMismatch(
-                f"oracle root {self.oracle.root().hex()[:16]} != "
-                f"genesis root {self.genesis_root.hex()[:16]}"
-            )
         self.supply0 = cfg.initial_accounts * cfg.initial_balance
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}

@@ -198,7 +198,7 @@ class PrunedTree:
         self._base = 1 << address_bits  # key of leaf 0
         self._width = address_bits + 1  # bit length of a leaf key
         self._nodes: dict[int, bytes] = {}  # inner digests and tail records
-        self._source: dict[int, bytes] = {}  # a copy's source map, read only
+        self._source: dict[int, bytes] = {}  # a map whose equal records it stores, read only
 
     # -- inspection ---------------------------------------------------------
 
@@ -243,8 +243,8 @@ class PrunedTree:
         from the account's balance, then each ancestor of those tops once,
         bottom-up, into `nodes`; returns how many digests that made.
         Children are read from `nodes`; an absent child is all-zero and
-        reads its level's default digest.  A copy writing its own map keeps
-        its source's object for a record or digest of equal bytes."""
+        reads its level's default digest.  Writing its own map, the tree
+        keeps its source map's object for a record or digest of equal bytes."""
         rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
         made, leaves, defaults = 0, self.leaves, DEFAULT_DIGESTS
         source = self._source if nodes is self._nodes else {}
@@ -316,9 +316,8 @@ class PrunedTree:
 
     def copy(self) -> PrunedTree:
         """An independent copy: copying computes no digest and counts none.
-        It writes no map of its source, yet keeps sharing equal records: a
-        record or digest it computes (and counts) whose bytes equal the
-        source's at the same key is stored as the source's object."""
+        It writes no map of its source, yet stores the source's object for a
+        record or digest it computes (and counts) or slices with equal bytes."""
         twin = PrunedTree(self.address_bits, self.root_level, self.root_index)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
@@ -329,12 +328,15 @@ class PrunedTree:
 
     def _split(self, top: int, node: int) -> None:
         """Cut the tail at `top` below `node`, which turns inner with the levels
-        above it; kept digests are sliced, none is computed."""
-        record, cut = self._nodes[top], self._width - node.bit_length()
+        above it; kept digests are sliced, none is computed.  A slice whose
+        bytes equal the source map's at its key is stored as that object."""
+        nodes, get = self._nodes, self._source.get
+        record, cut = nodes[top], self._width - node.bit_length()
         leaf = self._base + int.from_bytes(record[:8], "big")
-        self._nodes[leaf >> (cut - 1)] = record[: 8 + 32 * cut]
-        for level in range(cut, len(record) // 32):
-            self._nodes[leaf >> level] = _level_digest(record, level)
+        for level in range(cut - 1, len(record) // 32):
+            key = leaf >> level
+            part = record[: 8 + 32 * cut] if level < cut else _level_digest(record, level)
+            nodes[key] = part if get(key) != part else get(key)
 
     def ensure_path(self, account: int) -> None:
         """Materialize account's leaf; an account the tree does not hold has
@@ -456,10 +458,14 @@ def build_pruned(
     *,
     root_level: int | None = None,
     root_index: int = 0,
+    source: dict[int, bytes] | None = None,
 ) -> PrunedTree:
     """Tree materializing exactly the given (account, balance) entries, built
-    in one sorted pass and counting every digest it makes."""
+    in one sorted pass and counting every digest it makes.  From the build on,
+    it stores a read-only `source` map's object for every record or digest it
+    computes or slices with the bytes `source` holds at the same heap key."""
     tree = PrunedTree(address_bits, root_level, root_index)
+    tree._source = {} if source is None else source
     leaves = tree.leaves
     for account, balance in entries:
         if account in leaves:

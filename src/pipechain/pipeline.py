@@ -127,16 +127,20 @@ class LeafRpc:
     addresses it has never materialized, applies the round's transfers, and
     returns the new portion digest.  A leaf never prunes an address, so a
     proof is only grafted for an address no earlier round touched, whose
-    proven balance is therefore still current.
+    proven balance is therefore still current.  A read-only `source` map is
+    passed to build_pruned: the tree stores its object for each equal record.
     """
 
-    def __init__(self, topology: RpcTopology, portion: int, genesis_entries) -> None:
+    def __init__(
+        self, topology: RpcTopology, portion: int, genesis_entries, source=None
+    ) -> None:
         self.portion = portion
         self.tree = build_pruned(
             genesis_entries,
             topology.address_bits,
             root_level=topology.portion_bits,
             root_index=portion,
+            source=source,
         )
 
     def process_round(self, incoming) -> bytes:

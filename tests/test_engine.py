@@ -463,6 +463,28 @@ def test_storage_replicas_share_their_leaf_committees_records():
     assert shared >= 0.8 * equal > 0
 
 
+def test_leaf_trees_share_the_oracles_records():
+    # The oracle replays each entry round one round before the leaf
+    # committees apply it, over the same heap keys and record format, so
+    # most leaf records equal the oracle's: a leaf tree keeps the oracle's
+    # object for those, while it still computes them and folds its own root.
+    # With the oracle off, no leaf tree has a source.
+    sim = Simulation(SimConfig(rounds=30, seed=1))
+    assert sim.run().ok
+    heap, equal, shared = sim.oracle.heap, 0, 0
+    for leaf in sim.leaf_rpcs:
+        tree = leaf.tree
+        assert tree.refold() == (tree.root_hash(), [])
+        for key, record in tree._nodes.items():
+            if heap.get(key) == record:
+                equal += 1
+                shared += record is heap[key]
+    assert shared >= 0.95 * equal > 0
+    sim = Simulation(SimConfig(rounds=30, seed=1, oracle_enabled=False))
+    assert sim.run().ok
+    assert not any(leaf.tree._source for leaf in sim.leaf_rpcs)
+
+
 def test_a_proof_ends_at_the_leaf_graft():
     # Only the round that routes a transfer reads its proofs; the leaf
     # committees graft them the round after.  Whatever outlives that round

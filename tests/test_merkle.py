@@ -23,7 +23,7 @@ from pipechain.merkle import (
     node_hash,
     verify_proof,
 )
-from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, block_hash
+from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, Transfer, block_hash
 from pipechain.oracle import LedgerOracle
 from pipechain.pipeline import build_topology
 from pipechain.storage import StateDivergence, StorageNode
@@ -628,6 +628,46 @@ def _subtree_root(balances, address_bits, level, index):
     for _ in range(level):
         row = [node_hash(row[k], row[k + 1]) for k in range(0, len(row), 2)]
     return row[0]
+
+
+def test_a_source_maps_equal_records_are_stored_as_its_objects():
+    # A tree built over a read-only source map that applies the same
+    # transfers first (as the oracle's heap does: same keys, same records)
+    # computes and counts its own digests, but stores the source's object for
+    # every record or digest of equal bytes: from the build, through the
+    # slice of a tail its ensure_path cuts after the source cut it, to the
+    # inner digests above.  Unequal records are its own, and the source's
+    # map is never written.
+    entries = [(3, 40), (90, 7), (200, 9)]
+    src = build_pruned(entries, 8)
+    tree, made = _digests_made(lambda: build_pruned(entries, 8, source=src._nodes))
+    assert tree.hashes == made > 0 and tree._nodes == src._nodes
+    assert all(tree._nodes[key] is record for key, record in src._nodes.items())
+    # 201 enters the tail of 200, whose balance stays: only the cut writes
+    # 200's record
+    txs = [Transfer(3, 201, 5), Transfer(90, 3, 2)]
+    src.apply_transfers(txs)
+    content, kept = dict(src.leaves), dict(src._nodes)
+    changed, more = _digests_made(lambda: tree.apply_transfers(txs))
+    assert changed and tree.hashes == made + more
+    assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, src.root_hash())
+    base = 1 << 8
+    cut, inner = base + 200, [(base + 201) >> level for level in range(1, 9)]
+    assert len(kept[cut]) == 40 and all(len(kept[key]) == 32 for key in inner)
+    assert all(tree._nodes[key] is record for key, record in kept.items())
+    # 17 cuts the tail of 3 in the tree alone
+    changed, extra = _digests_made(lambda: tree.apply_transfers([Transfer(90, 17, 1)]))
+    assert changed and tree.hashes == made + more + extra
+    assert tree.refold() == (tree.root_hash(), [])
+    _check_layout(tree)
+    equal = [key for key, record in tree._nodes.items() if kept.get(key) == record]
+    unequal = tree._nodes.keys() - set(equal)
+    assert cut in equal and unequal
+    assert all(tree._nodes[key] is kept[key] for key in equal)
+    ids = {id(record) for record in kept.values()}
+    assert not any(id(tree._nodes[key]) in ids for key in unequal)
+    assert (src.leaves, src._nodes) == (content, kept)
+    assert all(src._nodes[key] is record for key, record in kept.items())
 
 
 def _check_layout(tree):

@@ -115,3 +115,18 @@ def test_oracle_imports_only_digest_primitives():
                 (0, a.name, []) for a in node.names if a.name.split(".")[0] == "pipechain"
             )
     assert imports == [(1, "merkle", ["DEFAULT_DIGESTS", "leaf_digest", "node_hash"])]
+    # and only the engine calls the oracle: the tree code reads its heap as
+    # a plain map handed over by the engine
+    importers = set()
+    for module in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                prefix = node.module or ""
+                names = [prefix] + [f"{prefix}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracle" for name in names):
+                importers.add(module.name)
+    assert importers == {"engine.py"}
