@@ -112,19 +112,8 @@ def _open_output(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_probe(text: str) -> tuple[int, int]:
-    try:
-        rounds, per_round = (int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(
-            f"--interleave-probe expects ROUNDS,SHUFFLES, got {text!r}"
-        ) from exc
-    return rounds, per_round
-
-
 def _run_simulation(args, *, audit: bool) -> int:
     cfg = resolve_config(args)
-    probe = _parse_probe(args.interleave_probe) if args.interleave_probe else None
     try:
         sim = Simulation(
             cfg,
@@ -132,7 +121,6 @@ def _run_simulation(args, *, audit: bool) -> int:
             audit_proofs=audit,
             expired_injection_rate=args.expired_injection,
             drop_confirmed_round=args.drop_confirmed_round,
-            interleave_probe=probe,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -235,11 +223,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="ROUND",
         help="fault hook: lose one confirmed tx downstream in this round",
-    )
-    parser.add_argument(
-        "--interleave-probe",
-        metavar="ROUNDS,SHUFFLES",
-        help="re-execute random committee interleavings on sampled rounds",
     )
 
 

@@ -11,7 +11,6 @@ buffers, committee windows, settling): its proofs end at the leaf graft.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cache
@@ -20,7 +19,7 @@ from .clients import Clients
 from .committee import ConfirmationCommittee
 from .ledger import GENESIS_PREV_HASH, Batch, Block, BlockHistory, cc_index
 from .network import Network
-from .oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatches
+from .oracle import LedgerOracle, NonNegativityViolation, check_interleavings
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
 )
@@ -111,7 +110,6 @@ class RunOptions:
     audit_proofs: bool = False
     expired_injection_rate: int = 0
     drop_confirmed_round: int | None = None  # None: no drop
-    interleave_probe: tuple[int, int] | None = None  # (rounds, shuffles each)
 
     def validated(self, cfg: SimConfig, stages: int) -> "RunOptions":
         _boolean("balanced_workload", self.balanced_workload)
@@ -120,19 +118,10 @@ class RunOptions:
         drop = self.drop_confirmed_round
         if drop is not None:
             _integer("drop_confirmed_round", drop)
-        probe = self.interleave_probe
-        if probe is not None and not (isinstance(probe, tuple) and len(probe) == 2):
-            raise ValueError("interleave_probe must be an integer pair (rounds, shuffles)")
-        for count in probe or ():
-            _integer("interleave_probe", count)
         if self.balanced_workload and cfg.f % cfg.n_c:
             raise ValueError("balanced workload needs n_c | f")
         if self.expired_injection_rate < 0:
             raise ValueError("expired_injection_rate must be >= 0")
-        if self.interleave_probe and min(self.interleave_probe) < 0:
-            raise ValueError("interleave_probe counts must be >= 0")
-        if self.interleave_probe and not cfg.oracle_enabled:
-            raise ValueError("interleave_probe needs the oracle")
         # entry round 1 is empty; a later loss would settle after the run
         if drop is not None and not 2 <= drop <= cfg.rounds - stages:
             raise ValueError(f"drop_confirmed_round must be in 2..{cfg.rounds - stages}")
@@ -248,9 +237,6 @@ class Simulation:
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
         self.injected_outcomes: Counter = Counter()
-        probe_count = min((self.options.interleave_probe or (0,))[0], cfg.rounds - 1)
-        rng = random.Random(f"{cfg.seed}:probe")
-        self._probe_rounds = set(rng.sample(range(2, cfg.rounds + 1), probe_count))
 
     # -- the run -------------------------------------------------------------
 
@@ -279,7 +265,6 @@ class Simulation:
             "supply": dict.fromkeys(("initial", "min", "max"), self.supply0),
             "audit": {"checked": 0, "failed": 0},
             "oracle": {"enabled": cfg.oracle_enabled, "matches": 0, "mismatches": 0},
-            "interleave": {"rounds": 0, "checks": 0, "mismatches": 0},
             "peaks": {"cc_tx": 0, "rpc_hashes": 0, "committee_msgs": 0, "backlog": 0},
             "fatal": None,
         }
@@ -302,13 +287,11 @@ class Simulation:
         if self.options.expired_injection_rate and not self.clients.injected_ids:
             summary.setdefault("idle_faults", []).append("expired_injection_rate")
         summary.update(
-            blocks_emitted=summary["rounds_run"],
             block_bytes=len(self.latest_block.to_bytes()),
             injected={
                 "count": len(self.clients.injected_ids),
                 "outcomes": self.injected_outcomes,
             },
-            diverged=summary["fatal"] is not None,
         )
         return SimResult(reports, summary)
 
@@ -415,8 +398,10 @@ class Simulation:
         return confirmed, round_discards
 
     def _oracle_stage(self, round_index: int, confirmed, discards) -> int | None:
-        """Replays the entry round and records the root its block must carry;
-        returns the total supply (None with the oracle off)."""
+        """Checks that no order-respecting interleaving of the committees'
+        sequences overdraws, then replays the entry round in committee order
+        and records the root its block must carry; returns the total supply
+        (None with the oracle off)."""
         oracle = self.oracle
         if oracle is None:
             return None
@@ -424,19 +409,9 @@ class Simulation:
         for tx, reason in discards:
             if reason == "insufficient" and oracle.balance(tx.src) >= tx.amount:
                 totals["conservative_rejections"] += 1
-        probing = round_index in self._probe_rounds
-        if probing:  # over the balances before the round
-            mismatches = interleaving_mismatches(
-                oracle.balances, confirmed, f"{self.config.seed}:probe:{round_index}",
-                self.options.interleave_probe[1],
-            )
+        check_interleavings(oracle.balances, confirmed, round_index)
         expected = oracle.apply_sequence(self.accepted_by_entry[round_index])
         self.expected_roots[round_index] = expected
-        if probing:  # counted once the committee order itself applies
-            probe = totals["interleave"]
-            probe["rounds"] += 1
-            probe["checks"] += self.options.interleave_probe[1]
-            probe["mismatches"] += mismatches
         supply = oracle.total_supply()
         totals["supply"]["min"] = min(totals["supply"]["min"], supply)
         totals["supply"]["max"] = max(totals["supply"]["max"], supply)

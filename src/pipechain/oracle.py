@@ -16,8 +16,6 @@ Tests check it against a literal full-tree fold (tests/reference.py).
 
 from __future__ import annotations
 
-import random
-
 from .merkle import DEFAULT_DIGESTS, leaf_digest, node_hash
 
 
@@ -153,23 +151,32 @@ def transfer(pending, balances, tx) -> None:
     pending[tx.dst] = pending.get(tx.dst, balances.get(tx.dst, 0)) + tx.amount
 
 
-def interleaving_mismatches(balances, per_committee, seed, shuffles) -> int:
-    """Replays `shuffles` random order-respecting interleavings of the
-    committees' sequences over `balances`, the i-th drawn with
-    Random(f"{seed}:{i}"); returns how many overdraw.  Transfers only move
-    amounts, so an interleaving that never overdraws ends with the committee
-    order's balances, and so with its root."""
-    mismatches = 0
-    for i in range(shuffles):
-        rng = random.Random(f"{seed}:{i}")
-        queues = [list(reversed(seq)) for seq in per_committee if seq]
-        pending: dict[int, int] = {}
-        try:
-            while queues:
-                pick = rng.randrange(len(queues))
-                transfer(pending, balances, queues[pick].pop())
-                if not queues[pick]:
-                    del queues[pick]
-        except NonNegativityViolation:
-            mismatches += 1
-    return mismatches
+def check_interleavings(balances, per_committee, round_index) -> None:
+    """NonNegativityViolation if some order-respecting interleaving of the
+    committees' sequences overdraws an account over `balances`.  An account's
+    floor is the sum, over the committees, of each one's lowest running sum
+    of its debits and credits on that account, taken at `transfer`'s debit
+    moments (0 for a committee that never dips below zero).  The floor is
+    exact: what each committee has applied at any moment is a prefix of its
+    sequence, so no interleaving goes lower, and running each committee up to
+    its own lowest point first reaches it.  It assumes nothing about which
+    committee may debit which account.  (A self-transfer, which admission
+    discards, can only make it stricter.)"""
+    floor: dict[int, int] = {}
+    for seq in per_committee:
+        running: dict[int, int] = {}
+        lowest: dict[int, int] = {}
+        for tx in seq:
+            debit = running.get(tx.src, 0) - tx.amount
+            lowest[tx.src] = min(lowest.get(tx.src, 0), debit)
+            running[tx.src] = debit
+            running[tx.dst] = running.get(tx.dst, 0) + tx.amount
+        for account, low in lowest.items():
+            floor[account] = floor.get(account, 0) + low
+    for account, low in floor.items():
+        balance = balances.get(account, 0)
+        if balance + low < 0:
+            raise NonNegativityViolation(
+                f"round {round_index}: an interleaving of the committees' sequences "
+                f"overdraws account {account} (balance {balance}, floor {low})"
+            )

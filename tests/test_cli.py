@@ -403,7 +403,6 @@ def test_destination_outside_the_address_space_is_a_bad_proof(tmp_path, monkeypa
     "flags",
     [
         ["--expired-injection", "-1"],
-        ["--interleave-probe=-1,5"],
         ["--balanced"],  # n_c = 4 does not divide f = 18
         # 10 rounds, 3 stages: a loss is only detectable in rounds 2..7
         ["--drop-confirmed-round", "0"],

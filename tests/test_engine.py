@@ -11,7 +11,7 @@ import pytest
 import pipechain
 from pipechain import merkle, oracle, pipeline
 from pipechain.engine import SimConfig, Simulation, report_lines
-from pipechain.ledger import Batch, Transfer
+from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import BalanceProof, build_pruned
 from reference import full_tree_root
 
@@ -85,10 +85,7 @@ def test_config_rejects_bad_types_and_values():
             Simulation(_config(**bad))
     # and so do Simulation's fault options
     for bad in (dict(drop_confirmed_round=4.5), dict(drop_confirmed_round=True),
-                dict(expired_injection_rate=1.5), dict(expired_injection_rate=True),
-                dict(interleave_probe=(1.5, 2)), dict(interleave_probe=(2, 1.5)),
-                dict(interleave_probe=(True, 2)), dict(interleave_probe=(4,)),
-                dict(interleave_probe=(2, 1, 9)), dict(interleave_probe=5)):
+                dict(expired_injection_rate=1.5), dict(expired_injection_rate=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             Simulation(_config(), **bad)
     # and its flags: a truthy non-bool such as "no" would switch a flag on
@@ -148,7 +145,6 @@ def test_run_matches_oracle_every_round():
     summary = result.summary
     assert summary["oracle"] == {"enabled": True, "matches": 12, "mismatches": 0}
     assert summary["fatal"] is None
-    assert not summary["diverged"]
     assert summary["accepted_total"] > 0
     assert all(row["oracle"] == "match" for row in result.reports)
 
@@ -265,7 +261,6 @@ def test_drop_fault_diverges_at_emission():
     sim = Simulation(_config(), drop_confirmed_round=drop_round)
     result = sim.run()
     assert not result.ok
-    assert result.summary["diverged"]
     expected_height = drop_round + sim.stages - 1
     assert result.summary["fatal"] == f"oracle divergence at height {expected_height}"
     assert result.reports[-1]["oracle"] == "mismatch"
@@ -304,36 +299,58 @@ def test_expired_injection_with_too_few_rounds_is_reported_idle():
     assert "idle_faults" not in Simulation(_config(rounds=4)).run().summary
 
 
-def test_interleave_probe_matches():
-    result = Simulation(_config(rounds=10), interleave_probe=(4, 5)).run()
-    probe = result.summary["interleave"]
-    assert probe["rounds"] == 4
-    assert probe["checks"] == 20
-    assert probe["mismatches"] == 0
+def test_a_same_round_credit_spent_by_another_committee_is_fatal():
+    # In round 10 committee 1 also spends, to an account that held 0, a
+    # credit that committee 0 accepted in the same round.  Replayed in
+    # committee order the round never overdraws, so the roots alone would
+    # let the run end ok; yet the committees run concurrently, and the
+    # interleaving that runs committee 1's spend first overdraws.  The bound
+    # ends the run there.
+    sim = Simulation(SimConfig(rounds=30))  # the acceptance config, seed 1
+    first, second = sim.ccs[0], sim.ccs[1]
+    confirm_first, confirm_second = first.confirm_round, second.confirm_round
+    credits = []  # committee 0's round-10 transfers to accounts that held 0
+
+    def crediting(incoming, round_index, history):
+        accepted, discards, stats = confirm_first(incoming, round_index, history)
+        if round_index == 10:
+            credits.extend(tx for tx in accepted if sim.oracle.balance(tx.dst) == 0)
+        return accepted, discards, stats
+
+    def spending(incoming, round_index, history):
+        accepted, discards, stats = confirm_second(incoming, round_index, history)
+        if round_index == 10:
+            credit, payee = credits[0], credits[1]
+            accepted += (
+                Transaction(credit.dst, payee.dst, credit.amount, 10, 0,
+                            credit.dst_proof, payee.dst_proof),
+            )
+        return accepted, discards, stats
+
+    first.confirm_round, second.confirm_round = crediting, spending
+    result = sim.run()
+    assert result.summary["rounds_run"] == 9
+    assert result.summary["fatal"] == (
+        "non-negativity violation: round 10: an interleaving of the committees' "
+        f"sequences overdraws account {credits[0].dst} "
+        f"(balance 0, floor -{credits[0].amount})"
+    )
 
 
-def test_a_probed_round_makes_no_oracle_digest(monkeypatch):
-    # the probe replays balances, so a probed run digests what the oracle's
-    # own replay does and nothing more
-    def digests(**options):
-        calls = []
-        node_hash = oracle.node_hash
+def test_the_interleaving_bound_makes_no_oracle_digest(monkeypatch):
+    # the bound reads balances alone: the oracle digests genesis and its
+    # replays of the acceptance run, and nothing more
+    calls = []
+    node_hash = oracle.node_hash
 
-        def counted(left, right):
-            calls.append(1)
-            return node_hash(left, right)
+    def counted(left, right):
+        calls.append(1)
+        return node_hash(left, right)
 
-        monkeypatch.setattr(oracle, "node_hash", counted)
-        # SimConfig's defaults are the acceptance config
-        result = Simulation(SimConfig(rounds=30), **options).run()
-        monkeypatch.undo()
-        assert result.ok
-        return len(calls), result.summary["interleave"]
-
-    unprobed, _ = digests()
-    probed, probe = digests(interleave_probe=(29, 5))
-    assert probe == {"rounds": 29, "checks": 145, "mismatches": 0}
-    assert probed == unprobed > 0
+    monkeypatch.setattr(oracle, "node_hash", counted)
+    # SimConfig's defaults are the acceptance config
+    assert Simulation(SimConfig(rounds=30)).run().ok
+    assert len(calls) == 27_381
 
 
 def test_rho_replication_consistent():
@@ -349,9 +366,6 @@ def test_oracle_disabled_still_runs():
     assert result.summary["oracle"]["enabled"] is False
     assert all(row["oracle"] == "n/a" for row in result.reports)
     assert all(row["supply"] is None for row in result.reports)
-    # the interleave probe replays the oracle, so it cannot run without one
-    with pytest.raises(ValueError, match="oracle"):
-        Simulation(_config(oracle_enabled=False), interleave_probe=(4, 5))
 
 
 def test_summary_peaks_are_maxima():
@@ -373,25 +387,25 @@ GOLDEN_REPORTS = [
     (
         dict(leaf_count=16, rho=2),
         dict(audit_proofs=True),
-        "f5540702a579db57a69e354a2eebfc6839ee267f801a100af41a2b0973f2b68b",
+        "7cf4f3b6d4fc191b37e3d80a5afb76edc74326322eb00176ef2ab7d17da87eec",
     ),
     # a single leaf committee emits the block, with the oracle off
     (
         dict(leaf_count=1, oracle_enabled=False),
         {},
-        "bb60f439d35642b64329de6ead288ef58ae2e869179bf5562547c2b8faed13c7",
+        "4fe5d0bb7ec322b2c74cd0b102893338839f65424abe508d810df6f5ef1630e5",
     ),
     # every non-fatal fault hook
     (
         {},
-        dict(balanced_workload=True, interleave_probe=(4, 3), expired_injection_rate=2),
-        "88f9cbbf9fae420e9e7ad22dc5ad708e254e9af13856e7c004b1b14bc1991bf6",
+        dict(balanced_workload=True, expired_injection_rate=2),
+        "d685b06015176d60cb933ed07678f15656d2336ceb55b2ccb1bf985c84aad5de",
     ),
     # the fatal path
     (
         {},
         dict(drop_confirmed_round=5),
-        "69774464440414441f4bc377101996b0593311609d4d7f04b32b90a515dcb758",
+        "215cac036117c28435a3b8e31fde5eb77c20422be31b849420dc48130979d5f6",
     ),
 ]
 

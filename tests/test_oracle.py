@@ -1,5 +1,5 @@
 """Reference ledger: brute-force roots, sequential application, the
-interleave probe."""
+interleaving bound."""
 
 import random
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pipechain.oracle as oracle_module
 from pipechain.ledger import Transaction
 from pipechain.merkle import DEFAULT_DIGESTS, build_pruned
-from pipechain.oracle import LedgerOracle, NonNegativityViolation, interleaving_mismatches
+from pipechain.oracle import LedgerOracle, NonNegativityViolation, check_interleavings
 from reference import full_tree_root
 
 
@@ -74,19 +74,39 @@ def test_sequential_order_matters_for_validity():
     assert oracle.balance(3) == 5
 
 
+def _overdraw(balances, per_committee):
+    """The bound's verdict: its message, or None when no interleaving overdraws."""
+    try:
+        check_interleavings(balances, per_committee, 7)
+    except NonNegativityViolation as exc:
+        return str(exc)
+    return None
+
+
 def test_interleaving_detector_fires_only_when_order_matters():
     balances = {1: 10, 4: 10}
-    shuffles = 20
-
-    def mismatches(per_committee):
-        return interleaving_mismatches(balances, per_committee, "t", shuffles)
-
-    # 2 is funded only by the first committee's transfer, so every
-    # interleaving that puts the second committee's spend first overdraws
-    found = mismatches([[_tx(1, 2, 10)], [_tx(2, 3, 10)]])
-    assert 0 < found < shuffles
-    assert mismatches([[_tx(1, 2, 3), _tx(1, 5, 2)], [_tx(4, 6, 4)]]) == 0
-    # every replay left the balances it was given as they were
+    # 2 is funded only by the first committee's transfer, so the
+    # interleaving that runs the second committee's spend first overdraws
+    assert _overdraw(balances, [[_tx(1, 2, 10)], [_tx(2, 3, 10)]]) == (
+        "round 7: an interleaving of the committees' sequences overdraws "
+        "account 2 (balance 0, floor -10)"
+    )
+    # inside one committee the credit comes first in every interleaving
+    assert _overdraw(balances, [[_tx(1, 2, 10), _tx(2, 3, 10)], [_tx(4, 6, 4)]]) is None
+    assert _overdraw(balances, [[_tx(1, 2, 3), _tx(1, 5, 2)], [_tx(4, 6, 4)]]) is None
+    # one account debited by two committees: the bound assumes no routing,
+    # so each spend fits alone and only together do they overdraw
+    assert _overdraw(balances, [[_tx(1, 2, 6)], [_tx(1, 3, 4)]]) is None
+    assert "account 1 (balance 10, floor -11)" in _overdraw(
+        balances, [[_tx(1, 2, 6)], [_tx(1, 3, 5)]]
+    )
+    # a committee's lowest point counts, not where it ends: the first one
+    # spends 8 from account 1 and then credits it 8, and the second spends
+    # 5 in between
+    assert "account 1 (balance 10, floor -13)" in _overdraw(
+        balances, [[_tx(1, 2, 8), _tx(4, 1, 8)], [_tx(1, 3, 5)]]
+    )
+    # every check left the balances it was given as they were
     assert balances == {1: 10, 4: 10}
 
 
@@ -105,18 +125,19 @@ def _interleavings(sequences):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_an_interleaving_that_never_overdraws_ends_at_the_committee_root(data):
-    # the lemma the probe rests on, with fresh oracles as the reference:
+    # the lemma the bound rests on, with fresh oracles as the reference:
     # transfers only move amounts, so an interleaving that applies at all
-    # ends with the committee order's root, and a probe that sees no
-    # overdraw sees every shuffle reach that root
+    # ends with the committee order's root, and a bound that sees no
+    # overdraw sees every interleaving reach that root
     bits = data.draw(st.integers(2, 4), label="address_bits")
     account = st.integers(0, (1 << bits) - 1)
     genesis = data.draw(
         st.dictionaries(account, st.integers(1, 20), min_size=1, max_size=4),
         label="balances",
     )
-    # mostly funded sources, so that the committee order applies and a
-    # credit from one committee can fund another's spend
+    # mostly funded sources, so that the committee order often applies, a
+    # credit from one committee can fund another's spend and two committees
+    # can debit one account
     source = st.one_of(st.sampled_from(sorted(genesis)), account)
     transfer = st.builds(_tx, source, account, st.integers(1, 8)).filter(
         lambda tx: tx.src != tx.dst
@@ -125,22 +146,15 @@ def test_an_interleaving_that_never_overdraws_ends_at_the_committee_root(data):
         st.lists(st.lists(transfer, min_size=1, max_size=3), min_size=2, max_size=3),
         label="committees",
     )
-    try:
-        expected = LedgerOracle(bits, genesis).apply_sequence(
-            [tx for seq in per_committee for tx in seq]
-        )
-    except NonNegativityViolation:
-        return
-    overdrawn = 0
-    for merged in _interleavings(per_committee):
+    roots, overdrawn = set(), 0
+    for merged in _interleavings(per_committee):  # the committee order first
         try:
-            root = LedgerOracle(bits, genesis).apply_sequence(merged)
+            roots.add(LedgerOracle(bits, genesis).apply_sequence(merged))
         except NonNegativityViolation:
             overdrawn += 1
-            continue
-        assert root == expected
-    if not overdrawn:
-        assert interleaving_mismatches(genesis, per_committee, "lemma", 10) == 0
+    assert len(roots) <= 1
+    # the bound is exact: it fires if and only if some interleaving overdraws
+    assert (_overdraw(genesis, per_committee) is not None) == (overdrawn > 0)
 
 
 def test_non_negativity_rejected_atomically():

@@ -1,14 +1,16 @@
-"""The package surface: four names, the README's library example runs, no
-public tree method or module-level function is left without a caller in the
+"""The package surface: four names, the README's library example runs and
+its options table lists every run option, no public tree method or module-level function is left without a caller in the
 library, only the network writes message counts, and the oracle shares no
 tree code."""
 
 import ast
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pipechain
+from pipechain.engine import RunOptions
 from pipechain.merkle import PrunedTree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +32,14 @@ def test_readme_library_example_runs(capsys):
     summary = json.loads(last)["summary"]
     assert summary["fatal"] is None
     assert summary["rounds_run"] == len(rows) > 0
+
+
+def test_readme_options_table_lists_exactly_the_run_options():
+    # an option added to or removed from RunOptions cannot leave the table stale
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| option | type | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| (\w+) \|", table, re.M)
+    assert listed == [field.name for field in fields(RunOptions)]
 
 
 def _tree_receiver(receiver, path) -> bool:
