@@ -17,9 +17,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from .engine import GenesisMismatch, SimConfig, Simulation, report_lines
+from .pipeline import build_topology, fold_levels
 from .provisioning import provision_after_doubling, provision_minimal, scale_experiment
 
 SEED_ENV = "PIPECHAIN_SEED"
@@ -71,33 +72,29 @@ def resolve_config(args) -> SimConfig:
 
 
 def _cmd_dimension(args) -> int:
+    provision = provision_after_doubling if args.after_doubling else provision_minimal
     try:
-        if args.after_doubling:
-            prov = provision_after_doubling(
-                args.changes, args.leaf_capacity, args.hash_budget, args.cc
-            )
-        else:
-            prov = provision_minimal(
-                args.changes, args.leaf_capacity, args.hash_budget, args.cc
-            )
+        leaf = provision(args.changes, args.leaf_capacity)
+        levels = fold_levels(args.hash_budget)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the deployment a run with this many leaves builds, in the narrowest
+    # address space that fits (the counts do not depend on it)
+    topology = build_topology(leaf, args.hash_budget, leaf.bit_length())
     if args.json:
-        print(json.dumps(asdict(prov), sort_keys=True))
+        print(json.dumps({
+            "leaf_rpcs": leaf,
+            "fold_levels": levels,
+            "inner_rpcs": topology.inner_count,
+            "rpc_levels": topology.rpc_levels,
+            "stages": topology.stages,
+        }, sort_keys=True))
         return EXIT_OK
-    print(f"changes per round:   {prov.changes_per_round}")
-    print(f"leaf capacity:       {prov.leaf_capacity}")
-    print(
-        f"hash budget:         {prov.hash_budget}"
-        f" (fold levels {prov.fold_levels}, fold capacity {prov.fold_capacity})"
-    )
-    print(f"leaf rpcs:           {prov.leaf_rpcs}")
-    print(f"inner rpcs:          {prov.inner_rpcs}")
-    print(f"pipeline levels:     {prov.rpc_levels}")
-    print(f"stages (latency):    {prov.stages}")
-    if prov.cc_count:
-        print(f"confirmation:        {prov.cc_count}")
-        print(f"committees total:    {prov.total_committees}")
+    print(f"leaf rpcs:           {leaf}")
+    print(f"fold levels:         {levels}")
+    print(f"inner rpcs:          {topology.inner_count}")
+    print(f"pipeline levels:     {topology.rpc_levels}")
+    print(f"stages (latency):    {topology.stages}")
     return EXIT_OK
 
 
@@ -156,6 +153,23 @@ SCALE_COLUMNS = [
 ]
 
 
+def _scale_row(run) -> dict:
+    """A scale run's CSV row, read from its summary."""
+    summary = run.summary
+    committees, peaks = summary["committees"], summary["peaks"]
+    return dict(zip(SCALE_COLUMNS, (
+        run.alpha,
+        committees["cc"],
+        committees["leaf"],
+        committees["inner"],
+        summary["stages"],
+        peaks["cc_tx"],
+        peaks["rpc_hashes"],
+        peaks["committee_msgs"],
+        run.verdict,
+    )))
+
+
 def _cmd_scale(args) -> int:
     cfg = resolve_config(args)
     try:
@@ -166,10 +180,12 @@ def _cmd_scale(args) -> int:
         raise ConfigError("--alphas is empty")
 
     def progress(run):
+        row = _scale_row(run)
+        committees = row["n_c"] + row["leaf_rpcs"] + row["inner_rpcs"]
         print(
-            f"alpha={run.alpha}: committees={run.committees_total}"
-            f" peak_cc_tx={run.peak_cc_tx} peak_rpc_hashes={run.peak_rpc_hashes}"
-            f" peak_msgs={run.peak_msgs} {run.verdict}",
+            f"alpha={run.alpha}: committees={committees}"
+            f" peak_cc_tx={row['peak_cc_tx']} peak_rpc_hashes={row['peak_rpc_hashes']}"
+            f" peak_msgs={row['peak_msgs']} {run.verdict}",
             file=sys.stderr,
         )
 
@@ -180,20 +196,7 @@ def _cmd_scale(args) -> int:
             raise ConfigError(str(exc)) from exc
         writer = csv.DictWriter(handle, fieldnames=SCALE_COLUMNS)
         writer.writeheader()
-        writer.writerows(
-            {
-                "alpha": run.alpha,
-                "n_c": run.config.n_c,
-                "leaf_rpcs": run.config.leaf_count,
-                "inner_rpcs": run.inner_rpcs,
-                "q": run.stages,
-                "peak_cc_tx": run.peak_cc_tx,
-                "peak_rpc_hashes": run.peak_rpc_hashes,
-                "peak_msgs": run.peak_msgs,
-                "verdict": run.verdict,
-            }
-            for run in runs
-        )
+        writer.writerows(map(_scale_row, runs))
     return (
         EXIT_OK
         if all(run.well_provisioned for run in runs)
@@ -240,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="changes one leaf rpc absorbs per round")
     dim.add_argument("--hash-budget", "-j", type=int, required=True,
                      help="hashes one rpc computes per round")
-    dim.add_argument("--cc", type=int, default=0,
-                     help="confirmation committee count (reporting only)")
     dim.add_argument("--after-doubling", action="store_true",
                      help="size for the moment right after a doubling step")
     dim.add_argument("--json", action="store_true", help="machine-readable output")

@@ -16,6 +16,7 @@ from pipechain import engine
 from pipechain.engine import SimConfig, Simulation, report_lines
 from pipechain.merkle import build_pruned
 from pipechain.oracle import check_interleavings
+from pipechain.pipeline import build_topology
 from pipechain.provisioning import (
     provision_after_doubling,
     provision_minimal,
@@ -213,9 +214,10 @@ def test_criterion_06_dimensioning_formulas(capsys):
         (provision_after_doubling, DOUBLED_TABLE),
     ):
         for (m, e, j), expected in table:
-            prov = provision(m, e, j)
-            if (prov.leaf_rpcs, prov.inner_rpcs) != expected:
-                failures.append((m, e, j, (prov.leaf_rpcs, prov.inner_rpcs), expected))
+            leaf = provision(m, e)
+            got = (leaf, build_topology(leaf, j, leaf.bit_length()).inner_count)
+            if got != expected:
+                failures.append((m, e, j, got, expected))
     total = len(MINIMAL_TABLE) + len(DOUBLED_TABLE)
     ok = not failures and total >= 20
     _verdict(
@@ -229,19 +231,21 @@ def test_criterion_06_dimensioning_formulas(capsys):
 
 def test_criterion_07_scalability(scale_runs, capsys):
     runs, elapsed = scale_runs
-    base_msgs = runs[0].peak_msgs
+    peaks = [run.summary["peaks"] for run in runs]
+    base_msgs = peaks[0]["committee_msgs"]
     all_well = all(run.well_provisioned for run in runs)
-    hashes_ok = all(run.peak_rpc_hashes <= run.config.j for run in runs)
-    msgs_peak = max(run.peak_msgs for run in runs)
+    hashes_peak = max(p["rpc_hashes"] for p in peaks)
+    hashes_ok = all(p["rpc_hashes"] <= run.config.j for p, run in zip(peaks, runs))
+    msgs_peak = max(p["committee_msgs"] for p in peaks)
     msgs_ok = msgs_peak <= 2 * base_msgs
-    bytes_ok = len({run.block_bytes for run in runs}) == 1
+    bytes_ok = len({run.summary["block_bytes"] for run in runs}) == 1
     ok = all_well and hashes_ok and msgs_ok and bytes_ok and elapsed < 300.0
     _verdict(
         capsys,
         7,
         ok,
         "alpha 1,2,4,8 all well-provisioned; peak hashes "
-        f"{max(run.peak_rpc_hashes for run in runs)} <= j={SCALE_BASE.j}; "
+        f"{hashes_peak} <= j={SCALE_BASE.j}; "
         f"peak msgs {msgs_peak} <= 2x base {base_msgs}; block bytes constant; "
         f"{elapsed:.1f}s (target 300s)",
     )

@@ -81,12 +81,11 @@ def test_dimension_text(capsys):
 
 
 def test_dimension_json(capsys):
-    code = cli.main(
-        ["dimension", "-m", "200", "-e", "10", "-j", "7", "--cc", "4", "--json"]
-    )
-    assert code == 0
+    assert cli.main(["dimension", "-m", "200", "-e", "10", "-j", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
+    assert sorted(data) == ["fold_levels", "inner_rpcs", "leaf_rpcs", "rpc_levels", "stages"]
     assert data["leaf_rpcs"] == 32
+    assert data["fold_levels"] == 3
     assert data["inner_rpcs"] == 5
     assert data["stages"] == data["rpc_levels"] + 1
 
@@ -102,11 +101,17 @@ def test_dimension_after_doubling(capsys):
         assert data["inner_rpcs"] == 1, budget
 
 
-def test_dimension_negative_cc_exits_2(capsys):
-    assert cli.main(["dimension", "-m", "200", "-e", "10", "-j", "7", "--cc", "-5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+def test_console_script_path():
+    # the module's __main__ block and entrypoint, as the installed script runs them
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "pipechain.cli", "dimension", "-m", "1", "-e", "1",
+            "-j", "1", "--json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["leaf_rpcs"] == 1
+    proc = subprocess.run(argv + ["--cc", "1"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2 and "--cc" in proc.stderr
 
 
 def test_run_writes_report(config_path, tmp_path, capsys):
@@ -432,6 +437,29 @@ def test_unwritable_output_exits_2_before_running(
     argv = [command, "--config", config_path, flag, str(missing)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "config, env_seed, argv",
+    [
+        ([BASE_CONFIG], None, ["run"]),  # a JSON array, not an object
+        (BASE_CONFIG, "x", ["run"]),
+        (BASE_CONFIG, None, ["run", "--rounds", "0"]),
+        (BASE_CONFIG, None, ["scale", "--alphas", "a"]),
+        (BASE_CONFIG, None, ["scale", "--alphas", ","]),
+    ],
+)
+def test_config_errors_exit_2_before_running(
+    config, env_seed, argv, tmp_path, monkeypatch, capsys, sims
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if env_seed is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env_seed)
+    command, *flags = argv
+    assert cli.main([command, "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sims == []
 
 
 def test_seed_env_overrides_flag(config_path, monkeypatch, capsys):

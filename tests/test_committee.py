@@ -164,6 +164,36 @@ def test_mixed_bases_agree_after_roll_forward():
     assert stats.proof_disagreements == 0
 
 
+def test_bases_that_disagree_are_counted():
+    # the credit confirmed in entry 5 reaches the tree a round early, so block
+    # 6 already holds it: a base-6 proof rolled forward over entry 5 counts it
+    # twice, while a base-7 proof counts it once
+    h = _Harness({1: 50, 2: 0})
+    credit, _, _ = h.confirm([h.tx(1, 2, 35)])
+    h.tree.apply_transfers(credit)
+    h.confirm([])  # entry 6
+    h.confirm([])  # entry 7
+    a = h.tx(2, 8, 1, base=h.entry_round - 2)
+    b = h.tx(2, 9, 1, base=h.entry_round - 1)
+    _, _, stats = h.confirm([a, b])
+    assert stats.proof_disagreements == 1
+
+
+@pytest.mark.parametrize("amount, accepted", [(35, True), (36, False)])
+def test_newest_base_skips_the_rounds_it_holds(amount, accepted):
+    # block 7 carries the credit confirmed in entry 5 (q = 3), so a base-7
+    # proof already shows 35 and must not roll the credit forward again
+    h = _Harness({1: 50, 2: 0})
+    credit, _, _ = h.confirm([h.tx(1, 2, 35)])
+    h.confirm([])  # entry 6
+    h.tree.apply_transfers(credit)
+    h.confirm([])  # entry 7
+    spend = h.tx(2, 9, amount, base=7)
+    seq, discards, _ = h.confirm([spend])
+    assert seq == ((spend,) if accepted else ())
+    assert [reason for _, reason in discards] == ([] if accepted else ["insufficient"])
+
+
 def test_syntactic_discards_counted():
     h = _Harness({1: 50, 2: 30})
     bad_amount = h.tx(1, 9, 0)

@@ -61,6 +61,14 @@ def test_config_rejects_bad_types_and_values():
     with pytest.raises(ValueError):
         # no address bits left for the portion subtrees
         SimConfig.from_mapping({**base, "address_bits": 2})
+    for bits in (0, 41):
+        with pytest.raises(ValueError, match="address_bits out of range"):
+            SimConfig.from_mapping({**base, "address_bits": bits})
+    with pytest.raises(ValueError, match="initial_accounts exceeds"):
+        SimConfig.from_mapping(
+            {**base, "address_bits": 4, "f": 2, "n_c": 1, "leaf_count": 2,
+             "initial_accounts": 17}
+        )
     with pytest.raises(ValueError, match="2 \\* f"):
         # 2f fresh addresses per round cannot fit in 2**3
         SimConfig.from_mapping(

@@ -16,7 +16,6 @@ from pipechain.pipeline import (
     fold_levels,
     next_block,
 )
-from pipechain.provisioning import provision_minimal
 
 
 def test_topology_single_tier():
@@ -69,8 +68,10 @@ def test_topology_inner_total_matches_the_closed_form():
             levels = tuple(t.owned_levels for t in topo.tiers)
             expected_levels = (per_tier,) * full + ((rest,) if rest else ())
             assert levels == expected_levels, (leaf, budget)
-            prov = provision_minimal(leaf, 1, budget)
-            assert (prov.inner_rpcs, prov.rpc_levels, prov.stages) == (
+            # `dimension` builds the narrowest address space that fits; the
+            # counts do not depend on it
+            narrow = build_topology(leaf, budget, leaf.bit_length())
+            assert (narrow.inner_count, narrow.rpc_levels, narrow.stages) == (
                 topo.inner_count,
                 topo.rpc_levels,
                 topo.stages,

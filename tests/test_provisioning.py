@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from pipechain import cli
+from pipechain import cli, provisioning
 from pipechain.engine import SimConfig, Simulation
-from pipechain.pipeline import fold_levels
+from pipechain.pipeline import build_topology, fold_levels
 from pipechain.provisioning import (
-    fold_capacity,
     provision_after_doubling,
     provision_minimal,
     scale_experiment,
@@ -54,17 +53,15 @@ def test_fold_levels_boundaries():
         fold_levels(0)
 
 
-def test_fold_capacity():
-    assert fold_capacity(1) == 1
-    assert fold_capacity(14) == 7
-    assert fold_capacity(15) == 15
-    assert fold_capacity(1023) == 1023
+def _deployment(leaf, j):
+    """The topology a run of `leaf` leaf committees and hash budget j builds."""
+    return build_topology(leaf, j, leaf.bit_length())
 
 
 def test_dimension_table():
     for (m, e, j), expected in DIMENSION_TABLE:
-        prov = provision_minimal(m, e, j)
-        assert (prov.leaf_rpcs, prov.inner_rpcs) == expected, (m, e, j)
+        leaf = provision_minimal(m, e)
+        assert (leaf, _deployment(leaf, j).inner_count) == expected, (m, e, j)
 
 
 def test_provision_minimal_is_minimal():
@@ -73,9 +70,9 @@ def test_provision_minimal_is_minimal():
         m = rng.randrange(1, 5000)
         e = rng.randrange(1, 50)
         j = rng.randrange(1, 2000)
-        prov = provision_minimal(m, e, j)
-        leaf, inner = prov.leaf_rpcs, prov.inner_rpcs
-        cap = fold_capacity(j)
+        leaf = provision_minimal(m, e)
+        inner = _deployment(leaf, j).inner_count
+        cap = (1 << fold_levels(j)) - 1  # hashes of one full affordable fold
         assert leaf & (leaf - 1) == 0
         assert leaf * e >= m
         assert leaf == 1 or (leaf // 2) * e < m
@@ -84,29 +81,30 @@ def test_provision_minimal_is_minimal():
 
 
 def test_provision_minimal_levels():
-    prov = provision_minimal(200, 10, 7, cc_count=4)
-    assert (prov.leaf_rpcs, prov.inner_rpcs) == (32, 5)
-    assert prov.fold_levels == 3
-    assert prov.rpc_levels == 3  # leaves plus two inner tiers
-    assert prov.stages == 4
-    assert prov.total_committees == 4 + 32 + 5
-    flat = provision_minimal(13, 13, 7)
-    assert (flat.leaf_rpcs, flat.inner_rpcs) == (1, 0)
-    assert flat.rpc_levels == 1
-    assert flat.stages == 2
+    leaf = provision_minimal(200, 10)
+    topo = _deployment(leaf, 7)
+    assert (leaf, topo.inner_count) == (32, 5)
+    assert fold_levels(7) == 3
+    assert topo.rpc_levels == 3  # leaves plus two inner tiers
+    assert topo.stages == 4
+    flat = provision_minimal(13, 13)
+    topo = _deployment(flat, 7)
+    assert (flat, topo.inner_count) == (1, 0)
+    assert topo.rpc_levels == 1
+    assert topo.stages == 2
 
 
 def test_provision_after_doubling():
-    prov = provision_after_doubling(128, 32, 1023)
-    assert (prov.leaf_rpcs, prov.inner_rpcs) == (8, 1)
-    assert prov.rpc_levels == 2
-    assert prov.stages == 3
-    prov = provision_after_doubling(16, 4, 7)
-    assert prov.leaf_rpcs == 8  # half-loaded leaves right after doubling
+    leaf = provision_after_doubling(128, 32)
+    topo = _deployment(leaf, 1023)
+    assert (leaf, topo.inner_count) == (8, 1)
+    assert topo.rpc_levels == 2
+    assert topo.stages == 3
+    assert provision_after_doubling(16, 4) == 8  # half-loaded leaves after doubling
     with pytest.raises(ValueError):
-        provision_after_doubling(9, 4, 7)  # not divisible
+        provision_after_doubling(9, 4)  # not divisible
     with pytest.raises(ValueError):
-        provision_after_doubling(24, 4, 7)  # ratio not a power of two
+        provision_after_doubling(24, 4)  # ratio not a power of two
 
 
 def test_dimension_reports_the_deployment_a_run_builds(capsys):
@@ -170,23 +168,31 @@ def test_scale_experiment_shapes():
     assert [run.config.leaf_count for run in runs] == [8, 16]
     # the inner committees the runs simulated: one 8-ary tier at alpha 1;
     # two 8-ary rpcs under one 2-ary root at alpha 2
-    assert [run.inner_rpcs for run in runs] == [1, 3]
-    assert [run.committees_total for run in runs] == [2 + 8 + 1, 4 + 16 + 3]
-    assert all(run.block_bytes == 72 for run in runs)
+    committees = [run.summary["committees"] for run in runs]
+    assert [c["inner"] for c in committees] == [1, 3]
+    assert [c["cc"] + c["leaf"] + c["inner"] for c in committees] == [2 + 8 + 1, 4 + 16 + 3]
+    assert all(run.summary["block_bytes"] == 72 for run in runs)
     # doubling the leaves deepens the tree; budget 7 owns 3 levels per tier,
     # so the fourth level forces one more pipeline stage
-    assert [run.stages for run in runs] == [3, 4]
+    assert [run.summary["stages"] for run in runs] == [3, 4]
     for run in runs:
-        assert run.peak_cc_tx <= 4  # stratified sources, f/n_c per committee
+        peaks = run.summary["peaks"]
+        assert peaks["cc_tx"] <= 4  # stratified sources, f/n_c per committee
         assert run.well_provisioned == (
-            run.oracle_ok and run.peak_rpc_hashes <= 7 and run.peak_cc_tx <= 4
+            run.summary["fatal"] is None and peaks["rpc_hashes"] <= 7 and peaks["cc_tx"] <= 4
         )
 
 
-def test_scale_experiment_validates_base():
+def test_scale_experiment_validates_base(monkeypatch):
+    built = []
+    monkeypatch.setattr(provisioning, "Simulation", lambda *a, **k: built.append(a))
     with pytest.raises(ValueError):
         scale_experiment(_base_config(f=9), [1])  # n_c does not divide f
     with pytest.raises(ValueError):
         scale_experiment(_base_config(leaf_count=4), [1])  # not after-doubling
     with pytest.raises(ValueError):
         scale_experiment(_base_config(), [0])
+    with pytest.raises(ValueError):
+        # every alpha is checked before the first run
+        scale_experiment(_base_config(), [1, 0])
+    assert built == []
