@@ -4,9 +4,11 @@ Everything advances in lockstep rounds.  Each round runs the stages in
 dependency order (storage, clients, confirmation, oracle, routing, leaf and
 inner folds, block emission), handing each unit, which keeps its own state,
 what the network delivered to it.  All cross-committee data crosses the
-round boundary, so this equals the committees running concurrently.  Past
-the round that routes it, a transfer is kept as its Transfer (storage
-buffers, committee windows, settling): its proofs end at the leaf graft.
+round boundary, so this equals the committees running concurrently.  The
+oracle and the router take each committee's accepted sequence as it is; the
+router records the entry round for settling as Transfers, and storage
+buffers and committee windows keep Transfers too: proofs end at the leaf
+graft.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .clients import Clients
 from .committee import ConfirmationCommittee
 from .ledger import GENESIS_PREV_HASH, Batch, Block, BlockHistory, cc_index
 from .network import Network
-from .oracle import LedgerOracle, NonNegativityViolation, check_interleavings
+from .oracle import LedgerOracle, NonNegativityViolation
 from .pipeline import (
     InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
 )
@@ -241,6 +243,9 @@ class Simulation:
     # -- the run -------------------------------------------------------------
 
     def run(self) -> SimResult:
+        # the units keep their state, so a second run would start mid-ledger
+        if hasattr(self, "summary"):
+            raise RuntimeError("a Simulation runs once; build a new one to run again")
         cfg = self.config
         # running totals, updated in place by the stages
         self.summary = summary = {
@@ -305,7 +310,7 @@ class Simulation:
         truncated = self._client_stage(round_index)
         confirmed, discards = self._confirm_stage(round_index, inbox, meters)
         supply = self._oracle_stage(round_index, confirmed, discards)
-        self._route_stage(round_index, self.accepted_by_entry[round_index])
+        self._route_stage(round_index, confirmed)
         state_root = self._fold_stage(round_index, inbox, meters)
         block, verdict = self._emit_stage(round_index, state_root)
 
@@ -392,16 +397,13 @@ class Simulation:
             self.injected_outcomes.update(
                 reason for tx, reason in discards if tx.txid in self.clients.injected_ids
             )
-
-        merged = tuple(tx for txs in confirmed for tx in txs)
-        self.accepted_by_entry[round_index] = merged
         return confirmed, round_discards
 
     def _oracle_stage(self, round_index: int, confirmed, discards) -> int | None:
-        """Checks that no order-respecting interleaving of the committees'
-        sequences overdraws, then replays the entry round in committee order
-        and records the root its block must carry; returns the total supply
-        (None with the oracle off)."""
+        """The oracle checks that no order-respecting interleaving of the
+        committees' sequences overdraws and applies their net changes; records
+        the root the entry round's block must carry and returns the total
+        supply (None with the oracle off)."""
         oracle = self.oracle
         if oracle is None:
             return None
@@ -409,25 +411,23 @@ class Simulation:
         for tx, reason in discards:
             if reason == "insufficient" and oracle.balance(tx.src) >= tx.amount:
                 totals["conservative_rejections"] += 1
-        check_interleavings(oracle.balances, confirmed, round_index)
-        expected = oracle.apply_sequence(self.accepted_by_entry[round_index])
+        expected = oracle.apply_sequence(confirmed, round_index)
         self.expected_roots[round_index] = expected
         supply = oracle.total_supply()
         totals["supply"]["min"] = min(totals["supply"]["min"], supply)
         totals["supply"]["max"] = max(totals["supply"]["max"], supply)
         return supply
 
-    def _route_stage(self, round_index: int, merged) -> None:
+    def _route_stage(self, round_index: int, confirmed) -> None:
         """Sends one batch per committee and touched portion to the portion's
-        leaf committee and storage replicas, in merged's committee order; the
-        entry round keeps only its Transfers from here on."""
+        leaf committee and storage replicas, in committee order, and records
+        the entry round as its Transfers: the only form clients settle."""
         portion_of = self.topology.portion_of
         leaf_batches: dict[int, dict[int, list]] = {}
-        for tx in merged:
-            for portion in {portion_of(tx.src), portion_of(tx.dst)}:
-                leaf_batches.setdefault(portion, {}).setdefault(
-                    self._committee_of(tx.src), []
-                ).append(tx)
+        for committee, txs in enumerate(confirmed):
+            for tx in txs:
+                for portion in {portion_of(tx.src), portion_of(tx.dst)}:
+                    leaf_batches.setdefault(portion, {}).setdefault(committee, []).append(tx)
         for portion, by_committee in leaf_batches.items():
             for committee, txs in by_committee.items():
                 batch = Batch(round_index, tuple(txs))
@@ -435,7 +435,8 @@ class Simulation:
                 self.network.send(sender, [("leaf", portion)], batch)
                 replicas = [("storage", portion, r) for r in range(self.config.rho)]
                 self.network.send(sender, replicas, batch)
-        self.accepted_by_entry[round_index] = tuple(tx.transfer for tx in merged)
+        transfers = (tx.transfer for txs in confirmed for tx in txs)
+        self.accepted_by_entry[round_index] = tuple(transfers)
 
     def _fold_stage(self, round_index: int, inbox, meters) -> bytes:
         """Leaves fold the previous entry round, inner tiers fold bottom-up and

@@ -1,4 +1,4 @@
-"""Independent full-state replayer used to cross-check every emitted block.
+"""Independent full-state ledger used to cross-check every emitted block.
 
 Deliberately shares no tree machinery with the pipeline it checks: balances
 live in a plain map and digests in a map keyed by heap index (root 1,
@@ -20,11 +20,12 @@ from .merkle import DEFAULT_DIGESTS, leaf_digest, node_hash
 
 
 class NonNegativityViolation(Exception):
-    """A confirmed sequence drove some balance below zero."""
+    """Some order-respecting interleaving of an entry round overdraws."""
 
 
 class LedgerOracle:
-    """Replays confirmed sequences over the full ledger and tracks its root."""
+    """Checks and applies confirmed entry rounds over the full ledger and
+    tracks its root."""
 
     def __init__(self, address_bits: int, balances=None) -> None:
         self.address_bits = address_bits
@@ -118,51 +119,45 @@ class LedgerOracle:
     def balance(self, account: int) -> int:
         return self.balances.get(account, 0)
 
-    def apply_sequence(self, txs) -> bytes:
-        """Execute one confirmed sequence in order; returns the new root.
+    def apply_sequence(self, per_committee, round_index) -> bytes:
+        """Check and apply entry round `round_index`, given each committee's
+        confirmed sequence; returns the new root.
 
-        Raises NonNegativityViolation (leaving all state untouched) if any
-        debit would overdraw, which a correct confirmation layer must have
-        made impossible.
+        `check_interleavings` is the one overdraw rule.  For a single
+        sequence its floor is the sequence's lowest prefix, which is the
+        sequential rule.  A transfer only moves an amount, so every
+        interleaving that never overdraws ends at the balances before the
+        round plus each account's net change.  On NonNegativityViolation no
+        state changes.
         """
         balances = self.balances
-        pending: dict[int, int] = {}
-        for tx in txs:
-            transfer(pending, balances, tx)
-        if pending:
-            new = [account for account in pending if account not in balances]
-            balances.update(pending)
-            self._rehash(pending, new)
+        net = check_interleavings(balances, per_committee, round_index)
+        new = [account for account in net if account not in balances]
+        for account, change in net.items():
+            balances[account] = balances.get(account, 0) + change
+        self._rehash(net, new)
         return self.root()
 
     def total_supply(self) -> int:
         return sum(self.balances.values())
 
 
-def transfer(pending, balances, tx) -> None:
-    """The one debit rule: move tx's amount in `pending`, the new balances
-    over the untouched `balances`; NonNegativityViolation if it overdraws."""
-    debit = pending.get(tx.src, balances.get(tx.src, 0)) - tx.amount
-    if debit < 0:
-        raise NonNegativityViolation(
-            f"tx {tx.txid.hex()[:16]} overdraws account {tx.src}"
-        )
-    pending[tx.src] = debit
-    pending[tx.dst] = pending.get(tx.dst, balances.get(tx.dst, 0)) + tx.amount
-
-
-def check_interleavings(balances, per_committee, round_index) -> None:
+def check_interleavings(balances, per_committee, round_index) -> dict[int, int]:
     """NonNegativityViolation if some order-respecting interleaving of the
-    committees' sequences overdraws an account over `balances`.  An account's
-    floor is the sum, over the committees, of each one's lowest running sum
-    of its debits and credits on that account, taken at `transfer`'s debit
-    moments (0 for a committee that never dips below zero).  The floor is
-    exact: what each committee has applied at any moment is a prefix of its
-    sequence, so no interleaving goes lower, and running each committee up to
-    its own lowest point first reaches it.  It assumes nothing about which
-    committee may debit which account.  (A self-transfer, which admission
-    discards, can only make it stricter.)"""
+    committees' sequences overdraws an account over `balances`; otherwise
+    the net change of every account they touch, in first-touch order,
+    committee by committee.  An account's floor is the sum, over the
+    committees, of each one's lowest running sum of its debits and credits
+    on that account, taken after each debit (0 for a committee that never
+    dips below zero).  The floor is exact: what each committee has applied
+    at any moment is a prefix of its sequence, so no interleaving goes
+    lower, and running each committee up to its own lowest point first
+    reaches it.  It assumes nothing about which committee may debit which
+    account.  (A self-transfer, which admission discards, can only make it
+    stricter.)"""
+    net: dict[int, int] = {}
     floor: dict[int, int] = {}
+    lowests = []  # each committee's lowest running sum by account
     for seq in per_committee:
         running: dict[int, int] = {}
         lowest: dict[int, int] = {}
@@ -173,10 +168,18 @@ def check_interleavings(balances, per_committee, round_index) -> None:
             running[tx.dst] = running.get(tx.dst, 0) + tx.amount
         for account, low in lowest.items():
             floor[account] = floor.get(account, 0) + low
+        for account, change in running.items():
+            net[account] = net.get(account, 0) + change
+        lowests.append(lowest)
     for account, low in floor.items():
         balance = balances.get(account, 0)
         if balance + low < 0:
+            terms = " + ".join(
+                f"committee {k} {lowest[account]}"
+                for k, lowest in enumerate(lowests) if lowest.get(account, 0) < 0
+            )
             raise NonNegativityViolation(
                 f"round {round_index}: an interleaving of the committees' sequences "
-                f"overdraws account {account} (balance {balance}, floor {low})"
+                f"overdraws account {account} (balance {balance}, floor {low} = {terms})"
             )
+    return net

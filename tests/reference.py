@@ -1,4 +1,5 @@
-"""Literal reference folds the tests check the library against."""
+"""Literal references the tests check the library against: the full-tree
+fold and the sequential rule."""
 
 from pipechain.merkle import leaf_digest, node_hash
 
@@ -12,3 +13,15 @@ def full_tree_root(balances, address_bits: int) -> bytes:
     for _ in range(address_bits):
         level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
     return level[0]
+
+
+def apply_in_order(balances, txs):
+    """The balances after running `txs` one at a time over `balances`, or
+    None if one of them spends more than its source holds at that moment."""
+    after = dict(balances)
+    for tx in txs:
+        if after.get(tx.src, 0) < tx.amount:
+            return None
+        after[tx.src] = after.get(tx.src, 0) - tx.amount
+        after[tx.dst] = after.get(tx.dst, 0) + tx.amount
+    return after

@@ -341,8 +341,58 @@ def test_a_same_round_credit_spent_by_another_committee_is_fatal():
     assert result.summary["fatal"] == (
         "non-negativity violation: round 10: an interleaving of the committees' "
         f"sequences overdraws account {credits[0].dst} "
-        f"(balance 0, floor -{credits[0].amount})"
+        f"(balance 0, floor -{credits[0].amount} = committee 1 -{credits[0].amount})"
     )
+
+
+def test_a_rejection_the_oracle_balance_covers_is_conservative():
+    # an `insufficient` discard is conservative when the oracle's balance
+    # before the round covers its amount, an equal amount included
+    def run(extra):
+        sim = Simulation(_config(rounds=4))
+        confirm = sim.ccs[0].confirm_round
+
+        def rejecting(incoming, round_index, history):
+            accepted, discards, stats = confirm(incoming, round_index, history)
+            if round_index == 3:
+                balance = sim.oracle.balance(0)
+                discards.append((Transaction(0, 1, balance + extra, 3, 0), "insufficient"))
+            return accepted, discards, stats
+
+        sim.ccs[0].confirm_round = rejecting
+        result = sim.run()
+        assert result.ok
+        return result.summary["conservative_rejections"]
+
+    baseline = Simulation(_config(rounds=4)).run().summary["conservative_rejections"]
+    assert run(0) == baseline + 1
+    assert run(1) == baseline
+
+
+def test_supply_extremes_track_the_oracle_total():
+    sim = Simulation(_config(rounds=6))
+    initial = sim.supply0
+    shifts = iter([0, 0, -1, 0, 1, 0])  # one total_supply call a round
+    total_supply = sim.oracle.total_supply
+    sim.oracle.total_supply = lambda: total_supply() + next(shifts)
+    result = sim.run()
+    assert [row["supply"] for row in result.reports] == [
+        initial, initial, initial - 1, initial, initial + 1, initial
+    ]
+    assert result.summary["supply"] == {
+        "initial": initial, "min": initial - 1, "max": initial + 1
+    }
+
+
+def test_a_simulation_runs_once():
+    # the units keep their state, so a second run must not start over
+    sim = Simulation(_config(rounds=6))
+    result = sim.run()
+    lines = list(report_lines(result))
+    with pytest.raises(RuntimeError, match="runs once"):
+        sim.run()
+    assert list(report_lines(result)) == lines
+    assert result.ok and result.summary["rounds_run"] == 6
 
 
 def test_the_interleaving_bound_makes_no_oracle_digest(monkeypatch):
@@ -515,7 +565,17 @@ def test_a_proof_ends_at_the_leaf_graft():
     gc.collect()
     before = [obj for obj in gc.get_objects() if isinstance(obj, BalanceProof)]
     sim = Simulation(SimConfig(rounds=12))
+    # the entry rounds held while the oracle runs are Transfers as well
+    held = []
+    oracle_stage = sim._oracle_stage
+
+    def holding(round_index, confirmed, discards):
+        held.extend(type(tx) for txs in sim.accepted_by_entry.values() for tx in txs)
+        return oracle_stage(round_index, confirmed, discards)
+
+    sim._oracle_stage = holding
     result = sim.run()
+    assert held and set(held) == {Transfer}
     assert result.ok
     gc.collect()
     queued = {

@@ -1,5 +1,5 @@
-"""Reference ledger: brute-force roots, sequential application, the
-interleaving bound."""
+"""Reference ledger: brute-force roots, the interleaving bound as the one
+overdraw rule, and what an entry round applies."""
 
 import random
 
@@ -11,7 +11,7 @@ import pipechain.oracle as oracle_module
 from pipechain.ledger import Transaction
 from pipechain.merkle import DEFAULT_DIGESTS, build_pruned
 from pipechain.oracle import LedgerOracle, NonNegativityViolation, check_interleavings
-from reference import full_tree_root
+from reference import apply_in_order, full_tree_root
 
 
 def _tx(src, dst, amount):
@@ -59,7 +59,7 @@ def test_genesis_pass_makes_the_heap_insertion_makes(case):
 
 def test_apply_sequence_and_supply():
     oracle = LedgerOracle(4, {1: 100, 2: 50})
-    root = oracle.apply_sequence([_tx(1, 3, 30), _tx(3, 2, 10)])
+    root = oracle.apply_sequence([[_tx(1, 3, 30), _tx(3, 2, 10)]], 1)
     assert oracle.balance(1) == 70
     assert oracle.balance(3) == 20
     assert oracle.balance(2) == 60
@@ -70,7 +70,7 @@ def test_apply_sequence_and_supply():
 def test_sequential_order_matters_for_validity():
     oracle = LedgerOracle(4, {1: 10})
     # credit arrives before the spend, so the sequence is valid
-    oracle.apply_sequence([_tx(1, 2, 10), _tx(2, 3, 5)])
+    oracle.apply_sequence([[_tx(1, 2, 10), _tx(2, 3, 5)]], 1)
     assert oracle.balance(3) == 5
 
 
@@ -89,7 +89,7 @@ def test_interleaving_detector_fires_only_when_order_matters():
     # interleaving that runs the second committee's spend first overdraws
     assert _overdraw(balances, [[_tx(1, 2, 10)], [_tx(2, 3, 10)]]) == (
         "round 7: an interleaving of the committees' sequences overdraws "
-        "account 2 (balance 0, floor -10)"
+        "account 2 (balance 0, floor -10 = committee 1 -10)"
     )
     # inside one committee the credit comes first in every interleaving
     assert _overdraw(balances, [[_tx(1, 2, 10), _tx(2, 3, 10)], [_tx(4, 6, 4)]]) is None
@@ -97,17 +97,29 @@ def test_interleaving_detector_fires_only_when_order_matters():
     # one account debited by two committees: the bound assumes no routing,
     # so each spend fits alone and only together do they overdraw
     assert _overdraw(balances, [[_tx(1, 2, 6)], [_tx(1, 3, 4)]]) is None
-    assert "account 1 (balance 10, floor -11)" in _overdraw(
+    assert "account 1 (balance 10, floor -11 = committee 0 -6 + committee 1 -5)" in _overdraw(
         balances, [[_tx(1, 2, 6)], [_tx(1, 3, 5)]]
     )
     # a committee's lowest point counts, not where it ends: the first one
     # spends 8 from account 1 and then credits it 8, and the second spends
     # 5 in between
-    assert "account 1 (balance 10, floor -13)" in _overdraw(
+    assert "account 1 (balance 10, floor -13 = committee 0 -8 + committee 1 -5)" in _overdraw(
         balances, [[_tx(1, 2, 8), _tx(4, 1, 8)], [_tx(1, 3, 5)]]
     )
     # every check left the balances it was given as they were
     assert balances == {1: 10, 4: 10}
+
+
+def test_a_round_applies_the_net_changes_in_first_touch_order():
+    # committee 0 touches 1, 2, 3, then committee 1 touches 4, 1, 5; account
+    # 2 is credited and spent within the round and still joins the ledger
+    per_committee = [[_tx(1, 2, 6), _tx(2, 3, 6)], [_tx(4, 1, 3), _tx(4, 5, 2)]]
+    net = check_interleavings({1: 10, 4: 10}, per_committee, 7)
+    assert list(net.items()) == [(1, -3), (2, 0), (3, 6), (4, -5), (5, 2)]
+    oracle = LedgerOracle(4, {1: 10, 4: 10})
+    root = oracle.apply_sequence(per_committee, 7)
+    assert oracle.balances == {1: 7, 4: 5, 2: 0, 3: 6, 5: 2}
+    assert root == full_tree_root(oracle.balances, 4)
 
 
 def _interleavings(sequences):
@@ -125,10 +137,11 @@ def _interleavings(sequences):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_an_interleaving_that_never_overdraws_ends_at_the_committee_root(data):
-    # the lemma the bound rests on, with fresh oracles as the reference:
-    # transfers only move amounts, so an interleaving that applies at all
-    # ends with the committee order's root, and a bound that sees no
-    # overdraw sees every interleaving reach that root
+    # the lemma the bound rests on, with the sequential rule of
+    # tests/reference.py as the judge of each interleaving: transfers only
+    # move amounts, so every interleaving that applies ends at the same
+    # balances, and where the bound sees no overdraw the oracle's round ends
+    # at their root
     bits = data.draw(st.integers(2, 4), label="address_bits")
     account = st.integers(0, (1 << bits) - 1)
     genesis = data.draw(
@@ -146,26 +159,31 @@ def test_an_interleaving_that_never_overdraws_ends_at_the_committee_root(data):
         st.lists(st.lists(transfer, min_size=1, max_size=3), min_size=2, max_size=3),
         label="committees",
     )
-    roots, overdrawn = set(), 0
-    for merged in _interleavings(per_committee):  # the committee order first
-        try:
-            roots.add(LedgerOracle(bits, genesis).apply_sequence(merged))
-        except NonNegativityViolation:
+    ends, overdrawn = set(), 0
+    for merged in _interleavings(per_committee):
+        after = apply_in_order(genesis, merged)
+        if after is None:
             overdrawn += 1
-    assert len(roots) <= 1
+        else:
+            ends.add(tuple(sorted((a, b) for a, b in after.items() if b)))
+    assert len(ends) <= 1
     # the bound is exact: it fires if and only if some interleaving overdraws
     assert (_overdraw(genesis, per_committee) is not None) == (overdrawn > 0)
+    if not overdrawn:
+        root = LedgerOracle(bits, genesis).apply_sequence(per_committee, 7)
+        assert root == full_tree_root(dict(ends.pop()), bits)
 
 
 def test_non_negativity_rejected_atomically():
     oracle = LedgerOracle(4, {1: 10})
     before = oracle.root()
-    with pytest.raises(NonNegativityViolation):
-        oracle.apply_sequence([_tx(1, 2, 4), _tx(1, 3, 7)])
-    # the failed batch must not leave partial effects behind
+    heap = dict(oracle.heap)
+    with pytest.raises(NonNegativityViolation, match="floor -11 = committee 0 -11"):
+        oracle.apply_sequence([[_tx(1, 2, 4), _tx(1, 3, 7)]], 1)
+    # the failed round must not leave partial effects behind
     assert oracle.root() == before
-    assert oracle.balance(1) == 10
-    assert oracle.balance(2) == 0
+    assert oracle.balances == {1: 10}
+    assert oracle.heap == heap
 
 
 def test_rejects_bad_genesis():
@@ -190,14 +208,14 @@ def test_root_always_matches_brute_force(transfers):
     balances = {a: 100 for a in range(8)}
     oracle = LedgerOracle(5, dict(balances))
     txs = [_tx(s, d, v) for s, d, v in transfers if s != d]
+    # one committee's floor is the sequential rule of tests/reference.py
+    after = apply_in_order(balances, txs)
     try:
-        root = oracle.apply_sequence(txs)
+        root = oracle.apply_sequence([txs], 1)
     except NonNegativityViolation:
+        assert after is None
         return
-    for tx in txs:
-        balances[tx.src] = balances.get(tx.src, 0) - tx.amount
-        balances[tx.dst] = balances.get(tx.dst, 0) + tx.amount
-    assert root == full_tree_root(balances, 5)
+    assert root == full_tree_root(after, 5)
     assert oracle.total_supply() == 800
 
 
@@ -238,7 +256,7 @@ def test_sparse_root_matches_brute_force(data):
             txs.append(_tx(src, dst, amount))
             after[src] -= amount
             after[dst] = after.get(dst, 0) + amount
-        root = oracle.apply_sequence(txs)
+        root = oracle.apply_sequence([txs], 1)
         assert root == oracle.root() == full_tree_root(after, bits)
         assert oracle.total_supply() == sum(genesis.values())
         model = after
@@ -249,7 +267,7 @@ def test_oracle_runs_at_widest_address_space():
     last = (1 << bits) - 1
     oracle = LedgerOracle(bits, {0: 500, 1 << 39: 300, last: 200})
     oracle.apply_sequence(
-        [_tx(0, 12345, 500), _tx(last, 0, 50), _tx(1 << 39, last - 1, 300)]
+        [[_tx(0, 12345, 500), _tx(last, 0, 50), _tx(1 << 39, last - 1, 300)]], 1
     )
     live = sorted((a, b) for a, b in oracle.balances.items() if b > 0)
     assert oracle.root() == build_pruned(live, bits).root_hash()
@@ -262,10 +280,10 @@ def test_neighbours_cut_tails_at_every_level():
     for levels in (range(bits), reversed(range(bits))):
         oracle = LedgerOracle(bits, {account: 10**6})
         for level in levels:
-            oracle.apply_sequence([_tx(account, account ^ (1 << level), level + 1)])
+            oracle.apply_sequence([[_tx(account, account ^ (1 << level), level + 1)]], 1)
             assert oracle.root() == full_tree_root(oracle.balances, bits)
         # lands inside the tail of account ^ 2**11, below every other branch
-        oracle.apply_sequence([_tx(account, account ^ (1 << 11) ^ 1, 7)])
+        oracle.apply_sequence([[_tx(account, account ^ (1 << 11) ^ 1, 7)]], 1)
         assert oracle.root() == full_tree_root(oracle.balances, bits)
 
 
@@ -285,7 +303,7 @@ def test_apply_digests_each_touched_position_once(monkeypatch):
         monkeypatch.setattr(oracle_module, name, counted(getattr(oracle_module, name)))
     # 5 ^ 1 cuts the tail of 5, 600 ^ 8 lands beside the branch over 600, 601
     txs = [_tx(5, 4, 30), _tx(600, 608, 20), _tx(600, 601, 10)]
-    oracle.apply_sequence(txs)
+    oracle.apply_sequence([txs], 1)
     touched = {a for tx in txs for a in (tx.src, tx.dst)}
     base = 1 << bits
     positions = {(base + a) >> level for a in touched for level in range(bits + 1)}
@@ -299,7 +317,7 @@ def test_oracle_memory_grows_with_accounts_not_path_length():
     oracle = LedgerOracle(bits, {i * stride: 1000 for i in range(n)})
     # new accounts inside three tails, cut at the bottom, middle and top
     near = [(0, 1), (stride, stride + (1 << 20)), (5 * stride, 6 * stride - 1)]
-    oracle.apply_sequence([_tx(src, dst, 10) for src, dst in near])
+    oracle.apply_sequence([[_tx(src, dst, 10) for src, dst in near]], 1)
     live = sorted((a, b) for a, b in oracle.balances.items() if b > 0)
     assert oracle.root() == build_pruned(live, bits).root_hash()
     # one tail record per account and a digest per branch or chain node above
