@@ -1,10 +1,11 @@
 """Confirmation committees: admission, canonical ordering, balance rule.
 
-A committee sees only the transactions routed to it and the Transfers of its
-own recent output.  It advances every proof balance through that window and
-accepts a transfer only if the rolled-forward source balance covers it, so
-an accepted sequence can never overdraw regardless of what other committees
-accept (each source account routes to exactly one committee).
+A committee sees only the transactions routed to it and the net balance
+changes of its own recent output.  It advances every proof balance through
+that window and accepts a transfer only if the rolled-forward source balance
+covers it, so an accepted sequence can never overdraw regardless of what
+other committees accept (each source account routes to exactly one
+committee).
 """
 
 from __future__ import annotations
@@ -12,28 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .ledger import Transaction, Transfer, syntactic_failure
+from .ledger import Transaction, syntactic_failure
 
 
 def order_canonically(txs) -> list[Transaction]:
     """Deterministic per-round order: ascending transaction id."""
     return sorted(txs, key=lambda tx: tx.txid)
-
-
-def roll_forward_balance(account: int, base_balance: int, window) -> int:
-    """Advance a proof balance through the committee's own recent output.
-
-    window is an iterable of accepted-transaction sequences, oldest first,
-    covering exactly the rounds since the proof's base block.
-    """
-    balance = base_balance
-    for seq in window:
-        for tx in seq:
-            if tx.src == account:
-                balance -= tx.amount
-            if tx.dst == account:
-                balance += tx.amount
-    return balance
 
 
 @dataclass
@@ -50,9 +35,10 @@ class ConfirmationCommittee:
             raise ValueError("window_rounds must be >= 1")
         self.index = index
         self.address_bits = address_bits
-        # transfers of the last window_rounds rounds' outputs, oldest first
-        self.window: deque[tuple[Transfer, ...]] = deque(
-            [()] * window_rounds, maxlen=window_rounds
+        # each account's net change over each of the last window_rounds
+        # rounds' outputs, oldest first
+        self.window: deque[dict[int, int]] = deque(
+            [{}] * window_rounds, maxlen=window_rounds
         )
 
     def confirm_round(self, incoming, round_index: int, history):
@@ -86,7 +72,7 @@ class ConfirmationCommittee:
             # replay exactly the own-output rounds the proof's base predates:
             # a base of height b already contains entries up to b - q + 1
             start = max(0, proof.base_height - round_index + 2)
-            value = roll_forward_balance(account, proof.balance, window[start:])
+            value = proof.balance + sum(net.get(account, 0) for net in window[start:])
             if account in seeds:
                 if seeds[account] != value:
                     stats.proof_disagreements += 1
@@ -106,5 +92,6 @@ class ConfirmationCommittee:
                 discards.append((tx, "insufficient"))
 
         stats.accepted = len(accepted)
-        self.window.append(tuple(tx.transfer for tx in accepted))
+        # running moves only by accepted transfers, from each account's seed
+        self.window.append({a: v - seeds[a] for a, v in running.items() if v != seeds[a]})
         return tuple(accepted), discards, stats

@@ -26,7 +26,7 @@ def transaction_id(src: int, dst: int, amount: int, entry_round: int, nonce: int
 
 class Transfer(NamedTuple):
     """What is kept of a transaction once the leaf committees have grafted
-    its proofs: all that storage, committee windows and clients read."""
+    its proofs: all that storage and clients read."""
 
     src: int
     dst: int

@@ -234,20 +234,15 @@ class PrunedTree:
 
     # -- digests ------------------------------------------------------------
 
-    def _read(self, key: int, level: int, nodes) -> bytes:
-        """Digest of an inner node or tail top in `nodes`, or of an absent node."""
-        return (nodes.get(key) or DEFAULT_DIGESTS[level])[-32:]
-
-    def _fold(self, tops, nodes) -> int:
+    def _fold(self, tops) -> int:
         """Digest the tail of each (account, tail-top key) pair in `tops`
         from the account's balance, then each ancestor of those tops once,
-        bottom-up, into `nodes`; returns how many digests that made.
-        Children are read from `nodes`; an absent child is all-zero and
-        reads its level's default digest.  Writing its own map, the tree
-        keeps its source map's object for a record or digest of equal bytes."""
+        bottom-up; returns how many digests that made.  An absent child is
+        all-zero and reads its level's default digest.  The tree keeps its
+        source map's object for a record or digest of equal bytes."""
         rows: dict[int, set[int]] = {}  # level -> nodes above a tail's top
         made, leaves, defaults = 0, self.leaves, DEFAULT_DIGESTS
-        source = self._source if nodes is self._nodes else {}
+        nodes, source = self._nodes, self._source
         for account, key in tops:
             level, balance = self._width - key.bit_length(), leaves[account]
             run = climb(account, leaf_digest(account, balance), defaults[:level])
@@ -270,14 +265,14 @@ class PrunedTree:
         return made
 
     def root_hash(self) -> bytes:
-        return self._read(self._top, self.root_level, self._nodes)
+        return (self._nodes.get(self._top) or DEFAULT_DIGESTS[self.root_level])[-32:]
 
-    def _build(self, nodes) -> int:
-        """Digest every held leaf's tail and every inner node into `nodes`
-        from the leaf balances alone, in one pass over the sorted accounts;
-        returns how many digests that made.  A tail tops one level below
-        where its account parts from the nearer of its sorted neighbours, or
-        at the tree's top when it is alone."""
+    def _build(self) -> int:
+        """Digest every held leaf's tail and every inner node from the leaf
+        balances alone, in one pass over the sorted accounts; returns how
+        many digests that made.  A tail tops one level below where its
+        account parts from the nearer of its sorted neighbours, or at the
+        tree's top when it is alone."""
         accounts, base = sorted(self.leaves), self._base
         # the level where each account parts from the one before it; the
         # first and the last part from nothing below the top
@@ -288,15 +283,17 @@ class PrunedTree:
             (account, (base + account) >> (min(before, after) - 1))
             for account, before, after in zip(accounts, parted, parted[1:])
         ]
-        return self._fold(tops, nodes)
+        return self._fold(tops)
 
     def refold(self) -> tuple[bytes, list[tuple[int, int]]]:
         """Build the tree afresh from its leaf balances alone, counting
         nothing; returns that root and the positions whose kept digest
         differs.  A key kept or built on one side only is a stale position
         too: the kept structure is not the balances'."""
-        base, nodes, fresh, stale = self._base, self._nodes, {}, []
-        self._build(fresh)
+        rebuilt = PrunedTree(self.address_bits, self.root_level, self.root_index)
+        rebuilt.leaves = self.leaves  # read only
+        rebuilt._build()
+        base, nodes, fresh, stale = self._base, self._nodes, rebuilt._nodes, []
         for key, kept in nodes.items():
             made = fresh.get(key, b"")
             if kept == made:
@@ -311,8 +308,7 @@ class PrunedTree:
                 if _level_digest(kept, level) != _level_digest(made, level)
             ]
         stale += [key for key in fresh if key not in nodes]
-        root = self._read(self._top, self.root_level, fresh)
-        return root, sorted(map(self._position, stale))
+        return rebuilt.root_hash(), sorted(map(self._position, stale))
 
     def copy(self) -> PrunedTree:
         """An independent copy: copying computes no digest and counts none.
@@ -357,11 +353,11 @@ class PrunedTree:
 
     # -- updates --------------------------------------------------------------
 
-    def set_balances(self, balances) -> bool:
+    def set_balances(self, balances) -> None:
         """Give held accounts new balances ({account: balance}) and rehash
         each changed leaf with its whole tail, then each ancestor once,
-        bottom-up; returns whether any balance changed.  Nothing changes
-        when an account is not held or a balance is negative."""
+        bottom-up.  Nothing changes when an account is not held or a balance
+        is negative."""
         leaves = self.leaves
         for account, balance in balances.items():
             if account not in leaves:
@@ -370,15 +366,13 @@ class PrunedTree:
                 raise NegativeBalance(f"negative balance for account {account}")
         tops = [(a, self._tail_top(a)) for a, b in balances.items() if leaves[a] != b]
         leaves.update(balances)
-        self.hashes += self._fold(tops, self._nodes)
-        return bool(tops)
+        self.hashes += self._fold(tops)
 
-    def apply_transfers(self, txs) -> bool:
+    def apply_transfers(self, txs) -> None:
         """Debit each transfer's source and credit its destination, in order,
         wherever this tree covers the account, materializing it first; other
         accounts are left as they are.  A transfer that would overdraw raises
-        NegativeBalance before any balance changes.  Returns whether any
-        balance changed."""
+        NegativeBalance before any balance changes."""
         leaves, running = self.leaves, {}
         for tx in txs:
             for account, amount in ((tx.src, -tx.amount), (tx.dst, tx.amount)):
@@ -388,7 +382,7 @@ class PrunedTree:
                     if balance < 0:
                         raise NegativeBalance(f"negative balance for account {account}")
                     running[account] = balance
-        return self.set_balances(running)
+        self.set_balances(running)
 
     # -- proofs ---------------------------------------------------------------
 
@@ -475,5 +469,5 @@ def build_pruned(
         if balance < 0:
             raise NegativeBalance(f"negative balance for account {account}")
         leaves[account] = balance
-    tree.hashes = tree._build(tree._nodes)
+    tree.hashes = tree._build()
     return tree

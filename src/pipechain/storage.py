@@ -46,8 +46,7 @@ class StorageNode:
         # state root: bottom first, all-zero until set
         self.spine = DEFAULT_DIGESTS[topology.portion_bits : topology.address_bits]
         self._path = [*self.spine, DEFAULT_DIGESTS[topology.address_bits]]
-        changed = self.tree.root_hash() != self._path[0]  # a non-empty portion
-        root = self._fold_spine(spine_digests, changed)
+        root = self._fold_spine(spine_digests)
         if root != genesis_block.state_root:
             raise GenesisMismatch(
                 f"storage {portion}/{replica} root {root.hex()[:16]} != "
@@ -79,7 +78,8 @@ class StorageNode:
         the tree cannot take the block (a transfer that would overdraw, say)."""
         name = f"storage {self.portion}/{self.replica}"
         try:
-            root = self._fold_spine(frontier.items(), self.tree.apply_transfers(txs))
+            self.tree.apply_transfers(txs)
+            root = self._fold_spine(frontier.items())
         except MerkleError as exc:
             raise StateDivergence(f"{name}: {exc}") from exc
         if root != new_block.state_root:
@@ -89,19 +89,20 @@ class StorageNode:
             )
         self.latest_block = new_block
 
-    def _fold_spine(self, digests, changed: bool) -> bytes:
+    def _fold_spine(self, digests) -> bytes:
         """Take spine digests by global (level, index) and re-fold the path
-        from the lowest level with a new input (the portion root when
-        `changed`) up, a node digest a level; returns the state root."""
-        spine, lowest = list(self.spine), 0 if changed else len(self.spine)
+        from the lowest level with a new input (the portion root among them)
+        up, a node digest a level; returns the state root."""
+        spine, path = list(self.spine), self._path
+        portion_root = self.tree.root_hash()
+        lowest = 0 if portion_root != path[0] else len(spine)
         for (level, index), digest in digests:
             t = level - self.topology.portion_bits
             if not (0 <= t < len(spine) and index == (self.portion >> t) ^ 1):
                 raise NotStored(f"({level}, {index}) is not on the spine")
             if spine[t] != digest:
                 spine[t], lowest = digest, min(lowest, t)
-        self.spine, path = tuple(spine), self._path
-        path[0] = self.tree.root_hash()
+        self.spine, path[0] = tuple(spine), portion_root
         if lowest < len(spine):
             path[lowest:] = climb(self.portion >> lowest, path[lowest], spine[lowest:])
             self.tree.hashes += len(spine) - lowest
@@ -114,26 +115,41 @@ class StorageNode:
         self.tree.ensure_path(account)
         return self.tree.make_proof(account, self.latest_block.height, self.spine)
 
-    def audit_stored(self) -> tuple[int, int]:
+    def _stored_failure(self) -> str | None:
         """Re-fold the portion tree without its kept digests, then its root up
         the whole spine, and check them against the kept digests and the
-        newest block root; returns (checked, failed).  Every stored account is
-        checked, and all of them fail when any kept digest or the root
-        disagrees.  Nothing is counted."""
+        newest block root; names the first disagreement (None: there is
+        none).  Nothing is counted."""
         root, stale = self.tree.refold()
+        if stale:
+            return f"kept digest at {stale[0]} differs from the rebuild"
         path = climb(self.portion, root, self.spine)
-        checked = len(self.tree.leaves)
-        ok = not stale and path == self._path and path[-1] == self.latest_block.state_root
-        return checked, 0 if ok else checked
+        if path != self._path or path[-1] != self.latest_block.state_root:
+            return "the rebuilt portion path differs from the kept path or the block root"
+        return None
 
-    def audit(self, round_index: int) -> tuple[int, int]:
-        """audit_stored() plus AUDIT_SAMPLE served proofs, a window over the
-        stored accounts that rotates with the round, each verified end to end."""
-        checked, failed = self.audit_stored()
+    def audit_stored(self) -> tuple[int, int]:
+        """The re-fold audit() starts with, as (checked, failed): every
+        stored account is checked, and all of them fail when any kept digest
+        or the root disagrees.  Nothing is counted."""
+        checked = len(self.tree.leaves)
+        return checked, 0 if self._stored_failure() is None else checked
+
+    def audit(self, round_index: int) -> int:
+        """Check the stored accounts as audit_stored() does, then
+        AUDIT_SAMPLE served proofs, a window over the stored accounts that
+        rotates with the round, each verified end to end; returns the checks
+        made.  Raises StateDivergence naming this node, the block and the
+        first failure."""
+        block = self.latest_block
+        name = f"storage {self.portion}/{self.replica}: audit of block {block.height}"
+        failure = self._stored_failure()
+        if failure is not None:
+            raise StateDivergence(f"{name}: {failure}")
         stored = sorted(self.tree.leaves)
         offset = (round_index * AUDIT_SAMPLE) % max(1, len(stored))
-        for account in stored[offset : offset + AUDIT_SAMPLE]:
-            proof = self.serve_proof(account)
-            checked += 1
-            failed += not verify_proof(proof, self.latest_block.state_root)
-        return checked, failed
+        sample = stored[offset : offset + AUDIT_SAMPLE]
+        for account in sample:
+            if not verify_proof(self.serve_proof(account), block.state_root):
+                raise StateDivergence(f"{name}: the proof of account {account} fails")
+        return len(stored) + len(sample)

@@ -485,8 +485,9 @@ def test_verify_audits_proofs(config_path, capsys):
 
 def test_failed_audit_ends_the_run(tmp_path, monkeypatch, capsys):
     # right after storage 3/0 applies block 6, the leaf-level digest of one of
-    # its kept tail records is zeroed, so every audit from round 7 on fails
+    # its kept tail records is zeroed, so the audit of block 6 fails there
     apply = StorageNode.apply_confirmed
+    corrupted = []
 
     def corrupt(node, txs, frontier, block):
         apply(node, txs, frontier, block)
@@ -494,6 +495,7 @@ def test_failed_audit_ends_the_run(tmp_path, monkeypatch, capsys):
             nodes = node.tree._nodes
             key = next(key for key, record in nodes.items() if len(record) > 32)
             nodes[key] = nodes[key][:8] + bytes(32) + nodes[key][40:]
+            corrupted.append(int.from_bytes(nodes[key][:8], "big"))
 
     monkeypatch.setattr(StorageNode, "apply_confirmed", corrupt)
     path = tmp_path / "acceptance.json"
@@ -505,9 +507,10 @@ def test_failed_audit_ends_the_run(tmp_path, monkeypatch, capsys):
     assert code == 3
     lines = report.read_text().splitlines()
     summary = json.loads(lines[-1])["summary"]
-    assert re.fullmatch(
-        r"storage divergence: storage 3/0: audit of block 6 failed \d+ checks",
-        summary["fatal"],
+    (account,) = corrupted
+    assert summary["fatal"] == (
+        "storage divergence: storage 3/0: audit of block 6: "
+        f"kept digest at (0, {account}) differs from the rebuild"
     )
     assert summary["rounds_run"] == len(lines) - 1 == 6
     assert summary["audit"]["failed"] == 0

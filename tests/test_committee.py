@@ -5,11 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from pipechain.committee import (
-    ConfirmationCommittee,
-    order_canonically,
-    roll_forward_balance,
-)
+from pipechain.committee import ConfirmationCommittee, order_canonically
 from pipechain.ledger import (
     GENESIS_PREV_HASH,
     Block,
@@ -31,13 +27,6 @@ def test_order_canonically_is_txid_order():
     ordered = order_canonically(shuffled)
     assert [t.txid for t in ordered] == sorted(t.txid for t in txs)
     assert order_canonically(reversed(shuffled)) == ordered
-
-
-def test_roll_forward_examples():
-    window = [(_tx(7, 9, 4),), (), (_tx(2, 7, 8), _tx(7, 3, 6))]
-    assert roll_forward_balance(7, 10, window) == 10 - 4 + 8 - 6
-    assert roll_forward_balance(9, 0, window) == 4
-    assert roll_forward_balance(5, 3, window) == 3
 
 
 class _Harness:
@@ -120,6 +109,17 @@ def test_duplicate_txid_discarded():
     assert stats.accepted == 1
     assert [reason for _, reason in discards] == ["duplicate"]
     assert len(seq) == 1
+
+
+def test_the_window_keeps_each_rounds_net_changes():
+    # 7 can pay both its spends in any order; the empty account 5 cannot
+    # pay, so it does not join the window
+    h = _Harness({7: 10, 2: 20})
+    txs = [h.tx(7, 9, 4), h.tx(2, 7, 8), h.tx(7, 3, 6), h.tx(5, 3, 1)]
+    seq, discards, _ = h.confirm(txs)
+    assert len(seq) == 3 and [reason for _, reason in discards] == ["insufficient"]
+    h.confirm([])
+    assert list(h.committee.window) == [{}, {7: -4 + 8 - 6, 9: 4, 2: -8, 3: 6}, {}]
 
 
 def test_window_roll_forward_blocks_double_spend():

@@ -1,6 +1,7 @@
 """End-to-end engine runs: oracle agreement, conservation, determinism."""
 
 import ast
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,6 +14,7 @@ from pipechain import merkle, oracle, pipeline
 from pipechain.engine import SimConfig, Simulation, report_lines
 from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import BalanceProof, build_pruned
+from pipechain.storage import StorageNode
 from reference import full_tree_root
 
 
@@ -307,14 +309,10 @@ def test_expired_injection_with_too_few_rounds_is_reported_idle():
     assert "idle_faults" not in Simulation(_config(rounds=4)).run().summary
 
 
-def test_a_same_round_credit_spent_by_another_committee_is_fatal():
-    # In round 10 committee 1 also spends, to an account that held 0, a
-    # credit that committee 0 accepted in the same round.  Replayed in
-    # committee order the round never overdraws, so the roots alone would
-    # let the run end ok; yet the committees run concurrently, and the
-    # interleaving that runs committee 1's spend first overdraws.  The bound
-    # ends the run there.
-    sim = Simulation(SimConfig(rounds=30))  # the acceptance config, seed 1
+def _spend_a_same_round_credit(sim):
+    """In round 10 committee 1 also spends, to an account that held 0, a
+    credit that committee 0 accepted in the same round; returns committee
+    0's round-10 transfers to accounts that held 0, the credit first."""
     first, second = sim.ccs[0], sim.ccs[1]
     confirm_first, confirm_second = first.confirm_round, second.confirm_round
     credits = []  # committee 0's round-10 transfers to accounts that held 0
@@ -336,6 +334,16 @@ def test_a_same_round_credit_spent_by_another_committee_is_fatal():
         return accepted, discards, stats
 
     first.confirm_round, second.confirm_round = crediting, spending
+    return credits
+
+
+def test_a_same_round_credit_spent_by_another_committee_is_fatal():
+    # Replayed in committee order the cheat's round never overdraws, so the
+    # roots alone would let the run end ok; yet the committees run
+    # concurrently, and the interleaving that runs committee 1's spend first
+    # overdraws.  The bound ends the run there.
+    sim = Simulation(SimConfig(rounds=30))  # the acceptance config, seed 1
+    credits = _spend_a_same_round_credit(sim)
     result = sim.run()
     assert result.summary["rounds_run"] == 9
     assert result.summary["fatal"] == (
@@ -343,6 +351,104 @@ def test_a_same_round_credit_spent_by_another_committee_is_fatal():
         f"sequences overdraws account {credits[0].dst} "
         f"(balance 0, floor -{credits[0].amount} = committee 1 -{credits[0].amount})"
     )
+
+
+def _overdraw_in_leaf_0(sim):
+    """Leaf 0's sixth batch debits one of its sources 10**12 more than it
+    holds, so the leaf cannot apply it: a pipeline fault in round 6."""
+    leaf = sim.leaf_rpcs[0]
+    process, calls = leaf.process_round, []
+
+    def overdrawing(incoming):
+        calls.append(1)
+        if len(calls) == 6:
+            i = next(i for i, tx in enumerate(incoming) if leaf.tree.covers(tx.src))
+            raised = dataclasses.replace(incoming[i], amount=incoming[i].amount + 10**12)
+            incoming = incoming[:i] + [raised] + incoming[i + 1 :]
+        return process(incoming)
+
+    leaf.process_round = overdrawing
+
+
+def _assert_totals_fold_the_rows(result):
+    """Every summary total that a report row also holds is the fold of that
+    field over the reported rows."""
+    reports, summary = result.reports, result.summary
+    entries = [entry for row in reports for entry in row["per_committee"]]
+    cc = [entry for entry in entries if entry["id"].startswith("cc-")]
+    rpc = [entry for entry in entries if entry["id"].startswith(("leaf-", "inner-"))]
+    supplies = [row["supply"] for row in reports if row["supply"] is not None]
+    initial = summary["supply"]["initial"]
+    verdicts = [row["oracle"] for row in reports]
+    assert summary["rounds_run"] == len(reports)
+    assert summary["received_total"] == sum(entry["processed"] for entry in cc)
+    assert summary["accepted_total"] == sum(entry["accepted"] for entry in cc)
+    assert summary["workload_truncated_rounds"] == sum(row["truncated"] for row in reports)
+    assert summary["audit"] == {
+        key: sum(row["audit"][key] for row in reports) for key in ("checked", "failed")
+    }
+    assert summary["supply"] == {
+        "initial": initial,
+        "min": min(supplies, default=initial),
+        "max": max(supplies, default=initial),
+    }
+    assert summary["oracle"]["matches"] == verdicts.count("match")
+    assert summary["oracle"]["mismatches"] == verdicts.count("mismatch")
+    assert summary["peaks"] == {
+        "cc_tx": max(entry["processed"] for entry in cc),
+        "rpc_hashes": max(entry["hashes"] for entry in rpc),
+        "committee_msgs": max(entry["msgs_in"] + entry["msgs_out"] for entry in entries),
+        "backlog": max(row["backlog"] for row in reports),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, fatal",
+    [
+        (None, None),
+        (_spend_a_same_round_credit, "non-negativity violation: round 10: "),
+        (_overdraw_in_leaf_0, "pipeline fault: leaf 0: negative balance"),
+    ],
+    ids=["ok", "cheat", "leaf-fault"],
+)
+def test_summary_totals_fold_the_reported_rows(fault, fatal):
+    # A round that ends the run is not reported, so the totals a row holds
+    # must not count it, whichever stage raised; the acceptance config with
+    # the proof audit on, seed 1
+    sim = Simulation(SimConfig(rounds=14), audit_proofs=True)
+    if fault is not None:
+        fault(sim)
+    result = sim.run()
+    if fatal is None:
+        assert result.ok
+    else:
+        assert result.summary["fatal"].startswith(fatal)
+    _assert_totals_fold_the_rows(result)
+
+
+def test_a_failed_audit_names_the_stale_position(monkeypatch):
+    # right after storage 1/0 applies block 6, one of its kept inner digests
+    # is zeroed; the audit of that block ends the run naming the position
+    apply = StorageNode.apply_confirmed
+    corrupted = []
+
+    def corrupt(node, txs, frontier, block):
+        apply(node, txs, frontier, block)
+        if (node.portion, node.replica, block.height) == (1, 0, 6):
+            nodes, bits = node.tree._nodes, node.tree.address_bits
+            key = next(key for key, record in nodes.items() if len(record) == 32)
+            nodes[key] = bytes(32)
+            level = bits + 1 - key.bit_length()
+            corrupted.append((level, key - (1 << (bits - level))))
+
+    monkeypatch.setattr(StorageNode, "apply_confirmed", corrupt)
+    result = Simulation(SimConfig(rounds=12), audit_proofs=True).run()
+    (position,) = corrupted
+    assert result.summary["fatal"] == (
+        "storage divergence: storage 1/0: audit of block 6: "
+        f"kept digest at {position} differs from the rebuild"
+    )
+    _assert_totals_fold_the_rows(result)
 
 
 def test_a_rejection_the_oracle_balance_covers_is_conservative():
@@ -560,8 +666,9 @@ def test_leaf_trees_share_the_oracles_records():
 def test_a_proof_ends_at_the_leaf_graft():
     # Only the round that routes a transfer reads its proofs; the leaf
     # committees graft them the round after.  Whatever outlives that round
-    # (storage buffers, committee windows, the entry rounds clients settle)
-    # keeps only the Transfer, and each report entry is its round's meter.
+    # keeps only the Transfer (storage buffers, the entry rounds clients
+    # settle) or integers (committee windows: each account's net change),
+    # and each report entry is its round's meter.
     gc.collect()
     before = [obj for obj in gc.get_objects() if isinstance(obj, BalanceProof)]
     sim = Simulation(SimConfig(rounds=12))
@@ -593,9 +700,10 @@ def test_a_proof_ends_at_the_leaf_graft():
     assert queued and live == queued
 
     kept = [tx for node in sim.storage.values() for txs, _ in node._pending.values() for tx in txs]
-    kept += [tx for cc in sim.ccs for output in cc.window for tx in output]
     kept += [tx for txs in sim.accepted_by_entry.values() for tx in txs]
     assert kept and {type(tx) for tx in kept} == {Transfer}
+    nets = [item for cc in sim.ccs for net in cc.window for item in net.items()]
+    assert nets and {type(x) for item in nets for x in item} == {int}
 
     meters = list(sim.network.meters.values())
     entries = result.reports[-1]["per_committee"]

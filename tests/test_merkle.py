@@ -336,8 +336,11 @@ def test_set_balances_requires_held_accounts():
         with pytest.raises(error):
             tree.set_balances(batch)
         assert (tree.leaves, tree._nodes, tree.root_hash()) == ({3: 9, 5: 2}, kept, root)
-    assert tree.set_balances({3: 9, 5: 2}) is False
-    assert tree.set_balances({3: 10, 5: 2}) is True
+    # balances as they are rehash nothing; a changed one rehashes its path
+    assert _digests_made(lambda: tree.set_balances({3: 9, 5: 2}))[1] == 0
+    assert tree.root_hash() == root
+    assert _digests_made(lambda: tree.set_balances({3: 10, 5: 2}))[1] > 0
+    assert tree.root_hash() != root
 
 
 def test_scoped_tree_matches_global_subtree():
@@ -607,7 +610,7 @@ def test_copy_computes_and_counts_nothing():
         updated = tree.root_hash()
         content, kept = dict(tree.leaves), dict(tree._nodes)
         twin.ensure_path(account)
-        assert _digests_made(lambda: twin.set_balances(balances)) == (True, twin.hashes)
+        assert _digests_made(lambda: twin.set_balances(balances)) == (None, twin.hashes)
         assert twin.hashes > 0 and twin.root_hash() == updated != root
         equal = [key for key, record in twin._nodes.items() if kept.get(key) == record]
         assert equal and all(twin._nodes[key] is kept[key] for key in equal)
@@ -648,16 +651,16 @@ def test_a_source_maps_equal_records_are_stored_as_its_objects():
     txs = [Transfer(3, 201, 5), Transfer(90, 3, 2)]
     src.apply_transfers(txs)
     content, kept = dict(src.leaves), dict(src._nodes)
-    changed, more = _digests_made(lambda: tree.apply_transfers(txs))
-    assert changed and tree.hashes == made + more
+    more = _digests_made(lambda: tree.apply_transfers(txs))[1]
+    assert more and tree.hashes == made + more
     assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, src.root_hash())
     base = 1 << 8
     cut, inner = base + 200, [(base + 201) >> level for level in range(1, 9)]
     assert len(kept[cut]) == 40 and all(len(kept[key]) == 32 for key in inner)
     assert all(tree._nodes[key] is record for key, record in kept.items())
     # 17 cuts the tail of 3 in the tree alone
-    changed, extra = _digests_made(lambda: tree.apply_transfers([Transfer(90, 17, 1)]))
-    assert changed and tree.hashes == made + more + extra
+    extra = _digests_made(lambda: tree.apply_transfers([Transfer(90, 17, 1)]))[1]
+    assert extra and tree.hashes == made + more + extra
     assert tree.refold() == (tree.root_hash(), [])
     _check_layout(tree)
     equal = [key for key, record in tree._nodes.items() if kept.get(key) == record]
@@ -896,14 +899,16 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
             storage_twin.ensure_path(account)
 
         for tree in (leaf, storage):
-            held = dict(tree.leaves)
-            changed = tree.apply_transfers(txs)
+            held, root = dict(tree.leaves), tree.root_hash()
+            tree.apply_transfers(txs)
             # the tree now holds the covered accounts the batch touches, and
-            # the rest only move by the batch
+            # the rest only move by the batch; the root moves exactly when a
+            # balance does
             assert tree.leaves.keys() == held.keys() | covered
             for account in held.keys() - touched:
                 assert tree.leaves[account] == held[account]
-            assert changed == any(tree.leaves[a] != held.get(a, 0) for a in covered)
+            changed = any(tree.leaves[a] != held.get(a, 0) for a in covered)
+            assert changed == (tree.root_hash() != root)
         for twin in (leaf_twin, storage_twin):
             twin.set_balances({account: ledger[account] for account in covered})
 
@@ -1029,7 +1034,9 @@ def test_storage_node_matches_a_whole_space_reference(data):
             if digest != old or data.draw(st.booleans())
         }
         routed = [tx for tx in txs if index in (tx.src >> level, tx.dst >> level)]
-        changed = reference.apply_transfers(routed)
+        held = dict(reference.leaves)
+        reference.apply_transfers(routed)
+        changed = any(b != held.get(a, 0) for a, b in reference.leaves.items())
         assert refold_spine(changed, new_spine) == block.state_root
         for node in replicas:
             node.apply_confirmed(routed, frontier, block)

@@ -1,7 +1,8 @@
 """The package surface: four names, the README's library example runs and
-its options table lists every run option, no public tree method or module-level function is left without a caller in the
-library, only the network writes message counts, and the oracle shares no
-tree code."""
+its options and summary tables list exactly the run options and summary
+keys, no public tree method or module-level function is left without a
+caller in the library, only the network writes message counts, and the
+oracle shares no tree code."""
 
 import ast
 import json
@@ -40,6 +41,32 @@ def test_readme_options_table_lists_exactly_the_run_options():
     table = text.split("| option | type | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
     listed = re.findall(r"^\| (\w+) \|", table, re.M)
     assert listed == [field.name for field in fields(RunOptions)]
+
+
+def _summary_keys(summary) -> list[str]:
+    """A summary's keys, a plain dict's (not the config's or a Counter's)
+    as `key.sub` in its place."""
+    keys = []
+    for key, value in summary.items():
+        if type(value) is dict and key != "config":
+            keys += [f"{key}.{sub}" for sub in value]
+        else:
+            keys.append(key)
+    return keys
+
+
+def test_readme_summary_table_lists_exactly_a_runs_keys():
+    # a summary key added, removed or renamed cannot leave the table stale;
+    # the second run has an idle fault, whose key only then appears
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| summary key | meaning | fold of the reported rows |\n", 1)[1]
+    listed = re.findall(r"^\| `([\w.]+)` \|", table.split("\n\n", 1)[0], re.M)
+    config = pipechain.SimConfig(rounds=4)
+    plain = pipechain.Simulation(config).run().summary
+    idle = pipechain.Simulation(config, expired_injection_rate=1).run().summary
+    keys = _summary_keys(plain)
+    keys += [key for key in _summary_keys(idle) if key not in keys]
+    assert listed == keys
 
 
 def _tree_receiver(receiver, path) -> bool:

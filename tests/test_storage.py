@@ -1,6 +1,7 @@
 """Storage nodes: spine-seeded trees, block application, proof service."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -258,9 +259,31 @@ def test_audit_adds_a_rotating_sample_of_served_proofs():
     stored = len(node.tree.leaves)
     assert stored == 6 and AUDIT_SAMPLE == 4
     # round 0 samples stored[0:4], round 1 the two left in stored[4:8]
-    assert node.audit(0) == (stored + 4, 0)
-    assert node.audit(1) == (stored + 2, 0)
-    # a wrong spine digest: the re-fold misses the block root, and every
-    # served proof reads it
+    assert node.audit(0) == stored + 4
+    assert node.audit(1) == stored + 2
+    # a served proof that does not verify is named by its account
+    serve = node.serve_proof
+    node.serve_proof = lambda account: replace(serve(account), balance=11)
+    failed = "^storage 0/0: audit of block 0: the proof of account 5 fails$"
+    with pytest.raises(StateDivergence, match=failed):
+        node.audit(1)
+    del node.serve_proof
+    # a wrong spine digest: the re-fold misses the block root
     node.spine = (bytes(32),)
-    assert node.audit(0) == (stored + 4, stored + 4)
+    failed = "^storage 0/0: audit of block 0: the rebuilt portion path differs"
+    with pytest.raises(StateDivergence, match=failed):
+        node.audit(0)
+
+
+def test_a_failed_audit_names_the_first_stale_position():
+    # accounts 3 and 4 part at level 3: their common parent (3, 0) is an
+    # inner node, and leaf 3 is the bottom of 3's tail
+    topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
+    node = nodes[0]
+    _corrupt_digest(node.tree, 3, 0, bytes(32))
+    failed = r"^storage 0/0: audit of block 0: kept digest at \(3, 0\) differs"
+    with pytest.raises(StateDivergence, match=failed):
+        node.audit(0)
+    _corrupt_digest(node.tree, 0, 3, bytes(32))
+    with pytest.raises(StateDivergence, match=r"kept digest at \(0, 3\) differs"):
+        node.audit(0)
