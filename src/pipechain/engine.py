@@ -154,7 +154,6 @@ class Simulation:
         self.config = cfg
         topo = build_topology(cfg.leaf_count, cfg.j, cfg.address_bits)
         self.topology = topo
-        self.stages = topo.stages
         self.options = RunOptions(**options).validated(cfg, topo.stages)
 
         # -- genesis state ------------------------------------------------
@@ -167,7 +166,7 @@ class Simulation:
             by_portion[topo.portion_of(account)].append((account, balance))
 
         self.ccs = [
-            ConfirmationCommittee(k, self.stages, cfg.address_bits)
+            ConfirmationCommittee(k, topo.stages, cfg.address_bits)
             for k in range(cfg.n_c)
         ]
         # the oracle hashes genesis by itself; leaf trees then store its
@@ -183,13 +182,13 @@ class Simulation:
         # genesis digests by level above the portion roots, bottom first
         leaf_digests = [leaf.tree.root_hash() for leaf in self.leaf_rpcs]
         levels = [leaf_digests] + fold_digests(leaf_digests)[1]
-        self.genesis_root = levels[-1][0]
-        if self.oracle is not None and self.oracle.root() != self.genesis_root:
+        genesis_root = levels[-1][0]
+        if self.oracle is not None and self.oracle.root() != genesis_root:
             raise GenesisMismatch(
                 f"oracle root {self.oracle.root().hex()[:16]} != "
-                f"genesis root {self.genesis_root.hex()[:16]}"
+                f"genesis root {genesis_root.hex()[:16]}"
             )
-        self.genesis_block = Block(0, GENESIS_PREV_HASH, self.genesis_root)
+        self.genesis_block = Block(0, GENESIS_PREV_HASH, genesis_root)
         self.latest_block = self.genesis_block
         self.history = BlockHistory(topo.portion_bits)
         self.history.push(self.genesis_block)
@@ -223,7 +222,7 @@ class Simulation:
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
         drop = self.options.drop_confirmed_round
-        self.network = Network(topo, self.committee_ids, self.storage, drop)
+        self.network = Network(topo, self.committee_ids, drop)
         for t, tier in enumerate(topo.tiers):
             for index, digest in enumerate(levels[tier.base_level]):
                 self.network.send_up(None, t, index, digest)
@@ -233,7 +232,6 @@ class Simulation:
         self.clients = Clients(
             cfg, self.options, topo, self.storage, self._committee_of, genesis_entries
         )
-        self.supply0 = cfg.initial_accounts * cfg.initial_balance
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
         self.injected_outcomes: Counter = Counter()
@@ -249,7 +247,7 @@ class Simulation:
         # so a round that ends the run adds only the counters no row holds
         self.summary = summary = {
             "config": cfg.to_json_dict(),
-            "stages": self.stages,
+            "stages": self.topology.stages,
             "rpc_levels": self.topology.rpc_levels,
             "committees": {
                 "cc": cfg.n_c,
@@ -266,7 +264,9 @@ class Simulation:
             "workload_truncated_rounds": 0,
             "leaf_failed_rounds": 0,
             "latency": {"checked": 0, "violations": 0},
-            "supply": dict.fromkeys(("initial", "min", "max"), self.supply0),
+            "supply": dict.fromkeys(
+                ("initial", "min", "max"), cfg.initial_accounts * cfg.initial_balance
+            ),
             "audit": {"checked": 0, "failed": 0},
             "oracle": {"enabled": cfg.oracle_enabled, "matches": 0, "mismatches": 0},
             "peaks": {"cc_tx": 0, "rpc_hashes": 0, "committee_msgs": 0, "backlog": 0},
@@ -488,7 +488,7 @@ class Simulation:
         if self.oracle is None:
             return block, "n/a"
         oracle = self.summary["oracle"]
-        if block.state_root == self.expected_roots.pop(entry, self.genesis_root):
+        if block.state_root == self.expected_roots.pop(entry, self.genesis_block.state_root):
             oracle["matches"] += 1
             return block, "match"
         oracle["mismatches"] += 1

@@ -38,6 +38,9 @@ class Transaction:
     """A transfer carrying balance proofs for both touched accounts.
 
     Construction never validates; admission rejects malformed instances.
+    txid is always transaction_id of the fields (sha256 of src, dst, amount,
+    entry_round and nonce) and cannot be set, so a dataclasses.replace copy
+    carries its own.
     """
 
     src: int
@@ -47,17 +50,16 @@ class Transaction:
     nonce: int
     src_proof: BalanceProof | None = None
     dst_proof: BalanceProof | None = None
-    txid: bytes = b""
+    txid: bytes = field(init=False)
     transfer: Transfer = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transfer", Transfer(self.src, self.dst, self.amount))
-        if not self.txid:
-            object.__setattr__(
-                self,
-                "txid",
-                transaction_id(self.src, self.dst, self.amount, self.entry_round, self.nonce),
-            )
+        object.__setattr__(
+            self,
+            "txid",
+            transaction_id(self.src, self.dst, self.amount, self.entry_round, self.nonce),
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -169,7 +169,8 @@ class PrunedTree:
     level, leaf first), so memory grows with the accounts held, not times
     the path length.
 
-    ``hashes`` counts the digests the tree computed (cache misses only).
+    ``hashes`` counts every digest the tree computes, a grafted proof's
+    folds and a storage replica's spine folds included.
     set_balances() rehashes each changed leaf with its whole tail and each
     ancestor once, bottom-up, so n changed balances cost at most
     n * (root_level + 1) hashes.

@@ -38,7 +38,7 @@ def _items(msg) -> int:
 
 
 class Network:
-    def __init__(self, topology, committee_ids, storage_keys, drop_round=None) -> None:
+    def __init__(self, topology, committee_ids, drop_round=None) -> None:
         self.topology = topology
         self._names = {cid: "-".join(map(str, cid)) for cid in committee_ids}
         self.drop_round = drop_round
@@ -48,9 +48,10 @@ class Network:
         self._block = None  # in flight to every committee
         # which storage nodes need each published spine digest
         self._need: dict[tuple[int, int], list] = {}
-        for m, r in storage_keys:
-            for pos in topology.spine_positions(m):
-                self._need.setdefault(pos, []).append(("storage", m, r))
+        for cid in committee_ids:
+            if cid[0] == "storage":
+                for pos in topology.spine_positions(cid[1]):
+                    self._need.setdefault(pos, []).append(cid)
 
     def deliver(self):
         """Start a round with fresh meters, charging last round's messages to

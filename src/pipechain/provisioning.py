@@ -35,7 +35,6 @@ def provision_minimal(changes_per_round: int, leaf_capacity: int) -> int:
 @dataclass(frozen=True)
 class ScaleRun:
     alpha: int
-    config: object
     summary: dict  # the run's summary, as its report's last line holds it
     verdict: str  # "well-provisioned", "overloaded" or "truncated"
 
@@ -82,7 +81,7 @@ def scale_experiment(base_config, alphas, *, progress=None):
         verdict = "well-provisioned" if well else "overloaded"
         if result.summary["workload_truncated_rounds"]:
             verdict = "truncated"
-        runs.append(ScaleRun(alpha, cfg, result.summary, verdict))
+        runs.append(ScaleRun(alpha, result.summary, verdict))
         if progress is not None:
             progress(runs[-1])
     return runs

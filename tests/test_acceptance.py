@@ -234,7 +234,7 @@ def test_criterion_07_scalability(scale_runs, capsys):
     base_msgs = peaks[0]["committee_msgs"]
     all_well = all(run.well_provisioned for run in runs)
     hashes_peak = max(p["rpc_hashes"] for p in peaks)
-    hashes_ok = all(p["rpc_hashes"] <= run.config.j for p, run in zip(peaks, runs))
+    hashes_ok = all(p["rpc_hashes"] <= run.summary["config"]["j"] for p, run in zip(peaks, runs))
     msgs_peak = max(p["committee_msgs"] for p in peaks)
     msgs_ok = msgs_peak <= 2 * base_msgs
     bytes_ok = len({run.summary["block_bytes"] for run in runs}) == 1

@@ -101,6 +101,22 @@ def test_dimension_after_doubling(capsys):
         assert data["inner_rpcs"] == 1, budget
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-m", "0", "-e", "1", "-j", "7"], "workload and capacity must be >= 1"),
+        (["-m", "0", "-e", "1", "-j", "7", "--after-doubling"],
+         "workload and capacity must be >= 1"),
+        (["-m", "1", "-e", "1", "-j", "0"], "hash_budget must be >= 1"),
+        (["-m", "24", "-e", "4", "-j", "7", "--after-doubling"],
+         "changes/capacity must be a power of two after doubling"),
+    ],
+)
+def test_dimension_errors_exit_2(argv, message, capsys):
+    assert cli.main(["dimension", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_console_script_path():
     # the module's __main__ block and entrypoint, as the installed script runs them
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -389,7 +405,7 @@ def test_destination_outside_the_address_space_is_a_bad_proof(tmp_path, monkeypa
             if msg.dst_proof.balance == 0:
                 far = msg.dst + (1 << sims[-1].config.address_bits)
                 proof = replace(msg.dst_proof, account=far)
-                msg = replace(msg, dst=far, dst_proof=proof, txid=b"")
+                msg = replace(msg, dst=far, dst_proof=proof)
                 moved.append(msg.txid)
         send(net, sender, dests, msg)
 
@@ -447,6 +463,8 @@ def test_unwritable_output_exits_2_before_running(
         (BASE_CONFIG, None, ["run", "--rounds", "0"]),
         (BASE_CONFIG, None, ["scale", "--alphas", "a"]),
         (BASE_CONFIG, None, ["scale", "--alphas", ","]),
+        # sized after doubling, but n_c does not divide f
+        ({**BASE_CONFIG, "n_c": 3, "leaf_count": 8}, None, ["scale", "--alphas", "1"]),
     ],
 )
 def test_config_errors_exit_2_before_running(

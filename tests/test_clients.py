@@ -25,7 +25,7 @@ def _clients():
         CONFIG, sim.options, sim.topology, sim.storage,
         lambda account: cc_index(account, CONFIG.n_c), GENESIS,
     )
-    network = Network(sim.topology, sim.committee_ids, sim.storage)
+    network = Network(sim.topology, sim.committee_ids)
     network.deliver()
     return sim.storage, clients, network
 

@@ -8,10 +8,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipechain
 from pipechain import merkle, oracle, pipeline
-from pipechain.engine import SimConfig, Simulation, report_lines
+from pipechain.engine import FATAL_VERDICTS, SimConfig, Simulation, report_lines
 from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import BalanceProof, build_pruned
 from pipechain.storage import StorageNode
@@ -110,7 +112,7 @@ def test_genesis_agrees_with_brute_force():
     sim = Simulation(cfg)
     stride = (1 << 10) // 32
     balances = {i * stride: 1000 for i in range(32)}
-    assert sim.genesis_root == full_tree_root(balances, 10)
+    assert sim.genesis_block.state_root == full_tree_root(balances, 10)
     assert sim.genesis_block.height == 0
     assert sim.latest_block is sim.genesis_block
 
@@ -145,8 +147,8 @@ def test_genesis_is_hashed_once_per_independent_party(monkeypatch, oracle_enable
     # the agreement the set-up no longer checks: the pipeline's genesis fold
     # is the root of the whole-space tree
     entries = [(32 * i, 5) for i in range(8)]
-    assert sim.genesis_root == build_pruned(entries, 8).root_hash()
-    assert sim.genesis_root == full_tree_root(dict(entries), 8)
+    assert sim.genesis_block.state_root == build_pruned(entries, 8).root_hash()
+    assert sim.genesis_block.state_root == full_tree_root(dict(entries), 8)
 
 
 def test_run_matches_oracle_every_round():
@@ -176,7 +178,7 @@ def test_supply_conserved_and_latency_exact():
     settled = sum(
         _cc_accepted(row)
         for row in result.reports
-        if row["round"] + sim.stages - 1 <= 20
+        if row["round"] + sim.topology.stages - 1 <= 20
     )
     assert latency["checked"] == settled > 0
 
@@ -189,6 +191,56 @@ def test_deterministic_reports():
     assert lines_a != lines_c
     for line in lines_a:
         json.loads(line)  # every line is standalone JSON
+
+
+@st.composite
+def _small_runs(draw):
+    """A valid SimConfig of at most 8 leaves, 8 sources and 8 rounds, with
+    every RunOptions field drawn."""
+    a = draw(st.integers(2, 10))
+    cap = min(8, 1 << (a - 1))
+    f, n_c = draw(st.integers(1, cap)), draw(st.integers(1, 4))
+    leaf_count = 1 << draw(st.integers(0, cap.bit_length() - 1))
+    j, rounds = draw(st.sampled_from((1, 3, 7))), draw(st.integers(1, 8))
+    cfg = SimConfig(
+        seed=draw(st.integers(0, 2**16)),
+        address_bits=a,
+        f=f,
+        n_c=n_c,
+        leaf_count=leaf_count,
+        j=j,
+        e=draw(st.integers(1, 16)),
+        rho=draw(st.integers(1, 2)),
+        rounds=rounds,
+        initial_accounts=draw(st.integers(1, min(32, 1 << a))),
+        initial_balance=draw(st.integers(1, 1000)),
+        oracle_enabled=draw(st.booleans()),
+    )
+    drops = range(2, rounds - pipeline.build_topology(leaf_count, j, a).stages + 1)
+    options = dict(
+        balanced_workload=not f % n_c and draw(st.booleans()),
+        audit_proofs=draw(st.booleans()),
+        expired_injection_rate=draw(st.integers(0, 3)),
+        drop_confirmed_round=draw(st.none() | st.sampled_from(drops)) if drops else None,
+    )
+    return cfg, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_runs())
+def test_every_small_run_ends_ok_or_named_and_replays(run):
+    cfg, options = run
+    result = Simulation(cfg, **options).run()
+    summary, fatal = result.summary, result.summary["fatal"]
+    named = tuple(f"{prefix}: " for prefix in FATAL_VERDICTS.values())
+    assert fatal is None or fatal.startswith(named + ("oracle divergence at height ",))
+    assert summary["rounds_run"] == len(result.reports)
+    assert not result.ok or len(result.reports) == cfg.rounds
+    # only the drop fault can end a run early
+    assert result.ok or options["drop_confirmed_round"] is not None
+    # criterion 8 beyond the acceptance config
+    again = Simulation(cfg, **options).run()
+    assert list(report_lines(again)) == list(report_lines(result))
 
 
 def test_report_rows_shape():
@@ -233,9 +285,10 @@ def test_pipeline_warmup_commits_genesis():
     sim = Simulation(_config())
     result = sim.run()
     # blocks 1..stages-1 re-commit genesis: their entry rounds predate traffic
-    for row in result.reports[: sim.stages - 1]:
-        assert row["state_root"] == sim.genesis_root.hex()
-    assert result.reports[sim.stages]["state_root"] != sim.genesis_root.hex()
+    stages, genesis = sim.topology.stages, sim.genesis_block.state_root.hex()
+    for row in result.reports[: stages - 1]:
+        assert row["state_root"] == genesis
+    assert result.reports[stages]["state_root"] != genesis
 
 
 def test_balanced_workload_fills_every_committee():
@@ -271,7 +324,7 @@ def test_drop_fault_diverges_at_emission():
     sim = Simulation(_config(), drop_confirmed_round=drop_round)
     result = sim.run()
     assert not result.ok
-    expected_height = drop_round + sim.stages - 1
+    expected_height = drop_round + sim.topology.stages - 1
     assert result.summary["fatal"] == f"oracle divergence at height {expected_height}"
     assert result.reports[-1]["oracle"] == "mismatch"
     assert all(row["oracle"] == "match" for row in result.reports[:-1])
@@ -477,7 +530,7 @@ def test_a_rejection_the_oracle_balance_covers_is_conservative():
 
 def test_supply_extremes_track_the_oracle_total():
     sim = Simulation(_config(rounds=6))
-    initial = sim.supply0
+    initial = sim.oracle.total_supply()
     shifts = iter([0, 0, -1, 0, 1, 0])  # one total_supply call a round
     total_supply = sim.oracle.total_supply
     sim.oracle.total_supply = lambda: total_supply() + next(shifts)

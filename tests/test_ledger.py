@@ -31,6 +31,16 @@ def test_transaction_id_preimage():
     assert Transaction(1, 2, 2**64, 5, -1).txid == hashlib.sha256(fallback).digest()
 
 
+def test_txid_follows_the_fields_and_cannot_be_set():
+    tx = Transaction(3, 9, 42, 5, 17)
+    with pytest.raises(TypeError):
+        Transaction(3, 9, 42, 5, 17, txid=b"\x00" * 32)
+    # a copy with another amount carries the id of its own fields
+    moved = replace(tx, amount=tx.amount + 1)
+    assert moved.txid == transaction_id(3, 9, 43, 5, 17) != tx.txid
+    assert moved.transfer == (3, 9, 43)
+
+
 def test_block_bytes_layout():
     block = Block(7, b"\xaa" * 32, b"\xbb" * 32)
     raw = block.to_bytes()

@@ -343,6 +343,22 @@ def test_set_balances_requires_held_accounts():
     assert tree.root_hash() != root
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0,), "address_bits must be in 1..64"),
+        ((65,), "address_bits must be in 1..64"),
+        ((4, 0), "root_level out of range"),
+        ((4, 5), "root_level out of range"),
+        ((4, 2, -1), "root_index out of range"),
+        ((4, 2, 4), "root_index out of range"),
+    ],
+)
+def test_pruned_tree_rejects_a_scope_out_of_range(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        merkle.PrunedTree(*args)
+
+
 def test_scoped_tree_matches_global_subtree():
     entries = [(i, i + 1) for i in range(8, 16)]
     whole = build_pruned([(2, 77)] + entries, 6)
@@ -431,6 +447,11 @@ def test_merge_into_scoped_tree():
     scoped.merge_proof(replace(zero, siblings=zero.siblings[:3]))
     assert scoped.leaves == dict(entries) | {13: 0}
     assert scoped.root_hash() == root == _subtree_root(dict(entries), 6, 3, 1)
+
+    outside = whole.make_proof(40, base_height=2)
+    with pytest.raises(NotStored):
+        scoped.merge_proof(replace(outside, siblings=outside.siblings[:3]))
+    assert scoped.leaves == dict(entries) | {13: 0}
 
     stale = build_pruned(
         [(8, 108), (9, 109), (11, 111)], 6, root_level=3, root_index=1

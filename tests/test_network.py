@@ -9,12 +9,11 @@ from pipechain.pipeline import build_topology
 # replica each: portion m's node needs spine positions (6, m ^ 1) and
 # (7, (m >> 1) ^ 1)
 TOPOLOGY = build_topology(4, 7, 8)
-STORAGE = [(m, 0) for m in range(4)]
 IDS = (
     [("cc", 0), ("cc", 1)]
     + [("leaf", m) for m in range(4)]
     + [("inner", 0, 0)]
-    + [("storage",) + key for key in STORAGE]
+    + [("storage", m, 0) for m in range(4)]
 )
 DIGEST = bytes(range(32))
 TXS = tuple(Transaction(a, a + 1, 1, 5, a) for a in range(3))
@@ -22,7 +21,7 @@ TXS = tuple(Transaction(a, a + 1, 1, 5, a) for a in range(3))
 
 def _network():
     """A network whose first round has started, so its meters are fresh."""
-    network = Network(TOPOLOGY, IDS, STORAGE)
+    network = Network(TOPOLOGY, IDS)
     assert network.deliver() == ({}, None)
     return network
 
@@ -76,7 +75,7 @@ def test_publish_multicasts_each_needed_position_once():
 
 
 def test_a_drop_round_loses_its_first_batchs_first_transfer_everywhere():
-    network = Network(TOPOLOGY, IDS, STORAGE, drop_round=5)
+    network = Network(TOPOLOGY, IDS, drop_round=5)
     network.deliver()
     network.send(("cc", 0), [("leaf", 0), ("storage", 0, 0)], Batch(5, TXS[:2]))
     assert network.dropped is TXS[0]

@@ -135,7 +135,7 @@ def test_dimension_reports_the_deployment_a_run_builds(capsys):
                             len(sim.leaf_rpcs),
                             len(sim.inner_rpcs),
                             sim.topology.rpc_levels,
-                            sim.stages,
+                            sim.topology.stages,
                         )
                     keys = ("leaf_rpcs", "inner_rpcs", "rpc_levels", "stages")
                     reported = tuple(prov[key] for key in keys)
@@ -164,8 +164,8 @@ def _base_config(**overrides):
 def test_scale_experiment_shapes():
     runs = scale_experiment(_base_config(), [1, 2])
     assert [run.alpha for run in runs] == [1, 2]
-    assert [run.config.n_c for run in runs] == [2, 4]
-    assert [run.config.leaf_count for run in runs] == [8, 16]
+    assert [run.summary["config"]["n_c"] for run in runs] == [2, 4]
+    assert [run.summary["config"]["leaf_count"] for run in runs] == [8, 16]
     # the inner committees the runs simulated: one 8-ary tier at alpha 1;
     # two 8-ary rpcs under one 2-ary root at alpha 2
     committees = [run.summary["committees"] for run in runs]

@@ -108,6 +108,9 @@ def test_apply_detects_corrupt_frontier():
     block = Block(1, block_hash(genesis), after.root_hash())
     with pytest.raises(StateDivergence):
         nodes[0].apply_confirmed([tx], {(4, 1): bytes(32)}, block)
+    # a frontier item off the node's spine (portion 1's own root)
+    with pytest.raises(StateDivergence, match=r"^storage 1/0: \(4, 1\) is not on the spine"):
+        nodes[1].apply_confirmed([], {(4, 1): bytes(32)}, block)
 
 
 def test_serve_proof_roundtrip():
