@@ -6,7 +6,7 @@ balance of its scope, and only the root paths of the accounts it holds are
 materialized.  Every absent subtree is all-zero and reads its level's
 default digest; all-zero subtrees share one well-known digest per level, so
 an empty tree costs nothing and untouched addresses still have provable
-(zero) balances.
+(zero) balances, proved without materializing them.
 
 Positions are global ``(level, index)`` pairs with leaves at level 0; a tree
 may be scoped to the subtree rooted at any such position.  Inside a tree a
@@ -335,6 +335,15 @@ class PrunedTree:
             part = record[: 8 + 32 * cut] if level < cut else _level_digest(record, level)
             nodes[key] = part if get(key) != part else get(key)
 
+    def _entry(self, account: int) -> tuple[int, int | None]:
+        """Where an account the tree does not hold would top its default
+        tail: below the deepest materialized node on its path, or at the top;
+        with the top of the held tail that node lies in (None: none)."""
+        leaf = self._base + account
+        node, tail = self._deepest(leaf)
+        entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
+        return entry, tail
+
     def ensure_path(self, account: int) -> None:
         """Materialize account's leaf; an account the tree does not hold has
         a zero balance and gets a default tail, cutting a held tail it enters."""
@@ -342,12 +351,9 @@ class PrunedTree:
             return
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored subtree")
-        leaf = self._base + account
-        node, tail = self._deepest(leaf)
+        entry, tail = self._entry(account)
         if tail is not None:
-            self._split(tail, node)
-        # the tail tops below the deepest materialized node, or at the top
-        entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
+            self._split(tail, entry >> 1)
         run = _DEFAULT_RUNS[self._width - entry.bit_length()]
         self._nodes[entry] = account.to_bytes(8, "big") + run
         self.leaves[account] = 0
@@ -388,17 +394,28 @@ class PrunedTree:
     # -- proofs ---------------------------------------------------------------
 
     def make_proof(self, account: int, base_height: int, spine=()) -> BalanceProof:
-        """The account's path to this tree's top, then the `spine` siblings."""
-        if account not in self.leaves:
-            raise NotStored(f"no proof material for account {account}")
-        key = self._tail_top(account)
-        get, defaults = self._nodes.get, DEFAULT_DIGESTS
-        siblings = list(defaults[: self._width - key.bit_length()])
-        for level in range(len(siblings), self.root_level):
-            siblings.append((get(key ^ 1) or defaults[level])[-32:])
+        """The account's path to this tree's top, then the `spine` siblings.
+        An account of the scope the tree does not hold has a zero balance;
+        its proof is read where ensure_path would top its default tail, and
+        equals the one that makes, but the tree is left as it is."""
+        if not self.covers(account):
+            raise NotStored(f"account {account} outside stored subtree")
+        nodes, defaults = self._nodes, DEFAULT_DIGESTS
+        held = None
+        if account in self.leaves:
+            key = self._tail_top(account)
+        else:
+            key, held = self._entry(account)
+        level = self._width - key.bit_length()
+        siblings = list(defaults[:level])
+        if held is not None:  # the entry parts from a held tail: its digest there
+            siblings.append(_level_digest(nodes[held], level))
+            key, level = key >> 1, level + 1
+        for level in range(level, self.root_level):
+            siblings.append((nodes.get(key ^ 1) or defaults[level])[-32:])
             key >>= 1
         siblings.extend(spine)
-        return BalanceProof(account, self.leaves[account], base_height, tuple(siblings))
+        return BalanceProof(account, self.leaves.get(account, 0), base_height, tuple(siblings))
 
     def merge_proof(self, proof: BalanceProof) -> None:
         """Graft a verified proof's account into this tree, reading only the

@@ -7,7 +7,8 @@ digests but keeps sharing the leaf tree's records of equal bytes.  It
 buffers the Transfers (no proofs) and frontier (spine) digests it receives
 by entry round, applies an entry round's transfers when the block carrying
 it arrives, folds the portion root up the spine and cross checks that root
-against the block.
+against the block.  The tree holds the genesis accounts and the accounts an
+applied transfer touched; serving a proof adds none.
 """
 
 from __future__ import annotations
@@ -110,9 +111,7 @@ class StorageNode:
 
     def serve_proof(self, account: int) -> BalanceProof:
         """Balance proof against the newest applied block: the portion path
-        followed by the spine; untouched in-range addresses get their zero
-        path materialized on demand; NotStored outside the portion."""
-        self.tree.ensure_path(account)
+        followed by the spine; NotStored outside the portion."""
         return self.tree.make_proof(account, self.latest_block.height, self.spine)
 
     def _stored_failure(self) -> str | None:

@@ -316,11 +316,65 @@ def test_memo_skips_the_spine_a_verified_proof_shares():
     assert not verify_proof(second, bytes(32), SpineMemo(4))
 
 
-def test_make_proof_requires_materialized_path():
-    tree = build_pruned([(3, 9)], 4)
-    with pytest.raises(NotStored):
-        tree.make_proof(12, base_height=0)
-    assert tree.leaves == {3: 9}
+@st.composite
+def _scoped_entries(draw):
+    """A whole or scoped tree's (bits, level, index) and its held entries:
+    none, one, or several, zero balances among them."""
+    bits = draw(st.integers(1, 8))
+    level = draw(st.integers(1, bits))
+    index = draw(st.integers(0, (1 << (bits - level)) - 1))
+    inside = st.integers(index << level, ((index + 1) << level) - 1)
+    accounts = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(inside, min_size=1, max_size=1),
+            st.lists(inside, min_size=2, max_size=8, unique=True),
+        )
+    )
+    balances = st.lists(st.integers(0, 2**40), min_size=len(accounts), max_size=len(accounts))
+    return bits, level, index, list(zip(accounts, draw(balances)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scoped_entries())
+def test_make_proof_of_an_absent_account_leaves_the_tree_as_it_is(case):
+    # For every account of the scope, held or not, the proof equals the one
+    # a copy gives after ensure_path, verifies against the root through a
+    # default spine, and leaves the leaves and the kept records as they
+    # were, by value and by object.  An absent account's path tops at the
+    # tree's top (an empty tree), below an inner node, or inside a held
+    # tail, which one held account enters at every level below the top.
+    # Every account outside the scope raises NotStored.
+    bits, level, index, entries = case
+    tree = build_pruned(entries, bits, root_level=level, root_index=index)
+    spine = DEFAULT_DIGESTS[level:bits]
+    state_root = climb(index, tree.root_hash(), spine)[-1]
+    leaves, nodes, hashes = dict(tree.leaves), dict(tree._nodes), tree.hashes
+    base, entered = 1 << bits, set()
+    for account in range(index << level, (index + 1) << level):
+        twin = tree.copy()
+        twin.ensure_path(account)
+        proof = tree.make_proof(account, 5, spine)
+        assert proof == twin.make_proof(account, 5, spine)
+        assert verify_proof(proof, state_root)
+        assert tree.leaves == leaves and tree._nodes == nodes and tree.hashes == hashes
+        assert all(tree._nodes[key] is record for key, record in nodes.items())
+        if account not in leaves:
+            node, tail = tree._deepest(base + account)
+            kind = "top" if node is None else "inner" if tail is None else "tail"
+            entered.add((kind, node and tree._position(node)[0]))
+    if not entries:
+        assert entered == {("top", None)}
+    elif len(entries) == 1:
+        assert entered == {("tail", at) for at in range(1, level + 1)}
+    else:
+        accounts = sorted(leaves)
+        if (accounts[0] ^ accounts[-1]).bit_length() < level:  # the top is inner
+            assert ("inner", level) in entered
+    for account in range(2 << bits):
+        if account >> level != index:
+            with pytest.raises(NotStored):
+                tree.make_proof(account, 5, spine)
 
 
 def test_set_balances_requires_held_accounts():
@@ -1015,8 +1069,9 @@ def test_storage_node_matches_a_whole_space_reference(data):
             assert node.latest_block is block
         target = data.draw(inside, label="served account")
         for account in sorted(reference.leaves.keys() | {target}):
-            reference.ensure_path(account)
-            proof = reference.make_proof(account, height)
+            served = reference.copy()  # serving keeps no account
+            served.ensure_path(account)
+            proof = served.make_proof(account, height)
             proof = replace(proof, siblings=proof.siblings + spine)
             assert verify_proof(proof, block.state_root)
             for node in replicas:

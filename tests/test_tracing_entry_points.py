@@ -61,8 +61,8 @@ PINNED_LAYERS = {
     "pipeline.leaf_digests": 11_357,
     "pipeline.inner_digests": 84,
     "storage.apply_digests": 7_445,
-    "storage.audit_digests": 5_916,
-    "storage.audit_checked": 804,
+    "storage.audit_digests": 4_829,
+    "storage.audit_checked": 595,
     "oracle.apply_digests": 9_999,
     "ledger.verify_proof_calls": 1_100,
     "storage.serve_calls": 1_100,
