@@ -133,7 +133,6 @@ def _run_simulation(args, *, audit: bool) -> int:
     print(
         f"rounds={summary['rounds_run']}/{cfg.rounds}"
         f" accepted={summary['accepted_total']}"
-        f" oracle_mismatches={summary['oracle']['mismatches']}"
         f" fatal={summary['fatal'] or 'none'}" + (f" idle_faults={idle}" if idle else ""),
         file=sys.stderr,
     )

@@ -4,12 +4,14 @@ Everything advances in lockstep rounds.  Each round runs the stages in
 dependency order (storage, clients, confirmation, oracle, routing, leaf and
 inner folds, block emission), handing each unit, which keeps its own state,
 what the network delivered to it.  All cross-committee data crosses the
-round boundary, so this equals the committees running concurrently.  The
-oracle and the router take each committee's accepted sequence as it is; the
-router records the entry round for settling as Transfers, storage buffers
-keep Transfers too and committee windows each account's net change: proofs
-end at the leaf graft.  The totals a report row holds are added to the
-summary once the row is built, so a round that ends the run adds none.
+round boundary, so this equals the committees running concurrently for
+every unit but the inner committees, which place a child digest by the
+order it arrives in.  The oracle and the router take each committee's
+accepted sequence as it is; the router records the entry round for settling
+as Transfers, storage buffers keep Transfers too and committee windows each
+account's net change: proofs end at the leaf graft.  Stages return what
+they count, and the round adds it to the summary only after every stage has
+returned, so a round that ends the run adds nothing.
 """
 
 from __future__ import annotations
@@ -234,7 +236,6 @@ class Simulation:
         )
         self.expected_roots: dict[int, bytes] = {}
         self.accepted_by_entry: dict[int, tuple] = {}
-        self.injected_outcomes: Counter = Counter()
 
     # -- the run -------------------------------------------------------------
 
@@ -243,8 +244,7 @@ class Simulation:
         if hasattr(self, "summary"):
             raise RuntimeError("a Simulation runs once; build a new one to run again")
         cfg = self.config
-        # running totals: what a row holds is added once the row is built,
-        # so a round that ends the run adds only the counters no row holds
+        # running totals: `_round` adds a round once all its stages returned
         self.summary = summary = {
             "config": cfg.to_json_dict(),
             "stages": self.topology.stages,
@@ -261,14 +261,14 @@ class Simulation:
             "discard_reasons": Counter(),
             "proof_disagreements": 0,
             "conservative_rejections": 0,
+            "injected": {"count": 0, "outcomes": Counter()},
             "workload_truncated_rounds": 0,
-            "leaf_failed_rounds": 0,
             "latency": {"checked": 0, "violations": 0},
             "supply": dict.fromkeys(
                 ("initial", "min", "max"), cfg.initial_accounts * cfg.initial_balance
             ),
             "audit": {"checked": 0, "failed": 0},
-            "oracle": {"enabled": cfg.oracle_enabled, "matches": 0, "mismatches": 0},
+            "oracle": {"enabled": cfg.oracle_enabled, "matches": 0},
             "peaks": {"cc_tx": 0, "rpc_hashes": 0, "committee_msgs": 0, "backlog": 0},
             "fatal": None,
         }
@@ -290,13 +290,8 @@ class Simulation:
         # injection starts in round 5, with proofs served in round 3
         if self.options.expired_injection_rate and not self.clients.injected_ids:
             summary.setdefault("idle_faults", []).append("expired_injection_rate")
-        summary.update(
-            block_bytes=len(self.latest_block.to_bytes()),
-            injected={
-                "count": len(self.clients.injected_ids),
-                "outcomes": self.injected_outcomes,
-            },
-        )
+        summary["injected"]["count"] = len(self.clients.injected_ids)
+        summary["block_bytes"] = len(self.latest_block.to_bytes())
         return SimResult(reports, summary)
 
     def _round(self, round_index: int) -> dict:
@@ -307,11 +302,11 @@ class Simulation:
         meters = self.network.meters
         audit = self._storage_stage(round_index, inbox, delivered_block, meters)
         truncated = self._client_stage(round_index)
-        confirmed, discards = self._confirm_stage(round_index, inbox, meters)
-        supply = self._oracle_stage(round_index, confirmed, discards)
+        confirmed, discards, disagreements = self._confirm_stage(round_index, inbox, meters)
+        supply, conservative = self._oracle_stage(round_index, confirmed, discards)
         self._route_stage(round_index, confirmed)
         state_root = self._fold_stage(round_index, inbox, meters)
-        block, verdict = self._emit_stage(round_index, state_root)
+        block, verdict, carried = self._emit_stage(round_index, state_root)
 
         backlog = self.network.in_flight()
         row = {
@@ -326,7 +321,7 @@ class Simulation:
             "per_committee": [vars(meter) for meter in meters.values()],
         }
 
-        # every stage has run: the totals a row holds take it in
+        # every stage has returned: the round adds what they counted
         summary, peaks = self.summary, self.summary["peaks"]
         for cid, meter in meters.items():
             peaks["committee_msgs"] = max(
@@ -345,6 +340,16 @@ class Simulation:
             extremes["max"] = max(extremes["max"], supply)
         summary["audit"]["checked"] += audit["checked"]
         summary["workload_truncated_rounds"] += truncated
+        summary["discard_reasons"].update(reason for _, reason in discards)
+        summary["injected"]["outcomes"].update(
+            reason for tx, reason in discards if tx.txid in self.clients.injected_ids
+        )
+        summary["proof_disagreements"] += disagreements
+        summary["conservative_rejections"] += conservative
+        summary["latency"]["checked"] += carried
+        if verdict == "mismatch":
+            summary["latency"]["violations"] += carried
+        summary["oracle"]["matches"] += verdict == "match"
         return row
 
     def _storage_stage(self, round_index: int, inbox, block, meters) -> dict:
@@ -376,10 +381,11 @@ class Simulation:
         return truncated
 
     def _confirm_stage(self, round_index: int, inbox, meters):
-        """Returns each committee's accepted sequence and the round's discards."""
-        totals = self.summary
+        """Returns each committee's accepted sequence, the round's discards
+        and its proof disagreements."""
         confirmed = []
         round_discards = []
+        disagreements = 0
         for committee in self.ccs:
             cid = ("cc", committee.index)
             accepted, discards, stats = committee.confirm_round(
@@ -390,30 +396,26 @@ class Simulation:
             meter.accepted += stats.accepted
             meter.discarded += len(discards)
             meter.hashes += stats.hashes
-            totals["proof_disagreements"] += stats.proof_disagreements
-            totals["discard_reasons"].update(reason for _, reason in discards)
+            disagreements += stats.proof_disagreements
             confirmed.append(accepted)
             round_discards.extend(discards)
-            self.injected_outcomes.update(
-                reason for tx, reason in discards if tx.txid in self.clients.injected_ids
-            )
-        return confirmed, round_discards
+        return confirmed, round_discards, disagreements
 
-    def _oracle_stage(self, round_index: int, confirmed, discards) -> int | None:
+    def _oracle_stage(self, round_index: int, confirmed, discards):
         """The oracle checks that no order-respecting interleaving of the
         committees' sequences overdraws and applies their net changes; records
         the root the entry round's block must carry and returns the total
-        supply (None with the oracle off)."""
+        supply (None with the oracle off) and the `insufficient` discards its
+        balance before the round covers."""
         oracle = self.oracle
         if oracle is None:
-            return None
-        totals = self.summary
-        for tx, reason in discards:
-            if reason == "insufficient" and oracle.balance(tx.src) >= tx.amount:
-                totals["conservative_rejections"] += 1
-        expected = oracle.apply_sequence(confirmed, round_index)
-        self.expected_roots[round_index] = expected
-        return oracle.total_supply()
+            return None, 0
+        conservative = sum(
+            reason == "insufficient" and oracle.balance(tx.src) >= tx.amount
+            for tx, reason in discards
+        )
+        self.expected_roots[round_index] = oracle.apply_sequence(confirmed, round_index)
+        return oracle.total_supply(), conservative
 
     def _route_stage(self, round_index: int, confirmed) -> None:
         """Sends one batch per committee and touched portion to the portion's
@@ -444,11 +446,7 @@ class Simulation:
             cid = ("leaf", leaf.portion)
             incoming = [tx for batch in inbox.get(cid, ()) for tx in batch.txs]
             before = leaf.tree.hashes
-            try:
-                top = leaf.process_round(incoming)
-            except PipelineFault:
-                self.summary["leaf_failed_rounds"] += 1
-                raise
+            top = leaf.process_round(incoming)
             meter = meters[cid]
             meter.processed += len(incoming)
             meter.hashes += leaf.tree.hashes - before
@@ -473,9 +471,9 @@ class Simulation:
         return top
 
     def _emit_stage(self, round_index: int, state_root: bytes):
-        """Broadcasts the next block; returns it with the oracle's verdict.
-        Latency law: block h carries entry round h - q + 1, whose transfers
-        are checked here and violations when the oracle rejects the block."""
+        """Broadcasts the next block; returns it with the oracle's verdict and
+        the number of transfers it carries.  Latency law: block h carries entry round
+        h - q + 1, so the oracle's verdict on it checks those transfers."""
         block = next_block(self.latest_block, state_root)
         self.latest_block = block
         self.history.push(block)  # read by next round's confirmation
@@ -484,13 +482,7 @@ class Simulation:
         self.network.broadcast(emitter, block)
         entry = self.topology.entry_of(block.height)
         carried = len(self.accepted_by_entry.get(entry, ()))
-        self.summary["latency"]["checked"] += carried
         if self.oracle is None:
-            return block, "n/a"
-        oracle = self.summary["oracle"]
-        if block.state_root == self.expected_roots.pop(entry, self.genesis_block.state_root):
-            oracle["matches"] += 1
-            return block, "match"
-        oracle["mismatches"] += 1
-        self.summary["latency"]["violations"] += carried
-        return block, "mismatch"
+            return block, "n/a", carried
+        expected = self.expected_roots.pop(entry, self.genesis_block.state_root)
+        return block, "match" if block.state_root == expected else "mismatch", carried

@@ -138,8 +138,6 @@ def test_run_writes_report(config_path, tmp_path, capsys):
     assert len(lines) == 11  # one row per round plus the summary line
     rows = [json.loads(line) for line in lines]
     assert all(row["oracle"] == "match" for row in rows[:-1])
-    summary = rows[-1]["summary"]
-    assert summary["oracle"]["mismatches"] == 0
     err = capsys.readouterr().err
     assert "rounds=10/10" in err
 
@@ -337,7 +335,6 @@ def test_leaf_that_cannot_apply_its_batch_exits_3(
     assert len(tampered) == 1
     assert summary["fatal"].startswith(f"pipeline fault: leaf {tampered[0]}: ")
     assert summary["rounds_run"] == 5
-    assert summary["leaf_failed_rounds"] == 1
     assert "fatal=pipeline fault: leaf " in capsys.readouterr().err
 
 
@@ -378,17 +375,16 @@ def test_overdraw_after_confirmation_exits_3(
     (node, account), = tampered
     if target == "leaf":
         # the leaf folds the batch in round 6 and names the fault there
-        culprit, failed_rounds = f"pipeline fault: leaf {node[0]}", 1
+        culprit = f"pipeline fault: leaf {node[0]}"
         assert summary["rounds_run"] == 5
     else:
         # the storage node applies it when block 5 + q - 1 arrives, a round
         # after that block is emitted
-        culprit, failed_rounds = f"storage divergence: storage {node[0]}/{node[1]}", 0
+        culprit = f"storage divergence: storage {node[0]}/{node[1]}"
         cfg = BASE_CONFIG
         topo = build_topology(cfg["leaf_count"], cfg["j"], cfg["address_bits"])
         assert summary["rounds_run"] == 5 + topo.stages - 1
     assert summary["fatal"] == f"{culprit}: negative balance for account {account}"
-    assert summary["leaf_failed_rounds"] == failed_rounds
     assert f"fatal={culprit}: " in capsys.readouterr().err
 
 

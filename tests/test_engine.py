@@ -17,7 +17,7 @@ from pipechain.engine import FATAL_VERDICTS, SimConfig, Simulation, report_lines
 from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import BalanceProof, build_pruned
 from pipechain.storage import StorageNode
-from reference import full_tree_root
+from reference import full_tree_root, meter_identity_failures
 
 
 def _config(**overrides):
@@ -155,7 +155,7 @@ def test_run_matches_oracle_every_round():
     result = Simulation(_config()).run()
     assert result.ok
     summary = result.summary
-    assert summary["oracle"] == {"enabled": True, "matches": 12, "mismatches": 0}
+    assert summary["oracle"] == {"enabled": True, "matches": 12}
     assert summary["fatal"] is None
     assert summary["accepted_total"] > 0
     assert all(row["oracle"] == "match" for row in result.reports)
@@ -240,6 +240,7 @@ def test_every_small_run_ends_ok_or_named_and_replays(run):
     assert result.ok or options["drop_confirmed_round"] is not None
     # every served proof verifies: no fault option makes a wrong one
     assert "bad_proof" not in summary["discard_reasons"]
+    _assert_totals_fold_the_rows(result)
     # criterion 8 beyond the acceptance config
     again = Simulation(cfg, **options).run()
     assert list(report_lines(again)) == list(report_lines(result))
@@ -427,8 +428,12 @@ def _overdraw_in_leaf_0(sim):
 
 def _assert_totals_fold_the_rows(result):
     """Every summary total that a report row also holds is the fold of that
-    field over the reported rows."""
+    field over the reported rows, and the rows' meters keep their identities."""
     reports, summary = result.reports, result.summary
+    cfg = summary["config"]
+    topo = pipeline.build_topology(cfg["leaf_count"], cfg["j"], cfg["address_bits"])
+    child_counts = [tier.child_count for tier in topo.tiers]
+    assert meter_identity_failures(reports, topo.stages, child_counts) == []
     entries = [entry for row in reports for entry in row["per_committee"]]
     cc = [entry for entry in entries if entry["id"].startswith("cc-")]
     rpc = [entry for entry in entries if entry["id"].startswith(("leaf-", "inner-"))]
@@ -448,7 +453,8 @@ def _assert_totals_fold_the_rows(result):
         "max": max(supplies, default=initial),
     }
     assert summary["oracle"]["matches"] == verdicts.count("match")
-    assert summary["oracle"]["mismatches"] == verdicts.count("mismatch")
+    diverged = str(summary["fatal"]).startswith("oracle divergence at height ")
+    assert verdicts.count("mismatch") == diverged
     assert summary["peaks"] == {
         "cc_tx": max(entry["processed"] for entry in cc),
         "rpc_hashes": max(entry["hashes"] for entry in rpc),
@@ -467,10 +473,13 @@ def _assert_totals_fold_the_rows(result):
     ids=["ok", "cheat", "leaf-fault"],
 )
 def test_summary_totals_fold_the_reported_rows(fault, fatal):
-    # A round that ends the run is not reported, so the totals a row holds
-    # must not count it, whichever stage raised; the acceptance config with
-    # the proof audit on, seed 1
-    sim = Simulation(SimConfig(rounds=14), audit_proofs=True)
+    # A round that ends the run is not reported, so it adds to no total,
+    # whichever stage raised: the totals a row holds fold the rows, and those
+    # no row holds equal the same run cut to the rounds reported.  The
+    # acceptance config with the proof audit and stale-proof injection on,
+    # seed 1
+    options = dict(audit_proofs=True, expired_injection_rate=2)
+    sim = Simulation(SimConfig(rounds=14), **options)
     if fault is not None:
         fault(sim)
     result = sim.run()
@@ -479,6 +488,12 @@ def test_summary_totals_fold_the_reported_rows(fault, fatal):
     else:
         assert result.summary["fatal"].startswith(fatal)
     _assert_totals_fold_the_rows(result)
+    cut = Simulation(SimConfig(rounds=result.summary["rounds_run"]), **options).run()
+    assert cut.ok
+    for key in ("discard_reasons", "proof_disagreements", "conservative_rejections",
+                "latency"):
+        assert result.summary[key] == cut.summary[key], key
+    assert result.summary["injected"]["outcomes"] == cut.summary["injected"]["outcomes"]
 
 
 def test_a_failed_audit_names_the_stale_position(monkeypatch):
@@ -606,25 +621,25 @@ GOLDEN_REPORTS = [
     (
         dict(leaf_count=16, rho=2),
         dict(audit_proofs=True),
-        "c21c5aa47c4cfa6d145b00625439a83f3c217bf60c5d850c50715a0d2c81e583",
+        "d2a6f546021ee2356e48ea2f34753cb5529c4769e292c7fb1b1e1cec7a289a13",
     ),
     # a single leaf committee emits the block, with the oracle off
     (
         dict(leaf_count=1, oracle_enabled=False),
         {},
-        "4fe5d0bb7ec322b2c74cd0b102893338839f65424abe508d810df6f5ef1630e5",
+        "2272ca56938559b562ff1091bfa3680823711943409c6fcb223f4f0b4205da68",
     ),
     # every non-fatal fault hook
     (
         {},
         dict(balanced_workload=True, expired_injection_rate=2),
-        "d685b06015176d60cb933ed07678f15656d2336ceb55b2ccb1bf985c84aad5de",
+        "3df7f4d347c00b1d930cfa988227c5baf2b650224132aac6bb17af9affbb8a95",
     ),
     # the fatal path
     (
         {},
         dict(drop_confirmed_round=5),
-        "215cac036117c28435a3b8e31fde5eb77c20422be31b849420dc48130979d5f6",
+        "004aca6e65f453687744e413a4f260f91f6b78d4a5c87ca69cb47125058dc41f",
     ),
 ]
 
