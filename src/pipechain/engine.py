@@ -4,14 +4,16 @@ Everything advances in lockstep rounds.  Each round runs the stages in
 dependency order (storage, clients, confirmation, oracle, routing, leaf and
 inner folds, block emission), handing each unit, which keeps its own state,
 what the network delivered to it.  All cross-committee data crosses the
-round boundary, so this equals the committees running concurrently for
-every unit but the inner committees, which place a child digest by the
-order it arrives in.  The oracle and the router take each committee's
-accepted sequence as it is; the router records the entry round for settling
-as Transfers, storage buffers keep Transfers too and committee windows each
-account's net change: proofs end at the leaf graft.  Stages return what
-they count, and the round adds it to the summary only after every stage has
-returned, so a round that ends the run adds nothing.
+round boundary and no unit reads the order it arrives in (a child digest
+carries its (level, index)), so this equals the committees running
+concurrently: the `shuffled` cases of `test_report_bytes_pinned` and
+`test_acceptance_report_bytes_pinned` shuffle every inbox and get the same
+bytes.  The oracle and the router take each committee's accepted sequence
+as it is; the router records the entry round for settling as Transfers,
+storage buffers keep Transfers too and committee windows each account's net
+change: proofs end at the leaf graft.  Stages return what they count, and
+the round adds it to the summary only after every stage has returned, so a
+round that ends the run adds nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .ledger import GENESIS_PREV_HASH, Batch, Block, BlockHistory, cc_index
 from .network import Network
 from .oracle import LedgerOracle, NonNegativityViolation
 from .pipeline import (
-    InnerRpc, LeafRpc, PipelineFault, build_topology, fold_digests, next_block
+    InnerRpc, LeafRpc, PipelineFault, build_topology, fold_up, next_block
 )
 from .storage import GenesisMismatch, StateDivergence, StorageNode
 
@@ -181,10 +183,13 @@ class Simulation:
         self.leaf_rpcs = [
             LeafRpc(topo, m, by_portion[m], heap) for m in range(cfg.leaf_count)
         ]
-        # genesis digests by level above the portion roots, bottom first
-        leaf_digests = [leaf.tree.root_hash() for leaf in self.leaf_rpcs]
-        levels = [leaf_digests] + fold_digests(leaf_digests)[1]
-        genesis_root = levels[-1][0]
+        # genesis digests by global (level, index), from the portion roots up
+        genesis = {
+            (topo.portion_bits, m): leaf.tree.root_hash()
+            for m, leaf in enumerate(self.leaf_rpcs)
+        }
+        genesis.update(fold_up(genesis, topo.portion_levels))
+        genesis_root = genesis[(cfg.address_bits, 0)]
         if self.oracle is not None and self.oracle.root() != genesis_root:
             raise GenesisMismatch(
                 f"oracle root {self.oracle.root().hex()[:16]} != "
@@ -205,10 +210,7 @@ class Simulation:
                 m,
                 r,
                 self.leaf_rpcs[m].tree,
-                [
-                    (pos, levels[t][pos[1]])
-                    for t, pos in enumerate(topo.spine_positions(m))
-                ],
+                [(pos, genesis[pos]) for pos in topo.spine_positions(m)],
                 self.genesis_block,
             )
             for m in range(cfg.leaf_count)
@@ -226,7 +228,8 @@ class Simulation:
         drop = self.options.drop_confirmed_round
         self.network = Network(topo, self.committee_ids, drop)
         for t, tier in enumerate(topo.tiers):
-            for index, digest in enumerate(levels[tier.base_level]):
+            for index in range(tier.count * tier.child_count):
+                digest = genesis[(topo.portion_bits + tier.base_level, index)]
                 self.network.send_up(None, t, index, digest)
 
         # -- clients ------------------------------------------------------

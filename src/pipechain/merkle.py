@@ -419,27 +419,27 @@ class PrunedTree:
 
     def merge_proof(self, proof: BalanceProof) -> None:
         """Graft a verified proof's account into this tree, reading only the
-        proof's first root_level siblings.  Every absent subtree is all-zero,
-        so an account the tree does not hold must have a zero balance under
-        default siblings up to its entry (the node below the deepest
-        materialized one on its path), and there it joins as a zero leaf
-        with a default tail.  Every sibling above the entry that is not
-        materialized must be default, and a held leaf must hold the proof's
-        balance.  No digest changes, so merging the same proof twice is a
-        no-op."""
+        proof's first root_level siblings.  A held account is left as it is:
+        the tree's balance is newer than the proof's base.  Every absent
+        subtree is all-zero, so an account the tree does not hold must have
+        a zero balance under default siblings up to its entry (where
+        ensure_path would top its default tail), and there it joins as a
+        zero leaf with a default tail.  Every sibling above the entry that is
+        not materialized must be default.  No digest changes, so merging the
+        same proof twice is a no-op."""
         account, siblings = proof.account, proof.siblings
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored range")
+        if account in self.leaves:
+            return
         if len(siblings) < self.root_level:
             raise MerkleError(
                 f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
         leaf, defaults = self._base + account, DEFAULT_DIGESTS
-        node, tail = self._deepest(leaf)
-        entry_level = self.root_level
-        if node is not None:
-            entry_level = self._width - node.bit_length() - 1
-        for level in range(self.root_level - 1, max(entry_level, 0) - 1, -1):
+        entry, tail = self._entry(account)
+        entry_level = self._width - entry.bit_length()
+        for level in range(self.root_level - 1, entry_level - 1, -1):
             sibling = (leaf >> level) ^ 1
             # materialized, or the held side of a tail the entry cuts
             if sibling in self._nodes or (level == entry_level and tail is not None):
@@ -448,19 +448,13 @@ class PrunedTree:
                 raise ProofConflict(
                     f"sibling digest mismatch at {self._position(sibling)}"
                 )
-        if node == leaf:
-            if self.leaves[account] != proof.balance:
-                raise ProofConflict(f"balance mismatch for {account}")
-            return
 
         # fold the proof up to the entry and check it against the default there
         digest = leaf_digest(account, proof.balance)
         path = climb(account, digest, siblings[:entry_level])
         self.hashes += (proof.balance != 0) + entry_level
         if path[-1] != defaults[entry_level]:
-            raise ProofConflict(
-                f"proof contradicts {self._position(leaf >> entry_level)}"
-            )
+            raise ProofConflict(f"proof contradicts {self._position(entry)}")
         self.ensure_path(account)
 
 

@@ -78,9 +78,11 @@ class Network:
 
     def send_up(self, sender, tier: int, index: int, digest: bytes) -> None:
         """Latch the index-th digest below a tier into the committee folding
-        it; children are sent in ascending index, so they arrive in slot order."""
-        parent = index // self.topology.tiers[tier].child_count
-        self.send(sender, [("inner", tier, parent)], digest)
+        it, as one item: ((level, index), digest) at its global position."""
+        spec = self.topology.tiers[tier]
+        level = self.topology.portion_bits + spec.base_level
+        parent = ("inner", tier, index // spec.child_count)
+        self.send(sender, [parent], ((level, index), digest))
 
     def publish(self, sender, entry: int, computed) -> None:
         """Send a committee's spine digests of an entry round, {position:

@@ -16,7 +16,7 @@ from .merkle import MerkleError, build_pruned, node_hash
 
 class PipelineFault(Exception):
     """A committee cannot fold its round: an inner committee did not get
-    exactly one digest from each child, or a leaf cannot apply its batch."""
+    exactly one digest for each child slot, or a leaf cannot apply its batch."""
 
 
 @dataclass(frozen=True)
@@ -103,20 +103,19 @@ def build_topology(leaf_count: int, hash_budget: int, address_bits: int) -> RpcT
     )
 
 
-def fold_digests(digests):
-    """Pairwise-fold a power-of-two digest list; returns (top, levels above
-    the input, bottom first)."""
-    n = len(digests)
-    if n < 1 or n & (n - 1):
-        raise ValueError("fold needs a power-of-two digest count")
-    levels = []
-    current = list(digests)
-    while len(current) > 1:
-        current = [
-            node_hash(current[i], current[i + 1]) for i in range(0, len(current), 2)
-        ]
-        levels.append(current)
-    return current[0], levels
+def fold_up(row, levels: int) -> dict:
+    """Pairwise-fold a row of sibling digests, {(level, index): digest}, up
+    `levels` levels; returns every digest the fold makes, keyed by its
+    (level, index), bottom first."""
+    made = {}
+    for _ in range(levels):
+        row = {
+            (level + 1, index >> 1): node_hash(digest, row[(level, index | 1)])
+            for (level, index), digest in sorted(row.items())
+            if not index & 1
+        }
+        made.update(row)
+    return made
 
 
 class LeafRpc:
@@ -150,7 +149,7 @@ class LeafRpc:
         try:
             for tx in incoming:
                 for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
-                    if tree.covers(account) and account not in tree.leaves:
+                    if tree.covers(account):
                         tree.merge_proof(proof)
             tree.apply_transfers(incoming)
         except MerkleError as exc:
@@ -162,31 +161,30 @@ class InnerRpc:
     """Folds its children's digests up a fixed slice of the tree."""
 
     def __init__(self, topology: RpcTopology, tier_index: int, index: int) -> None:
-        self.topology = topology
-        self.tier_index = tier_index
-        self.index = index
-        self.spec = topology.tiers[tier_index]
+        self.spec = spec = topology.tiers[tier_index]
+        self.name = f"tier {tier_index} rpc {index}"
+        level = topology.portion_bits + spec.base_level
+        first = index * spec.child_count
+        self.slots = frozenset((level, first + i) for i in range(spec.child_count))
+        self.top = (level + spec.owned_levels, index)
         self.hashes = 0
 
-    def fold_round(self, child_digests) -> tuple[bytes, dict]:
-        """Returns (top digest, {global (level, index): digest} for every
-        node this committee computed this round)."""
-        spec = self.spec
-        if len(child_digests) != spec.child_count:
-            raise PipelineFault(
-                f"tier {self.tier_index} rpc {self.index} expects "
-                f"{spec.child_count} child digests, got {len(child_digests)}"
-            )
-        top, levels = fold_digests(child_digests)
-        self.hashes += len(child_digests) - 1
-        computed: dict[tuple[int, int], bytes] = {}
-        base = self.topology.portion_bits + spec.base_level
-        for step, row in enumerate(levels):
-            level = base + step + 1
-            start = self.index << (spec.owned_levels - step - 1)
-            for offset, digest in enumerate(row):
-                computed[(level, start + offset)] = digest
-        return top, computed
+    def fold_round(self, children) -> tuple[bytes, dict]:
+        """Takes the round's child digests as ((level, index), digest) pairs,
+        in any order; returns (top digest, {global (level, index): digest}
+        for every node this committee computed this round)."""
+        row = {}
+        for pos, digest in children:
+            if pos in row or pos not in self.slots:
+                fault = "repeated" if pos in row else "foreign"
+                raise PipelineFault(f"{self.name} got a {fault} child digest {pos}")
+            row[pos] = digest
+        if len(row) < len(self.slots):
+            missing = min(self.slots - row.keys())
+            raise PipelineFault(f"{self.name} is missing child digest {missing}")
+        computed = fold_up(row, self.spec.owned_levels)
+        self.hashes += len(computed)
+        return computed[self.top], computed
 
 
 def next_block(prev_block: Block, state_root: bytes) -> Block:

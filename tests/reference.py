@@ -1,7 +1,11 @@
 """Literal references the tests check the library against: the full-tree
-fold and the sequential rule."""
+fold and the sequential rule; and an inbox shuffle, which shows that no
+report depends on the order in which a round's messages arrive."""
+
+import random
 
 from pipechain.merkle import leaf_digest, node_hash
+from pipechain.network import Network
 
 
 def full_tree_root(balances, address_bits: int) -> bytes:
@@ -67,3 +71,17 @@ def meter_identity_failures(reports, stages: int, child_counts) -> list:
         routed = sum(m["msgs_out"] for m in row["per_committee"] if m["id"].startswith("cc-"))
         leaf_rounds.append(leaves)
     return failures
+
+
+def shuffle_inboxes(monkeypatch, seed: int = 0) -> None:
+    """From now on, Network.deliver hands every destination its messages in
+    an order drawn from random.Random(seed), not in send order."""
+    rng, deliver = random.Random(seed), Network.deliver
+
+    def shuffled(network):
+        inbox, block = deliver(network)
+        for messages in inbox.values():
+            rng.shuffle(messages)
+        return inbox, block
+
+    monkeypatch.setattr(Network, "deliver", shuffled)

@@ -21,7 +21,7 @@ from pipechain.provisioning import (
     provision_minimal,
     scale_experiment,
 )
-from reference import full_tree_root
+from reference import full_tree_root, shuffle_inboxes
 
 ACCEPTANCE_CONFIG = SimConfig(
     seed=1,
@@ -274,9 +274,14 @@ def test_criterion_08_determinism(default_runs, capsys, tmp_path):
     )
 
 
-def test_acceptance_report_bytes_pinned(default_runs):
-    # the acceptance run's report bytes, as `pipechain run --report` writes them
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+def test_acceptance_report_bytes_pinned(default_runs, shuffled, monkeypatch):
+    # the acceptance run's report bytes, as `pipechain run --report` writes
+    # them; the same when every inbox arrives in a seeded random order
     result, _ = default_runs[1]
+    if shuffled:
+        shuffle_inboxes(monkeypatch)
+        result = Simulation(ACCEPTANCE_CONFIG).run()
     data = "".join(line + "\n" for line in report_lines(result)).encode()
     assert hashlib.sha256(data).hexdigest() == (
         "e434c7408a4a55ac9c23184bcebe6358fc27d7e04aa129659f0b0601c0b88144"

@@ -286,7 +286,8 @@ def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys, sims):
     assert dropped == [(0, 0)]
     err = capsys.readouterr().err
     assert "rounds=5/10" in err
-    assert "fatal=pipeline fault: tier 0 rpc 0 expects 4 child digests, got 3" in err
+    # portion roots of a 12-bit space in four portions sit at level 10
+    assert "fatal=pipeline fault: tier 0 rpc 0 is missing child digest (10, 0)" in err
 
 
 def test_drop_fault_exits_3_under_optimize(tmp_path):

@@ -17,7 +17,7 @@ from pipechain.engine import FATAL_VERDICTS, SimConfig, Simulation, report_lines
 from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import BalanceProof, build_pruned
 from pipechain.storage import StorageNode
-from reference import full_tree_root, meter_identity_failures
+from reference import full_tree_root, meter_identity_failures, shuffle_inboxes
 
 
 def _config(**overrides):
@@ -645,11 +645,19 @@ GOLDEN_REPORTS = [
 
 
 @pytest.mark.parametrize(
-    "overrides, options, digest",
-    GOLDEN_REPORTS,
-    ids=["tiers-replicas-audit", "single-leaf", "faults", "fatal"],
+    "overrides, options, digest, shuffled",
+    [
+        pytest.param(*case, shuffled, id=name + "-shuffled" * shuffled)
+        for shuffled in (False, True)
+        for case, name in zip(
+            GOLDEN_REPORTS, ["tiers-replicas-audit", "single-leaf", "faults", "fatal"]
+        )
+    ],
 )
-def test_report_bytes_pinned(overrides, options, digest):
+def test_report_bytes_pinned(overrides, options, digest, shuffled, monkeypatch):
+    # the same bytes when every inbox arrives in a seeded random order
+    if shuffled:
+        shuffle_inboxes(monkeypatch)
     result = Simulation(_config(rounds=20, **overrides), **options).run()
     # the report bytes exactly as `pipechain run --report` writes them
     data = "".join(line + "\n" for line in report_lines(result)).encode()

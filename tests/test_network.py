@@ -41,7 +41,8 @@ def test_unicast_and_multicast_cost_the_sender_one_message():
     network.send(("inner", 0, 0), [("leaf", m) for m in range(3)], DIGEST)
     assert _counts(network) == {("leaf", 2): (0, 1), ("inner", 0, 0): (0, 1)}
     inbox, _ = network.deliver()
-    assert inbox[("inner", 0, 0)] == [DIGEST]
+    # a child digest carries its global (level, index): portion roots sit at 6
+    assert inbox[("inner", 0, 0)] == [((6, 2), DIGEST)]
     assert _counts(network) == {
         ("inner", 0, 0): (1, 0), **{("leaf", m): (1, 0) for m in range(3)}
     }

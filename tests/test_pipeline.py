@@ -1,19 +1,20 @@
 """Root-hash pipeline: topology, digest folding, leaf and inner committees."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
 from pipechain.ledger import Block, Transaction, block_hash
 from pipechain import pipeline
-from pipechain.merkle import build_pruned
+from pipechain.merkle import build_pruned, node_hash
 from pipechain.pipeline import (
     InnerRpc,
     LeafRpc,
     PipelineFault,
     build_topology,
-    fold_digests,
     fold_levels,
+    fold_up,
     next_block,
 )
 
@@ -106,30 +107,32 @@ def _count_node_hashes(monkeypatch):
     return made
 
 
-def test_fold_digests_counts(monkeypatch):
+def _row(digests, level=3):
+    """{(level, index): digest} for a row of sibling digests, last first."""
+    return {(level, i): d for i, d in reversed(list(enumerate(digests)))}
+
+
+def test_fold_up_counts(monkeypatch):
     made = _count_node_hashes(monkeypatch)
-    top2, levels2 = fold_digests([b"\x01" * 32, b"\x02" * 32])
+    pair = [b"\x01" * 32, b"\x02" * 32]
+    assert fold_up(_row(pair), 1) == {(4, 0): node_hash(*pair)}
     assert made == [1]
-    assert levels2 == [[top2]]
     digests = [bytes([i]) * 32 for i in range(8)]
-    top8, levels8 = fold_digests(digests)
+    computed = fold_up(_row(digests), 3)
     assert made == [1 + 7]
-    assert [len(row) for row in levels8] == [4, 2, 1]
-    assert levels8[-1] == [top8]
+    # keyed by position, bottom first and left to right whatever the row's order
+    assert list(computed) == [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (6, 0)]
+    assert computed[(4, 3)] == node_hash(digests[6], digests[7])
     # an inner committee counts the digests its fold makes: one per child but one
     rpc = InnerRpc(build_topology(8, 7, address_bits=6), 0, 0)
     assert rpc.spec.child_count == 8
-    assert rpc.fold_round(digests)[0] == top8
+    assert rpc.fold_round(_row(digests).items())[0] == computed[(6, 0)]
     assert rpc.hashes == 7 and made == [1 + 7 + 7]
-    with pytest.raises(ValueError):
-        fold_digests(digests[:3])
 
 
 def test_fold_single_digest_is_identity(monkeypatch):
     made = _count_node_hashes(monkeypatch)
-    top, levels = fold_digests([b"\x07" * 32])
-    assert top == b"\x07" * 32
-    assert levels == []
+    assert fold_up({(3, 0): b"\x07" * 32}, 0) == {}
     assert made == [0]
 
 
@@ -171,7 +174,9 @@ def test_leaf_round_tracks_reference_tree():
     after = {0: 90, 3: 25, 5: 10, 20: 95}
     assert d0 == _portion_root(after, 0)
     assert d1 == _portion_root(after, 1)
-    assert fold_digests([d0, d1])[0] == build_pruned(sorted(after.items()), 5).root_hash()
+    assert fold_up({(4, 0): d0, (4, 1): d1}, 1)[(5, 0)] == (
+        build_pruned(sorted(after.items()), 5).root_hash()
+    )
 
 
 def test_leaf_prefers_own_balance_over_stale_proof():
@@ -211,24 +216,34 @@ def test_inner_rpc_computed_positions():
     assert [t.count for t in topo.tiers] == [2, 1]
     rpc = InnerRpc(topo, 0, 1)  # right half of the first tier
     d = [bytes([7]) * 32, bytes([9]) * 32]
-    top, computed = rpc.fold_round(d)
+    top, computed = rpc.fold_round([((4, 3), d[1]), ((4, 2), d[0])])
+    assert top == node_hash(d[0], d[1])
     assert computed == {(5, 1): top}
     root_rpc = InnerRpc(topo, 1, 0)
-    top2, computed2 = root_rpc.fold_round([bytes([1]) * 32, top])
+    top2, computed2 = root_rpc.fold_round([((5, 1), top), ((5, 0), bytes([1]) * 32)])
     assert computed2 == {(6, 0): top2}
-    with pytest.raises(PipelineFault):
-        rpc.fold_round([d[0]])
+    # a missing, repeated or foreign slot ends the fold, named
+    faults = {
+        "is missing child digest (4, 2)": [((4, 3), d[1])],
+        "got a repeated child digest (4, 3)": [((4, 3), d[1]), ((4, 3), d[1])],
+        "got a foreign child digest (4, 1)": [((4, 3), d[1]), ((4, 1), d[0])],
+        "got a foreign child digest (5, 2)": [((4, 3), d[1]), ((5, 2), d[0])],
+    }
+    for message, children in faults.items():
+        with pytest.raises(PipelineFault, match=rf"^tier 0 rpc 1 {re.escape(message)}$"):
+            rpc.fold_round(children)
+    assert rpc.hashes == 1
 
 
 def test_inner_rpc_multi_level_positions():
     topo = build_topology(4, 7, address_bits=6)  # one tier owning both levels
     rpc = InnerRpc(topo, 0, 0)
     digests = [bytes([i]) * 32 for i in range(4)]
-    top, computed = rpc.fold_round(digests)
+    top, computed = rpc.fold_round(_row(digests, level=4).items())
     assert set(computed) == {(5, 0), (5, 1), (6, 0)}
     assert computed[(6, 0)] == top
-    whole = fold_digests(digests)[0]
-    assert top == whole
+    halves = node_hash(*digests[:2]), node_hash(*digests[2:])
+    assert top == node_hash(*halves)
 
 
 def test_next_block_links():
