@@ -3,9 +3,10 @@
 Everything advances in lockstep rounds.  Each round runs the stages in
 dependency order (storage, clients, confirmation, oracle, routing, leaf and
 inner folds, block emission), handing each unit, which keeps its own state,
-what the network delivered to it.  All cross-committee data crosses the
-round boundary and no unit reads the order it arrives in (a child digest
-carries its (level, index)), so this equals the committees running
+what the network delivered to it.  A folding committee publishes every
+digest it makes by its (level, index), and the network sends each position
+to its readers.  All cross-committee data crosses the round boundary and no
+unit reads the order it arrives in, so this equals the committees running
 concurrently: the `shuffled` cases of `test_report_bytes_pinned` and
 `test_acceptance_report_bytes_pinned` shuffle every inbox and get the same
 bytes.  The oracle and the router take each committee's accepted sequence
@@ -227,10 +228,8 @@ class Simulation:
         # -- pipeline latches: feed genesis digests into round 1 ----------
         drop = self.options.drop_confirmed_round
         self.network = Network(topo, self.committee_ids, drop)
-        for t, tier in enumerate(topo.tiers):
-            for index in range(tier.count * tier.child_count):
-                digest = genesis[(topo.portion_bits + tier.base_level, index)]
-                self.network.send_up(None, t, index, digest)
+        for pos, parent in self.network.parent.items():
+            self.network.send(None, [parent], (pos, genesis[pos]))
 
         # -- clients ------------------------------------------------------
         self._committee_of = cache(lambda account: cc_index(account, cfg.n_c))
@@ -442,8 +441,9 @@ class Simulation:
 
     def _fold_stage(self, round_index: int, inbox, meters) -> bytes:
         """Leaves fold the previous entry round, inner tiers fold bottom-up and
-        spine digests go to storage; returns the last digest folded, which is
-        the state root (the single tier-top, or the only leaf's digest)."""
+        each committee publishes its digests to their readers; returns the
+        last digest folded, which is the state root (the single tier-top, or
+        the only leaf's digest)."""
         topo = self.topology
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
@@ -453,10 +453,7 @@ class Simulation:
             meter = meters[cid]
             meter.processed += len(incoming)
             meter.hashes += leaf.tree.hashes - before
-            if topo.tiers:
-                self.network.send_up(cid, 0, leaf.portion, top)
-                spine = {(topo.portion_bits, leaf.portion): top}
-                self.network.publish(cid, round_index - 1, spine)
+            self.network.publish(cid, round_index - 1, {(topo.portion_bits, leaf.portion): top})
 
         for t, tier in enumerate(topo.tiers):
             for p in range(tier.count):
@@ -469,8 +466,6 @@ class Simulation:
                 meter.processed += len(children)
                 meter.hashes += rpc.hashes - before
                 self.network.publish(cid, round_index - 2 - t, computed)
-                if t + 1 < len(topo.tiers):
-                    self.network.send_up(cid, t + 1, p, top)
         return top
 
     def _emit_stage(self, round_index: int, state_root: bytes):

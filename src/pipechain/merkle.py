@@ -226,13 +226,6 @@ class PrunedTree:
         parted = ((leaf >> (self._width - key.bit_length())) ^ key).bit_length()
         return key >> parted, step
 
-    def _tail_top(self, account: int) -> int:
-        """Key of the top of a held account's tail."""
-        key, nodes = self._base + account, self._nodes
-        while key not in nodes:
-            key >>= 1
-        return key
-
     # -- digests ------------------------------------------------------------
 
     def _fold(self, tops) -> int:
@@ -336,11 +329,16 @@ class PrunedTree:
             nodes[key] = part if get(key) != part else get(key)
 
     def _entry(self, account: int) -> tuple[int, int | None]:
-        """Where an account the tree does not hold would top its default
-        tail: below the deepest materialized node on its path, or at the top;
-        with the top of the held tail that node lies in (None: none)."""
+        """A held account's tail top, with None.  Where an account the tree
+        does not hold would top its default tail: below the deepest
+        materialized node on its path, or at the top; with the top of the
+        held tail that node lies in (None: none).  NotStored outside the scope."""
+        if not self.covers(account):
+            raise NotStored(f"account {account} outside stored subtree")
         leaf = self._base + account
         node, tail = self._deepest(leaf)
+        if node == leaf:  # held: its own tail's leaf
+            return tail, None
         entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
         return entry, tail
 
@@ -349,8 +347,6 @@ class PrunedTree:
         a zero balance and gets a default tail, cutting a held tail it enters."""
         if account in self.leaves:
             return
-        if not self.covers(account):
-            raise NotStored(f"account {account} outside stored subtree")
         entry, tail = self._entry(account)
         if tail is not None:
             self._split(tail, entry >> 1)
@@ -371,7 +367,7 @@ class PrunedTree:
                 raise NotStored(f"account {account} is not held")
             if balance < 0:
                 raise NegativeBalance(f"negative balance for account {account}")
-        tops = [(a, self._tail_top(a)) for a, b in balances.items() if leaves[a] != b]
+        tops = [(a, self._entry(a)[0]) for a, b in balances.items() if leaves[a] != b]
         leaves.update(balances)
         self.hashes += self._fold(tops)
 
@@ -398,14 +394,8 @@ class PrunedTree:
         An account of the scope the tree does not hold has a zero balance;
         its proof is read where ensure_path would top its default tail, and
         equals the one that makes, but the tree is left as it is."""
-        if not self.covers(account):
-            raise NotStored(f"account {account} outside stored subtree")
+        key, held = self._entry(account)
         nodes, defaults = self._nodes, DEFAULT_DIGESTS
-        held = None
-        if account in self.leaves:
-            key = self._tail_top(account)
-        else:
-            key, held = self._entry(account)
         level = self._width - key.bit_length()
         siblings = list(defaults[:level])
         if held is not None:  # the entry parts from a held tail: its digest there
@@ -428,16 +418,14 @@ class PrunedTree:
         not materialized must be default.  No digest changes, so merging the
         same proof twice is a no-op."""
         account, siblings = proof.account, proof.siblings
-        if not self.covers(account):
-            raise NotStored(f"account {account} outside stored range")
         if account in self.leaves:
             return
+        entry, tail = self._entry(account)
         if len(siblings) < self.root_level:
             raise MerkleError(
                 f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
             )
         leaf, defaults = self._base + account, DEFAULT_DIGESTS
-        entry, tail = self._entry(account)
         entry_level = self._width - entry.bit_length()
         for level in range(self.root_level - 1, entry_level - 1, -1):
             sibling = (leaf >> level) ^ 1

@@ -2,7 +2,10 @@
 
 Messages sent in round i reach their destinations in round i + 1, in send
 order, one inbox per committee; the block emitted in round i reaches every
-committee beside its inbox.  One rule charges the round's meters:
+committee beside its inbox.  A published digest goes to the inner committee
+that folds it, as one item, and to the storage nodes that keep it, in a
+Frontier; who reads each position is decided once, from the topology.  One
+rule charges the round's meters:
 
 - a sender pays one message per item it sends, once however many
   destinations share the send (one multicast);
@@ -39,17 +42,19 @@ def _items(msg) -> int:
 
 class Network:
     def __init__(self, topology, committee_ids, drop_round=None) -> None:
-        self.topology = topology
         self._names = {cid: "-".join(map(str, cid)) for cid in committee_ids}
         self.drop_round = drop_round
         self.dropped = None  # the transfer the drop round lost
         self.meters: dict[tuple, Meter] = {}  # the current round's
         self._outbox: dict[tuple, list] = {}
         self._block = None  # in flight to every committee
-        # which storage nodes need each published spine digest
+        # each child position's folding committee, each spine digest's storage nodes
+        self.parent: dict[tuple[int, int], tuple] = {}
         self._need: dict[tuple[int, int], list] = {}
         for cid in committee_ids:
-            if cid[0] == "storage":
+            if cid[0] == "inner":
+                self.parent.update(dict.fromkeys(topology.child_positions(*cid[1:]), cid))
+            elif cid[0] == "storage":
                 for pos in topology.spine_positions(cid[1]):
                     self._need.setdefault(pos, []).append(cid)
 
@@ -76,20 +81,15 @@ class Network:
         if sender is not None:
             self.meters[sender].msgs_out += _items(msg)
 
-    def send_up(self, sender, tier: int, index: int, digest: bytes) -> None:
-        """Latch the index-th digest below a tier into the committee folding
-        it, as one item: ((level, index), digest) at its global position."""
-        spec = self.topology.tiers[tier]
-        level = self.topology.portion_bits + spec.base_level
-        parent = ("inner", tier, index // spec.child_count)
-        self.send(sender, [parent], ((level, index), digest))
-
     def publish(self, sender, entry: int, computed) -> None:
-        """Send a committee's spine digests of an entry round, {position:
-        digest}: one multicast per position to the storage nodes that need
-        it, bundled into one Frontier per node."""
+        """Send a committee's digests of an entry round, {position: digest}:
+        a child position to its parent as one item (position, digest), and
+        one multicast per spine position to the storage nodes that need it,
+        bundled into one Frontier per node."""
         per_node: dict[tuple, list] = {}
         for pos, digest in computed.items():
+            if pos in self.parent:
+                self.send(sender, [self.parent[pos]], (pos, digest))
             for dest in self._need.get(pos, ()):
                 per_node.setdefault(dest, []).append((pos, digest))
         self.meters[sender].msgs_out += sum(pos in self._need for pos in computed)

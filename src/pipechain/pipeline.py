@@ -57,6 +57,13 @@ class RpcTopology:
             for t in range(self.portion_levels)
         )
 
+    def child_positions(self, tier: int, index: int) -> tuple[tuple[int, int], ...]:
+        """Global (level, index) of each digest inner committee (tier, index) folds."""
+        spec = self.tiers[tier]
+        level = self.portion_bits + spec.base_level
+        first = index * spec.child_count
+        return tuple((level, first + i) for i in range(spec.child_count))
+
 
 def fold_levels(hash_budget: int) -> int:
     """Levels of pairwise hashing one committee can finish in a round.
@@ -163,10 +170,9 @@ class InnerRpc:
     def __init__(self, topology: RpcTopology, tier_index: int, index: int) -> None:
         self.spec = spec = topology.tiers[tier_index]
         self.name = f"tier {tier_index} rpc {index}"
-        level = topology.portion_bits + spec.base_level
-        first = index * spec.child_count
-        self.slots = frozenset((level, first + i) for i in range(spec.child_count))
-        self.top = (level + spec.owned_levels, index)
+        slots = topology.child_positions(tier_index, index)
+        self.slots = frozenset(slots)
+        self.top = (slots[0][0] + spec.owned_levels, index)
         self.hashes = 0
 
     def fold_round(self, children) -> tuple[bytes, dict]:

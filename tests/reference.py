@@ -1,6 +1,7 @@
 """Literal references the tests check the library against: the full-tree
-fold and the sequential rule; and an inbox shuffle, which shows that no
-report depends on the order in which a round's messages arrive."""
+fold, the sequential rule and the meter identities; an inbox shuffle, which
+shows that no report depends on the order in which a round's messages
+arrive; and a kept digest overwritten in place, for the audits to find."""
 
 import random
 
@@ -31,13 +32,22 @@ def apply_in_order(balances, txs):
     return after
 
 
-
 def meter_identity_failures(reports, stages: int, child_counts) -> list:
     """Each way the rows' per-committee meters break the identities that tie
-    one stage's counts to another's; child_counts[t] is tier t's fan-in.
+    one stage's counts to another's, or to the topology; child_counts[t] is
+    tier t's fan-in.  Each failure names the round, the committee and the
+    field.
 
     - a confirmation committee accepts or discards each transfer it receives;
-    - an inner committee folds each of its children every round;
+    - an inner committee folds each of its children every round, receiving
+      one digest from each and, from round 2 on, the block;
+    - an inner committee sends each digest it makes but the state root to
+      its readers, one message each, and its top digest to its parent too:
+      child_count messages, and child_count - 1 (the block among them) from
+      the top committee;
+    - a leaf committee sends its portion root to its parent and to its
+      sibling portion's storage nodes, one message each; a single leaf
+      sends only the block;
     - the confirmation committees send each transfer they accept in round
       r - 1 once to each leaf committee whose portion it touches and once to
       that portion's storage replicas, and the leaves apply it in round r;
@@ -52,19 +62,29 @@ def meter_identity_failures(reports, stages: int, child_counts) -> list:
         source = r - stages + 1
         for meter in row["per_committee"]:
             kind, *key = meter["id"].split("-")
-            got = meter["processed"]
             if kind == "cc":
-                want, rule = meter["accepted"] + meter["discarded"], "accepted + discarded"
+                rules = [("processed", meter["accepted"] + meter["discarded"],
+                          "accepted + discarded")]
             elif kind == "inner":
-                want, rule = child_counts[int(key[0])], "child_count"
+                fan_in = child_counts[int(key[0])]
+                top = int(key[0]) == len(child_counts) - 1
+                rules = [
+                    ("processed", fan_in, "child_count"),
+                    ("msgs_in", fan_in + (r >= 2), "child_count + the block"),
+                    ("msgs_out", fan_in - top, "child_count - 1" if top else "child_count"),
+                ]
             elif kind == "storage":
                 want = leaf_rounds[source - 1][int(key[0])] if source >= 1 else 0
-                rule = f"leaf-{key[0]} processed of round {source}"
+                rules = [("processed", want, f"leaf-{key[0]} processed of round {source}")]
             else:
-                leaves[int(key[0])] = got
-                continue
-            if got != want:
-                failures.append(f"round {r}: {meter['id']}: processed {got} != {rule} {want}")
+                leaves[int(key[0])] = meter["processed"]
+                rules = [("msgs_out", 2, "parent + spine") if child_counts
+                         else ("msgs_out", 1, "the block")]
+            for field, want, rule in rules:
+                if meter[field] != want:
+                    failures.append(
+                        f"round {r}: {meter['id']}: {field} {meter[field]} != {rule} {want}"
+                    )
         if 2 * sum(leaves.values()) != routed:
             failures.append(f"round {r}: leaf-*: twice the processed sum "
                             f"{2 * sum(leaves.values())} != cc-* msgs_out {routed} of round {r - 1}")
@@ -85,3 +105,18 @@ def shuffle_inboxes(monkeypatch, seed: int = 0) -> None:
         return inbox, block
 
     monkeypatch.setattr(Network, "deliver", shuffled)
+
+
+def corrupt_digest(tree, level, index, digest):
+    """Overwrite the digest a tree keeps for one of its materialized nodes,
+    an inner node or any level of a leaf tail, leaving its balances as they
+    are."""
+    key = (1 << (tree.address_bits - level)) + index
+    node, top = tree._deepest(key)
+    assert node == key, "not materialized"
+    if top is None:
+        tree._nodes[key] = digest
+    else:  # a tail record: an 8-byte account, then 32 bytes a level
+        record = tree._nodes[top]
+        start = 8 + 32 * level
+        tree._nodes[top] = record[:start] + digest + record[start + 32 :]

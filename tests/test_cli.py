@@ -269,24 +269,26 @@ def test_storage_genesis_mismatch_names_the_replica(config_path, monkeypatch, ca
 
 
 def test_withheld_child_digest_exits_3(config_path, monkeypatch, capsys, sims):
-    # a leaf's digest sent up in round 5 never arrives: the inner committee
-    # folding it in round 6 names the fault instead of raising a traceback
-    send_up = Network.send_up
+    # a leaf's digest published in round 5 never reaches its parent: the
+    # inner committee folding it in round 6 names the fault instead of
+    # raising a traceback; portion roots of a 12-bit space in four portions
+    # sit at level 10
+    send = Network.send
     dropped = []
 
-    def lossy(net, sender, tier, index, digest):
+    def lossy(net, sender, dests, msg):
         # rounds_run counts the rounds completed before the current one
         if getattr(sims[-1], "summary", {}).get("rounds_run") == 4 and not dropped:
-            dropped.append((tier, index))
-            return
-        send_up(net, sender, tier, index, digest)
+            if sender == ("leaf", 0) and msg[0] == (10, 0):
+                dropped.append((sender, dests))
+                return
+        send(net, sender, dests, msg)
 
-    monkeypatch.setattr(Network, "send_up", lossy)
+    monkeypatch.setattr(Network, "send", lossy)
     assert cli.main(["run", "--config", config_path]) == 3
-    assert dropped == [(0, 0)]
+    assert dropped == [(("leaf", 0), [("inner", 0, 0)])]
     err = capsys.readouterr().err
     assert "rounds=5/10" in err
-    # portion roots of a 12-bit space in four portions sit at level 10
     assert "fatal=pipeline fault: tier 0 rpc 0 is missing child digest (10, 0)" in err
 
 

@@ -27,7 +27,7 @@ from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, Transfer, bl
 from pipechain.oracle import LedgerOracle
 from pipechain.pipeline import build_topology
 from pipechain.storage import StateDivergence, StorageNode
-from reference import full_tree_root
+from reference import corrupt_digest, full_tree_root
 
 # frozen with raw hashlib, independently of the implementation
 D0_HEX = "dda357c91ead42a1bd4ca061ae49480c54bee0e21a060e57341c220a23b6cbcd"
@@ -36,21 +36,6 @@ D4_HEX = "5d1e3765c8d2f6ef2fc9d16782722defa162cf9861115bdc72b064dbac2f3896"
 LEAF_5_10_HEX = "bbe850db3c397c18c370b3eb90df90620e019017fb77f55faaa2ee66a5bd1eb2"
 ROOT_A4_5_10_HEX = "c88444b46ef723fdfdc07d2eb5f0394d7b3d384aaf26afe968d20bdd526b9504"
 ROOT_A3_TWO_HEX = "ad894a1c247c188c5a7814008f646f2f542476d384a64841034763ebc83699b3"
-
-
-def _corrupt_digest(tree, level, index, digest):
-    """Overwrite the digest a tree keeps for one of its materialized nodes,
-    an inner node or any level of a leaf tail, leaving its balances as they
-    are."""
-    key = (1 << (tree.address_bits - level)) + index
-    node, top = tree._deepest(key)
-    assert node == key, "not materialized"
-    if top is None:
-        tree._nodes[key] = digest
-    else:  # a tail record: an 8-byte account, then 32 bytes a level
-        record = tree._nodes[top]
-        start = 8 + 32 * level
-        tree._nodes[top] = record[:start] + digest + record[start + 32 :]
 
 
 def test_leaf_hash_preimage():
@@ -546,8 +531,8 @@ def test_refold_reports_stale_cached_digests():
     before = tree.hashes
     assert tree.refold() == (root, [])
     assert tree.hashes == before  # the re-fold counts nothing
-    _corrupt_digest(tree, 2, 1, bytes(32))  # an inner node on account 5's path
-    _corrupt_digest(tree, 0, 9, leaf_hash(9, 5))
+    corrupt_digest(tree, 2, 1, bytes(32))  # an inner node on account 5's path
+    corrupt_digest(tree, 0, 9, leaf_hash(9, 5))
     assert tree.refold() == (root, [(0, 9), (2, 1)])
 
 

@@ -1,9 +1,11 @@
 """The network's accounting rule, one case per line of its docstring, and
 its delivery order."""
 
+import pytest
+
 from pipechain.ledger import GENESIS_PREV_HASH, Batch, Block, Frontier, Transaction
 from pipechain.network import Network
-from pipechain.pipeline import build_topology
+from pipechain.pipeline import InnerRpc, build_topology
 
 # four portions of a 256-account space under one inner committee, one
 # replica each: portion m's node needs spine positions (6, m ^ 1) and
@@ -37,15 +39,40 @@ def _counts(network):
 
 def test_unicast_and_multicast_cost_the_sender_one_message():
     network = _network()
-    network.send_up(("leaf", 2), 0, 2, DIGEST)  # unicast to the folding committee
+    # a child digest carries its global (level, index): portion roots sit at
+    # 6, and each has the one committee folding them as its parent
+    assert network.parent == {(6, m): ("inner", 0, 0) for m in range(4)}
+    network.send(("leaf", 2), [network.parent[(6, 2)]], ((6, 2), DIGEST))  # unicast
     network.send(("inner", 0, 0), [("leaf", m) for m in range(3)], DIGEST)
     assert _counts(network) == {("leaf", 2): (0, 1), ("inner", 0, 0): (0, 1)}
     inbox, _ = network.deliver()
-    # a child digest carries its global (level, index): portion roots sit at 6
     assert inbox[("inner", 0, 0)] == [((6, 2), DIGEST)]
     assert _counts(network) == {
         ("inner", 0, 0): (1, 0), **{("leaf", m): (1, 0) for m in range(3)}
     }
+
+
+@pytest.mark.parametrize("j", [1, 3, 7])
+@pytest.mark.parametrize("leaf_count", [1, 2, 8, 256])
+def test_each_published_position_reaches_its_readers(leaf_count, j):
+    topo = build_topology(leaf_count, j, 10)
+    inner = [("inner", t, p) for t, tier in enumerate(topo.tiers) for p in range(tier.count)]
+    storage = [("storage", m, 0) for m in range(leaf_count)]
+    network = Network(topo, [("leaf", 0), *inner, *storage])
+    network.deliver()
+    # each child slot goes to the committee folding it, and to no other
+    slots = {pos: cid for cid in inner for pos in InnerRpc(topo, *cid[1:]).slots}
+    assert network.parent == slots
+    # each digest from the portion roots up but the root has a storage reader
+    positions = {
+        (topo.portion_bits + level, index)
+        for level in range(topo.portion_levels + 1)
+        for index in range(leaf_count >> level)
+    }
+    network.publish(("leaf", 0), 1, dict.fromkeys(positions, DIGEST))
+    inbox, _ = network.deliver()
+    kept = {pos for cid in storage for frontier in inbox.get(cid, ()) for pos, _ in frontier.items}
+    assert kept == positions - {(10, 0)}
 
 
 def test_a_batch_or_frontier_carries_one_item_per_entry():
@@ -60,18 +87,22 @@ def test_a_batch_or_frontier_carries_one_item_per_entry():
 
 def test_publish_multicasts_each_needed_position_once():
     network = _network()
-    root = (8, 0)  # no storage node needs the state root itself
+    root = (8, 0)  # no committee or storage node reads the state root itself
+    # routing reads the position alone: the child slot (6, 0) goes to its
+    # parent as one item, and to the node keeping it within its Frontier
     network.publish(("inner", 0, 0), 4, {(7, 1): DIGEST, (6, 0): DIGEST, root: DIGEST})
-    assert _counts(network) == {("inner", 0, 0): (0, 2)}
+    assert _counts(network) == {("inner", 0, 0): (0, 3)}
     inbox, _ = network.deliver()
     assert inbox == {
+        ("inner", 0, 0): [((6, 0), DIGEST)],
         ("storage", 0, 0): [Frontier(4, (((7, 1), DIGEST),))],
         ("storage", 1, 0): [Frontier(4, (((7, 1), DIGEST), ((6, 0), DIGEST)))],
     }
-    assert _counts(network) == {("storage", 0, 0): (1, 0), ("storage", 1, 0): (2, 0)}
-    # a position nobody needs costs nothing and sends nothing
+    received = {("inner", 0, 0): (1, 0), ("storage", 0, 0): (1, 0), ("storage", 1, 0): (2, 0)}
+    assert _counts(network) == received
+    # a position nobody reads costs nothing and sends nothing
     network.publish(("inner", 0, 0), 5, {root: DIGEST})
-    assert _counts(network) == {("storage", 0, 0): (1, 0), ("storage", 1, 0): (2, 0)}
+    assert _counts(network) == received
     assert network.in_flight() == 0
 
 
@@ -122,7 +153,7 @@ def test_a_proof_request_is_one_message_in_and_one_out():
 def test_a_sender_of_none_pays_nothing():
     network = _network()
     network.send(None, [("cc", 0)], TXS[0])
-    network.send_up(None, 0, 3, DIGEST)
+    network.send(None, [network.parent[(6, 3)]], ((6, 3), DIGEST))  # a genesis latch
     assert _counts(network) == {}
     network.deliver()
     assert _counts(network) == {("cc", 0): (1, 0), ("inner", 0, 0): (1, 0)}

@@ -11,6 +11,7 @@ from pipechain.ledger import (
 from pipechain.merkle import NotStored, build_pruned, leaf_hash, verify_proof
 from pipechain.pipeline import build_topology
 from pipechain.storage import AUDIT_SAMPLE, GenesisMismatch, StateDivergence, StorageNode
+from reference import corrupt_digest
 
 
 def _portion_tree(topo, portion, entries):
@@ -52,21 +53,6 @@ def _tx(tree, src, dst, amount, nonce):
         src, dst, amount, 1, nonce,
         tree.make_proof(src, 0), tree.make_proof(dst, 0),
     )
-
-
-def _corrupt_digest(tree, level, index, digest):
-    """Overwrite the digest a tree keeps for one of its materialized nodes,
-    an inner node or any level of a leaf tail, leaving its balances as they
-    are."""
-    key = (1 << (tree.address_bits - level)) + index
-    node, top = tree._deepest(key)
-    assert node == key, "not materialized"
-    if top is None:
-        tree._nodes[key] = digest
-    else:  # a tail record: an 8-byte account, then 32 bytes a level
-        record = tree._nodes[top]
-        start = 8 + 32 * level
-        tree._nodes[top] = record[:start] + digest + record[start + 32 :]
 
 
 def test_genesis_root_check():
@@ -176,12 +162,12 @@ def test_audit_detects_corrupt_cached_digest():
     node = nodes[0]
     # leaf 2 is absent, so no served proof of a stored account reads
     # leaf 3's cached digest; the balances stay as they are
-    _corrupt_digest(node.tree, 0, 3, leaf_hash(3, 51))
+    corrupt_digest(node.tree, 0, 3, leaf_hash(3, 51))
     assert node.audit_stored() == (2, 2)
     # so is a digest inside a tail: node 1 holds account 20 alone, on a tail
     # from its leaf up to the portion's top at level 4
     assert nodes[1].audit_stored() == (1, 0)
-    _corrupt_digest(nodes[1].tree, 2, 20 >> 2, bytes(32))
+    corrupt_digest(nodes[1].tree, 2, 20 >> 2, bytes(32))
     assert nodes[1].audit_stored() == (1, 1)
 
 
@@ -283,10 +269,10 @@ def test_a_failed_audit_names_the_first_stale_position():
     # inner node, and leaf 3 is the bottom of 3's tail
     topo, tree, genesis, nodes = _world({3: 50, 4: 9, 20: 70})
     node = nodes[0]
-    _corrupt_digest(node.tree, 3, 0, bytes(32))
+    corrupt_digest(node.tree, 3, 0, bytes(32))
     failed = r"^storage 0/0: audit of block 0: kept digest at \(3, 0\) differs"
     with pytest.raises(StateDivergence, match=failed):
         node.audit(0)
-    _corrupt_digest(node.tree, 0, 3, bytes(32))
+    corrupt_digest(node.tree, 0, 3, bytes(32))
     with pytest.raises(StateDivergence, match=r"kept digest at \(0, 3\) differs"):
         node.audit(0)
