@@ -23,10 +23,11 @@ def order_canonically(txs) -> list[Transaction]:
 
 @dataclass
 class CommitteeRoundStats:
+    """One round's counts; its digests go to the committee's own `hashes`."""
+
     received: int = 0
     accepted: int = 0
     proof_disagreements: int = 0
-    hashes: int = 0
 
 
 class ConfirmationCommittee:
@@ -35,6 +36,7 @@ class ConfirmationCommittee:
             raise ValueError("window_rounds must be >= 1")
         self.index = index
         self.address_bits = address_bits
+        self.hashes = 0  # every proof digest it has folded
         # each account's net change over each of the last window_rounds
         # rounds' outputs, oldest first
         self.window: deque[dict[int, int]] = deque(
@@ -55,7 +57,7 @@ class ConfirmationCommittee:
         seen: set[bytes] = set()
         for tx in order_canonically(incoming):
             reason, folds = syntactic_failure(tx, round_index, history)
-            stats.hashes += folds * proof_cost
+            self.hashes += folds * proof_cost
             if reason is None and tx.txid in seen:
                 reason = "duplicate"
             if reason is not None:

@@ -14,7 +14,9 @@ as it is; the router records the entry round for settling as Transfers,
 storage buffers keep Transfers too and committee windows each account's net
 change: proofs end at the leaf graft.  Stages return what they count, and
 the round adds it to the summary only after every stage has returned, so a
-round that ends the run adds nothing.
+round that ends the run adds nothing.  The network charges messages; the
+round sets each committee's `hashes` to the growth of the one digest count
+it keeps (its tree's for a leaf or a storage node, else its own).
 """
 
 from __future__ import annotations
@@ -218,16 +220,17 @@ class Simulation:
             for r in range(cfg.rho)
         }
 
-        self.committee_ids = (
-            [("cc", k) for k in range(cfg.n_c)]
-            + [("leaf", m) for m in range(cfg.leaf_count)]
-            + [("inner",) + key for key in sorted(self.inner_rpcs)]
-            + [("storage",) + key for key in sorted(self.storage)]
-        )
+        # what keeps each committee's running digest count, in report order
+        self.counters = {
+            **{("cc", k): cc for k, cc in enumerate(self.ccs)},
+            **{("leaf", m): leaf.tree for m, leaf in enumerate(self.leaf_rpcs)},
+            **{("inner",) + key: self.inner_rpcs[key] for key in sorted(self.inner_rpcs)},
+            **{("storage",) + key: self.storage[key].tree for key in sorted(self.storage)},
+        }
 
         # -- pipeline latches: feed genesis digests into round 1 ----------
         drop = self.options.drop_confirmed_round
-        self.network = Network(topo, self.committee_ids, drop)
+        self.network = Network(topo, self.counters, drop)
         for pos, parent in self.network.parent.items():
             self.network.send(None, [parent], (pos, genesis[pos]))
 
@@ -299,9 +302,11 @@ class Simulation:
     def _round(self, round_index: int) -> dict:
         """Take what the network delivers, run the stages in dependency order
         and return the report row.  A stage takes the round index, its input
-        (the inbox or an earlier stage's output) and the meters it charges."""
+        (the inbox or an earlier stage's output) and the meters it charges;
+        only the round charges `hashes`, once every stage has returned."""
         inbox, delivered_block = self.network.deliver()
         meters = self.network.meters
+        before = {cid: counter.hashes for cid, counter in self.counters.items()}
         audit = self._storage_stage(round_index, inbox, delivered_block, meters)
         truncated = self._client_stage(round_index)
         confirmed, discards, disagreements = self._confirm_stage(round_index, inbox, meters)
@@ -326,6 +331,7 @@ class Simulation:
         # every stage has returned: the round adds what they counted
         summary, peaks = self.summary, self.summary["peaks"]
         for cid, meter in meters.items():
+            meter.hashes = self.counters[cid].hashes - before[cid]
             peaks["committee_msgs"] = max(
                 peaks["committee_msgs"], meter.msgs_in + meter.msgs_out
             )
@@ -360,12 +366,10 @@ class Simulation:
         checked = 0
         for key, node in self.storage.items():
             cid = ("storage",) + key
-            before = node.tree.hashes
             txs = node.receive(inbox.get(cid, ()), block)
             if txs is None:
                 continue
             meters[cid].processed += len(txs)
-            meters[cid].hashes += node.tree.hashes - before
             if self.options.audit_proofs:
                 checked += node.audit(round_index)
         return {"checked": checked, "failed": 0}
@@ -397,7 +401,6 @@ class Simulation:
             meter.processed += stats.received
             meter.accepted += stats.accepted
             meter.discarded += len(discards)
-            meter.hashes += stats.hashes
             disagreements += stats.proof_disagreements
             confirmed.append(accepted)
             round_discards.extend(discards)
@@ -448,11 +451,8 @@ class Simulation:
         for leaf in self.leaf_rpcs:
             cid = ("leaf", leaf.portion)
             incoming = [tx for batch in inbox.get(cid, ()) for tx in batch.txs]
-            before = leaf.tree.hashes
             top = leaf.process_round(incoming)
-            meter = meters[cid]
-            meter.processed += len(incoming)
-            meter.hashes += leaf.tree.hashes - before
+            meters[cid].processed += len(incoming)
             self.network.publish(cid, round_index - 1, {(topo.portion_bits, leaf.portion): top})
 
         for t, tier in enumerate(topo.tiers):
@@ -460,11 +460,8 @@ class Simulation:
                 cid = ("inner", t, p)
                 rpc = self.inner_rpcs[(t, p)]
                 children = inbox.get(cid, ())
-                before = rpc.hashes
                 top, computed = rpc.fold_round(children)
-                meter = meters[cid]
-                meter.processed += len(children)
-                meter.hashes += rpc.hashes - before
+                meters[cid].processed += len(children)
                 self.network.publish(cid, round_index - 2 - t, computed)
         return top
 

@@ -335,10 +335,12 @@ class PrunedTree:
         held tail that node lies in (None: none).  NotStored outside the scope."""
         if not self.covers(account):
             raise NotStored(f"account {account} outside stored subtree")
-        leaf = self._base + account
+        leaf, nodes = self._base + account, self._nodes
+        if account in self.leaves:  # held: walk keys up to its tail's top
+            while leaf not in nodes:
+                leaf >>= 1
+            return leaf, None
         node, tail = self._deepest(leaf)
-        if node == leaf:  # held: its own tail's leaf
-            return tail, None
         entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
         return entry, tail
 

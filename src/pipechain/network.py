@@ -5,7 +5,7 @@ order, one inbox per committee; the block emitted in round i reaches every
 committee beside its inbox.  A published digest goes to the inner committee
 that folds it, as one item, and to the storage nodes that keep it, in a
 Frontier; who reads each position is decided once, from the topology.  One
-rule charges the round's meters:
+rule charges the round's messages:
 
 - a sender pays one message per item it sends, once however many
   destinations share the send (one multicast);

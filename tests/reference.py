@@ -32,15 +32,20 @@ def apply_in_order(balances, txs):
     return after
 
 
-def meter_identity_failures(reports, stages: int, child_counts) -> list:
+def meter_identity_failures(reports, stages: int, child_counts, address_bits: int) -> list:
     """Each way the rows' per-committee meters break the identities that tie
     one stage's counts to another's, or to the topology; child_counts[t] is
-    tier t's fan-in.  Each failure names the round, the committee and the
-    field.
+    tier t's fan-in and address_bits is A.  Each failure names the round,
+    the committee and the field.
 
     - a confirmation committee accepts or discards each transfer it receives;
+    - it folds each proof it checks, A + 1 digests, and checks both proofs
+      of each transfer it accepts and at most both of any other, so its
+      hashes are a multiple of A + 1 from 2(A+1)·accepted to
+      2(A+1)·processed;
     - an inner committee folds each of its children every round, receiving
-      one digest from each and, from round 2 on, the block;
+      one digest from each and, from round 2 on, the block, and makes
+      child_count - 1 digests doing so;
     - an inner committee sends each digest it makes but the state root to
       its readers, one message each, and its top digest to its parent too:
       child_count messages, and child_count - 1 (the block among them) from
@@ -48,42 +53,66 @@ def meter_identity_failures(reports, stages: int, child_counts) -> list:
     - a leaf committee sends its portion root to its parent and to its
       sibling portion's storage nodes, one message each; a single leaf
       sends only the block;
+    - a leaf committee makes digests exactly in the rounds it applies
+      transfers: the workload touches an account at most once an entry
+      round, by a positive amount, so each one changes a balance it holds;
     - the confirmation committees send each transfer they accept in round
       r - 1 once to each leaf committee whose portion it touches and once to
       that portion's storage replicas, and the leaves apply it in round r;
     - a storage node applies in round r what its leaf committee applied in
       round r - stages + 1 (nothing before that round).
+
+    A storage node's hashes have no such identity: its spine folds depend
+    on which frontier digests changed.  The pinned per-layer digest totals
+    cover them.
     """
     failures = []
     leaf_rounds = []  # {portion: processed}, one per round before this one
     routed = 0  # the confirmation committees' msgs_out of the round before
+    proof = address_bits + 1  # the digests one proof's check folds
     for row in reports:
         r, leaves = row["round"], {}
         source = r - stages + 1
         for meter in row["per_committee"]:
             kind, *key = meter["id"].split("-")
+            processed, hashes = meter["processed"], meter["hashes"]
             if kind == "cc":
-                rules = [("processed", meter["accepted"] + meter["discarded"],
-                          "accepted + discarded")]
+                accepted = meter["accepted"]
+                low, high = 2 * proof * accepted, 2 * proof * processed
+                rules = [
+                    ("processed", processed == accepted + meter["discarded"],
+                     f"accepted + discarded {accepted + meter['discarded']}"),
+                    ("hashes", hashes in range(low, high + 1, proof),
+                     f"a multiple of {proof} from {low} to {high}"),
+                ]
             elif kind == "inner":
                 fan_in = child_counts[int(key[0])]
                 top = int(key[0]) == len(child_counts) - 1
                 rules = [
-                    ("processed", fan_in, "child_count"),
-                    ("msgs_in", fan_in + (r >= 2), "child_count + the block"),
-                    ("msgs_out", fan_in - top, "child_count - 1" if top else "child_count"),
+                    ("processed", processed == fan_in, f"child_count {fan_in}"),
+                    ("msgs_in", meter["msgs_in"] == fan_in + (r >= 2),
+                     f"child_count + the block {fan_in + (r >= 2)}"),
+                    ("msgs_out", meter["msgs_out"] == fan_in - top,
+                     f"child_count{' - 1' * top} {fan_in - top}"),
+                    ("hashes", hashes == fan_in - 1, f"child_count - 1 {fan_in - 1}"),
                 ]
             elif kind == "storage":
                 want = leaf_rounds[source - 1][int(key[0])] if source >= 1 else 0
-                rules = [("processed", want, f"leaf-{key[0]} processed of round {source}")]
+                rules = [("processed", processed == want,
+                          f"leaf-{key[0]} processed of round {source} {want}")]
             else:
-                leaves[int(key[0])] = meter["processed"]
-                rules = [("msgs_out", 2, "parent + spine") if child_counts
-                         else ("msgs_out", 1, "the block")]
-            for field, want, rule in rules:
-                if meter[field] != want:
+                leaves[int(key[0])] = processed
+                want = 2 if child_counts else 1
+                rules = [
+                    ("msgs_out", meter["msgs_out"] == want,
+                     f"{'parent + spine' if child_counts else 'the block'} {want}"),
+                    ("hashes", (hashes == 0) == (processed == 0),
+                     f"0 exactly when processed is 0 (processed {processed})"),
+                ]
+            for field, holds, rule in rules:
+                if not holds:
                     failures.append(
-                        f"round {r}: {meter['id']}: {field} {meter[field]} != {rule} {want}"
+                        f"round {r}: {meter['id']}: {field} {meter[field]} is not {rule}"
                     )
         if 2 * sum(leaves.values()) != routed:
             failures.append(f"round {r}: leaf-*: twice the processed sum "

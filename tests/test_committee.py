@@ -198,10 +198,10 @@ def test_syntactic_discards_counted():
     h = _Harness({1: 50, 2: 30})
     bad_amount = h.tx(1, 9, 0)
     good = h.tx(2, 9, 10)
-    seq, discards, stats = h.confirm([bad_amount, good])
+    seq, discards, _ = h.confirm([bad_amount, good])
     assert [reason for _, reason in discards] == ["amount"]
     assert len(seq) == 1
-    assert stats.hashes > 0  # proof folds were metered
+    assert h.committee.hashes > 0  # proof folds were metered
 
 
 def test_out_of_range_proof_balance_is_a_bad_proof():
@@ -318,4 +318,4 @@ def test_a_proof_binds_its_own_account():
     assert seq == () and stats.accepted == 0
     # the binding is part of a proof's check: the theft is charged its source
     # proof's fold, the other transfer both folds
-    assert stats.hashes == 3 * (h.address_bits + 1)
+    assert h.committee.hashes == 3 * (h.address_bits + 1)

@@ -433,7 +433,8 @@ def _assert_totals_fold_the_rows(result):
     cfg = summary["config"]
     topo = pipeline.build_topology(cfg["leaf_count"], cfg["j"], cfg["address_bits"])
     child_counts = [tier.child_count for tier in topo.tiers]
-    assert meter_identity_failures(reports, topo.stages, child_counts) == []
+    failures = meter_identity_failures(reports, topo.stages, child_counts, cfg["address_bits"])
+    assert failures == []
     entries = [entry for row in reports for entry in row["per_committee"]]
     cc = [entry for entry in entries if entry["id"].startswith("cc-")]
     rpc = [entry for entry in entries if entry["id"].startswith(("leaf-", "inner-"))]
@@ -821,5 +822,5 @@ def test_a_proof_ends_at_the_leaf_graft():
 
     meters = list(sim.network.meters.values())
     entries = result.reports[-1]["per_committee"]
-    assert len(entries) == len(meters) == len(sim.committee_ids)
+    assert len(entries) == len(meters) == len(sim.counters)
     assert all(entry is vars(meter) for entry, meter in zip(entries, meters))

@@ -1,8 +1,8 @@
 """The package surface: four names, the README's library example runs and
 its options and summary tables list exactly the run options and summary
 keys, no public tree method or module-level function is left without a
-caller in the library, only the network writes message counts, and the
-oracle shares no tree code."""
+caller in the library, only the network writes message counts and only
+the round a committee's digest count, and the oracle shares no tree code."""
 
 import ast
 import json
@@ -135,6 +135,37 @@ def test_only_the_network_writes_message_counts():
     ]
     assert writes
     assert [write for write in writes if not write.startswith("network.py:")] == []
+
+
+def _digest_writes(node, scope):
+    """(enclosing qualified name, what is written) for each store to an
+    attribute `hashes` under node, or `hashes=` passed by keyword."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _digest_writes(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+            if child.attr == "hashes":
+                yield scope, ast.unparse(child.value)
+        elif isinstance(child, ast.keyword) and child.arg == "hashes":
+            yield scope, "a keyword"
+        yield from _digest_writes(child, scope)
+
+
+def test_only_the_round_writes_digest_counts():
+    # One rule, in Simulation._round, charges every committee's digests: a
+    # meter's hashes is written there and nowhere else, and every other
+    # store to .hashes is a unit's own running count, itself or its tree.
+    writes = [
+        (f"{path.stem}{scope}", target)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for scope, target in _digest_writes(ast.parse(path.read_text(encoding="utf-8")), "")
+    ]
+    charge = ("engine.Simulation._round", "meter")
+    assert writes.count(charge) == 1
+    others = [write for write in writes if write != charge]
+    assert others
+    assert [w for w in others if w[1] != "self" and w[1].split(".")[-1] != "tree"] == []
 
 
 def test_oracle_imports_only_digest_primitives():
