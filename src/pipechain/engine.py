@@ -10,9 +10,10 @@ unit reads the order it arrives in, so this equals the committees running
 concurrently: the `shuffled` cases of `test_report_bytes_pinned` and
 `test_acceptance_report_bytes_pinned` shuffle every inbox and get the same
 bytes.  The oracle and the router take each committee's accepted sequence
-as it is; the router records the entry round for settling as Transfers,
-storage buffers keep Transfers too and committee windows each account's net
-change: proofs end at the leaf graft.  Stages return what they count, and
+as it is; the router sends leaves and storage the Transfers and records the
+entry round for settling as Transfers too, and committee windows keep each
+account's net change: proofs end at the confirmation committee, in the round
+that confirms them.  Stages return what they count, and
 the round adds it to the summary only after every stage has returned, so a
 round that ends the run adds nothing.  The network charges messages; the
 round sets each committee's `hashes` to the growth of the one digest count
@@ -423,18 +424,21 @@ class Simulation:
         return oracle.total_supply(), conservative
 
     def _route_stage(self, round_index: int, confirmed) -> None:
-        """Sends one batch per committee and touched portion to the portion's
-        leaf committee and storage replicas, in committee order, and records
-        the entry round as its Transfers: the only form clients settle."""
+        """Sends one batch of Transfers per committee and touched portion to
+        the portion's leaf committee and storage replicas, in committee
+        order, and records the entry round as its Transfers: what leaves
+        apply, storage keeps and clients settle."""
         portion_of = self.topology.portion_of
         leaf_batches: dict[int, dict[int, list]] = {}
         for committee, txs in enumerate(confirmed):
             for tx in txs:
                 for portion in {portion_of(tx.src), portion_of(tx.dst)}:
-                    leaf_batches.setdefault(portion, {}).setdefault(committee, []).append(tx)
+                    leaf_batches.setdefault(portion, {}).setdefault(committee, []).append(
+                        tx.transfer
+                    )
         for portion, by_committee in leaf_batches.items():
-            for committee, txs in by_committee.items():
-                batch = Batch(round_index, tuple(txs))
+            for committee, transfers in by_committee.items():
+                batch = Batch(round_index, tuple(transfers))
                 sender = ("cc", committee)
                 self.network.send(sender, [("leaf", portion)], batch)
                 replicas = [("storage", portion, r) for r in range(self.config.rho)]

@@ -25,8 +25,8 @@ def transaction_id(src: int, dst: int, amount: int, entry_round: int, nonce: int
 
 
 class Transfer(NamedTuple):
-    """What is kept of a transaction once the leaf committees have grafted
-    its proofs: all that storage and clients read."""
+    """What is kept of a transaction once its confirmation committee has
+    checked its proofs: all that leaf committees, storage and clients read."""
 
     src: int
     dst: int

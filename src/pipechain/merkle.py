@@ -29,10 +29,6 @@ class NotStored(MerkleError):
     """The requested account is outside this tree or not held by it."""
 
 
-class ProofConflict(MerkleError):
-    """A merged proof disagrees with this tree's content."""
-
-
 class NegativeBalance(MerkleError):
     """An update would drive a held balance below zero."""
 
@@ -169,8 +165,8 @@ class PrunedTree:
     level, leaf first), so memory grows with the accounts held, not times
     the path length.
 
-    ``hashes`` counts every digest the tree computes, a grafted proof's
-    folds and a storage replica's spine folds included.
+    ``hashes`` counts every digest the tree computes, a storage replica's
+    spine folds included.
     set_balances() rehashes each changed leaf with its whole tail and each
     ancestor once, bottom-up, so n changed balances cost at most
     n * (root_level + 1) hashes.
@@ -408,44 +404,6 @@ class PrunedTree:
             key >>= 1
         siblings.extend(spine)
         return BalanceProof(account, self.leaves.get(account, 0), base_height, tuple(siblings))
-
-    def merge_proof(self, proof: BalanceProof) -> None:
-        """Graft a verified proof's account into this tree, reading only the
-        proof's first root_level siblings.  A held account is left as it is:
-        the tree's balance is newer than the proof's base.  Every absent
-        subtree is all-zero, so an account the tree does not hold must have
-        a zero balance under default siblings up to its entry (where
-        ensure_path would top its default tail), and there it joins as a
-        zero leaf with a default tail.  Every sibling above the entry that is
-        not materialized must be default.  No digest changes, so merging the
-        same proof twice is a no-op."""
-        account, siblings = proof.account, proof.siblings
-        if account in self.leaves:
-            return
-        entry, tail = self._entry(account)
-        if len(siblings) < self.root_level:
-            raise MerkleError(
-                f"proof has {len(siblings)} siblings, tree needs {self.root_level}"
-            )
-        leaf, defaults = self._base + account, DEFAULT_DIGESTS
-        entry_level = self._width - entry.bit_length()
-        for level in range(self.root_level - 1, entry_level - 1, -1):
-            sibling = (leaf >> level) ^ 1
-            # materialized, or the held side of a tail the entry cuts
-            if sibling in self._nodes or (level == entry_level and tail is not None):
-                continue
-            if siblings[level] != defaults[level]:
-                raise ProofConflict(
-                    f"sibling digest mismatch at {self._position(sibling)}"
-                )
-
-        # fold the proof up to the entry and check it against the default there
-        digest = leaf_digest(account, proof.balance)
-        path = climb(account, digest, siblings[:entry_level])
-        self.hashes += (proof.balance != 0) + entry_level
-        if path[-1] != defaults[entry_level]:
-            raise ProofConflict(f"proof contradicts {self._position(entry)}")
-        self.ensure_path(account)
 
 
 def build_pruned(

@@ -1,9 +1,10 @@
 """Root-hash pipeline: a tree of committees recomputing the state root.
 
 Leaf committees each own one contiguous address portion and keep its pruned
-subtree current with the newest confirmed sequence; inner committees fold
-children digests pairwise, one tier per round.  The top of the tree emits
-one constant-size block per round, lagging entry by the pipeline depth.
+subtree current with the newest confirmed Transfers, which carry no proofs;
+inner committees fold children digests pairwise, one tier per round.  The
+top of the tree emits one constant-size block per round, lagging entry by
+the pipeline depth.
 """
 
 from __future__ import annotations
@@ -128,13 +129,12 @@ def fold_up(row, levels: int) -> dict:
 class LeafRpc:
     """Keeps one address portion's subtree synced to the confirmed stream.
 
-    Each round it receives the newest confirmed transactions touching its
-    portion (each carrying verified balance proofs), grafts proofs for
-    addresses it has never materialized, applies the round's transfers, and
-    returns the new portion digest.  A leaf never prunes an address, so a
-    proof is only grafted for an address no earlier round touched, whose
-    proven balance is therefore still current.  A read-only `source` map is
-    passed to build_pruned: the tree stores its object for each equal record.
+    Each round it applies the newest confirmed Transfers touching its portion
+    and returns the new portion digest.  Its tree is built from every genesis
+    account of the portion and never prunes, so an account it does not hold
+    has a zero balance and joins as a zero leaf: no proof is read.  A
+    read-only `source` map is passed to build_pruned: the tree stores its
+    object for each equal record.
     """
 
     def __init__(
@@ -151,17 +151,12 @@ class LeafRpc:
 
     def process_round(self, incoming) -> bytes:
         """Returns the portion digest; raises PipelineFault naming the
-        portion when a proof is missing or contradicts the subtree."""
-        tree = self.tree
+        portion when a transfer would overdraw an account of its tree."""
         try:
-            for tx in incoming:
-                for account, proof in ((tx.src, tx.src_proof), (tx.dst, tx.dst_proof)):
-                    if tree.covers(account):
-                        tree.merge_proof(proof)
-            tree.apply_transfers(incoming)
+            self.tree.apply_transfers(incoming)
         except MerkleError as exc:
             raise PipelineFault(f"leaf {self.portion}: {exc}") from exc
-        return tree.root_hash()
+        return self.tree.root_hash()
 
 
 class InnerRpc:

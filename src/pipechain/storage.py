@@ -4,11 +4,12 @@ A node keeps a portion tree plus its spine: a copy of its leaf committee's
 genesis subtree, and the digests of the sibling subtrees on the way from the
 portion root to the state root.  The copy computes and counts its own
 digests but keeps sharing the leaf tree's records of equal bytes.  It
-buffers the Transfers (no proofs) and frontier (spine) digests it receives
-by entry round, applies an entry round's transfers when the block carrying
-it arrives, folds the portion root up the spine and cross checks that root
-against the block.  The tree holds the genesis accounts and the accounts an
-applied transfer touched; serving a proof adds none.
+buffers the Transfers and frontier (spine) digests it receives by entry
+round, applies an entry round's Transfers when the block carrying it
+arrives, as its leaf committee applied them stages - 1 rounds before, folds
+the portion root up the spine and cross checks that root against the block.
+The tree holds the genesis accounts and the accounts an applied transfer
+touched; serving a proof adds none.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class StorageNode:
         for msg in msgs:
             txs, frontier = self._pending.setdefault(msg.entry, ([], {}))
             if isinstance(msg, Batch):
-                txs.extend(tx.transfer for tx in msg.txs)
+                txs.extend(msg.txs)
             else:
                 frontier.update(msg.items)
         if block is None:

@@ -60,16 +60,18 @@ def meter_identity_failures(reports, stages: int, child_counts, address_bits: in
       r - 1 once to each leaf committee whose portion it touches and once to
       that portion's storage replicas, and the leaves apply it in round r;
     - a storage node applies in round r what its leaf committee applied in
-      round r - stages + 1 (nothing before that round).
-
-    A storage node's hashes have no such identity: its spine folds depend
-    on which frontier digests changed.  The pinned per-layer digest totals
-    cover them.
+      round r - stages + 1 (nothing before that round);
+    - its tree makes the digests that leaf's tree made then, since both
+      apply the same Transfers to the same accounts, and a changed portion
+      root re-folds the whole spine, portion_levels digests; when the leaf
+      made none, the spine re-folds from its lowest changed frontier digest
+      up, 0 to portion_levels digests.
     """
     failures = []
-    leaf_rounds = []  # {portion: processed}, one per round before this one
+    leaf_rounds = []  # {portion: (processed, hashes)}, one per round before this one
     routed = 0  # the confirmation committees' msgs_out of the round before
     proof = address_bits + 1  # the digests one proof's check folds
+    spine = sum(fan_in.bit_length() - 1 for fan_in in child_counts)  # portion_levels
     for row in reports:
         r, leaves = row["round"], {}
         source = r - stages + 1
@@ -97,11 +99,16 @@ def meter_identity_failures(reports, stages: int, child_counts, address_bits: in
                     ("hashes", hashes == fan_in - 1, f"child_count - 1 {fan_in - 1}"),
                 ]
             elif kind == "storage":
-                want = leaf_rounds[source - 1][int(key[0])] if source >= 1 else 0
-                rules = [("processed", processed == want,
-                          f"leaf-{key[0]} processed of round {source} {want}")]
+                leaf = f"leaf-{key[0]} of round {source}"
+                want, made = leaf_rounds[source - 1][int(key[0])] if source >= 1 else (0, 0)
+                rules = [
+                    ("processed", processed == want, f"{leaf}: processed {want}"),
+                    ("hashes", hashes == made + spine if made else hashes in range(spine + 1),
+                     f"{leaf}: hashes {made} + portion_levels {spine}" if made
+                     else f"0 to portion_levels {spine} ({leaf} made none)"),
+                ]
             else:
-                leaves[int(key[0])] = processed
+                leaves[int(key[0])] = processed, hashes
                 want = 2 if child_counts else 1
                 rules = [
                     ("msgs_out", meter["msgs_out"] == want,
@@ -114,9 +121,10 @@ def meter_identity_failures(reports, stages: int, child_counts, address_bits: in
                     failures.append(
                         f"round {r}: {meter['id']}: {field} {meter[field]} is not {rule}"
                     )
-        if 2 * sum(leaves.values()) != routed:
+        twice = 2 * sum(processed for processed, _ in leaves.values())
+        if twice != routed:
             failures.append(f"round {r}: leaf-*: twice the processed sum "
-                            f"{2 * sum(leaves.values())} != cc-* msgs_out {routed} of round {r - 1}")
+                            f"{twice} != cc-* msgs_out {routed} of round {r - 1}")
         routed = sum(m["msgs_out"] for m in row["per_committee"] if m["id"].startswith("cc-"))
         leaf_rounds.append(leaves)
     return failures

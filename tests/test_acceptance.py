@@ -284,7 +284,7 @@ def test_acceptance_report_bytes_pinned(default_runs, shuffled, monkeypatch):
         result = Simulation(ACCEPTANCE_CONFIG).run()
     data = "".join(line + "\n" for line in report_lines(result)).encode()
     assert hashlib.sha256(data).hexdigest() == (
-        "e434c7408a4a55ac9c23184bcebe6358fc27d7e04aa129659f0b0601c0b88144"
+        "44fbaf40d7c276204a30b349d973eb213e733e81a4effdaf6bb37e3bd365c2a8"
     )
 
 

@@ -1,7 +1,6 @@
 """End-to-end engine runs: oracle agreement, conservation, determinism."""
 
 import ast
-import dataclasses
 import gc
 import hashlib
 import json
@@ -419,7 +418,7 @@ def _overdraw_in_leaf_0(sim):
         calls.append(1)
         if len(calls) == 6:
             i = next(i for i, tx in enumerate(incoming) if leaf.tree.covers(tx.src))
-            raised = dataclasses.replace(incoming[i], amount=incoming[i].amount + 10**12)
+            raised = incoming[i]._replace(amount=incoming[i].amount + 10**12)
             incoming = incoming[:i] + [raised] + incoming[i + 1 :]
         return process(incoming)
 
@@ -622,25 +621,25 @@ GOLDEN_REPORTS = [
     (
         dict(leaf_count=16, rho=2),
         dict(audit_proofs=True),
-        "d2a6f546021ee2356e48ea2f34753cb5529c4769e292c7fb1b1e1cec7a289a13",
+        "4d6e0e999772658d0102c9ffa5239f2a44ad15f4e51588892a894178c8665abc",
     ),
     # a single leaf committee emits the block, with the oracle off
     (
         dict(leaf_count=1, oracle_enabled=False),
         {},
-        "2272ca56938559b562ff1091bfa3680823711943409c6fcb223f4f0b4205da68",
+        "9996e6932db9af3c3c3dbbf3ace1b2f06a873d94bf8b40e912d1006c4b3b1d0c",
     ),
     # every non-fatal fault hook
     (
         {},
         dict(balanced_workload=True, expired_injection_rate=2),
-        "3df7f4d347c00b1d930cfa988227c5baf2b650224132aac6bb17af9affbb8a95",
+        "5f317e1071d35c82612206386b47c56770d150f726d3b9129d331d4f404403ad",
     ),
     # the fatal path
     (
         {},
         dict(drop_confirmed_round=5),
-        "004aca6e65f453687744e413a4f260f91f6b78d4a5c87ca69cb47125058dc41f",
+        "95fcc50014ddba07018d1ef638ae508721d220185e73bebd2939b40f3b2545be",
     ),
 ]
 
@@ -778,15 +777,43 @@ def test_leaf_trees_share_the_oracles_records():
     assert not any(leaf.tree._source for leaf in sim.leaf_rpcs)
 
 
-def test_a_proof_ends_at_the_leaf_graft():
-    # Only the round that routes a transfer reads its proofs; the leaf
-    # committees graft them the round after.  Whatever outlives that round
-    # keeps only the Transfer (storage buffers, the entry rounds clients
-    # settle) or integers (committee windows: each account's net change),
-    # and each report entry is its round's meter.
+def test_a_proof_ends_at_the_confirmation_committee():
+    # Only the round that confirms a transaction reads its proofs: the router
+    # sends leaves and storage its Transfer.  So every Batch the network
+    # queues holds Transfers, and after each round the only proofs alive are
+    # those the clients' submissions for the next round carry.  Whatever
+    # outlives a round keeps only the Transfer (storage buffers, the entry
+    # rounds clients settle) or integers (committee windows: each account's
+    # net change), and each report entry is its round's meter.
     gc.collect()
     before = [obj for obj in gc.get_objects() if isinstance(obj, BalanceProof)]
+    known = {id(obj) for obj in before}
     sim = Simulation(SimConfig(rounds=12))
+    batched, outlived, submitted = [], [], []
+    send, round_ = sim.network.send, sim._round
+
+    def recording(sender, dests, msg):
+        if isinstance(msg, Batch):
+            batched.extend(type(tx) for tx in msg.txs)
+        send(sender, dests, msg)
+
+    def checking(round_index):
+        row = round_(round_index)
+        gc.collect()
+        queued = {
+            id(proof)
+            for msgs in sim.network._outbox.values()
+            for msg in msgs if isinstance(msg, Transaction)
+            for proof in (msg.src_proof, msg.dst_proof)
+        }
+        live = {
+            id(obj) for obj in gc.get_objects()
+            if isinstance(obj, BalanceProof) and id(obj) not in known
+        }
+        outlived.extend(live - queued)
+        submitted.append(len(queued))
+        return row
+
     # the entry rounds held while the oracle runs are Transfers as well
     held = []
     oracle_stage = sim._oracle_stage
@@ -795,24 +822,14 @@ def test_a_proof_ends_at_the_leaf_graft():
         held.extend(type(tx) for txs in sim.accepted_by_entry.values() for tx in txs)
         return oracle_stage(round_index, confirmed, discards)
 
-    sim._oracle_stage = holding
+    sim.network.send, sim._round, sim._oracle_stage = recording, checking, holding
     result = sim.run()
-    assert held and set(held) == {Transfer}
     assert result.ok
-    gc.collect()
-    queued = {
-        id(proof)
-        for msgs in sim.network._outbox.values()
-        for msg in msgs if isinstance(msg, Batch)
-        for tx in msg.txs
-        for proof in (tx.src_proof, tx.dst_proof)
-    }
-    known = {id(obj) for obj in before}
-    live = {
-        id(obj) for obj in gc.get_objects()
-        if isinstance(obj, BalanceProof) and id(obj) not in known
-    }
-    assert queued and live == queued
+    assert held and set(held) == {Transfer}
+    assert batched and set(batched) == {Transfer}
+    # proofs were made for every round but the last, and none outlived one
+    assert all(submitted[:-1]) and submitted[-1] == 0
+    assert outlived == []
 
     kept = [tx for node in sim.storage.values() for txs, _ in node._pending.values() for tx in txs]
     kept += [tx for txs in sim.accepted_by_entry.values() for tx in txs]
@@ -824,3 +841,31 @@ def test_a_proof_ends_at_the_leaf_graft():
     entries = result.reports[-1]["per_committee"]
     assert len(entries) == len(meters) == len(sim.counters)
     assert all(entry is vars(meter) for entry, meter in zip(entries, meters))
+
+    # the leaf batch and the storage multicast of a portion share each
+    # Transfer object, so the drop round loses the same one from both, in
+    # every portion it touches
+    drop = 5
+    lossy = Simulation(SimConfig(rounds=12, rho=2), drop_confirmed_round=drop)
+    route, routed = lossy._route_stage, {}
+
+    def routing(round_index, confirmed):
+        route(round_index, confirmed)
+        if round_index == drop:
+            routed["sent"] = [tx.transfer for txs in confirmed for tx in txs]
+            routed["queued"] = {
+                dest: [id(tx) for msg in msgs if isinstance(msg, Batch) for tx in msg.txs]
+                for dest, msgs in lossy.network._outbox.items()
+            }
+
+    lossy._route_stage = routing
+    assert not lossy.run().ok
+    dropped, portion_of = lossy.network.dropped, lossy.topology.portion_of
+    assert type(dropped) is Transfer and any(tx is dropped for tx in routed["sent"])
+    for portion in {portion_of(dropped.src), portion_of(dropped.dst)}:
+        touching = [
+            id(tx) for tx in routed["sent"]
+            if tx is not dropped and portion in (portion_of(tx.src), portion_of(tx.dst))
+        ]
+        for dest in [("leaf", portion)] + [("storage", portion, r) for r in range(2)]:
+            assert routed["queued"][dest] == touching

@@ -1,4 +1,4 @@
-"""Pruned balance trees: digests, proofs, merging, and work accounting."""
+"""Pruned balance trees: digests, proofs, materializing, and work accounting."""
 
 import hashlib
 import random
@@ -14,7 +14,6 @@ from pipechain.merkle import (
     BalanceProof,
     NegativeBalance,
     NotStored,
-    ProofConflict,
     SpineMemo,
     build_pruned,
     climb,
@@ -410,98 +409,6 @@ def test_scoped_tree_matches_global_subtree():
         build_pruned([(2, 77)], 6, root_level=3, root_index=1)  # out of range
 
 
-def test_merge_union_and_order_independence():
-    # Zero proofs of accounts a tree does not hold graft, in any order, to
-    # the content ensure_path makes, and leave the root as it was.
-    balances = {1: 10, 6: 20, 9: 30, 14: 40}
-    absent = [0, 7, 8, 15]
-    source = build_pruned(sorted(balances.items()), 4)
-    root = source.root_hash()
-    for account in absent:
-        source.ensure_path(account)
-    proofs = {a: source.make_proof(a, base_height=3) for a in absent}
-
-    one = build_pruned(sorted(balances.items()), 4)
-    for account in absent:
-        one.merge_proof(proofs[account])
-    other = build_pruned(sorted(balances.items()), 4)
-    for account in reversed(absent):
-        other.merge_proof(proofs[account])
-    assert one.root_hash() == other.root_hash() == root
-    assert one.leaves == other.leaves == source.leaves
-    assert one._nodes == other._nodes == source._nodes
-
-    # idempotent: merging again, or a held account's own proof, changes nothing
-    kept = dict(one._nodes)
-    one.merge_proof(proofs[7])
-    one.merge_proof(source.make_proof(6, base_height=3))
-    assert (one.leaves, one._nodes) == (source.leaves, kept)
-
-
-def test_merge_rejects_tampered_proof():
-    # The tree holds every non-zero balance of its scope, so a proof of an
-    # account it does not hold must fold a zero leaf under all-zero
-    # siblings.  Account 4 enters account 6's tail at (1, 2): leaf 5 lies
-    # below the entry and (3, 1) above it, both absent.  A non-zero
-    # balance, and valid proofs from worlds where either is funded, raise
-    # and change nothing; the genuine proof still merges.
-    tree = build_pruned([(1, 10), (6, 20)], 4)
-    held, root = dict(tree.leaves), tree.root_hash()
-    kept = dict(tree._nodes)
-    proofs = []
-    for extra in ([], [(5, 1)], [(12, 3)]):
-        world = build_pruned(sorted([(1, 10), (6, 20)] + extra), 4)
-        world.ensure_path(4)
-        proofs.append(world.make_proof(4, base_height=1))
-        assert verify_proof(proofs[-1], world.root_hash())
-    good, *bad = proofs
-    for proof in [replace(good, balance=999), *bad]:
-        with pytest.raises(ProofConflict):
-            tree.merge_proof(proof)
-        assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
-    tree.merge_proof(good)
-    assert tree.leaves == {1: 10, 6: 20, 4: 0} and tree.root_hash() == root
-
-
-def test_merge_keeps_a_held_account():
-    # the tree's balance is newer than the proof's base: a stale proof of a
-    # held account changes nothing and costs nothing
-    tree = build_pruned([(1, 10)], 4)
-    proof = tree.make_proof(1, base_height=1)
-    tree.set_balances({1: 55})
-    kept = (dict(tree.leaves), dict(tree._nodes), tree.hashes)
-    tree.merge_proof(proof)
-    assert (tree.leaves, tree._nodes, tree.hashes) == kept
-
-
-def test_merge_into_scoped_tree():
-    # A leaf committee's scoped tree grafts a zero proof made against the
-    # whole tree, cut to the portion's root, and keeps its root.  A tree
-    # missing the funded account 10 reads its subtree as all-zero, so that
-    # account's proof contradicts it.
-    entries = [(i, 100 + i) for i in range(8, 12)]
-    whole = build_pruned(entries + [(40, 7)], 6)
-    whole.ensure_path(13)
-    zero, funded = (whole.make_proof(a, base_height=2) for a in (13, 10))
-    scoped = build_pruned(entries, 6, root_level=3, root_index=1)
-    root = scoped.root_hash()
-    scoped.merge_proof(replace(zero, siblings=zero.siblings[:3]))
-    assert scoped.leaves == dict(entries) | {13: 0}
-    assert scoped.root_hash() == root == _subtree_root(dict(entries), 6, 3, 1)
-
-    outside = whole.make_proof(40, base_height=2)
-    with pytest.raises(NotStored):
-        scoped.merge_proof(replace(outside, siblings=outside.siblings[:3]))
-    assert scoped.leaves == dict(entries) | {13: 0}
-
-    stale = build_pruned(
-        [(8, 108), (9, 109), (11, 111)], 6, root_level=3, root_index=1
-    )
-    with pytest.raises(ProofConflict):
-        stale.merge_proof(replace(funded, siblings=funded.siblings[:3]))
-    assert stale.leaves == {8: 108, 9: 109, 11: 111}
-
-
 def test_update_work_is_path_bounded():
     entries = [(i * 3, 50) for i in range(20)]
     tree = build_pruned(entries, 8)
@@ -554,43 +461,10 @@ def test_refold_flags_a_deleted_inner_node():
     assert tree.refold() == (root, [(5, 0)])
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.dictionaries(
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=1, max_value=10**6),
-        min_size=1,
-        max_size=16,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_merge_reconstructs_any_subset(balances, rng):
-    # Zero proofs of any subset of the accounts a tree does not hold, merged
-    # in any order, graft the content ensure_path makes; the root stays.
-    tree = build_pruned(sorted(balances.items()), 6)
-    root = tree.root_hash()
-    absent = [account for account in range(64) if account not in balances]
-    subset = rng.sample(absent, rng.randint(1, min(8, len(absent))))
-    source, expected = tree.copy(), tree.copy()
-    for account in subset:
-        source.ensure_path(account)
-        expected.ensure_path(account)
-    proofs = [source.make_proof(account, base_height=0) for account in subset]
-    rng.shuffle(proofs)
-    for proof in proofs:
-        tree.merge_proof(proof)
-    assert (tree.leaves, tree._nodes) == (expected.leaves, expected._nodes)
-    assert tree.root_hash() == root
-
-
 def test_counters_match_digests_made(monkeypatch):
     # A tree counts cache misses only: every digest it computes, and nothing
     # else.  The tree must reach node_hash and leaf_hash through
     # the module globals for the wrappers (and per-layer tracing) to see them.
-    source = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
-    for account in (4, 150):
-        source.ensure_path(account)
-    proofs = [source.make_proof(account, 0) for account in (4, 150)]
     made = [0]
 
     def counting(fn):
@@ -611,13 +485,13 @@ def test_counters_match_digests_made(monkeypatch):
     tree.ensure_path(2)  # cuts account 3's tail at level 1
     tree.set_balances({2: 7})
     tree.root_hash()
-    merged = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
-    for proof in proofs:
-        merged.merge_proof(proof)
-    merged.set_balances({4: 6})
-    merged.root_hash()
-    assert tree.hashes > 0 and merged.hashes > 0
-    assert made == [tree.hashes + merged.hashes]
+    zeroed = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
+    for account in (4, 150):
+        zeroed.ensure_path(account)  # a zero leaf: no digest
+    zeroed.set_balances({4: 6})
+    zeroed.root_hash()
+    assert tree.hashes > 0 and zeroed.hashes > 0
+    assert made == [tree.hashes + zeroed.hashes]
 
 
 def _digests_made(fn):
@@ -778,40 +652,14 @@ def _check_tree(tree, expected_root):
     assert tree.refold() == (expected_root, [])
 
 
-def _check_merge(tree, proof):
-    """Merge a good zero proof of an account the tree does not hold, after
-    tampered copies that must each raise and change nothing: a non-zero
-    balance, and a non-default digest at each sibling the tree holds no
-    account under (below the proof's entry, or above it).  A sibling over
-    held accounts is the tree's own content and is not read.  Merging the
-    good proof twice grafts one zero leaf and keeps the root."""
-    held, kept, root = dict(tree.leaves), dict(tree._nodes), tree.root_hash()
-    account, bad = proof.account, [replace(proof, balance=1)]
-    for level in range(tree.root_level):
-        beside = (account >> level) ^ 1
-        if not any(a >> level == beside for a in held):
-            siblings = proof.siblings[:level] + (bytes(32),) + proof.siblings[level + 1 :]
-            bad.append(replace(proof, siblings=siblings))
-    for tampered in bad:
-        with pytest.raises(ProofConflict):
-            tree.merge_proof(tampered)
-        assert (tree.leaves, tree._nodes, tree.root_hash()) == (held, kept, root)
-    tree.merge_proof(proof)
-    grafted = dict(tree._nodes)
-    tree.merge_proof(proof)
-    assert tree._nodes == grafted and tree.leaves == held | {account: 0}
-    assert tree.root_hash() == root
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_trees_track_the_full_tree(data):
     # Three trees follow one ledger: a full tree, a leaf committee's scoped
-    # tree (zero proofs merged, through _check_merge, for accounts it has not
-    # seen) and a storage node's copy of the scoped genesis tree (ensure_path
-    # for them).  A step may flip one bit of a pool account, so that
-    # ensure_path and merge_proof enter a held account's tail and cut it
-    # where the paths part.
+    # tree and a storage node's copy of the scoped genesis tree, each
+    # materializing an account it has not seen with ensure_path.  A step may
+    # flip one bit of a pool account, so that ensure_path enters a held
+    # account's tail and cuts it where the paths part.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -842,16 +690,13 @@ def test_trees_track_the_full_tree(data):
         if flip >= 0:
             account ^= 1 << flip
         balance = 0 if kind == 0 else amount  # kind 0 drains the account
-        full.ensure_path(account)
-        if scoped.covers(account) and account not in scoped.leaves:
-            proof = full.make_proof(account, 0)
-            _check_merge(scoped, replace(proof, siblings=proof.siblings[:level]))
         balances[account] = balance
+        full.ensure_path(account)
         full.set_balances({account: balance})
         if scoped.covers(account):
-            scoped.set_balances({account: balance})
-            storage.ensure_path(account)
-            storage.set_balances({account: balance})
+            for tree in (scoped, storage):
+                tree.ensure_path(account)
+                tree.set_balances({account: balance})
 
         portion_root = _subtree_root(balances, bits, level, index)
         _check_tree(full, _subtree_root(balances, bits, bits, 0))
@@ -898,13 +743,13 @@ def test_an_overdrawing_batch_changes_no_balance_digest_or_count():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
-    # A leaf committee's scoped tree (proofs grafted first) and a storage
-    # node's copy of it (materialized by apply_transfers) each apply random
-    # transfer batches with apply_transfers, next to a twin driven by
-    # ensure_path and one set_balances of the batch's net covered balances.
-    # The pool holds a leaf's sibling, so grafts and ensure_path enter held
-    # tails, and a transfer may drain its source, zeroing the bottom of a
-    # tail.  The portion root folded up the literal spine is the ledger's.
+    # A leaf committee's scoped tree and a storage node's copy of it each
+    # apply random transfer batches with apply_transfers, which materializes
+    # the accounts they touch, next to a twin driven by ensure_path and one
+    # set_balances of the batch's net covered balances.  The pool holds a
+    # leaf's sibling, so materializing enters held tails, and a transfer may
+    # drain its source, zeroing the bottom of a tail.  The portion root
+    # folded up the literal spine is the ledger's.
     bits = data.draw(st.integers(1, 8), label="address_bits")
     level = data.draw(st.integers(1, bits), label="portion level")
     index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
@@ -915,9 +760,6 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
     ledger = data.draw(
         st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
     )
-    genesis = build_pruned(sorted(ledger.items()), bits)
-    for account in pool:
-        genesis.ensure_path(account)
     in_portion = [a for a in pool if a >> level == index]
 
     leaf = _leaf_tree(ledger, bits, level, index)
@@ -950,14 +792,9 @@ def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
             ledger[dst] = ledger.get(dst, 0) + tx.amount
             txs.append(tx)
         touched = {a for tx in txs for a in (tx.src, tx.dst)}
-        # proofs of untouched territory stay valid, so genesis proofs graft
-        for tree in (leaf, leaf_twin):
-            for account in sorted(touched):
-                if tree.covers(account) and account not in tree.leaves:
-                    proof = genesis.make_proof(account, 0)
-                    tree.merge_proof(replace(proof, siblings=proof.siblings[:level]))
         covered = touched & set(in_portion)
         for account in sorted(covered):
+            leaf_twin.ensure_path(account)
             storage_twin.ensure_path(account)
 
         for tree in (leaf, storage):
@@ -1110,27 +947,19 @@ def test_kept_records_grow_with_accounts_not_path_length():
     # At A = 40, 256 accounts a stride 2**32 apart share only their top 8
     # levels, so a tree keeping one digest per materialized node would keep
     # about 33 per account.  The tail layout keeps one record per account and
-    # one digest per branch above, full or scoped, after grafts and serves.
+    # one digest per branch above, full or scoped, after zero accounts join.
     bits, n = 40, 256
     ledger = {i << 32: i + 1 for i in range(n)}
     full = build_pruned(sorted(ledger.items()), bits)
-    twin = build_pruned(sorted(ledger.items()), bits)
     # a leaf committee's tree for portion (32, 5)
     portion = {(5 << 32) + (i << 24): i + 1 for i in range(n)}
     source = build_pruned(sorted(portion.items()), bits)
     scoped = build_pruned(sorted(portion.items()), bits, root_level=32, root_index=5)
 
-    # graft a few zero accounts into held tails, and serve a few more
-    for tree, giver, accounts in (
-        (full, twin, [(7 << 32) + 9, (7 << 32) + (1 << 31)]),
-        (scoped, source, [(5 << 32) + (3 << 24) + 1]),
-    ):
-        for account in accounts:
-            giver.ensure_path(account)
-            tree.merge_proof(giver.make_proof(account, 0))
+    # a few zero accounts join held tails, a few more join apart from them
     for tree, accounts in (
-        (full, [1, (3 << 32) + 5, (1 << bits) - 1]),
-        (scoped, [(5 << 32) + 77, (6 << 32) - 1]),
+        (full, [(7 << 32) + 9, (7 << 32) + (1 << 31), 1, (3 << 32) + 5, (1 << bits) - 1]),
+        (scoped, [(5 << 32) + (3 << 24) + 1, (5 << 32) + 77, (6 << 32) - 1]),
     ):
         for account in accounts:
             tree.ensure_path(account)

@@ -1,11 +1,10 @@
 """Root-hash pipeline: topology, digest folding, leaf and inner committees."""
 
 import re
-from dataclasses import replace
 
 import pytest
 
-from pipechain.ledger import Block, Transaction, block_hash
+from pipechain.ledger import Block, Transaction, Transfer, block_hash
 from pipechain import pipeline
 from pipechain.merkle import build_pruned, node_hash
 from pipechain.pipeline import (
@@ -157,17 +156,17 @@ def _portion_root(balances, portion):
 
 
 def test_leaf_round_tracks_reference_tree():
-    # A=5, two portions of 16 addresses; confirmed stream crosses portions
+    # A=5, two portions of 16 addresses; the confirmed Transfers, which
+    # carry no proofs, cross portions and credit an account no leaf holds
     topo = build_topology(2, 7, address_bits=5)
     genesis = {0: 100, 3: 50, 20: 70}
-    global_tree = build_pruned(sorted(genesis.items()), 5)
     leaf0 = LeafRpc(topo, 0, [(0, 100), (3, 50)])
     leaf1 = LeafRpc(topo, 1, [(20, 70)])
     assert leaf0.tree.root_hash() == _portion_root(genesis, 0)
     assert leaf1.tree.root_hash() == _portion_root(genesis, 1)
 
-    tx1 = _proofed(global_tree, 0, 5, 10, 1, 1)  # inside portion 0
-    tx2 = _proofed(global_tree, 3, 20, 25, 1, 2)  # crosses portions
+    tx1 = Transfer(0, 5, 10)  # inside portion 0
+    tx2 = Transfer(3, 20, 25)  # crosses portions
     d0 = leaf0.process_round([tx1, tx2])
     d1 = leaf1.process_round([tx2])
 
@@ -193,20 +192,16 @@ def test_leaf_prefers_own_balance_over_stale_proof():
     assert leaf.tree.leaves[9] == 2
 
 
-def test_leaf_flags_conflicting_proof_material():
+def test_leaf_names_a_transfer_that_overdraws_its_tree():
+    # a leaf debits its own tree's balance, so a forged amount faults there,
+    # named by portion, before any balance or digest changes
     topo = build_topology(2, 7, address_bits=5)
-    leaf = LeafRpc(topo, 0, [(0, 100)])
-    # a proof from a different world: a sibling over no held account is not all-zero
-    other = build_pruned([(0, 100), (2, 9)], 5)
-    bad = _proofed(other, 7, 1, 1, 1, 1)
-    with pytest.raises(PipelineFault, match="^leaf 0: sibling digest mismatch"):
-        leaf.process_round([bad])
-    # a proof too short to reach the portion root is no graft either
-    leaf = LeafRpc(topo, 0, [(0, 100)])
-    short = _proofed(build_pruned([(0, 100)], 5), 0, 7, 1, 1, 1)
-    short = replace(short, dst_proof=replace(short.dst_proof, siblings=()))
-    with pytest.raises(PipelineFault, match="^leaf 0: proof has 0 siblings"):
-        leaf.process_round([short])
+    leaf = LeafRpc(topo, 1, [(20, 70)])
+    root, hashes = leaf.tree.root_hash(), leaf.tree.hashes
+    with pytest.raises(PipelineFault, match="^leaf 1: negative balance for account 20$"):
+        leaf.process_round([Transfer(20, 3, 50), Transfer(20, 21, 21)])
+    assert leaf.tree.leaves[20] == 70
+    assert (leaf.tree.root_hash(), leaf.tree.hashes) == (root, hashes)
 
 
 def test_inner_rpc_computed_positions():

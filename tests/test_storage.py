@@ -220,8 +220,8 @@ def test_receive_buffers_an_entry_round_until_its_block():
     node, entry, q = nodes[0], 4, topo.stages
     # the second transfer spends the first one's credit, so only the arrival
     # order applies cleanly
-    first = Batch(entry, (_tx(tree, 3, 5, 40, 1),))
-    second = Batch(entry, (_tx(tree, 5, 20, 30, 2),))
+    first = Batch(entry, (_tx(tree, 3, 5, 40, 1).transfer,))
+    second = Batch(entry, (_tx(tree, 5, 20, 30, 2).transfer,))
     after = build_pruned([(3, 10), (5, 10), (20, 100)], 5)
     frontier = Frontier(entry, (((4, 1), _digest({20: 100}, 4, 1)),))
     assert node.receive([first, second, frontier], None) is None
@@ -232,7 +232,7 @@ def test_receive_buffers_an_entry_round_until_its_block():
     assert node.latest_block is earlier
     block = Block(entry + q - 1, block_hash(earlier), after.root_hash())
     assert topo.entry_of(block.height) == entry
-    assert node.receive([], block) == [tx.transfer for tx in (*first.txs, *second.txs)]
+    assert node.receive([], block) == [*first.txs, *second.txs]
     assert node.tree.leaves == {3: 10, 5: 10}
     assert node.latest_block is block
     # applied once: the next block finds the entry round gone

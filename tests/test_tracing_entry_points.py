@@ -58,7 +58,7 @@ def test_every_traced_span_is_entered(monkeypatch):
 
 
 PINNED_LAYERS = {
-    "pipeline.leaf_digests": 11_357,
+    "pipeline.leaf_digests": 8_994,
     "pipeline.inner_digests": 84,
     "storage.apply_digests": 7_445,
     "storage.audit_digests": 4_829,
