@@ -45,11 +45,12 @@ class Clients:
                 del funded[at]
             portion = self.topology.portion_of(account)
             for rep in range(self.config.rho):
-                stored = self.storage[(portion, rep)].tree.leaves.get(account, 0)
+                node = self.storage[(portion, rep)]
+                stored = node.tree.leaves.get(account, 0)
                 if stored != view[account]:
                     raise StateDivergence(
                         f"client view of account {account} is {view[account]},"
-                        f" storage {portion}/{rep} holds {stored}"
+                        f" {node.name} holds {stored}"
                     )
 
     def submit(self, round_index: int, network):

@@ -26,7 +26,7 @@ class MerkleError(Exception):
 
 
 class NotStored(MerkleError):
-    """The requested account is outside this tree or not held by it."""
+    """The requested account or position is outside this tree's scope."""
 
 
 class NegativeBalance(MerkleError):
@@ -166,10 +166,8 @@ class PrunedTree:
     the path length.
 
     ``hashes`` counts every digest the tree computes, a storage replica's
-    spine folds included.
-    set_balances() rehashes each changed leaf with its whole tail and each
-    ancestor once, bottom-up, so n changed balances cost at most
-    n * (root_level + 1) hashes.
+    spine folds included.  apply_transfers() is the one update, all or
+    nothing; make_proof() reads the tree and writes nothing to it.
     """
 
     def __init__(
@@ -303,7 +301,7 @@ class PrunedTree:
     def copy(self) -> PrunedTree:
         """An independent copy: copying computes no digest and counts none.
         It writes no map of its source, yet stores the source's object for a
-        record or digest it computes (and counts) or slices with equal bytes."""
+        record or digest it writes with equal bytes."""
         twin = PrunedTree(self.address_bits, self.root_level, self.root_index)
         twin.leaves = dict(self.leaves)
         twin._nodes = dict(self._nodes)
@@ -340,58 +338,52 @@ class PrunedTree:
         entry = leaf >> (leaf.bit_length() - node.bit_length() - 1) if node else self._top
         return entry, tail
 
-    def ensure_path(self, account: int) -> None:
-        """Materialize account's leaf; an account the tree does not hold has
-        a zero balance and gets a default tail, cutting a held tail it enters."""
-        if account in self.leaves:
-            return
+    def _materialize(self, account: int) -> None:
+        """Hold an account the tree does not hold as a zero leaf with a
+        default tail, cutting a held tail it enters; no digest is made.  A
+        record whose bytes equal the source map's is stored as that object."""
         entry, tail = self._entry(account)
         if tail is not None:
             self._split(tail, entry >> 1)
-        run = _DEFAULT_RUNS[self._width - entry.bit_length()]
-        self._nodes[entry] = account.to_bytes(8, "big") + run
+        record = account.to_bytes(8, "big") + _DEFAULT_RUNS[self._width - entry.bit_length()]
+        self._nodes[entry] = record if self._source.get(entry) != record else self._source[entry]
         self.leaves[account] = 0
 
     # -- updates --------------------------------------------------------------
 
-    def set_balances(self, balances) -> None:
-        """Give held accounts new balances ({account: balance}) and rehash
-        each changed leaf with its whole tail, then each ancestor once,
-        bottom-up.  Nothing changes when an account is not held or a balance
-        is negative."""
-        leaves = self.leaves
-        for account, balance in balances.items():
-            if account not in leaves:
-                raise NotStored(f"account {account} is not held")
-            if balance < 0:
-                raise NegativeBalance(f"negative balance for account {account}")
-        tops = [(a, self._entry(a)[0]) for a, b in balances.items() if leaves[a] != b]
-        leaves.update(balances)
-        self.hashes += self._fold(tops)
-
     def apply_transfers(self, txs) -> None:
         """Debit each transfer's source and credit its destination, in order,
-        wherever this tree covers the account, materializing it first; other
-        accounts are left as they are.  A transfer that would overdraw raises
-        NegativeBalance before any balance changes."""
+        wherever this tree covers the account; other accounts are left as
+        they are.  All or nothing: a transfer that would overdraw raises
+        NegativeBalance and leaves the tree exactly as it was.  Otherwise each
+        covered account the tree does not hold is materialized as a zero leaf,
+        in first-touch order, and each changed leaf is rehashed with its whole
+        tail, then each ancestor once, bottom-up, so n changed balances cost
+        at most n * (root_level + 1) digests."""
         leaves, running = self.leaves, {}
         for tx in txs:
             for account, amount in ((tx.src, -tx.amount), (tx.dst, tx.amount)):
                 if self.covers(account):
-                    self.ensure_path(account)
-                    balance = running.get(account, leaves[account]) + amount
+                    balance = running.get(account, leaves.get(account, 0)) + amount
                     if balance < 0:
                         raise NegativeBalance(f"negative balance for account {account}")
                     running[account] = balance
-        self.set_balances(running)
+        for account in running:
+            if account not in leaves:
+                self._materialize(account)
+        tops = [(a, self._entry(a)[0]) for a, b in running.items() if leaves[a] != b]
+        leaves.update(running)
+        self.hashes += self._fold(tops)
 
     # -- proofs ---------------------------------------------------------------
 
     def make_proof(self, account: int, base_height: int, spine=()) -> BalanceProof:
-        """The account's path to this tree's top, then the `spine` siblings.
-        An account of the scope the tree does not hold has a zero balance;
-        its proof is read where ensure_path would top its default tail, and
-        equals the one that makes, but the tree is left as it is."""
+        """The account's path to this tree's top, then the `spine` siblings;
+        NotStored outside the scope.  An account of the scope the tree does
+        not hold has a zero balance; its proof is read where materializing
+        it would top its default tail, and equals the proof the tree would
+        give had apply_transfers materialized it, but the tree is left as
+        it is."""
         key, held = self._entry(account)
         nodes, defaults = self._nodes, DEFAULT_DIGESTS
         level = self._width - key.bit_length()
@@ -417,7 +409,7 @@ def build_pruned(
     """Tree materializing exactly the given (account, balance) entries, built
     in one sorted pass and counting every digest it makes.  From the build on,
     it stores a read-only `source` map's object for every record or digest it
-    computes or slices with the bytes `source` holds at the same heap key."""
+    writes with the bytes `source` holds at the same heap key."""
     tree = PrunedTree(address_bits, root_level, root_index)
     tree._source = {} if source is None else source
     leaves = tree.leaves

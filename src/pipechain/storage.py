@@ -43,6 +43,7 @@ class StorageNode:
         self.topology = topology
         self.portion = portion
         self.replica = replica
+        self.name = f"storage {portion}/{replica}"
         self.tree = genesis_tree.copy()  # its count takes the spine folds too
         # the spine and the path it folds, from the portion root up to the
         # state root: bottom first, all-zero until set
@@ -51,7 +52,7 @@ class StorageNode:
         root = self._fold_spine(spine_digests)
         if root != genesis_block.state_root:
             raise GenesisMismatch(
-                f"storage {portion}/{replica} root {root.hex()[:16]} != "
+                f"{self.name} root {root.hex()[:16]} != "
                 f"genesis root {genesis_block.state_root.hex()[:16]}"
             )
         self.latest_block = genesis_block
@@ -78,15 +79,14 @@ class StorageNode:
         digests published for the same entry round, then check the root.
         Raises StateDivergence naming this node when the root disagrees or
         the tree cannot take the block (a transfer that would overdraw, say)."""
-        name = f"storage {self.portion}/{self.replica}"
         try:
             self.tree.apply_transfers(txs)
             root = self._fold_spine(frontier.items())
         except MerkleError as exc:
-            raise StateDivergence(f"{name}: {exc}") from exc
+            raise StateDivergence(f"{self.name}: {exc}") from exc
         if root != new_block.state_root:
             raise StateDivergence(
-                f"{name} root {root.hex()[:16]} != "
+                f"{self.name} root {root.hex()[:16]} != "
                 f"block {new_block.height} root {new_block.state_root.hex()[:16]}"
             )
         self.latest_block = new_block
@@ -136,14 +136,16 @@ class StorageNode:
         return checked, 0 if self._stored_failure() is None else checked
 
     def audit(self, round_index: int) -> int:
-        """Check the stored accounts as audit_stored() does, then
-        AUDIT_SAMPLE served proofs, a window over the stored accounts that
-        rotates with the round, each verified end to end; returns the checks
-        made.  Raises StateDivergence naming this node, the block and the
-        first failure."""
+        """Check the stored accounts with audit_stored(), then AUDIT_SAMPLE
+        served proofs, a window over the stored accounts that rotates with
+        the round, each verified end to end; returns the checks made.
+        Raises StateDivergence naming this node, the block and the first
+        failure."""
         block = self.latest_block
-        name = f"storage {self.portion}/{self.replica}: audit of block {block.height}"
-        failure = self._stored_failure()
+        name = f"{self.name}: audit of block {block.height}"
+        checked, failed = self.audit_stored()
+        # a tree holding no account fails none: only the re-fold can tell
+        failure = self._stored_failure() if failed or not checked else None
         if failure is not None:
             raise StateDivergence(f"{name}: {failure}")
         stored = sorted(self.tree.leaves)
@@ -152,4 +154,4 @@ class StorageNode:
         for account in sample:
             if not verify_proof(self.serve_proof(account), block.state_root):
                 raise StateDivergence(f"{name}: the proof of account {account} fails")
-        return len(stored) + len(sample)
+        return checked + len(sample)

@@ -60,11 +60,23 @@ def _verdict(capsys, number, ok, detail):
 
 @pytest.fixture(scope="module")
 def default_runs():
+    """Each seed's run, its wall time and the rounds check_interleavings
+    judged in it."""
     runs = {}
+    check = oracle.check_interleavings
     for seed in (1, 2, 3):
+        checked = []
+
+        def spy(balances, per_committee, round_index):
+            checked.append(round_index)
+            return check(balances, per_committee, round_index)
+
         cfg = replace(ACCEPTANCE_CONFIG, seed=seed)
-        start = time.perf_counter()
-        runs[seed] = (Simulation(cfg).run(), time.perf_counter() - start)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "check_interleavings", spy)
+            start = time.perf_counter()
+            result = Simulation(cfg).run()
+            runs[seed] = (result, time.perf_counter() - start, checked)
     return runs
 
 
@@ -83,7 +95,7 @@ def scale_runs():
 def test_criterion_01_oracle_equivalence(default_runs, capsys):
     blocks = matches = 0
     slowest = 0.0
-    for result, elapsed in default_runs.values():
+    for result, elapsed, _ in default_runs.values():
         blocks += len(result.reports)
         matches += sum(1 for row in result.reports if row["oracle"] == "match")
         slowest = max(slowest, elapsed)
@@ -99,7 +111,7 @@ def test_criterion_01_oracle_equivalence(default_runs, capsys):
 
 def test_criterion_02_non_negativity_and_conservation(default_runs, capsys):
     ok = True
-    for result, _ in default_runs.values():
+    for result, _, _ in default_runs.values():
         supplies = {row["supply"] for row in result.reports}
         initial = result.summary["supply"]["initial"]
         ok = ok and result.summary["fatal"] is None
@@ -130,7 +142,7 @@ def test_criterion_03_storage_proofs_verify(verify_run, capsys):
 
 def test_criterion_04_latency_law(default_runs, capsys):
     checked = violations = accepted = 0
-    for result, _ in default_runs.values():
+    for result, _, _ in default_runs.values():
         latency = result.summary["latency"]
         checked += latency["checked"]
         violations += latency["violations"]
@@ -259,7 +271,7 @@ def test_scale_truncated_run_is_not_well_provisioned():
 
 
 def test_criterion_08_determinism(default_runs, capsys, tmp_path):
-    first, _ = default_runs[1]
+    first, _, _ = default_runs[1]
     second = Simulation(ACCEPTANCE_CONFIG).run()
     path_a = tmp_path / "a.jsonl"
     path_b = tmp_path / "b.jsonl"
@@ -278,7 +290,7 @@ def test_criterion_08_determinism(default_runs, capsys, tmp_path):
 def test_acceptance_report_bytes_pinned(default_runs, shuffled, monkeypatch):
     # the acceptance run's report bytes, as `pipechain run --report` writes
     # them; the same when every inbox arrives in a seeded random order
-    result, _ = default_runs[1]
+    result, _, _ = default_runs[1]
     if shuffled:
         shuffle_inboxes(monkeypatch)
         result = Simulation(ACCEPTANCE_CONFIG).run()
@@ -295,27 +307,19 @@ def test_oracle_matches_at_widest_address_space():
     assert result.summary["oracle"] == {"enabled": True, "matches": 10}
 
 
-def test_criterion_09_interleave_independence(capsys, monkeypatch):
+def test_criterion_09_interleave_independence(default_runs, capsys):
     # every round checks the exact bound: no order-respecting interleaving
     # of the committees' sequences overdraws, so every one that applies
     # reproduces the oracle root (tests/test_oracle.py, against brute force)
-    checked = []
-    check = oracle.check_interleavings
-
-    def spy(balances, per_committee, round_index):
-        checked.append(round_index)
-        return check(balances, per_committee, round_index)
-
-    monkeypatch.setattr(oracle, "check_interleavings", spy)
-    result = Simulation(ACCEPTANCE_CONFIG).run()
-    rounds = ACCEPTANCE_CONFIG.rounds
-    ok = result.ok and checked == list(range(1, rounds + 1))
+    rounds = list(range(1, ACCEPTANCE_CONFIG.rounds + 1))
+    ok = all(result.ok and checked == rounds for result, _, checked in default_runs.values())
+    total = sum(len(checked) for _, _, checked in default_runs.values())
     _verdict(
         capsys,
         9,
         ok,
-        f"{len(checked)}/{rounds} rounds: no order-respecting interleaving "
-        "overdraws (exact bound)",
+        f"{total}/{3 * len(rounds)} rounds over 3 seeds: no order-respecting "
+        "interleaving overdraws (exact bound)",
     )
 
 

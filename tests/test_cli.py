@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pipechain import cli
-from pipechain.ledger import Batch, Transaction
+from pipechain.ledger import Batch, Transaction, Transfer
 from pipechain.merkle import PrunedTree
 from pipechain.network import Network
 from pipechain.oracle import LedgerOracle
@@ -254,13 +254,15 @@ def test_oracle_genesis_mismatch_is_a_named_fatal(
 
 def test_storage_genesis_mismatch_names_the_replica(config_path, monkeypatch, capsys):
     # a replica's copy of its leaf committee's genesis tree holds one more
-    # unit in its first account: the first replica built fails set-up
+    # unit in its first account, credited from an account of the next
+    # portion, which the copy does not cover: the first replica built fails
+    # set-up
     copy = PrunedTree.copy
 
     def tampered(tree):
         twin = copy(tree)
-        account = min(twin.leaves)
-        twin.set_balances({account: twin.leaves[account] + 1})
+        outside = (twin.root_index ^ 1) << twin.root_level
+        twin.apply_transfers([Transfer(outside, min(twin.leaves), 1)])
         return twin
 
     monkeypatch.setattr(PrunedTree, "copy", tampered)

@@ -46,8 +46,6 @@ class _Harness:
 
     def tx(self, src, dst, amount, base=None):
         base = self.entry_round - 2 if base is None else base
-        for account in (src, dst):
-            self.tree.ensure_path(account)
         self._nonce += 1
         return Transaction(
             src,
@@ -226,8 +224,6 @@ def test_safety_against_brute_force_replay():
     address_bits, stages = 6, 3
     balances = {a: rng.randrange(0, 60) for a in range(10)}
     tree = build_pruned(sorted(balances.items()), address_bits)
-    for account in range(12):
-        tree.ensure_path(account)
     committee = ConfirmationCommittee(0, stages, address_bits)
     history = BlockHistory()
     history.push(Block(2, GENESIS_PREV_HASH, tree.root_hash()))
@@ -311,7 +307,6 @@ def test_a_proof_binds_its_own_account():
     h = _Harness({3: 40, 9: 5})
     honest = h.tx(3, 20, 30)
     theft = Transaction(9, 20, 30, h.entry_round, 100, honest.src_proof, honest.dst_proof)
-    h.tree.ensure_path(21)
     foreign_dst = Transaction(3, 21, 1, h.entry_round, 101, honest.src_proof, honest.dst_proof)
     seq, discards, stats = h.confirm([theft, foreign_dst])
     assert sorted(reason for _, reason in discards) == ["bad_proof", "bad_proof"]

@@ -152,7 +152,6 @@ def test_proofs_may_use_either_live_base():
     tree_b = build_pruned([(1, 50), (2, 5)], 4)
     history, _ = _chain([bytes(32), bytes(32), tree_a.root_hash(), tree_b.root_hash()])
     old_base = tree_a.make_proof(1, base_height=2)
-    tree_b.ensure_path(3)
     new_base = tree_b.make_proof(3, base_height=3)
     tx = Transaction(1, 3, 10, 5, 0, old_base, new_base)
     assert syntactic_failure(tx, 5, history) == (None, 2)

@@ -7,11 +7,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from pipechain import merkle
 from pipechain.merkle import (
     DEFAULT_DIGESTS,
-    BalanceProof,
     NegativeBalance,
     NotStored,
     SpineMemo,
@@ -23,7 +29,7 @@ from pipechain.merkle import (
     verify_proof,
 )
 from pipechain.ledger import GENESIS_PREV_HASH, Block, Transaction, Transfer, block_hash
-from pipechain.oracle import LedgerOracle
+from pipechain.oracle import LedgerOracle, NonNegativityViolation
 from pipechain.pipeline import build_topology
 from pipechain.storage import StateDivergence, StorageNode
 from reference import corrupt_digest, full_tree_root
@@ -82,10 +88,11 @@ def test_two_entry_root():
 
 
 def test_zero_balance_canonical():
-    # a zero leaf hashes like the shared default, so clearing an account
-    # restores the empty-subtree digest at every level
-    tree = build_pruned([(5, 10)], 4)
-    tree.set_balances({5: 0})
+    # a zero leaf hashes like the shared default, so draining an account
+    # into one outside the tree restores the empty-subtree digest at every
+    # level
+    tree = build_pruned([(5, 10)], 5, root_level=4, root_index=0)
+    tree.apply_transfers([Transfer(5, 20, 10)])
     assert tree.root_hash().hex() == D4_HEX
     assert tree.leaves == {5: 0}
 
@@ -128,38 +135,6 @@ def test_build_rejects_bad_entries_and_takes_any_iterable():
     assert build_pruned(pairs, 4).root_hash() == full_tree_root({7: 8, 2: 3, 12: 13}, 4)
 
 
-def _inserted(entries, address_bits, root_level, root_index):
-    """The incremental reference: one insert per entry, then one update."""
-    tree = merkle.PrunedTree(address_bits, root_level, root_index)
-    for account, _ in entries:
-        tree.ensure_path(account)
-    tree.set_balances(dict(entries))
-    return tree
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_sorted_build_equals_incremental_inserts(data):
-    # One sorted pass makes the records, leaf order and root that inserting
-    # the entries one by one makes.  Its count differs only by the default
-    # tails of zero entries, which the pass digests and the inserts reuse.
-    bits = data.draw(st.integers(1, 12), label="address_bits")
-    level = data.draw(st.integers(1, bits), label="scope level")
-    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="scope index")
-    inside = st.integers(index << level, ((index + 1) << level) - 1)
-    accounts = data.draw(st.lists(inside, max_size=24, unique=True), label="accounts")
-    balances = st.one_of(st.just(0), st.integers(1, 2**64 - 1))
-    entries = [(a, data.draw(balances, label=f"balance {a}")) for a in accounts]
-    built = build_pruned(entries, bits, root_level=level, root_index=index)
-    inserted = _inserted(entries, bits, level, index)
-    assert built._nodes == inserted._nodes
-    assert list(built.leaves.items()) == list(inserted.leaves.items()) == entries
-    assert built.root_hash() == inserted.root_hash()
-    if all(balance for _, balance in entries):
-        assert built.hashes == inserted.hashes
-    assert built.refold() == (built.root_hash(), [])
-
-
 def test_proof_roundtrip_and_tamper():
     entries = [(0, 5), (3, 9), (11, 2), (15, 40)]
     tree = build_pruned(entries, 4)
@@ -185,7 +160,6 @@ def test_proof_roundtrip_and_tamper():
 
 def test_zero_balance_proof():
     tree = build_pruned([(3, 9)], 4)
-    tree.ensure_path(12)
     proof = tree.make_proof(12, base_height=0)
     assert proof.balance == 0
     assert verify_proof(proof, tree.root_hash())
@@ -195,7 +169,6 @@ def test_proof_outside_its_address_space_fails():
     # a proof with n siblings folds only the low n bits of its account, and
     # every zero balance hashes to the shared default leaf
     tree = build_pruned([(3, 9)], 4)
-    tree.ensure_path(12)
     root = tree.root_hash()
     empty, held = tree.make_proof(12, base_height=0), tree.make_proof(3, base_height=0)
     assert verify_proof(empty, root) and verify_proof(held, root)
@@ -269,7 +242,6 @@ def test_memoized_check_agrees_with_a_plain_fold(data):
         label="checks",
     )
     for made, checked, account, tamper, at, sibling in checks:
-        trees[made].ensure_path(account)
         proof = trees[made].make_proof(account, made)
         if tamper == "balance":
             proof = replace(proof, balance=proof.balance ^ 1)
@@ -292,93 +264,11 @@ def test_memo_skips_the_spine_a_verified_proof_shares():
     assert _digests_made(lambda: verify_proof(first, root, memo)) == (True, 9)
     assert _digests_made(lambda: verify_proof(second, root, memo)) == (True, 5)
     assert list(memo) == [1]
-    tree.ensure_path(0x55)
     zero = tree.make_proof(0x55, 0)
     assert _digests_made(lambda: verify_proof(zero, root, memo)) == (True, 2)
     bad = replace(second, siblings=second.siblings[:6] + (bytes(32),) + second.siblings[7:])
     assert not verify_proof(bad, root, memo)
     assert not verify_proof(second, bytes(32), SpineMemo(4))
-
-
-@st.composite
-def _scoped_entries(draw):
-    """A whole or scoped tree's (bits, level, index) and its held entries:
-    none, one, or several, zero balances among them."""
-    bits = draw(st.integers(1, 8))
-    level = draw(st.integers(1, bits))
-    index = draw(st.integers(0, (1 << (bits - level)) - 1))
-    inside = st.integers(index << level, ((index + 1) << level) - 1)
-    accounts = draw(
-        st.one_of(
-            st.just([]),
-            st.lists(inside, min_size=1, max_size=1),
-            st.lists(inside, min_size=2, max_size=8, unique=True),
-        )
-    )
-    balances = st.lists(st.integers(0, 2**40), min_size=len(accounts), max_size=len(accounts))
-    return bits, level, index, list(zip(accounts, draw(balances)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_scoped_entries())
-def test_make_proof_of_an_absent_account_leaves_the_tree_as_it_is(case):
-    # For every account of the scope, held or not, the proof equals the one
-    # a copy gives after ensure_path, verifies against the root through a
-    # default spine, and leaves the leaves and the kept records as they
-    # were, by value and by object.  An absent account's path tops at the
-    # tree's top (an empty tree), below an inner node, or inside a held
-    # tail, which one held account enters at every level below the top.
-    # Every account outside the scope raises NotStored.
-    bits, level, index, entries = case
-    tree = build_pruned(entries, bits, root_level=level, root_index=index)
-    spine = DEFAULT_DIGESTS[level:bits]
-    state_root = climb(index, tree.root_hash(), spine)[-1]
-    leaves, nodes, hashes = dict(tree.leaves), dict(tree._nodes), tree.hashes
-    base, entered = 1 << bits, set()
-    for account in range(index << level, (index + 1) << level):
-        twin = tree.copy()
-        twin.ensure_path(account)
-        proof = tree.make_proof(account, 5, spine)
-        assert proof == twin.make_proof(account, 5, spine)
-        assert verify_proof(proof, state_root)
-        assert tree.leaves == leaves and tree._nodes == nodes and tree.hashes == hashes
-        assert all(tree._nodes[key] is record for key, record in nodes.items())
-        if account not in leaves:
-            node, tail = tree._deepest(base + account)
-            kind = "top" if node is None else "inner" if tail is None else "tail"
-            entered.add((kind, node and tree._position(node)[0]))
-    if not entries:
-        assert entered == {("top", None)}
-    elif len(entries) == 1:
-        assert entered == {("tail", at) for at in range(1, level + 1)}
-    else:
-        accounts = sorted(leaves)
-        if (accounts[0] ^ accounts[-1]).bit_length() < level:  # the top is inner
-            assert ("inner", level) in entered
-    for account in range(2 << bits):
-        if account >> level != index:
-            with pytest.raises(NotStored):
-                tree.make_proof(account, 5, spine)
-
-
-def test_set_balances_requires_held_accounts():
-    # an account not held (inside the scope or out of it) or a negative
-    # balance anywhere in the batch changes nothing
-    tree = build_pruned([(3, 9), (5, 2)], 4, root_level=3, root_index=0)
-    kept, root = dict(tree._nodes), tree.root_hash()
-    for batch, error in (
-        ({3: 10, 6: 5}, NotStored),
-        ({3: 10, 12: 5}, NotStored),
-        ({3: 10, 5: -1}, NegativeBalance),
-    ):
-        with pytest.raises(error):
-            tree.set_balances(batch)
-        assert (tree.leaves, tree._nodes, tree.root_hash()) == ({3: 9, 5: 2}, kept, root)
-    # balances as they are rehash nothing; a changed one rehashes its path
-    assert _digests_made(lambda: tree.set_balances({3: 9, 5: 2}))[1] == 0
-    assert tree.root_hash() == root
-    assert _digests_made(lambda: tree.set_balances({3: 10, 5: 2}))[1] > 0
-    assert tree.root_hash() != root
 
 
 @pytest.mark.parametrize(
@@ -412,16 +302,15 @@ def test_scoped_tree_matches_global_subtree():
 def test_update_work_is_path_bounded():
     entries = [(i * 3, 50) for i in range(20)]
     tree = build_pruned(entries, 8)
-    tree.root_hash()
     rng = random.Random(4)
     before = tree.hashes
     accounts = [a for a, _ in entries]
     updates = 25
     for _ in range(updates):
-        tree.set_balances({rng.choice(accounts): rng.randrange(1, 100)})
-    tree.root_hash()
+        src, dst = rng.sample(accounts, 2)
+        tree.apply_transfers([Transfer(src, dst, rng.randrange(1, 3))])
     spent = tree.hashes - before
-    assert 0 < spent <= updates * (8 + 1)
+    assert 0 < spent <= updates * 2 * (8 + 1)
 
 
 def test_cached_root_costs_nothing():
@@ -461,39 +350,6 @@ def test_refold_flags_a_deleted_inner_node():
     assert tree.refold() == (root, [(5, 0)])
 
 
-def test_counters_match_digests_made(monkeypatch):
-    # A tree counts cache misses only: every digest it computes, and nothing
-    # else.  The tree must reach node_hash and leaf_hash through
-    # the module globals for the wrappers (and per-layer tracing) to see them.
-    made = [0]
-
-    def counting(fn):
-        def wrapper(first, second):
-            made[0] += 1
-            return fn(first, second)
-
-        return wrapper
-
-    monkeypatch.setattr(merkle, "node_hash", counting(merkle.node_hash))
-    monkeypatch.setattr(merkle, "leaf_hash", counting(merkle.leaf_hash))
-    tree = build_pruned([(3, 40), (90, 0), (200, 9)], 8)
-    tree.root_hash()
-    tree.set_balances({3: 41, 200: 0})  # a drain: its leaf digest is the default
-    tree.ensure_path(17)
-    tree.make_proof(17, 0)
-    tree.set_balances({17: 2})
-    tree.ensure_path(2)  # cuts account 3's tail at level 1
-    tree.set_balances({2: 7})
-    tree.root_hash()
-    zeroed = build_pruned([(3, 40), (77, 5), (200, 9)], 8)
-    for account in (4, 150):
-        zeroed.ensure_path(account)  # a zero leaf: no digest
-    zeroed.set_balances({4: 6})
-    zeroed.root_hash()
-    assert tree.hashes > 0 and zeroed.hashes > 0
-    assert made == [tree.hashes + zeroed.hashes]
-
-
 def _digests_made(fn):
     """fn()'s result and the node and leaf digests computed while it ran."""
     made = [0]
@@ -512,52 +368,6 @@ def _digests_made(fn):
     return result, made[0]
 
 
-def test_copy_computes_and_counts_nothing():
-    # The copy computes no digest and counts none, holds what building the
-    # same content from scratch holds, where a balance may be zero (held from
-    # the start, or drained), and writes no map of its source.  Replaying the
-    # source's update, it computes and counts its own digests, and keeps the
-    # source's object for every record of equal bytes.
-    cases = (
-        (4, 1, [(17, 5), (18, 0), (25, 9)], [25]),
-        (4, 1, [(20, 3)], []),
-        (4, 0, [(6, 0), (9, 0)], []),
-        (4, 0, [], []),
-        (8, 0, [(3, 40), (90, 0), (200, 9)], [200]),
-    )
-    for level, index, entries, drained in cases:
-        tree = build_pruned(entries, 8, root_level=level, root_index=index)
-        tree.root_hash()
-        tree.set_balances(dict.fromkeys(drained, 0))
-        scratch = build_pruned(
-            sorted(tree.leaves.items()), 8, root_level=level, root_index=index
-        )
-        root = scratch.root_hash()
-        tree.root_hash()
-        twin, made = _digests_made(tree.copy)
-        assert made == 0 and twin.hashes == 0
-        assert _digests_made(twin.root_hash) == (root, 0)
-        assert twin.leaves == scratch.leaves
-        _check_layout(twin)
-        account = max(tree.leaves, default=index << level)
-        balances = {account: tree.leaves.get(account, 0) + 3}
-        tree.ensure_path(account)
-        tree.set_balances(balances)
-        updated = tree.root_hash()
-        content, kept = dict(tree.leaves), dict(tree._nodes)
-        twin.ensure_path(account)
-        assert _digests_made(lambda: twin.set_balances(balances)) == (None, twin.hashes)
-        assert twin.hashes > 0 and twin.root_hash() == updated != root
-        equal = [key for key, record in twin._nodes.items() if kept.get(key) == record]
-        assert equal and all(twin._nodes[key] is kept[key] for key in equal)
-        account = index << level
-        twin.ensure_path(account)
-        twin.set_balances({account: twin.leaves[account] + 1})
-        assert twin.root_hash() != updated
-        assert (tree.leaves, tree._nodes, tree.root_hash()) == (content, kept, updated)
-        assert all(tree._nodes[key] is record for key, record in kept.items())
-
-
 def _subtree_root(balances, address_bits, level, index):
     """Digest of one global subtree, folded literally leaf by leaf."""
     row = [
@@ -574,8 +384,8 @@ def test_a_source_maps_equal_records_are_stored_as_its_objects():
     # transfers first (as the oracle's heap does: same keys, same records)
     # computes and counts its own digests, but stores the source's object for
     # every record or digest of equal bytes: from the build, through the
-    # slice of a tail its ensure_path cuts after the source cut it, to the
-    # inner digests above.  Unequal records are its own, and the source's
+    # slice of a tail that materializing an account cuts after the source
+    # cut it, to the inner digests above.  Unequal records are its own, and the source's
     # map is never written.
     entries = [(3, 40), (90, 7), (200, 9)]
     src = build_pruned(entries, 8)
@@ -611,19 +421,23 @@ def test_a_source_maps_equal_records_are_stored_as_its_objects():
 
 def _check_layout(tree):
     """The kept records follow the tail layout: one tail record per held
-    leaf, ending at that leaf, with no stored sibling below its top; every
-    other record is a 32-byte inner digest, and each record's parent is an
-    inner node (or the record is the tree's top)."""
+    leaf, ending at that leaf and topping one level below where its account
+    parts from the nearest other held account (at the tree's top when it is
+    alone), with no stored sibling below its top; every other record is a
+    32-byte inner digest, and each record's parent is an inner node (or the
+    record is the tree's top)."""
     base, nodes = 1 << tree.address_bits, tree._nodes
     tails = {key: record for key, record in nodes.items() if len(record) != 32}
     accounts = [int.from_bytes(record[:8], "big") for record in tails.values()]
     assert sorted(accounts) == sorted(tree.leaves)
     for top, record in tails.items():
         assert len(record) % 32 == 8
-        leaf, height = base + int.from_bytes(record[:8], "big"), len(record) // 32 - 1
-        assert leaf >> height == top
+        account, height = int.from_bytes(record[:8], "big"), len(record) // 32 - 1
+        parted = [(account ^ other).bit_length() for other in tree.leaves if other != account]
+        assert height == min(parted, default=tree.root_level + 1) - 1
+        assert (base + account) >> height == top
         for level in range(height):
-            assert (leaf >> level) ^ 1 not in nodes
+            assert ((base + account) >> level) ^ 1 not in nodes
     for key in nodes:
         assert key == tree._top or len(nodes.get(key >> 1, b"")) == 32
 
@@ -644,68 +458,6 @@ def _check_proof(tree, account, expected_root):
     assert verify_proof(proof, expected_root) == (account >> tree.root_level == 0)
 
 
-def _check_tree(tree, expected_root):
-    _check_layout(tree)
-    assert tree.root_hash() == expected_root
-    for account in tree.leaves:
-        _check_proof(tree, account, expected_root)
-    assert tree.refold() == (expected_root, [])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_trees_track_the_full_tree(data):
-    # Three trees follow one ledger: a full tree, a leaf committee's scoped
-    # tree and a storage node's copy of the scoped genesis tree, each
-    # materializing an account it has not seen with ensure_path.  A step may
-    # flip one bit of a pool account, so that ensure_path enters a held
-    # account's tail and cuts it where the paths part.
-    bits = data.draw(st.integers(1, 8), label="address_bits")
-    level = data.draw(st.integers(1, bits), label="portion level")
-    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
-    pool = data.draw(
-        st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=6, unique=True)
-    )
-    balances = data.draw(
-        st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
-    )
-
-    full = build_pruned(sorted(balances.items()), bits)
-    scoped = _leaf_tree(balances, bits, level, index)
-    storage = scoped.copy()
-
-    steps = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(pool),
-                st.integers(-1, bits - 1),
-                st.integers(0, 3),
-                st.integers(1, 2**40),
-            ),
-            max_size=10,
-        ),
-        label="steps",
-    )
-    for account, flip, kind, amount in steps:
-        if flip >= 0:
-            account ^= 1 << flip
-        balance = 0 if kind == 0 else amount  # kind 0 drains the account
-        balances[account] = balance
-        full.ensure_path(account)
-        full.set_balances({account: balance})
-        if scoped.covers(account):
-            for tree in (scoped, storage):
-                tree.ensure_path(account)
-                tree.set_balances({account: balance})
-
-        portion_root = _subtree_root(balances, bits, level, index)
-        _check_tree(full, _subtree_root(balances, bits, bits, 0))
-        _check_tree(scoped, portion_root)
-        _check_tree(storage, portion_root)
-        assert (storage.leaves, storage._nodes) == (scoped.leaves, scoped._nodes)
-    assert full.root_hash() == full_tree_root(balances, bits)
-
-
 def _leaf_tree(balances, bits, level, index):
     """A leaf committee's tree: the portion's genesis accounts, scoped."""
     entries = [(a, b) for a, b in sorted(balances.items()) if a >> level == index]
@@ -723,10 +475,10 @@ def _spine(balances, bits, level, index):
 
 def test_an_overdrawing_batch_changes_no_balance_digest_or_count():
     # The batch's first two transfers are sound and its third overdraws:
-    # apply_transfers raises before it writes a balance, so at most the zero
-    # leaf the batch touches has been materialized, with no digest made.
+    # apply_transfers raises before it materializes account 17 or writes a
+    # balance, so the tree is exactly as it was, by value and by object.
     tree = build_pruned([(3, 40), (90, 7), (200, 9)], 8)
-    held, root, hashes = dict(tree.leaves), tree.root_hash(), tree.hashes
+    before = _state(tree)
     txs = [
         Transaction(3, 17, 30, 1, 0),
         Transaction(90, 3, 7, 1, 1),
@@ -734,93 +486,216 @@ def test_an_overdrawing_batch_changes_no_balance_digest_or_count():
     ]
     with pytest.raises(NegativeBalance):
         tree.apply_transfers(txs)
-    assert {account: b for account, b in tree.leaves.items() if b} == held
-    assert tree.leaves.keys() - held.keys() <= {17}
-    assert (tree.hashes, tree.root_hash()) == (hashes, root)
-    _check_layout(tree)
+    _check_unchanged(tree, before)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_apply_transfers_matches_a_dict_ledger_and_the_update_loop(data):
-    # A leaf committee's scoped tree and a storage node's copy of it each
-    # apply random transfer batches with apply_transfers, which materializes
-    # the accounts they touch, next to a twin driven by ensure_path and one
-    # set_balances of the batch's net covered balances.  The pool holds a
-    # leaf's sibling, so materializing enters held tails, and a transfer may
-    # drain its source, zeroing the bottom of a tail.  The portion root
-    # folded up the literal spine is the ledger's.
-    bits = data.draw(st.integers(1, 8), label="address_bits")
-    level = data.draw(st.integers(1, bits), label="portion level")
-    index = data.draw(st.integers(0, (1 << (bits - level)) - 1), label="portion")
-    pool = data.draw(
-        st.lists(st.integers(0, (1 << bits) - 1), min_size=2, max_size=6, unique=True)
-    )
-    pool = sorted(set(pool) | {pool[0] ^ 1})
-    ledger = data.draw(
-        st.dictionaries(st.sampled_from(pool), st.integers(1, 2**40)), label="genesis"
-    )
-    in_portion = [a for a in pool if a >> level == index]
+def _state(tree):
+    return dict(tree.leaves), dict(tree._nodes), tree.hashes
 
-    leaf = _leaf_tree(ledger, bits, level, index)
-    leaf_twin = _leaf_tree(ledger, bits, level, index)
-    storage = leaf.copy()
-    storage_twin = leaf_twin.copy()
 
-    batches = data.draw(
-        st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(pool),
-                    st.sampled_from(pool),
-                    st.integers(0, 2**40),
-                    st.booleans(),
-                ),
-                max_size=5,
-            ),
-            max_size=4,
-        ),
-        label="batches",
-    )
-    for nonce, steps in enumerate(batches):
+def _check_unchanged(tree, state):
+    """The tree holds what `state` took of it: its balances in order, its
+    kept records by value and by object, and its digest count."""
+    leaves, nodes, hashes = state
+    assert list(tree.leaves.items()) == list(leaves.items())
+    assert (tree._nodes, tree.hashes) == (nodes, hashes)
+    assert all(tree._nodes[key] is record for key, record in nodes.items())
+
+
+def _fold_cost(tree, accounts):
+    """The digests that rehashing these held accounts costs: a leaf digest
+    for each non-zero balance and one a level of its tail, then one for each
+    node above the tails' tops, once."""
+    width, made, above = tree.address_bits + 1, 0, set()
+    for account in accounts:
+        key = (1 << tree.address_bits) + account
+        while key not in tree._nodes:  # up to the top of its tail
+            key >>= 1
+        made += (tree.leaves[account] != 0) + width - key.bit_length()
+        above.update(key >> k for k in range(1, key.bit_length() - tree._top.bit_length() + 1))
+    return made + len(above)
+
+
+def _check_written(tree, nodes):
+    """Every record the tree wrote since it kept `nodes` is its source map's
+    object where the source holds equal bytes at that key."""
+    source = tree._source
+    for key, record in tree._nodes.items():
+        if nodes.get(key) is not record and source.get(key) == record:
+            assert record is source[key], tree._position(key)
+
+
+class TreeParties(RuleBasedStateMachine):
+    """Four parties follow one history over a drawn address space and
+    portion: a leaf committee's tree, built with the oracle's heap as its
+    source map, that tree's storage copy, a whole-space tree over the heap
+    too, and the oracle.  A step applies a sound batch to every party,
+    refuses an overdrawing one in every party, serves proofs of held, absent
+    and out-of-scope accounts, or copies the leaf tree afresh.  Accounts are
+    drawn beside held ones, so that materializing enters and cuts held
+    tails, and sources are often drained."""
+
+    @initialize(data=st.data())
+    def genesis(self, data):
+        self.bits = bits = data.draw(st.integers(1, 8), label="address_bits")
+        self.level = level = data.draw(st.integers(1, bits), label="portion level")
+        self.index = index = data.draw(
+            st.integers(0, (1 << (bits - level)) - 1), label="portion"
+        )
+        self.inside = st.integers(index << level, ((index + 1) << level) - 1)
+        space = st.integers(0, (1 << bits) - 1)
+        # how an account is drawn: held, beside a held one at a level, of the
+        # portion or of the whole space
+        self.pick = st.tuples(st.integers(0, 3), space, st.integers(0, bits - 1))
+        amount = st.tuples(st.booleans(), st.integers(0, 2**40))  # drain, or at most
+        self.transfer = st.tuples(self.pick, self.pick, amount)
+        balances = st.one_of(st.just(0), st.integers(1, 2**40))
+        accounts = st.one_of(self.inside, space)
+        # the dict ledger: every account a party holds, in the order it came
+        self.ledger = data.draw(st.dictionaries(accounts, balances, max_size=6), label="genesis")
+        self.oracle = LedgerOracle(bits, self.ledger)
+        heap, entries = self.oracle.heap, list(self.ledger.items())
+        whole, made = _digests_made(lambda: build_pruned(entries, bits, source=heap))
+        assert whole.hashes == made == _fold_cost(whole, whole.leaves)
+        scoped = [(a, b) for a, b in entries if a >> level == index]
+        leaf, made = _digests_made(
+            lambda: build_pruned(scoped, bits, root_level=level, root_index=index, source=heap)
+        )
+        assert leaf.hashes == made == _fold_cost(leaf, leaf.leaves)
+        for tree in (whole, leaf):
+            _check_written(tree, {})
+        self.trees = (whole, leaf, leaf)
+        self.copy_leaf()
+
+    def _account(self, pick):
+        """A held account, one beside a held account's path, or any account
+        of the portion or of the whole space, as `pick` draws it."""
+        kind, account, level = pick
+        held = sorted(self.ledger)
+        if kind < 2 and held:
+            return held[account % len(held)] ^ (kind << level)
+        if kind == 2:  # into the portion
+            return (self.index << self.level) + account % (1 << self.level)
+        return account
+
+    def _batch(self, data, ledger, size):
+        """Up to `size` transfers that never overdraw `ledger`, which they
+        update; an amount is often the whole balance, draining the source."""
         txs = []
-        for src, dst, amount, drain in steps:
-            # never overdraw: the plain ledger bounds each amount
+        for pick_src, pick_dst, (drain, most) in data.draw(
+            st.lists(self.transfer, max_size=size), label="transfers"
+        ):
+            src, dst = self._account(pick_src), self._account(pick_dst)
             held = ledger.get(src, 0)
-            tx = Transaction(src, dst, held if drain else min(amount, held), 1, nonce)
-            ledger[src] = held - tx.amount
-            ledger[dst] = ledger.get(dst, 0) + tx.amount
-            txs.append(tx)
-        touched = {a for tx in txs for a in (tx.src, tx.dst)}
-        covered = touched & set(in_portion)
-        for account in sorted(covered):
-            leaf_twin.ensure_path(account)
-            storage_twin.ensure_path(account)
+            amount = held if drain else min(most, held)
+            ledger[src] = held - amount
+            ledger[dst] = ledger.get(dst, 0) + amount
+            txs.append(Transfer(src, dst, amount))
+        return txs
 
+    @rule(data=st.data())
+    def sound_batch(self, data):
+        ledger = dict(self.ledger)
+        txs = self._batch(data, ledger, 6)
+        self.oracle.apply_sequence([txs], 1)  # first, as it is the trees' source
+        for tree in self.trees:
+            leaves, nodes, hashes = _state(tree)
+            made = _digests_made(lambda: tree.apply_transfers(txs))[1]
+            changed = [a for a, b in tree.leaves.items() if b != leaves.get(a, 0)]
+            assert tree.hashes - hashes == made == _fold_cost(tree, changed)
+            assert made <= len(changed) * (tree.root_level + 1)
+            _check_written(tree, nodes)
+        self.ledger = ledger
+
+    @rule(data=st.data())
+    def overdrawing_batch(self, data):
+        # sound transfers, then one that overdraws an account every tree
+        # covers, then any: no party takes any of them
+        ledger = dict(self.ledger)
+        txs = self._batch(data, ledger, 3)
+        held = sorted(a for a in ledger if a >> self.level == self.index)
+        covered = st.one_of(self.inside, st.sampled_from(held)) if held else self.inside
+        src = data.draw(covered, label="overdrawn account")
+        amount = ledger.get(src, 0) + data.draw(st.integers(1, 2**40), label="overdraft")
+        dst = self._account(data.draw(self.pick, label="destination"))
+        txs.append(Transfer(src, dst, amount))
+        txs += self._batch(data, ledger, 2)
+        states = [_state(tree) for tree in self.trees]
+        balances, heap = dict(self.oracle.balances), dict(self.oracle.heap)
+        with pytest.raises(NonNegativityViolation):
+            self.oracle.apply_sequence([txs], 1)
+        for tree, state in zip(self.trees, states):
+
+            def refused():
+                with pytest.raises(NegativeBalance):
+                    tree.apply_transfers(txs)
+
+            assert _digests_made(refused)[1] == 0
+            _check_unchanged(tree, state)
+        assert (self.oracle.balances, self.oracle.heap) == (balances, heap)
+        assert all(self.oracle.heap[key] is record for key, record in heap.items())
+
+    @rule(data=st.data())
+    def prove(self, data):
+        # the whole tree proves every account of the space, the literal fold
+        # of its proof gives the oracle's root, and the scoped trees' proofs
+        # with the same spine are the same; proving writes and makes nothing
+        bits, level = self.bits, self.level
+        outside = st.sampled_from((-1, 1 << bits, (1 << bits) + 1))
+        pick = data.draw(st.one_of(self.pick, outside), label="proved account")
+        account = pick if isinstance(pick, int) else self._account(pick)
+        height = data.draw(st.integers(0, 9), label="base height")
+        whole, leaf, storage = self.trees
+        states = [_state(tree) for tree in self.trees]
+        if 0 <= account < 1 << bits:
+            proof, made = _digests_made(lambda: whole.make_proof(account, height))
+            assert made == 0
+            assert (proof.account, proof.base_height) == (account, height)
+            assert proof.balance == self.ledger.get(account, 0)
+            assert _plain_fold(proof, self.oracle.root())
+            spine = proof.siblings[level:]
+        else:
+            with pytest.raises(NotStored):
+                whole.make_proof(account, height)
         for tree in (leaf, storage):
-            held, root = dict(tree.leaves), tree.root_hash()
-            tree.apply_transfers(txs)
-            # the tree now holds the covered accounts the batch touches, and
-            # the rest only move by the batch; the root moves exactly when a
-            # balance does
-            assert tree.leaves.keys() == held.keys() | covered
-            for account in held.keys() - touched:
-                assert tree.leaves[account] == held[account]
-            changed = any(tree.leaves[a] != held.get(a, 0) for a in covered)
-            assert changed == (tree.root_hash() != root)
-        for twin in (leaf_twin, storage_twin):
-            twin.set_balances({account: ledger[account] for account in covered})
+            if account >> level == self.index:
+                made = _digests_made(lambda: tree.make_proof(account, height, spine))
+                assert made == (proof, 0)
+            else:
+                with pytest.raises(NotStored):
+                    tree.make_proof(account, height, ())
+        for tree, state in zip(self.trees, states):
+            _check_unchanged(tree, state)
 
-        portion_root = _subtree_root(ledger, bits, level, index)
-        spine = _spine(ledger, bits, level, index)
-        for tree, twin in ((leaf, leaf_twin), (storage, storage_twin)):
+    @rule()
+    def copy_leaf(self):
+        whole, leaf, _ = self.trees
+        storage, made = _digests_made(leaf.copy)
+        assert made == storage.hashes == 0
+        self.trees = (whole, leaf, storage)
+
+    @invariant()
+    def parties_agree_with_the_ledger(self):
+        bits, ledger = self.bits, self.ledger
+        whole, leaf, storage = self.trees
+        root = full_tree_root(ledger, bits)
+        portion_root = _subtree_root(ledger, bits, self.level, self.index)
+        assert self.oracle.root() == root
+        assert list(self.oracle.balances.items()) == list(ledger.items())
+        for tree, expected in ((whole, root), (leaf, portion_root), (storage, portion_root)):
+            assert _digests_made(tree.root_hash) == (expected, 0)
+            assert tree.refold() == (expected, [])
             _check_layout(tree)
-            _check_layout(twin)
-            assert tree.root_hash() == twin.root_hash() == portion_root
-            assert tree.leaves == twin.leaves
-        assert climb(index, portion_root, spine)[-1] == full_tree_root(ledger, bits)
-        assert leaf.hashes == leaf_twin.hashes
-        assert storage.hashes == storage_twin.hashes
+            held = [(a, b) for a, b in ledger.items() if a >> tree.root_level == tree.root_index]
+            assert list(tree.leaves.items()) == held
+        assert (storage.leaves, storage._nodes) == (leaf.leaves, leaf._nodes)
+        assert all(storage._nodes[key] is record for key, record in leaf._nodes.items())
+
+
+def test_tree_parties_follow_one_history():
+    run_state_machine_as_test(
+        TreeParties, settings=settings(max_examples=100, stateful_step_count=20, deadline=None)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -893,9 +768,7 @@ def test_storage_node_matches_a_whole_space_reference(data):
             assert node.latest_block is block
         target = data.draw(inside, label="served account")
         for account in sorted(reference.leaves.keys() | {target}):
-            served = reference.copy()  # serving keeps no account
-            served.ensure_path(account)
-            proof = served.make_proof(account, height)
+            proof = reference.make_proof(account, height)
             proof = replace(proof, siblings=proof.siblings + spine)
             assert verify_proof(proof, block.state_root)
             for node in replicas:
@@ -956,13 +829,15 @@ def test_kept_records_grow_with_accounts_not_path_length():
     source = build_pruned(sorted(portion.items()), bits)
     scoped = build_pruned(sorted(portion.items()), bits, root_level=32, root_index=5)
 
-    # a few zero accounts join held tails, a few more join apart from them
+    # a few zero accounts join held tails, a few more join apart from them,
+    # each credited nothing by a held account
     for tree, accounts in (
         (full, [(7 << 32) + 9, (7 << 32) + (1 << 31), 1, (3 << 32) + 5, (1 << bits) - 1]),
         (scoped, [(5 << 32) + (3 << 24) + 1, (5 << 32) + 77, (6 << 32) - 1]),
     ):
         for account in accounts:
-            tree.ensure_path(account)
+            tree.apply_transfers([Transfer(min(tree.leaves), account, 0)])
+            assert tree.leaves[account] == 0
             _check_proof(tree, account, tree.root_hash())
 
     assert full.root_hash() == LedgerOracle(bits, ledger).root()

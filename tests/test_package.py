@@ -198,3 +198,21 @@ def test_oracle_imports_only_digest_primitives():
             if any(name.split(".")[-1] == "oracle" for name in names):
                 importers.add(module.name)
     assert importers == {"engine.py"}
+
+
+def test_every_mutant_applies_exactly_once():
+    # mutants/run.py replaces each catalogue entry's old text in a copy of
+    # the checkout; an edit that moves or duplicates that text would leave
+    # the mutant unapplied or ambiguous
+    entries = [
+        entry
+        for path in sorted((ROOT / "mutants").glob("*.json"))
+        for entry in json.loads(path.read_text(encoding="utf-8"))
+    ]
+    assert entries
+    names = [entry["name"] for entry in entries]
+    assert len(set(names)) == len(names)
+    for entry in entries:
+        text = (ROOT / entry["file"]).read_text(encoding="utf-8")
+        assert text.count(entry["old"]) == 1, entry["name"]
+        assert entry["new"] != entry["old"] and entry["test"].startswith("tests/"), entry["name"]

@@ -136,8 +136,6 @@ def test_fold_single_digest_is_identity(monkeypatch):
 
 
 def _proofed(tree, src, dst, amount, entry_round, nonce, base=0):
-    for account in (src, dst):
-        tree.ensure_path(account)
     return Transaction(
         src,
         dst,

@@ -47,8 +47,6 @@ def _world(balances, address_bits=5, leaf_count=2):
 
 
 def _tx(tree, src, dst, amount, nonce):
-    for account in (src, dst):
-        tree.ensure_path(account)
     return Transaction(
         src, dst, amount, 1, nonce,
         tree.make_proof(src, 0), tree.make_proof(dst, 0),
@@ -260,6 +258,19 @@ def test_audit_adds_a_rotating_sample_of_served_proofs():
     # a wrong spine digest: the re-fold misses the block root
     node.spine = (bytes(32),)
     failed = "^storage 0/0: audit of block 0: the rebuilt portion path differs"
+    with pytest.raises(StateDivergence, match=failed):
+        node.audit(0)
+
+
+def test_an_empty_portion_fails_its_audit_on_a_wrong_spine():
+    # a tree holding no account fails no account, so audit_stored reads
+    # (0, 0) whatever the spine; the audit still finds the wrong path
+    topo, tree, genesis, nodes = _world({3: 50})
+    node = nodes[1]
+    assert not node.tree.leaves and node.audit(0) == 0
+    node.spine = (bytes(32),)
+    assert node.audit_stored() == (0, 0)
+    failed = "^storage 1/0: audit of block 0: the rebuilt portion path differs"
     with pytest.raises(StateDivergence, match=failed):
         node.audit(0)
 

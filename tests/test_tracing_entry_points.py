@@ -33,16 +33,21 @@ def test_every_traced_entry_point_resolves():
         assert callable(owner.__dict__.get(attr)), (module_name, path)
 
 
-def test_every_traced_span_is_entered(monkeypatch):
-    # a storage node that applied a block without going through
-    # apply_confirmed, say, would leave storage.apply_* at 0
+def _rep(monkeypatch):
+    """perfbench's rep module, loaded with its sibling `tracing`."""
     for name in ("tracing", "rep"):
         spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         # rep imports its sibling `tracing` by that name; undone after the test
         monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
-    record = module.run_rep("steady", 3, trace=True, rounds=12)
+    return module
+
+
+def test_every_traced_span_is_entered(monkeypatch):
+    # a storage node that applied a block without going through
+    # apply_confirmed, say, would leave storage.apply_* at 0
+    record = _rep(monkeypatch).run_rep("steady", 3, trace=True, rounds=12)
     layers, model = record["layers"], record["model"]
     assert layers["storage.apply_digests"] == model["hashes_storage"]
     assert layers["pipeline.leaf_digests"] == model["hashes_leaf"]
@@ -55,6 +60,15 @@ def test_every_traced_span_is_entered(monkeypatch):
     # hashing more or less (a storage rewrite, say) changes one of them
     assert {name: layers[name] for name in PINNED_LAYERS} == PINNED_LAYERS
     assert model["hashes_cc"] == 18_700
+
+
+def test_every_round_audit_is_charged_to_storage_audit(monkeypatch):
+    # with audit_proofs on, each round's audit re-folds through audit_stored,
+    # so storage.audit counts its checks besides the closing audit's
+    record = _rep(monkeypatch).run_rep(
+        "steady", 3, trace=True, rounds=6, faults={"audit_proofs": True}
+    )
+    assert record["layers"]["storage.audit_checked"] > record["closing_audit"]["checked"] > 0
 
 
 PINNED_LAYERS = {
